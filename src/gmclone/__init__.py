@@ -29,6 +29,7 @@ from .mps import (
     save_mps,
 )
 from .pipeline import (
+    GMMatrix,
     GMMatrixRecord,
     ParityClass,
     PipelineArtifacts,
@@ -64,6 +65,7 @@ __all__ = [
     "BondCut",
     "BondSpectrum",
     "DensityMatrix",
+    "GMMatrix",
     "GMMatrixRecord",
     "GMParameters",
     "MatrixProductState",

@@ -79,14 +79,12 @@ def _basis_bit(spec: str):
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    artifacts, records = pipeline.run_pipeline(cfg.clones, cfg.out_dir)
-    count0 = sum(
-        1 for r in records if r.parity_class is pipeline.ParityClass.CLONE_OF_0
-    )
-    count1 = len(records) - count0
+    artifacts, matrix = pipeline.run_pipeline(cfg.clones, cfg.out_dir)
+    count1 = int(np.count_nonzero(matrix.clone_of_one))
+    count0 = len(matrix) - count1
     print(f"FullBitString: {2 ** (2 * cfg.clones - 1)} lines -> {artifacts.full_path}")
-    print(f"GMBitString:   {len(records)} lines -> {artifacts.gm_path}")
-    print(f"GMMatrix:      {len(records)} records -> {artifacts.matrix_path}")
+    print(f"GMBitString:   {len(matrix)} lines -> {artifacts.gm_path}")
+    print(f"GMMatrix:      {len(matrix)} records -> {artifacts.matrix_path}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
 
@@ -95,7 +93,7 @@ def _compile_source_state(cfg: RunConfig) -> tuple[StateVector, str]:
     bit = _basis_bit(cfg.input_spec)
     matrix_path = cfg.out_dir / pipeline.MATRIX_STAGE_NAME
     if bit is not None and matrix_path.is_file():
-        records = pipeline.read_gm_matrix(
+        matrix = pipeline.read_gm_matrix(
             matrix_path, expected_length=2 * cfg.clones - 1
         )
         cls = (
@@ -103,7 +101,7 @@ def _compile_source_state(cfg: RunConfig) -> tuple[StateVector, str]:
             if bit == 0
             else pipeline.ParityClass.CLONE_OF_1
         )
-        return pipeline.reconstruct_state(records, cfg.clones, cls), "gm_matrix"
+        return pipeline.reconstruct_state(matrix, cfg.clones, cls), "gm_matrix"
     q = parse_input_spec(cfg.input_spec)
     return build_gm(GMParameters(cfg.clones, q)), "builder"
 

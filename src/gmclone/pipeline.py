@@ -14,12 +14,21 @@ Coefficients stored in GMMatrix are the normalized per-ket amplitudes of
 the basis-clone states (the j-sector weight divided by the square root of
 the arrangement multiplicity), signs included, so the file alone suffices
 to rebuild the dense states.
+
+In memory a bitstring is its basis index (qubit 1 is the most significant
+bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
+stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
+coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
+bitstring stages are one ``(rows, n+1)`` uint8 ASCII matrix written with
+``tobytes()``, the writer formats each distinct double once, and the reader
+checks all lines at once with array masks over the raw bytes.  The per-line
+grammar in :func:`_line_problem` only words the error for the first bad line.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +45,13 @@ from .errors import (
 from ._format import float17
 
 FULL_ENUMERATION_LIMIT = 12  # 2^(2M-1) lines; M=12 is ~8.4M lines already
+MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
 
 FULL_STAGE_NAME = "FullBitString"
 GM_STAGE_NAME = "GMBitString"
 MATRIX_STAGE_NAME = "GMMatrix"
+
+_TAB, _LF, _C, _ZERO, _ONE = b"\t\nC01"
 
 
 class ParityClass(enum.Enum):
@@ -55,6 +67,32 @@ class GMMatrixRecord:
     parity_class: ParityClass
 
 
+@dataclass(frozen=True, eq=False)
+class GMMatrix:
+    """The GMMatrix stage as columns, one entry per support ket."""
+
+    width: int                # register length 2M-1
+    indices: np.ndarray       # int64 basis indices, strictly increasing
+    coefficients: np.ndarray  # complex128 per-ket amplitudes
+    clone_of_one: np.ndarray  # bool, True for class C1
+
+    def __len__(self) -> int:
+        return self.indices.size
+
+    def __iter__(self):
+        """Read-only per-record view, in file order."""
+        for index, coefficient, one in zip(
+            self.indices.tolist(),
+            self.coefficients.tolist(),
+            self.clone_of_one.tolist(),
+        ):
+            yield GMMatrixRecord(
+                format(index, f"0{self.width}b"),
+                coefficient,
+                ParityClass.CLONE_OF_1 if one else ParityClass.CLONE_OF_0,
+            )
+
+
 @dataclass(frozen=True)
 class PipelineArtifacts:
     full_path: Path
@@ -62,32 +100,61 @@ class PipelineArtifacts:
     matrix_path: Path
 
 
-def gen_full_bitstrings(M: int) -> list[str]:
-    """All 2^(2M-1) bitstrings of register length 2M-1, lexicographic."""
+def _register_width(M: int) -> int:
     if M < 1:
         raise DomainError("M must be >= 1")
     if M > FULL_ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"full enumeration guarded at M <= {FULL_ENUMERATION_LIMIT}"
         )
-    n = 2 * M - 1
-    return [format(i, f"0{n}b") for i in range(2**n)]
+    return 2 * M - 1
 
 
-def gen_gm_bitstrings(M: int) -> list[str]:
-    """Sorted union of the two basis-clone supports.
+def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
+    """ASCII bitstrings of ``indices``: a (rows, width+1) uint8 matrix, LF last."""
+    rows = np.empty((indices.size, width + 1), dtype=np.uint8)
+    for col in range(width):
+        rows[:, col] = ((indices >> (width - 1 - col)) & 1) + _ZERO
+    rows[:, width] = _LF
+    return rows
+
+
+def _strings(indices: np.ndarray, width: int) -> list[str]:
+    return _bit_rows(indices, width).tobytes().decode("ascii").split()
+
+
+def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Width, sorted support indices and clone-of-|1> mask of both classes.
 
     The supports are the full popcount classes M-1 and M: a support string
     of the clone of |0> has j ones in the clone sector and M-1-j in the
     anticlone sector for some j, and conversely any split of M-1 ones is
-    realized.  Fixed-width lexicographic order equals numeric order.
+    realized.
     """
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    n = 2 * M - 1
+    n = _register_width(M)
     counts = kernels.popcounts(np.arange(2**n, dtype=np.int64))
-    mask = (counts == M - 1) | (counts == M)
-    return [format(i, f"0{n}b") for i in np.nonzero(mask)[0]]
+    support = np.flatnonzero((counts == M - 1) | (counts == M))
+    one = counts[support] == M
+    # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
+    per_class = math.comb(n, M)
+    if support.size != 2 * per_class or np.count_nonzero(one) != per_class:
+        raise InternalConsistencyError(
+            f"popcount classes of M={M} hold {support.size} support indices, "
+            f"expected {2 * per_class}, half with popcount M-1 and half with M"
+        )
+    return n, support, one
+
+
+def gen_full_bitstrings(M: int) -> list[str]:
+    """All 2^(2M-1) bitstrings of register length 2M-1, lexicographic."""
+    n = _register_width(M)
+    return _strings(np.arange(2**n, dtype=np.int64), n)
+
+
+def gen_gm_bitstrings(M: int) -> list[str]:
+    """Sorted union of the two basis-clone supports."""
+    n, support, _ = _support(M)
+    return _strings(support, n)
 
 
 def parity_classify(bits: str, M: int) -> ParityClass:
@@ -109,46 +176,30 @@ def parity_classify(bits: str, M: int) -> ParityClass:
     return ParityClass.NOT_GM
 
 
-def assign_coefficients(M: int) -> list[GMMatrixRecord]:
-    """Match support strings against the full enumeration and attach amplitudes.
-
-    Membership is checked by binary search over the sorted full list; a
-    support string missing from it would mean the enumeration itself is
-    broken, hence the internal-consistency error.
-    """
-    full = gen_full_bitstrings(M)
-    support = gen_gm_bitstrings(M)
-    amps = {
-        ParityClass.CLONE_OF_0: build_gm_basis(M, 0).amplitudes,
-        ParityClass.CLONE_OF_1: build_gm_basis(M, 1).amplitudes,
-    }
-    records = []
-    for bits in support:
-        pos = bisect_left(full, bits)
-        if pos == len(full) or full[pos] != bits:
-            raise InternalConsistencyError(
-                f"support string {bits} missing from the full enumeration"
-            )
-        cls = parity_classify(bits, M)
-        if cls is ParityClass.NOT_GM:
-            raise InternalConsistencyError(
-                f"support string {bits} fell outside both parity classes"
-            )
-        records.append(GMMatrixRecord(bits, complex(amps[cls][int(bits, 2)]), cls))
-    return records
+def assign_coefficients(M: int) -> GMMatrix:
+    """Attach the basis-clone amplitudes to the support, class by class."""
+    n, support, one = _support(M)
+    amps0 = build_gm_basis(M, 0).amplitudes
+    amps1 = build_gm_basis(M, 1).amplitudes
+    coefficients = np.where(one, amps1[support], amps0[support])
+    return GMMatrix(n, support, coefficients, one)
 
 
-def reconstruct_state(records, M: int, parity_class: ParityClass) -> StateVector:
-    """Dense state of one parity class rebuilt from GMMatrix records."""
+def reconstruct_state(
+    matrix: GMMatrix, M: int, parity_class: ParityClass
+) -> StateVector:
+    """Dense state of one parity class rebuilt from a GMMatrix table."""
     n = 2 * M - 1
+    if len(matrix) and matrix.width != n:
+        raise DomainError(
+            f"GMMatrix of width {matrix.width} does not fit a {n}-qubit register"
+        )
+    if parity_class is ParityClass.NOT_GM:
+        keep = np.zeros(len(matrix), dtype=bool)  # no record carries it
+    else:
+        keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
     amps = np.zeros(2**n, dtype=np.complex128)
-    for rec in records:
-        if len(rec.bits) != n:
-            raise DomainError(
-                f"record {rec.bits!r} does not fit a {n}-qubit register"
-            )
-        if rec.parity_class is parity_class:
-            amps[int(rec.bits, 2)] = rec.coefficient
+    amps[matrix.indices[keep]] = matrix.coefficients[keep]
     return StateVector(n, amps)
 
 
@@ -185,64 +236,173 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
     return strings
 
 
-def write_gm_matrix(path, records) -> None:
+def write_gm_matrix(path, matrix: GMMatrix) -> None:
+    rows = len(matrix)
+    parts = np.concatenate([matrix.coefficients.real, matrix.coefficients.imag])
+    values, inverse = np.unique(parts, return_inverse=True)
+    texts = np.array(["\t" + float17(v) for v in values.tolist()], dtype=object)
+    classes = np.array(["\tC0\n", "\tC1\n"], dtype=object)
+    cells = np.empty((rows, 4), dtype=object)
+    cells[:, 0] = _strings(matrix.indices, matrix.width)
+    cells[:, 1] = texts[inverse[:rows]]
+    cells[:, 2] = texts[inverse[rows:]]
+    cells[:, 3] = classes[matrix.clone_of_one.astype(np.intp)]
+    Path(path).write_text("".join(cells.ravel().tolist()), encoding="ascii")
+
+
+def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
+    """What is wrong with one GMMatrix line, or None; checks in grammar order."""
+    try:
+        text = line.decode("ascii")
+    except UnicodeDecodeError:
+        return "non-ASCII byte"
+    fields = text.split("\t")
+    if len(fields) != 4:
+        return "expected 4 tab-separated fields"
+    bits, re_text, im_text, cls_text = fields
+    if not bits or any(ch not in "01" for ch in bits):
+        return f"bad bitstring {bits!r}"
+    if width is None:
+        width = len(bits)
+    if len(bits) != width:
+        return f"expected {width} bits, got {len(bits)}"
+    if width % 2 == 0 or width > MAX_WIDTH:
+        return f"register width {width} is not an odd 2M-1 <= {MAX_WIDTH}"
+    if prev_bits is not None and bits <= prev_bits:
+        return f"bitstring {bits} does not follow {prev_bits} (need sorted, unique)"
+    try:
+        re, im = float(re_text), float(im_text)
+    except ValueError:
+        return f"unparseable coefficient {re_text!r}/{im_text!r}"
+    if not (math.isfinite(re) and math.isfinite(im)):
+        return f"non-finite coefficient {re_text!r}/{im_text!r}"
+    if cls_text not in ("C0", "C1"):
+        return f"unknown class {cls_text!r}"
+    M = (width + 1) // 2
+    cls = parity_classify(bits, M)
+    if cls is ParityClass.NOT_GM:
+        return f"popcount {bits.count('1')} is in neither parity class of M={M}"
+    if cls_text != cls.value:
+        return f"class {cls_text} contradicts popcount {bits.count('1')} of M={M}"
+    return None
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _float_or_nan(text: bytes) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan  # the line grammar words the failure
+
+
+def _floats(texts: list) -> np.ndarray:
+    """``float()`` of every text; NaN, which no valid line holds, where it fails."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, texts), np.float64, len(texts))
+
+
+def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
+    """Parse and validate a GMMatrix stage.
+
+    Every line is ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of one odd width
+    (``expected_length`` when given, else that of line 1), strictly
+    increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
+    M-1 and ``C1`` for popcount M, where the width is 2M-1.  Only LF ends a
+    line, and a last line without one still counts.  The earliest bad line
+    is reported, with the first check it fails in :func:`_line_problem`.
+    """
     path = Path(path)
-    lines = []
-    for rec in records:
-        lines.append(
-            f"{rec.bits}\t{float17(rec.coefficient.real)}"
-            f"\t{float17(rec.coefficient.imag)}\t{rec.parity_class.value}\n"
+    data = path.read_bytes()
+    if not data:
+        return GMMatrix(
+            expected_length or 0,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.complex128),
+            np.empty(0, dtype=bool),
         )
-    path.write_text("".join(lines), encoding="ascii")
-
-
-def read_gm_matrix(path, expected_length: int | None = None) -> list[GMMatrixRecord]:
-    path = Path(path)
-    records = []
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _LF)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tabs = np.flatnonzero(buf == _TAB)
+    # Lines before the first with a wrong field count or a non-ASCII byte
+    # hold exactly three tabs each, so their tabs form a (head, 3) matrix.
+    head = _first(np.diff(np.searchsorted(tabs, ends), prepend=0) != 3)
+    if not data.isascii():
+        head = min(head, int(np.searchsorted(ends, np.argmax(buf >= 0x80))))
+    tabs = tabs[: 3 * head].reshape(head, 3)
+    bit_len = tabs[:, 0] - starts[:head]
     width = expected_length
-    with path.open(encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            fields = raw.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise StageParseError(path, lineno, "expected 4 tab-separated fields")
-            bits, re_text, im_text, cls_text = fields
-            if not bits or any(ch not in "01" for ch in bits):
-                raise StageParseError(path, lineno, f"bad bitstring {bits!r}")
-            if width is None:
-                width = len(bits)
-            if len(bits) != width:
-                raise StageParseError(
-                    path, lineno, f"expected {width} bits, got {len(bits)}"
-                )
-            try:
-                coeff = complex(float(re_text), float(im_text))
-            except ValueError:
-                raise StageParseError(
-                    path, lineno, f"unparseable coefficient {re_text!r}/{im_text!r}"
-                ) from None
-            if cls_text == ParityClass.CLONE_OF_0.value:
-                cls = ParityClass.CLONE_OF_0
-            elif cls_text == ParityClass.CLONE_OF_1.value:
-                cls = ParityClass.CLONE_OF_1
-            else:
-                raise StageParseError(path, lineno, f"unknown class {cls_text!r}")
-            records.append(GMMatrixRecord(bits, coeff, cls))
-    return records
+    if width is None:
+        width = int(bit_len[0]) if head else 0
+
+    bad = head if width % 2 and width <= MAX_WIDTH else 0
+    if bad:
+        last = buf.size - 1
+        indices = np.zeros(head, dtype=np.int64)
+        popcount = np.zeros(head, dtype=np.int64)
+        line_bad = bit_len != width
+        for col in range(width):
+            byte = buf[np.minimum(starts[:head] + col, last)]
+            line_bad |= (byte != _ZERO) & (byte != _ONE)
+            one = byte == _ONE
+            indices = (indices << 1) | one
+            popcount += one
+        line_bad[1:] |= indices[1:] <= indices[:-1]
+        cls_at = tabs[:, 2] + 1
+        digit = buf[np.minimum(cls_at + 1, last)]
+        clone_of_one = digit == _ONE
+        line_bad |= (ends[:head] - cls_at != 2) | (buf[cls_at] != _C)
+        line_bad |= (digit != _ZERO) & ~clone_of_one
+        M = (width + 1) // 2
+        line_bad |= popcount != np.where(clone_of_one, M, M - 1)
+        bad = _first(line_bad)
+        # These lines hold 3 tabs each, so splitting them at every TAB gives
+        # BITS, RE, IM, then CLASS+LF+BITS of the next line, RE, IM, ...
+        pieces = data[: ends[bad - 1]].split(b"\t") if bad else []
+        re, im = _floats(pieces[1::3]), _floats(pieces[2::3])
+        bad = _first(~(np.isfinite(re) & np.isfinite(im)))
+
+    if bad < ends.size:
+        prev_bits = None
+        if bad:
+            prev_bits = data[starts[bad - 1] : tabs[bad - 1, 0]].decode()
+        problem = _line_problem(
+            data[starts[bad] : ends[bad]],
+            None if expected_length is None and not bad else width,
+            prev_bits,
+        )
+        if problem is None:
+            raise InternalConsistencyError(
+                f"{path}:{bad + 1}: array checks reject a line the grammar accepts"
+            )
+        raise StageParseError(path, bad + 1, problem)
+    coefficients = np.empty(head, dtype=np.complex128)
+    coefficients.real, coefficients.imag = re, im
+    return GMMatrix(width, indices, coefficients, clone_of_one)
 
 
-def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, list[GMMatrixRecord]]:
+def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
     """Run all three stages and persist them under ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    full = gen_full_bitstrings(M)
-    support = gen_gm_bitstrings(M)
-    records = assign_coefficients(M)
+    matrix = assign_coefficients(M)
+    n = matrix.width
     artifacts = PipelineArtifacts(
         full_path=out_dir / FULL_STAGE_NAME,
         gm_path=out_dir / GM_STAGE_NAME,
         matrix_path=out_dir / MATRIX_STAGE_NAME,
     )
-    write_bitstring_stage(artifacts.full_path, full)
-    write_bitstring_stage(artifacts.gm_path, support)
-    write_gm_matrix(artifacts.matrix_path, records)
-    return artifacts, records
+    full = np.arange(2**n, dtype=np.int64)
+    artifacts.full_path.write_bytes(_bit_rows(full, n).tobytes())
+    artifacts.gm_path.write_bytes(_bit_rows(matrix.indices, n).tobytes())
+    write_gm_matrix(artifacts.matrix_path, matrix)
+    return artifacts, matrix

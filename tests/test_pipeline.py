@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gmclone.builder import build_gm_basis
 from gmclone.errors import (
@@ -11,8 +13,11 @@ from gmclone.errors import (
     ResourceLimitError,
     StageParseError,
 )
+from gmclone.cli import main
 from gmclone.pipeline import (
+    GMMatrix,
     ParityClass,
+    _line_problem,
     assign_coefficients,
     gen_full_bitstrings,
     gen_gm_bitstrings,
@@ -239,3 +244,192 @@ class TestRunPipeline:
         art_b, _ = run_pipeline(3, b_dir)
         for name in ("FullBitString", "GMBitString", "GMMatrix"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+GOOD_M2 = "001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n011\t0.5\t0\tC1\n"
+
+
+def _raises_on_line(path, line_number, expected_length=None):
+    with pytest.raises(StageParseError) as err:
+        read_gm_matrix(path, expected_length=expected_length)
+    assert err.value.line_number == line_number
+    return str(err.value)
+
+
+class TestGMMatrixReaderSemantics:
+    """Behaviour of the per-line reader the array reader must keep."""
+
+    def test_earlier_bad_width_beats_later_field_count(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_text("001\t0.5\t0\tC0\n01\t0.5\t0\tC0\n011\t0.5\tC1\n")
+        assert "expected 3 bits, got 2" in _raises_on_line(path, 2)
+
+    def test_empty_file_gives_no_records(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_bytes(b"")
+        assert len(read_gm_matrix(path)) == 0
+        assert list(read_gm_matrix(path, expected_length=3)) == []
+
+    def test_final_line_without_lf_parses(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_text(GOOD_M2.rstrip("\n"))
+        records = list(read_gm_matrix(path))
+        assert [r.bits for r in records] == ["001", "010", "011"]
+        assert records[-1].parity_class is ParityClass.CLONE_OF_1
+
+    def test_crlf_rejected_on_line_1(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_bytes(GOOD_M2.replace("\n", "\r\n").encode())
+        assert "unknown class 'C0\\r'" in _raises_on_line(path, 1)
+
+    def test_expected_length_mismatch_on_line_1(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_text(GOOD_M2)
+        message = _raises_on_line(path, 1, expected_length=5)
+        assert "expected 5 bits, got 3" in message
+
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_bytes(GOOD_M2.encode() + "100\t0.5\t0\tC1 \n".encode())
+        assert "non-ASCII" in _raises_on_line(path, 4)
+
+
+class TestGMMatrixInvariants:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("100\tnan\t0\tC1", "non-finite"),
+            ("100\t0.5\tinf\tC1", "non-finite"),
+            ("100\t-inf\t0\tC1", "non-finite"),
+            ("010\t0.5\t0\tC0", "does not follow"),     # duplicate
+            ("000\t0.5\t0\tC0", "does not follow"),     # unsorted
+            ("100\t0.5\t0\tC1", "contradicts popcount"),
+            ("111\t0.5\t0\tC1", "neither parity class"),
+        ],
+    )
+    def test_rejected_on_its_line(self, tmp_path, line, message):
+        path = tmp_path / "GMMatrix"
+        path.write_text("001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n" + line + "\n")
+        assert message in _raises_on_line(path, 3)
+
+    def test_even_width_rejected(self, tmp_path):
+        path = tmp_path / "GMMatrix"
+        path.write_text("0001\t0.5\t0\tC0\n0010\t0.5\t0\tC0\n")
+        assert "not an odd" in _raises_on_line(path, 1)
+
+    def test_nan_duplicate_record_fails_compile(self, tmp_path, capsys):
+        path = tmp_path / "GMMatrix"
+        path.write_text("000\tnan\t0\tC1\n" * 2)
+        with pytest.raises(StageParseError):
+            read_gm_matrix(path, expected_length=3)
+        code = main([
+            "compile", "--clones", "2", "--input", "basis:1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "GMMatrix:1:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# property tests: the array writer and reader against per-line references
+# ---------------------------------------------------------------------------
+
+EDGE_DOUBLES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+    1.7976931348623157e308, 0.1, 1 / 3, -2 / 3, 0.12345678901234568,
+]
+doubles = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def gm_matrices(draw):
+    M = draw(st.integers(1, 5))
+    n = 2 * M - 1
+    support = [i for i in range(2**n) if bin(i).count("1") in (M - 1, M)]
+    chosen = sorted(draw(st.sets(st.sampled_from(support), max_size=len(support))))
+    size = len(chosen)
+    re = draw(st.lists(doubles, min_size=size, max_size=size))
+    im = draw(st.lists(doubles, min_size=size, max_size=size))
+    coefficients = np.empty(size, dtype=np.complex128)
+    coefficients.real, coefficients.imag = re, im
+    indices = np.array(chosen, dtype=np.int64)
+    one = np.array([bin(i).count("1") == M for i in chosen], dtype=bool)
+    return GMMatrix(n, indices, coefficients, one)
+
+
+def _reference_text(matrix):
+    """Per-record GMMatrix text, 17 significant digits and -0.0 printed as 0."""
+
+    def number(x):
+        return "0" if x == 0 else format(x, ".17g")
+
+    lines = []
+    columns = zip(matrix.indices, matrix.coefficients, matrix.clone_of_one)
+    for index, c, one in columns:
+        bits = format(int(index), f"0{matrix.width}b")
+        cls = "C1" if one else "C0"
+        lines.append(f"{bits}\t{number(c.real)}\t{number(c.imag)}\t{cls}\n")
+    return "".join(lines)
+
+
+class TestGMMatrixProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(matrix=gm_matrices())
+    def test_write_read_roundtrip(self, tmp_path, matrix):
+        first = tmp_path / "GMMatrix"
+        second = tmp_path / "GMMatrix2"
+        write_gm_matrix(first, matrix)
+        assert first.read_text() == _reference_text(matrix)
+        loaded = read_gm_matrix(first, expected_length=matrix.width)
+        assert loaded.width == matrix.width
+        np.testing.assert_array_equal(loaded.indices, matrix.indices)
+        np.testing.assert_array_equal(loaded.coefficients, matrix.coefficients)
+        np.testing.assert_array_equal(loaded.clone_of_one, matrix.clone_of_one)
+        write_gm_matrix(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 200), st.sampled_from(list(b"019\t\nC2x.-\r"))),
+            max_size=3,
+        ),
+        cut=st.tuples(st.integers(0, 200), st.integers(0, 2)),
+        expected=st.sampled_from([None, 3, 5]),
+    )
+    def test_array_checks_agree_with_line_grammar(self, tmp_path, edits, cut, expected):
+        """Corrupted files fail on the line, and with the message, of a
+        sequential reader that applies the line grammar one line at a time."""
+        data = bytearray(
+            b"001\t0.5\t0\tC0\n010\t-1e-3\t1e308\tC0\n011\t0.25\t0\tC1\n"
+            b"100\t1\t-0\tC0\n101\t3.5e+2\t2e-5\tC1\n110\t1_0\t.5\tC1\n"
+        )
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        start = cut[0] % len(data)
+        del data[start : start + cut[1]]
+        path = tmp_path / "GMMatrix"
+        path.write_bytes(bytes(data))
+
+        lines = bytes(data).split(b"\n")
+        if lines[-1] == b"":
+            lines.pop()
+        width, prev, problem = expected, None, None
+        for lineno, line in enumerate(lines, start=1):
+            problem = _line_problem(line, width, prev)
+            if problem is not None:
+                break
+            prev = line.split(b"\t")[0].decode()
+            width = len(prev)
+        if problem is None:
+            matrix = read_gm_matrix(path, expected_length=expected)
+            assert len(matrix) == len(lines)
+        else:
+            with pytest.raises(StageParseError) as err:
+                read_gm_matrix(path, expected_length=expected)
+            assert str(err.value) == f"{path}:{lineno}: {problem}"
