@@ -13,6 +13,7 @@ from .builder import (
     build_gm_basis,
     expand_gm_decomposed,
     gamma,
+    gm_factors,
     symmetric_ket,
     symmetrize,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "gamma",
     "gen_full_bitstrings",
     "gen_gm_bitstrings",
+    "gm_factors",
     "index_bits",
     "load_mps",
     "make_qubit",

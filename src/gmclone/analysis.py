@@ -60,11 +60,15 @@ def reduced_density(state: StateVector, keep) -> DensityMatrix:
 
 
 def _single_qubit_fidelities(state, positions, target: Qubit):
-    psi = target.components()
+    # <psi|rho_p|psi> = || psi_0^* T[:, 0, :] + psi_1^* T[:, 1, :] ||^2 on the
+    # (2^(p-1), 2, rest) view T of the register: no transposed copy per qubit.
+    psi0, psi1 = target.components().conj()
     out = []
     for pos in positions:
-        rho = reduced_density(state, [pos]).entries
-        out.append(float(np.real(psi.conj() @ rho @ psi)))
+        tensor = state.amplitudes.reshape(2 ** (pos - 1), 2, -1)
+        projected = psi0 * tensor[:, 0, :]
+        projected += psi1 * tensor[:, 1, :]
+        out.append(float(np.vdot(projected, projected).real))
     return out
 
 

@@ -6,10 +6,12 @@ The 1->M universal symmetric cloner maps an input qubit psi to the
     sum_{j=0}^{M-1} gamma_j |(M-j) psi, j psi_perp>_S (x) |(M-j-1) psi_a, j psi_a_perp>_S
 
 with gamma_j = sqrt(2(M-j) / (M(M+1))), M clones on qubits 1..M and M-1
-anticlones on qubits M+1..2M-1.  ``build_gm`` assembles that state;
-``expand_gm_decomposed`` rebuilds it along an independent route (explicit
-insertion of the input amplitudes and enumeration of the symmetrized
-arrangements) and serves as the cross-check oracle.
+anticlones on qubits M+1..2M-1.  ``gm_factors`` returns the two stacks of
+sector kets and the weights of that sum; ``build_gm`` assembles the dense
+state from them in one matrix product; ``expand_gm_decomposed`` rebuilds
+it along an independent route (explicit insertion of the input amplitudes
+and enumeration of the symmetrized arrangements) and serves as the
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ PERMUTATION_LIMIT = 9
 _PERMUTATION_KET_MAX = 6
 
 ZERO_PROJECTION_TOL = 1e-13
+
+# Largest M with a dense register: 2^(2M-1) amplitudes, 128 MiB at M = 12.
+# The parity pipeline enumerates every basis index under the same guard.
+FULL_ENUMERATION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -125,14 +131,15 @@ def _symmetric_ket_permutation(n: int, j: int, u: np.ndarray, v: np.ndarray) -> 
     return symmetrize(StateVector(n, prod)).amplitudes
 
 
-def _symmetric_ket_binomial(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _symmetric_kets_binomial(n: int, j_max: int, u: np.ndarray, v: np.ndarray) -> list:
     # Equal-weight sum over the C(n, j) placements of the v factors; the
     # placements are mutually orthogonal product states (u and v are
-    # orthogonal), so the normalization is exactly 1/sqrt(C(n, j)).
+    # orthogonal), so the normalization is exactly 1/sqrt(C(n, j)).  The
+    # recursion over qubits carries every count up to j_max at once.
     by_count = {0: np.ones(1, dtype=np.complex128)}
     for _ in range(n):
         grown = {}
-        for count in range(min(j, len(by_count)) + 1):
+        for count in range(min(j_max, len(by_count)) + 1):
             parts = []
             if count in by_count:
                 parts.append(np.kron(by_count[count], u))
@@ -141,7 +148,11 @@ def _symmetric_ket_binomial(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.
             if parts:
                 grown[count] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
         by_count = grown
-    return by_count[j] / math.sqrt(math.comb(n, j))
+    return [by_count[j] / math.sqrt(math.comb(n, j)) for j in range(j_max + 1)]
+
+
+def _symmetric_ket_binomial(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _symmetric_kets_binomial(n, j, u, v)[j]
 
 
 def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
@@ -163,24 +174,54 @@ def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
     return StateVector(n, amps)
 
 
+def _sector_kets(n: int, count: int, phi: Qubit) -> np.ndarray:
+    """Rows j = 0..count-1 are ``symmetric_ket(n, j, phi)``, bit for bit."""
+    if n <= _PERMUTATION_KET_MAX:
+        return np.stack([symmetric_ket(n, j, phi).amplitudes for j in range(count)])
+    u = phi.components()
+    v = perp(phi).components()
+    return np.stack(_symmetric_kets_binomial(n, count - 1, u, v))
+
+
+def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and stacked sector kets of the cloner output for input ``q``.
+
+    Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``, row j
+    of the ``(M, 2^M)`` array ``clone`` is ``symmetric_ket(M, j, q)`` and row
+    j of the ``(M, 2^(M-1))`` array ``anti`` is
+    ``symmetric_ket(M-1, j, anticlone(q))``.  For M = 1 the anticlone sector
+    is the empty register, whose only amplitude is 1.  Raises
+    :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT`` before
+    anything is allocated.
+    """
+    if M < 1:
+        raise DomainError("M must be >= 1")
+    if M > FULL_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"dense register guarded at M <= {FULL_ENUMERATION_LIMIT} "
+            f"(2^{2 * FULL_ENUMERATION_LIMIT - 1} amplitudes)"
+        )
+    weights = np.array([gamma(M, j) for j in range(M)])
+    clone = _sector_kets(M, M, q)
+    if M == 1:
+        anti = np.ones((1, 1), dtype=np.complex128)
+    else:
+        anti = _sector_kets(M - 1, M, anticlone(q))
+    return weights, clone, anti
+
+
 def build_gm(params: GMParameters) -> StateVector:
     """Assemble the (2M-1)-qubit cloner output for an arbitrary input.
 
-    For M = 1 the anticlone sector is an empty tensor factor and the output
-    equals the input qubit.
+    As a ``2^M x 2^(M-1)`` matrix (clone half of the index by anticlone
+    half) the output is ``clone^T diag(weights) anti`` over the stacks of
+    :func:`gm_factors`, so it is formed in one matrix product.  For M = 1
+    the output equals the input qubit.  Guarded at M <=
+    ``FULL_ENUMERATION_LIMIT`` (:class:`ResourceLimitError`).
     """
     M = params.clones
-    q = params.input
-    qa = anticlone(q)
-    total = np.zeros(2 ** (2 * M - 1), dtype=np.complex128)
-    for j in range(M):
-        clone_part = symmetric_ket(M, j, q).amplitudes
-        if M == 1:
-            term = clone_part
-        else:
-            anti_part = symmetric_ket(M - 1, j, qa).amplitudes
-            term = np.kron(clone_part, anti_part)
-        total += gamma(M, j) * term
+    weights, clone, anti = gm_factors(M, params.input)
+    total = ((clone * weights[:, None]).T @ anti).reshape(-1)
     return StateVector(2 * M - 1, total)
 
 

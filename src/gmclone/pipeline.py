@@ -35,16 +35,16 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .builder import StateVector, build_gm_basis
+from .builder import FULL_ENUMERATION_LIMIT, StateVector, gm_factors
 from .errors import (
     DomainError,
     InternalConsistencyError,
     ResourceLimitError,
     StageParseError,
 )
+from .qubit import Qubit
 from ._format import float17
 
-FULL_ENUMERATION_LIMIT = 12  # 2^(2M-1) lines; M=12 is ~8.4M lines already
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
 
 FULL_STAGE_NAME = "FullBitString"
@@ -177,11 +177,26 @@ def parity_classify(bits: str, M: int) -> ParityClass:
 
 
 def assign_coefficients(M: int) -> GMMatrix:
-    """Attach the basis-clone amplitudes to the support, class by class."""
+    """Attach the basis-clone amplitudes to the support, class by class.
+
+    Each support ket x|y (clone half x, anticlone half y) lies in exactly
+    one sector j of its class's cloner output, so its amplitude is the one
+    term ``gamma_j * (clone_j[x] * anti_j[y])`` of :func:`gm_factors`, with
+    no dense state built.  For the clone of |0> the clone sector's perp
+    factors are the ones, so j = popcount(x); for the clone of |1> they
+    are the zeros, so j = M - popcount(x).
+    """
     n, support, one = _support(M)
-    amps0 = build_gm_basis(M, 0).amplitudes
-    amps1 = build_gm_basis(M, 1).amplitudes
-    coefficients = np.where(one, amps1[support], amps0[support])
+    half = M - 1
+    x, y = support >> half, support & ((1 << half) - 1)
+    ones = kernels.popcounts(x)
+    j = np.where(one, M - ones, ones)
+    weights, clone0, anti0 = gm_factors(M, Qubit(1.0 + 0j, 0j))
+    _, clone1, anti1 = gm_factors(M, Qubit(0j, 1.0 + 0j))
+    cls = one.astype(np.intp)
+    clone = np.stack([clone0, clone1])[cls, j, x]
+    anti = np.stack([anti0, anti1])[cls, j, y]
+    coefficients = weights[j] * (clone * anti)
     return GMMatrix(n, support, coefficients, one)
 
 
@@ -216,23 +231,35 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
     """Parse a FullBitString/GMBitString stage; strict line grammar.
 
     The register width is taken from ``expected_length`` when given,
-    otherwise from the first line; every later line must match it.
+    otherwise from the first line; every later line must match it and be
+    strictly greater than the line before (sorted, no duplicates).  Only LF
+    ends a line, and a last line without one still counts, as in
+    :func:`read_gm_matrix`.  The first bad line is reported.
     """
     path = Path(path)
+    lines = path.read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()
     strings = []
     width = expected_length
-    with path.open(encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line or any(ch not in "01" for ch in line):
-                raise StageParseError(path, lineno, f"bad bitstring {line!r}")
-            if width is None:
-                width = len(line)
-            if len(line) != width:
-                raise StageParseError(
-                    path, lineno, f"expected {width} bits, got {len(line)}"
-                )
-            strings.append(line)
+    prev = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("ascii", errors="replace")
+        if not line or line.strip("01"):
+            raise StageParseError(path, lineno, f"bad bitstring {line!r}")
+        if width is None:
+            width = len(line)
+        if len(line) != width:
+            raise StageParseError(
+                path, lineno, f"expected {width} bits, got {len(line)}"
+            )
+        if prev is not None and line <= prev:
+            raise StageParseError(
+                path, lineno,
+                f"bitstring {line} does not follow {prev} (need sorted, unique)",
+            )
+        strings.append(line)
+        prev = line
     return strings
 
 

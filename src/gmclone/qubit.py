@@ -38,10 +38,16 @@ class Qubit:
 def make_qubit(alpha: complex, beta: complex) -> Qubit:
     """Normalize (alpha, beta) into a valid :class:`Qubit`.
 
-    Raises :class:`InvalidStateError` when both amplitudes vanish.  Inputs
+    Raises :class:`InvalidStateError` when an amplitude is NaN or infinite,
+    when the squared norm overflows and when both amplitudes vanish.  Inputs
     that are already normalized come back unchanged up to 1e-15.
     """
-    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise InvalidStateError(f"non-finite amplitude in ({alpha}, {beta})")
+    try:
+        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        raise InvalidStateError(f"norm of ({alpha}, {beta}) overflows") from None
     if norm_sq <= 0.0:
         raise InvalidStateError("both amplitudes are zero")
     norm = math.sqrt(norm_sq)
@@ -49,12 +55,22 @@ def make_qubit(alpha: complex, beta: complex) -> Qubit:
 
 
 def equatorial_qubit(phase: float) -> Qubit:
-    """(|0> + e^{i phase}|1>)/sqrt(2), Bloch vector in the x-y plane."""
+    """(|0> + e^{i phase}|1>)/sqrt(2), Bloch vector in the x-y plane.
+
+    Raises :class:`InvalidStateError` when ``phase`` is NaN or infinite.
+    """
+    if not math.isfinite(phase):
+        raise InvalidStateError(f"non-finite phase {phase!r}")
     return Qubit(1 / math.sqrt(2), cmath.exp(1j * phase) / math.sqrt(2))
 
 
 def bloch_qubit(theta: float, phi: float) -> Qubit:
-    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+
+    Raises :class:`InvalidStateError` when an angle is NaN or infinite.
+    """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise InvalidStateError(f"non-finite angle in ({theta!r}, {phi!r})")
     return Qubit(math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gmclone.analysis import (
+    anticlone_fidelity,
     clone_fidelity,
     nonlinearity_gap,
     scaling_csv,
@@ -45,7 +46,7 @@ from gmclone.pipeline import (
     write_bitstring_stage,
     write_gm_matrix,
 )
-from gmclone.qubit import Qubit, equatorial_qubit
+from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
 
 
 @contextmanager
@@ -181,6 +182,30 @@ def test_criterion_06_clone_fidelity(rng):
         fid3 = clone_fidelity(build_gm(GMParameters(3, q3)), 3, q3)
         assert all(abs(f - 7 / 9) < 1e-10 for f in fid3)
         assert time.perf_counter() - start < 60.0
+
+
+def test_fidelities_match_oracle_past_the_acceptance_range(rng):
+    M = 9
+    q = make_qubit(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+    state = build_gm(GMParameters(M, q))
+    clones = clone_fidelity(state, M, q)
+    anticlones = anticlone_fidelity(state, M, q)
+    for fids, target, pos in ((clones, q, 1), (anticlones, anticlone(q), M + 1)):
+        psi = target.components()
+        rho = _fidelity_oracle(state, pos)
+        oracle = float(np.real(psi.conj() @ rho @ psi))
+        # The oracle's sequential sums over 2^16 products drift by up to
+        # about 3e-13 from any vectorized route, `reduced_density` included.
+        assert abs(fids[0] - oracle) < 1e-12
+        assert max(fids) - min(fids) < 1e-13
+
+
+def test_clone_fidelity_at_m11(rng):
+    M = 11
+    q = random_equatorial(rng)
+    fids = clone_fidelity(build_gm(GMParameters(M, q)), M, q)
+    assert len(fids) == M
+    assert max(abs(f - (2 * M + 1) / (3 * M)) for f in fids) <= 1e-12
 
 
 def test_criterion_07_mps_roundtrip(rng):

@@ -13,19 +13,22 @@ import numpy as np
 import pytest
 
 from gmclone.builder import (
+    FULL_ENUMERATION_LIMIT,
     GMParameters,
     StateVector,
+    _sector_kets,
     _symmetric_ket_binomial,
     _symmetric_ket_permutation,
     build_gm,
     build_gm_basis,
     expand_gm_decomposed,
     gamma,
+    gm_factors,
     symmetric_ket,
     symmetrize,
 )
 from gmclone.errors import DomainError, ResourceLimitError, ZeroProjectionError
-from gmclone.qubit import Qubit, equatorial_qubit, make_qubit, perp
+from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 INV_SQRT2 = 1 / math.sqrt(2)
 INV_SQRT3 = 1 / math.sqrt(3)
@@ -203,6 +206,48 @@ class TestBuildGM:
                 np.testing.assert_allclose(
                     tensor, tensor.transpose(axes), atol=1e-12
                 )
+
+
+def _build_gm_per_sector(M, q):
+    """Reference: one kron, scale and add over the register per sector j."""
+    total = np.zeros(2 ** (2 * M - 1), dtype=np.complex128)
+    for j in range(M):
+        term = symmetric_ket(M, j, q).amplitudes
+        if M > 1:
+            term = np.kron(term, symmetric_ket(M - 1, j, anticlone(q)).amplitudes)
+        total += gamma(M, j) * term
+    return total
+
+
+class TestFactoredBuild:
+    @pytest.mark.parametrize("M", [1, 2, 3, 5, 9, 10, 11])
+    def test_matches_per_sector_reference(self, M, rng):
+        q = random_qubit(rng)
+        np.testing.assert_allclose(
+            build_gm(GMParameters(M, q)).amplitudes,
+            _build_gm_per_sector(M, q),
+            rtol=0,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sector_kets_equal_symmetric_ket_bitwise(self, n, rng):
+        q = random_qubit(rng)
+        rows = _sector_kets(n, n + 1, q)
+        for j in range(n + 1):
+            assert np.array_equal(rows[j], symmetric_ket(n, j, q).amplitudes)
+
+    def test_factor_shapes(self):
+        weights, clone, anti = gm_factors(4, equatorial_qubit(0.3))
+        assert weights.shape == (4,)
+        assert clone.shape == (4, 16)
+        assert anti.shape == (4, 8)
+        assert gm_factors(1, Qubit(1, 0))[2].tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("M", [FULL_ENUMERATION_LIMIT + 1, 40])
+    def test_register_guard(self, M):
+        with pytest.raises(ResourceLimitError):
+            build_gm(GMParameters(M, Qubit(1, 0)))
 
 
 class TestBuildGMBasis:

@@ -170,6 +170,34 @@ class TestSweep:
         assert main(["sweep", "--clones", "9", "--out", str(tmp_path)]) == EXIT_RESOURCE
 
 
+class TestDenseGuard:
+    @pytest.mark.parametrize("command", ["compile", "analyze"])
+    def test_forty_clones_exit_resource(self, command, tmp_path, capsys):
+        argv = [command, "--clones", "40"]
+        if command == "compile":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--clones", "2", "--input", "equatorial:nan"],
+            ["analyze", "--clones", "2", "--input", "amps:nan,0,1,0"],
+            ["compile", "--clones", "2", "--input", "equatorial:inf"],
+        ],
+    )
+    def test_exit_usage(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad --input spec" in captured.err
+        assert not (tmp_path / "mps.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -6,8 +6,11 @@ per-line implementation it replaced, by running in one fresh directory per M:
     gmclone prepare --clones M --out DIR
     gmclone compile --clones M --input basis:0 --out DIR   # then basis:1
 
-so both compiles take the `gm_matrix` source.  `prepare` digests are pure
-text and must hold on any platform.  `mps.json` and `compile_report.json`
+so both compiles take the `gm_matrix` source.  For M = 8 and 9 only the
+`prepare` stages are pinned (computed before the GMMatrix coefficients were
+evaluated on the support alone); at these sizes both sector kets take the
+binomial construction.  `prepare` digests are pure text and must hold on
+any platform.  `mps.json` and `compile_report.json`
 carry SVD output; they were produced with numpy 2.4.6 (OpenBLAS) on x86-64
 Linux, and another LAPACK build may round the last digit differently.
 """
@@ -133,6 +136,25 @@ GOLDEN = {
     },
 }
 
+GOLDEN_STAGES = {
+    8: {
+        "FullBitString":
+            "33031db09c54da62fd1209653bb91a40bd455a13043d3bc6adc2f3798f4a31ca",
+        "GMBitString":
+            "eeb3680d81828c2bdffca222c3041d8fbddaaa665c33fb09bb40092d318f8c05",
+        "GMMatrix":
+            "a18f9f7c9d7067686e902edfb3701cb6253aad92c6d600c785799ca3481333eb",
+    },
+    9: {
+        "FullBitString":
+            "b5923e22c47b0ed13790b2eca1d01bc6830808bc42872382bfebd44d04eea950",
+        "GMBitString":
+            "749b40f30e40cbf2235d3e6596b268e3960d82a86eedae00e902820f4c1c0bc3",
+        "GMMatrix":
+            "786ba5c4f20d30dde1144411a6c2dd809df8d444d2bca86c1e8204596f2ebc1d",
+    },
+}
+
 STAGES = ("FullBitString", "GMBitString", "GMMatrix")
 
 
@@ -152,3 +174,10 @@ def test_prepare_and_compile_bytes_match_golden(M, tmp_path, capsys):
         for name in ("mps.json", "compile_report.json"):
             got[f"basis:{bit} {name}"] = _digest(tmp_path / name)
     assert got == expected
+
+
+@pytest.mark.parametrize("M", sorted(GOLDEN_STAGES))
+def test_prepare_bytes_match_golden_past_m7(M, tmp_path, capsys):
+    assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
+    got = {name: _digest(tmp_path / name) for name in STAGES}
+    assert got == GOLDEN_STAGES[M]

@@ -185,6 +185,29 @@ class TestStageFiles:
         with pytest.raises(StageParseError):
             read_bitstring_stage(path)
 
+    @pytest.mark.parametrize(
+        "content, line, message",
+        [
+            (b"001\r\n010\r\n", 1, "bad bitstring '001\\r'"),
+            (b"001\n010\r\n", 2, "bad bitstring '010\\r'"),
+            (b"001\n010\n001\n", 3, "001 does not follow 010"),
+            (b"010\n001\n001\n", 2, "001 does not follow 010"),
+            (b"001\n001\n", 2, "001 does not follow 001"),
+        ],
+    )
+    def test_bitstring_stage_invariants(self, tmp_path, content, line, message):
+        path = tmp_path / "GMBitString"
+        path.write_bytes(content)
+        with pytest.raises(StageParseError) as err:
+            read_bitstring_stage(path)
+        assert err.value.line_number == line
+        assert message in str(err.value)
+
+    def test_bitstring_stage_last_line_without_lf(self, tmp_path):
+        path = tmp_path / "GMBitString"
+        path.write_bytes(b"001\n010")
+        assert read_bitstring_stage(path) == ["001", "010"]
+
     def test_matrix_roundtrip_exact(self, tmp_path):
         path = tmp_path / "GMMatrix"
         records = assign_coefficients(2)

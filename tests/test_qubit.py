@@ -46,6 +46,20 @@ class TestMakeQubit:
         assert abs(q.alpha - 0.6) <= 1e-15
         assert abs(q.beta - 0.8j) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (math.nan, 0),
+            (1, complex(0, math.nan)),
+            (math.inf, 0),
+            (0, complex(-math.inf, 1)),
+            (1e200, 0),
+        ],
+    )
+    def test_non_finite_or_overflowing_rejected(self, alpha, beta):
+        with pytest.raises(InvalidStateError):
+            make_qubit(alpha, beta)
+
     @given(
         st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
         st.complex_numbers(max_magnitude=1e3),
@@ -153,3 +167,13 @@ def test_equatorial_qubit_matches_bloch_equator():
         b = bloch_qubit(math.pi / 2, phase)
         assert abs(q.alpha - b.alpha) < 1e-15
         assert abs(q.beta - b.beta) < 1e-15
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_angle_constructors_reject_non_finite(value):
+    with pytest.raises(InvalidStateError):
+        equatorial_qubit(value)
+    with pytest.raises(InvalidStateError):
+        bloch_qubit(value, 0.0)
+    with pytest.raises(InvalidStateError):
+        bloch_qubit(0.0, value)
