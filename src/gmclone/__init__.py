@@ -14,10 +14,10 @@ from .builder import (
     expand_gm_decomposed,
     gamma,
     gm_factors,
+    gm_from_factors,
     symmetric_ket,
     symmetrize,
 )
-from .kernels import active_backend
 from .mps import (
     BondCut,
     BondSpectrum,
@@ -42,7 +42,9 @@ from .pipeline import (
 )
 from .analysis import (
     DensityMatrix,
+    ClonerAnalysis,
     ScalingRow,
+    analyze_cloner,
     anticlone_fidelity,
     clone_fidelity,
     nonlinearity_gap,
@@ -65,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BondCut",
     "BondSpectrum",
+    "ClonerAnalysis",
     "DensityMatrix",
     "GMMatrix",
     "GMMatrixRecord",
@@ -75,7 +78,7 @@ __all__ = [
     "Qubit",
     "ScalingRow",
     "StateVector",
-    "active_backend",
+    "analyze_cloner",
     "anticlone",
     "anticlone_fidelity",
     "assign_coefficients",
@@ -92,6 +95,7 @@ __all__ = [
     "gen_full_bitstrings",
     "gen_gm_bitstrings",
     "gm_factors",
+    "gm_from_factors",
     "index_bits",
     "load_mps",
     "make_qubit",

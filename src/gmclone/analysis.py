@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import GMParameters, StateVector, build_gm, build_gm_basis
+from . import kernels
+from .builder import GMParameters, StateVector, build_gm, gm_factors
 from .errors import DomainError, ResourceLimitError
 from .mps import bond_dimension, mps_from_state
 from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit
@@ -97,25 +98,105 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
     return _single_qubit_fidelities(state, range(M + 1, 2 * M), anticlone(input))
 
 
+# The cloner output is Psi = sum_j w_j C_j (x) A_j over the sector stacks
+# (C, A) of ``gm_factors``, so every figure below is taken on the factors:
+# O(M^2 2^M) work instead of a pass over the 2^(2M-1) amplitudes.
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry (j, k) is <a_j|b_k> for the rows of two stacks of kets."""
+    return a.conj() @ b.T
+
+
+def _factored_fidelities(weights, kets, partner, target: Qubit) -> list[float]:
+    # With the measured positions in the sector of ``kets``, projecting
+    # qubit p of every kets_j onto the target gives
+    # P_j = t_0* K_j[:, 0, :] + t_1* K_j[:, 1, :] on the (2^(p-1), 2, rest)
+    # view K_j, and F_p = sum_jk w_j w_k <P_j|P_k> <partner_j|partner_k>.
+    coupling = np.outer(weights, weights) * _gram(partner, partner)
+    t0, t1 = target.components().conj()
+    rows = kets.shape[0]
+    out = []
+    for pos in range(1, kets.shape[1].bit_length()):
+        view = kets.reshape(rows, 2 ** (pos - 1), 2, -1)
+        projected = (t0 * view[:, :, 0, :] + t1 * view[:, :, 1, :]).reshape(rows, -1)
+        out.append(float((coupling * _gram(projected, projected)).sum().real))
+    return out
+
+
+def _dicke_coefficients(kets: np.ndarray) -> np.ndarray:
+    """Rows of symmetric m-qubit kets on the Dicke basis |D_a>, a = 0..m.
+
+    |D_a> is the normalized sum of the kets with a ones; a symmetric ket
+    lies in their span, so the rows lose nothing.
+    """
+    size = kets.shape[1]
+    m = size.bit_length() - 1
+    ones = kernels.popcounts(np.arange(size))
+    norms = np.sqrt([math.comb(m, a) for a in range(m + 1)])
+    basis = np.zeros((size, m + 1))
+    basis[np.arange(size), ones] = 1.0 / norms[ones]
+    return kets @ basis
+
+
+def _dicke_output(weights, clone, anti) -> np.ndarray:
+    """The (M+1) x M matrix of the cloner output on Dicke x Dicke states."""
+    return (_dicke_coefficients(clone) * weights[:, None]).T @ _dicke_coefficients(anti)
+
+
+def _factored_gap(M: int, weights, clone, anti, q: Qubit) -> float:
+    # All three outputs lie in Sym(M) (x) Sym(M-1), where they are small
+    # matrices; the gap is the norm of their difference, taken directly
+    # rather than from <Psi|Psi> + <S|S> - 2|<S|Psi>|, which would cancel to
+    # a rounding residue of order 1e-16 and leave 1e-8 after the root.
+    cloned = _dicke_output(weights, clone, anti)
+    superposed = q.alpha * _dicke_output(*gm_factors(M, Qubit(1.0 + 0j, 0j)))
+    superposed += q.beta * _dicke_output(*gm_factors(M, Qubit(0j, 1.0 + 0j)))
+    overlap = np.vdot(superposed, cloned)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(cloned - phase * superposed))
+
+
 def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     """Distance between cloning the superposition and superposing the clones.
 
     Returns || GM(alpha 0 + beta 1) - (alpha GM(0) + beta GM(1)) || minimized
     over a global phase on the first term.  Zero at basis inputs, strictly
     positive for genuine superpositions once M >= 2 (the cloning map is not
-    linear); trivially zero for M = 1.
+    linear); trivially zero for M = 1.  Taken on the sector factors of the
+    three outputs, with no dense register.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
     q = make_qubit(alpha, beta)
-    cloned = build_gm(GMParameters(M, q)).amplitudes
-    superposed = (
-        q.alpha * build_gm_basis(M, 0).amplitudes
-        + q.beta * build_gm_basis(M, 1).amplitudes
+    return _factored_gap(M, *gm_factors(M, q), q)
+
+
+@dataclass(frozen=True)
+class ClonerAnalysis:
+    clone_fidelities: list
+    anticlone_fidelities: list
+    nonlinearity_gap: float
+
+
+def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
+    """Fidelities and nonlinearity gap of the cloner output for ``input``.
+
+    The same figures as :func:`clone_fidelity` and
+    :func:`anticlone_fidelity` on ``build_gm`` and as
+    :func:`nonlinearity_gap`, taken from the sector factors of GM(input)
+    (shared by all three), GM(|0>) and GM(|1>): no dense register is built.
+    Guarded like ``gm_factors`` (:class:`ResourceLimitError` above
+    ``FULL_ENUMERATION_LIMIT``).
+    """
+    weights, clone, anti = gm_factors(M, input)
+    return ClonerAnalysis(
+        clone_fidelities=_factored_fidelities(weights, clone, anti, input),
+        anticlone_fidelities=_factored_fidelities(
+            weights, anti, clone, anticlone(input)
+        ),
+        nonlinearity_gap=_factored_gap(M, weights, clone, anti, input),
     )
-    cross = abs(np.vdot(superposed, cloned))
-    gap_sq = float(np.vdot(cloned, cloned).real + np.vdot(superposed, superposed).real) - 2 * cross
-    return math.sqrt(max(0.0, gap_sq))
 
 
 def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:

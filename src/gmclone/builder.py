@@ -7,11 +7,11 @@ The 1->M universal symmetric cloner maps an input qubit psi to the
 
 with gamma_j = sqrt(2(M-j) / (M(M+1))), M clones on qubits 1..M and M-1
 anticlones on qubits M+1..2M-1.  ``gm_factors`` returns the two stacks of
-sector kets and the weights of that sum; ``build_gm`` assembles the dense
-state from them in one matrix product; ``expand_gm_decomposed`` rebuilds
-it along an independent route (explicit insertion of the input amplitudes
-and enumeration of the symmetrized arrangements) and serves as the
-cross-check oracle.
+sector kets and the weights of that sum; ``gm_from_factors`` (and so
+``build_gm``) assembles the dense state from them in one matrix product;
+``expand_gm_decomposed`` rebuilds it along an independent route (explicit
+insertion of the input amplitudes and enumeration of the symmetrized
+arrangements) and serves as the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -210,19 +210,25 @@ def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return weights, clone, anti
 
 
+def gm_from_factors(weights, clone, anti) -> StateVector:
+    """The dense cloner output from the stacks of :func:`gm_factors`.
+
+    As a ``2^M x 2^(M-1)`` matrix (clone half of the index by anticlone
+    half) the output is ``clone^T diag(weights) anti``, formed in one matrix
+    product; the same factors always give the same bits.
+    """
+    total = ((clone * weights[:, None]).T @ anti).reshape(-1)
+    return StateVector(total.size.bit_length() - 1, total)
+
+
 def build_gm(params: GMParameters) -> StateVector:
     """Assemble the (2M-1)-qubit cloner output for an arbitrary input.
 
-    As a ``2^M x 2^(M-1)`` matrix (clone half of the index by anticlone
-    half) the output is ``clone^T diag(weights) anti`` over the stacks of
-    :func:`gm_factors`, so it is formed in one matrix product.  For M = 1
-    the output equals the input qubit.  Guarded at M <=
-    ``FULL_ENUMERATION_LIMIT`` (:class:`ResourceLimitError`).
+    :func:`gm_from_factors` of :func:`gm_factors`.  For M = 1 the output
+    equals the input qubit.  Guarded at M <= ``FULL_ENUMERATION_LIMIT``
+    (:class:`ResourceLimitError`).
     """
-    M = params.clones
-    weights, clone, anti = gm_factors(M, params.input)
-    total = ((clone * weights[:, None]).T @ anti).reshape(-1)
-    return StateVector(2 * M - 1, total)
+    return gm_from_factors(*gm_factors(params.clones, params.input))
 
 
 def build_gm_basis(M: int, bit: int) -> StateVector:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, mps, pipeline
-from .builder import GMParameters, StateVector, build_gm
+from .builder import gm_factors, gm_from_factors
 from .errors import (
     GMCloneError,
     InternalConsistencyError,
@@ -89,26 +89,35 @@ def cmd_prepare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _compile_source_state(cfg: RunConfig) -> tuple[StateVector, str]:
+def _gm_matrix_state(cfg: RunConfig):
+    """The basis-input state rebuilt from the GMMatrix stage in ``--out``,
+    or None when the input is not a basis state or the stage is absent."""
     bit = _basis_bit(cfg.input_spec)
     matrix_path = cfg.out_dir / pipeline.MATRIX_STAGE_NAME
-    if bit is not None and matrix_path.is_file():
-        matrix = pipeline.read_gm_matrix(
-            matrix_path, expected_length=2 * cfg.clones - 1
-        )
-        cls = (
-            pipeline.ParityClass.CLONE_OF_0
-            if bit == 0
-            else pipeline.ParityClass.CLONE_OF_1
-        )
-        return pipeline.reconstruct_state(matrix, cfg.clones, cls), "gm_matrix"
-    q = parse_input_spec(cfg.input_spec)
-    return build_gm(GMParameters(cfg.clones, q)), "builder"
+    if bit is None or not matrix_path.is_file():
+        return None
+    matrix = pipeline.read_gm_matrix(matrix_path, expected_length=2 * cfg.clones - 1)
+    cls = (
+        pipeline.ParityClass.CLONE_OF_0
+        if bit == 0
+        else pipeline.ParityClass.CLONE_OF_1
+    )
+    return pipeline.reconstruct_state(matrix, cfg.clones, cls)
 
 
 def cmd_compile(cfg: RunConfig) -> int:
-    state, source = _compile_source_state(cfg)
-    compiled, spectrum = mps.mps_from_state(state, cfg.tol)
+    state = _gm_matrix_state(cfg)
+    if state is not None:
+        source = "gm_matrix"
+        compiled, spectrum = mps.mps_from_state(state, cfg.tol)
+    else:
+        source = "builder"
+        factors = gm_factors(cfg.clones, parse_input_spec(cfg.input_spec))
+        # No reference to the assembled state outlives the call, so the sweep
+        # frees it after the first cut; the roundtrip error is taken against
+        # a second assembly from the same factors, which has the same bits.
+        compiled, spectrum = mps.mps_from_state(gm_from_factors(*factors), cfg.tol)
+        state = gm_from_factors(*factors)
     roundtrip = mps.mps_to_state(compiled)
     error = float(np.linalg.norm(state.amplitudes - roundtrip.amplitudes))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -136,11 +145,10 @@ def cmd_compile(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    q = parse_input_spec(cfg.input_spec)
-    state = build_gm(GMParameters(cfg.clones, q))
-    clones = analysis.clone_fidelity(state, cfg.clones, q)
-    anticlones = analysis.anticlone_fidelity(state, cfg.clones, q)
-    gap = analysis.nonlinearity_gap(cfg.clones, q.alpha, q.beta)
+    result = analysis.analyze_cloner(cfg.clones, parse_input_spec(cfg.input_spec))
+    clones = result.clone_fidelities
+    anticlones = result.anticlone_fidelities
+    gap = result.nonlinearity_gap
     if cfg.format == "csv":
         print("metric,value")
         print("clone_fidelities," + ";".join(float17(f) for f in clones))

@@ -1,96 +1,49 @@
-"""Hot numeric kernels, in two interchangeable implementations.
-
-The three inner loops that dominate runtime — permutation averaging for the
-symmetrization projector, the left-to-right MPS contraction sweep, and bulk
-popcounts over basis indices — each exist as a numba ``@njit`` kernel and as
-a pure-numpy fallback.  The active implementation is chosen once at import
-time from the ``GMCLONE_BACKEND`` environment variable:
-
-    GMCLONE_BACKEND=auto    use numba when importable, else numpy (default)
-    GMCLONE_BACKEND=numba   require numba, fail loudly if missing
-    GMCLONE_BACKEND=numpy   force the pure-numpy path
-
-Both implementations are always importable under their ``*_numpy`` /
-``*_numba`` names so tests and benchmarks can compare them directly.
+"""Hot numeric kernels: permutation averaging for the symmetrization
+projector, the left-to-right MPS contraction sweep and bulk popcounts over
+basis indices, each as one numpy implementation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_MODE = os.environ.get("GMCLONE_BACKEND", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"GMCLONE_BACKEND must be one of auto|numba|numpy, got {_MODE!r}"
-    )
-
-USE_NUMBA = False
-if _MODE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        USE_NUMBA = True
-    except ImportError:
-        if _MODE == "numba":
-            raise
+# Amplitudes gathered per block of permutations: bounds the index table and
+# the gathered block at 0.5 MB whatever the permutation count.
+_GATHER_ENTRIES = 2**14
 
 
-def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# permutation averaging  (symmetrization projector)
-# ---------------------------------------------------------------------------
-
-def permutation_average_numpy(amps: np.ndarray, perms: np.ndarray) -> np.ndarray:
+def permutation_average(amps: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Mean over qubit permutations of an n-qubit amplitude array.
 
     ``perms`` is an (n_perms, n) integer array of position maps; summing over
     every element of the symmetric group makes the axis convention moot.
+    Term p is ``amps.reshape((2,) * n).transpose(p)``, read as one gather:
+    its flat entry y is ``amps[sum_k bit_k(y) << (n - 1 - p[k])]``, with
+    bit_k(y) the bit of qubit k + 1.  The terms are added in the order of
+    ``perms``, one block at a time, onto a running sum that starts at zero.
     """
-    n = perms.shape[1]
-    tensor = amps.reshape((2,) * n)
-    acc = np.zeros_like(tensor)
-    for p in perms:
-        acc += tensor.transpose(p)
-    return acc.reshape(-1) / perms.shape[0]
-
-
-def _permutation_sum_loops(amps, perms, n, out):
+    n_perms, n = perms.shape
     size = amps.shape[0]
-    for p in range(perms.shape[0]):
-        for idx in range(size):
-            dest = 0
-            for pos in range(n):
-                bit = (idx >> (n - 1 - perms[p, pos])) & 1
-                dest |= bit << (n - 1 - pos)
-            out[dest] += amps[idx]
+    shifts = np.arange(n - 1, -1, -1)
+    bits = ((np.arange(size)[None, :] >> shifts[:, None]) & 1).astype(np.float64)
+    rows = max(1, _GATHER_ENTRIES // size)
+    block = np.empty((rows + 1, size), dtype=amps.dtype)
+    block[0] = 0
+    for start in range(0, n_perms, rows):
+        # One product gives the source index of every entry of every term in
+        # the block; it is exact in doubles, as every index is below 2^n.
+        source = (2.0 ** (n - 1 - perms[start : start + rows])) @ bits
+        terms = block[: len(source) + 1]
+        # Every index is in range; "clip" only spares the buffered copy that
+        # the default mode makes of ``out``.
+        np.take(amps, source.astype(np.intp), out=terms[1:], mode="clip")
+        # Reduced along the block's outer axis, each row is added in turn to
+        # the running sum in row 0, as a loop of ``acc += term`` would.
+        block[0] = np.add.reduce(terms, axis=0)
+    return block[0] / n_perms
 
 
-if USE_NUMBA:
-    _permutation_sum_numba = njit(cache=True)(_permutation_sum_loops)
-
-
-def permutation_average_numba(amps: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    _permutation_sum_numba(amps, perms, perms.shape[1], out)
-    return out / perms.shape[0]
-
-
-def permutation_average(amps: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    if USE_NUMBA:
-        return permutation_average_numba(amps, perms)
-    return permutation_average_numpy(amps, perms)
-
-
-# ---------------------------------------------------------------------------
-# MPS contraction sweep  (reconstruction of the dense state)
-# ---------------------------------------------------------------------------
-
-def contract_sweep_numpy(sites, left, right) -> np.ndarray:
+def contract_sweep(sites, left, right) -> np.ndarray:
     """Contract boundary . A_1 ... A_n . boundary for all 2^n assignments.
 
     A single left-to-right sweep over a growing prefix table instead of one
@@ -102,122 +55,6 @@ def contract_sweep_numpy(sites, left, right) -> np.ndarray:
     return T @ np.asarray(right, dtype=np.complex128)
 
 
-def _contract_sweep_loops(pads, dims, n, left, right, out):
-    width = dims[0]
-    T = np.zeros((1, width), dtype=np.complex128)
-    for a in range(width):
-        T[0, a] = left[a]
-    for k in range(n):
-        d_in = dims[k]
-        d_out = dims[k + 1]
-        rows = T.shape[0]
-        new = np.zeros((rows * 2, d_out), dtype=np.complex128)
-        for x in range(rows):
-            for i in range(2):
-                for b in range(d_out):
-                    acc = 0.0 + 0.0j
-                    for a in range(d_in):
-                        acc += T[x, a] * pads[k, i, a, b]
-                    new[2 * x + i, b] = acc
-        T = new
-    for x in range(T.shape[0]):
-        acc = 0.0 + 0.0j
-        for b in range(dims[n]):
-            acc += T[x, b] * right[b]
-        out[x] = acc
-
-
-if USE_NUMBA:
-    _contract_sweep_numba = njit(cache=True)(_contract_sweep_loops)
-
-
-def _pad_sites(sites):
-    # Ragged bond dims -> one dense (n, 2, Dmax, Dmax) block numba can walk.
-    n = len(sites)
-    dims = np.empty(n + 1, dtype=np.int64)
-    dims[0] = sites[0].shape[1]
-    for k, A in enumerate(sites):
-        dims[k + 1] = A.shape[2]
-    dmax = int(dims.max())
-    pads = np.zeros((n, 2, dmax, dmax), dtype=np.complex128)
-    for k, A in enumerate(sites):
-        pads[k, :, : A.shape[1], : A.shape[2]] = A
-    return pads, dims
-
-
-def contract_sweep_numba(sites, left, right) -> np.ndarray:
-    pads, dims = _pad_sites(sites)
-    out = np.empty(2 ** len(sites), dtype=np.complex128)
-    _contract_sweep_numba(
-        pads,
-        dims,
-        len(sites),
-        np.asarray(left, dtype=np.complex128),
-        np.asarray(right, dtype=np.complex128),
-        out,
-    )
-    return out
-
-
-def contract_sweep(sites, left, right) -> np.ndarray:
-    if USE_NUMBA:
-        return contract_sweep_numba(sites, left, right)
-    return contract_sweep_numpy(sites, left, right)
-
-
-# ---------------------------------------------------------------------------
-# bulk popcount  (parity classification over basis indices)
-# ---------------------------------------------------------------------------
-
-_M1 = 0x5555555555555555
-_M2 = 0x3333333333333333
-_M4 = 0x0F0F0F0F0F0F0F0F
-_H01 = 0x0101010101010101
-
-
-def popcounts_numpy(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values).astype(np.uint64)
-    v = v - ((v >> np.uint64(1)) & np.uint64(_M1))
-    v = (v & np.uint64(_M2)) + ((v >> np.uint64(2)) & np.uint64(_M2))
-    v = (v + (v >> np.uint64(4))) & np.uint64(_M4)
-    return ((v * np.uint64(_H01)) >> np.uint64(56)).astype(np.int64)
-
-
-def _popcount_loops(values, out):
-    for i in range(values.shape[0]):
-        v = values[i]
-        v = v - ((v >> 1) & _M1)
-        v = (v & _M2) + ((v >> 2) & _M2)
-        v = (v + (v >> 4)) & _M4
-        out[i] = (v * _H01) >> 56
-
-
-if USE_NUMBA:
-    _popcount_numba = njit(cache=True)(_popcount_loops)
-
-
-def popcounts_numba(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.int64)
-    out = np.empty(values.shape[0], dtype=np.int64)
-    _popcount_numba(values, out)
-    return out
-
-
 def popcounts(values: np.ndarray) -> np.ndarray:
-    """Popcount of every entry of a nonnegative integer array."""
-    if USE_NUMBA:
-        return popcounts_numba(values)
-    return popcounts_numpy(values)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the numba kernels on tiny inputs."""
-    if not USE_NUMBA:
-        return
-    amps = np.array([1.0 + 0j, 0j, 0j, 0j])
-    perms = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    permutation_average_numba(amps, perms)
-    site = np.zeros((2, 1, 1), dtype=np.complex128)
-    site[0, 0, 0] = 1.0
-    contract_sweep_numba([site], np.ones(1), np.ones(1))
-    popcounts_numba(np.arange(4))
+    """Popcount of every entry of a nonnegative integer array, as int64."""
+    return np.bitwise_count(np.asarray(values)).astype(np.int64)

@@ -103,6 +103,9 @@ def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
     if n < 1:
         raise DomainError("need at least one qubit")
     remainder = np.ascontiguousarray(state.amplitudes, dtype=np.complex128).reshape(1, -1)
+    # Without a reference held by the caller, the register is freed as soon
+    # as the first cut has replaced the remainder.
+    del state
     sites = []
     cuts = []
     for _ in range(n - 1):

@@ -18,6 +18,9 @@ from .errors import DomainError, InvalidStateError
 
 NORM_ATOL = 1e-12
 
+# Moduli whose squares are normal doubles, summed without overflow.
+_SQUARE_SAFE = (2.0**-500, 2.0**500)
+
 
 @dataclass(frozen=True)
 class Qubit:
@@ -39,18 +42,28 @@ def make_qubit(alpha: complex, beta: complex) -> Qubit:
     """Normalize (alpha, beta) into a valid :class:`Qubit`.
 
     Raises :class:`InvalidStateError` when an amplitude is NaN or infinite,
-    when the squared norm overflows and when both amplitudes vanish.  Inputs
-    that are already normalized come back unchanged up to 1e-15.
+    when its modulus overflows and when both amplitudes vanish.  Inputs that
+    are already normalized come back unchanged up to 1e-15.
+
+    Outside [2^-500, 2^500] the larger modulus is first brought into
+    [0.5, 1) by an exact power-of-two scaling of both amplitudes, so the
+    squares neither underflow nor overflow at any finite scale.
     """
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise InvalidStateError(f"non-finite amplitude in ({alpha}, {beta})")
     try:
-        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+        largest = max(abs(alpha), abs(beta))
     except OverflowError:
-        raise InvalidStateError(f"norm of ({alpha}, {beta}) overflows") from None
-    if norm_sq <= 0.0:
+        raise InvalidStateError(f"modulus of ({alpha}, {beta}) overflows") from None
+    if largest == 0.0:
         raise InvalidStateError("both amplitudes are zero")
-    norm = math.sqrt(norm_sq)
+    if not _SQUARE_SAFE[0] <= largest <= _SQUARE_SAFE[1]:
+        shift = -math.frexp(largest)[1]
+        alpha, beta = (
+            complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+            for z in (complex(alpha), complex(beta))
+        )
+    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     return Qubit(complex(alpha) / norm, complex(beta) / norm)
 
 

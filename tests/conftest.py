@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from gmclone import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens once here so timed acceptance criteria measure
-    # the algorithms, not the compiler.
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

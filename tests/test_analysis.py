@@ -7,6 +7,7 @@ import pytest
 
 from gmclone.analysis import (
     SCALING_CSV_HEADER,
+    analyze_cloner,
     anticlone_fidelity,
     clone_fidelity,
     nonlinearity_gap,
@@ -17,7 +18,7 @@ from gmclone.analysis import (
 )
 from gmclone.builder import GMParameters, StateVector, build_gm, build_gm_basis
 from gmclone.errors import DomainError, ResourceLimitError
-from gmclone.qubit import Qubit, equatorial_qubit
+from gmclone.qubit import Qubit, equatorial_qubit, make_qubit
 
 # phase-minimized distance between cloning the equal superposition and
 # superposing the two basis outputs at M=2; frozen from the dense oracle
@@ -138,6 +139,58 @@ class TestNonlinearityGap:
         phase = rng.uniform(0, 2 * np.pi)
         q = equatorial_qubit(phase)
         assert nonlinearity_gap(M, q.alpha, q.beta) > 0.1
+
+
+def dense_gap(M, q):
+    # The gap on three dense registers, as the norm of the phase-aligned
+    # difference (not from the norms and the overlap, whose difference
+    # cancels to a residue of order 1e-16 that the root lifts to 1e-8).
+    cloned = build_gm(GMParameters(M, q)).amplitudes
+    superposed = (
+        q.alpha * build_gm_basis(M, 0).amplitudes
+        + q.beta * build_gm_basis(M, 1).amplitudes
+    )
+    overlap = np.vdot(superposed, cloned)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(cloned - phase * superposed))
+
+
+class TestFactoredAnalysis:
+    INPUTS = {
+        "basis1": Qubit(0j, 1.0 + 0j),
+        "equatorial": equatorial_qubit(2.1),
+        "amps": make_qubit(0.3 - 0.2j, 0.5 + 0.4j),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("M", range(1, 12))
+    def test_matches_dense_register(self, M, name):
+        q = self.INPUTS[name]
+        state = build_gm(GMParameters(M, q))
+        result = analyze_cloner(M, q)
+        assert len(result.clone_fidelities) == M
+        assert len(result.anticlone_fidelities) == M - 1
+        np.testing.assert_allclose(
+            result.clone_fidelities, clone_fidelity(state, M, q), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            result.anticlone_fidelities,
+            anticlone_fidelity(state, M, q),
+            rtol=0,
+            atol=1e-12,
+        )
+        assert abs(result.nonlinearity_gap - dense_gap(M, q)) < 1e-12
+        assert abs(nonlinearity_gap(M, q.alpha, q.beta) - result.nonlinearity_gap) < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 4, 12])
+    def test_optimal_clone_fidelity(self, M):
+        result = analyze_cloner(M, equatorial_qubit(0.3))
+        target = (2 * M + 1) / (3 * M)
+        assert max(abs(f - target) for f in result.clone_fidelities) < 1e-12
+
+    def test_guard(self):
+        with pytest.raises(ResourceLimitError):
+            analyze_cloner(13, equatorial_qubit(0.0))
 
 
 class TestScalingSweep:

@@ -4,10 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gmclone import cli
 from gmclone.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -64,6 +67,34 @@ class TestPrepare:
 
 
 class TestCompile:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 CPython keeps call arguments on the caller's stack",
+    )
+    def test_builder_state_not_held_through_the_sweep(self, tmp_path, monkeypatch):
+        # The register the sweep compiles is freed after its first cut; the
+        # roundtrip error uses a second assembly.
+        refs, alive = [], []
+        real_assemble, real_svd = cli.gm_from_factors, np.linalg.svd
+
+        def assemble(*factors):
+            state = real_assemble(*factors)
+            amps = state.amplitudes
+            refs.append(weakref.ref(amps if amps.base is None else amps.base))
+            return state
+
+        def svd(matrix, **kwargs):
+            alive.append(refs[0]() is not None)
+            return real_svd(matrix, **kwargs)
+
+        monkeypatch.setattr(cli, "gm_from_factors", assemble)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        argv = ["compile", "--clones", "3", "--input", "equatorial:0.4",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert alive == [True] + [False] * 3
+        assert len(refs) == 2
+
     def test_basis_report(self, tmp_path):
         code = main([
             "compile", "--clones", "2", "--input", "basis:0",
@@ -144,6 +175,20 @@ class TestAnalyze:
         main(["analyze", "--clones", "2", "--input", "equatorial:0.0"])
         report = json.loads(capsys.readouterr().out)
         assert report["nonlinearity_gap"] > 0.1
+
+    def test_tiny_amplitudes_are_basis_zero(self, capsys):
+        # 1e-200 squared underflows to zero; the input is |0> up to scale.
+        assert main(["analyze", "--clones", "3", "--input", "amps:1e-200,0,0,0"]) == EXIT_OK
+        tiny = json.loads(capsys.readouterr().out)
+        assert main(["analyze", "--clones", "3", "--input", "basis:0"]) == EXIT_OK
+        basis = json.loads(capsys.readouterr().out)
+        for key in ("clone_fidelities", "anticlone_fidelities", "nonlinearity_gap"):
+            assert tiny[key] == basis[key]
+
+    @pytest.mark.parametrize("clones", [12, 13])
+    def test_register_guard_still_applies(self, clones, capsys):
+        expected = EXIT_OK if clones == 12 else EXIT_RESOURCE
+        assert main(["analyze", "--clones", str(clones)]) == expected
 
     def test_csv_format(self, capsys):
         main(["analyze", "--clones", "2", "--input", "basis:0", "--format", "csv"])

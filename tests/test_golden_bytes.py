@@ -155,6 +155,37 @@ GOLDEN_STAGES = {
     },
 }
 
+# `compile` from the builder (no GMMatrix in --out), computed before the
+# builder's state stopped being held through the SVD sweep and rebuilt for
+# the roundtrip error.  At M = 5 the sector kets come from the permutation
+# symmetrizer, at M = 8 from the binomial construction.
+GOLDEN_BUILDER_COMPILE = {
+    (5, "equatorial:0.7"): {
+        "mps.json":
+            "a0e1b6ce82407a30505345d2195fa72bc952595de791325ce9218cfb03b1e47c",
+        "compile_report.json":
+            "3877a8e0a01edd1e091ea726843698f484eac1fb1cd592f6a1a03b5aab593da2",
+    },
+    (5, "amps:0.3,-0.2,0.5,0.4"): {
+        "mps.json":
+            "c8fae363bc58c3176c31b71fc5b34e82f7655a169e8924e7c07cf616c54839e6",
+        "compile_report.json":
+            "803778faacbe21b3a4e728584523375a3e541059120f9adf02ed70ccd924fd85",
+    },
+    (8, "equatorial:0.7"): {
+        "mps.json":
+            "b525f25ffc77bcb3f5f94b4bd67fe5095257110badc9fae7519097dc6b25b7e1",
+        "compile_report.json":
+            "7d70b02e228a16252e59e35d238adc740077d0a4f96e31cf4b37686d61de8a13",
+    },
+    (8, "amps:0.3,-0.2,0.5,0.4"): {
+        "mps.json":
+            "fe8c274a370d863adbff774ff85a89def0036f656e43dc8a8b7c374cba3c871f",
+        "compile_report.json":
+            "c337becd061a019171e97e9e32c7c883da562594591cbd9bbc1df46759f50c8f",
+    },
+}
+
 STAGES = ("FullBitString", "GMBitString", "GMMatrix")
 
 
@@ -181,3 +212,11 @@ def test_prepare_bytes_match_golden_past_m7(M, tmp_path, capsys):
     assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
     got = {name: _digest(tmp_path / name) for name in STAGES}
     assert got == GOLDEN_STAGES[M]
+
+
+@pytest.mark.parametrize("M, spec", sorted(GOLDEN_BUILDER_COMPILE))
+def test_builder_compile_bytes_match_golden(M, spec, tmp_path, capsys):
+    argv = ["compile", "--clones", str(M), "--input", spec, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    got = {name: _digest(tmp_path / name) for name in ("mps.json", "compile_report.json")}
+    assert got == GOLDEN_BUILDER_COMPILE[(M, spec)]

@@ -53,12 +53,26 @@ class TestMakeQubit:
             (1, complex(0, math.nan)),
             (math.inf, 0),
             (0, complex(-math.inf, 1)),
-            (1e200, 0),
+            (complex(1.7e308, 1.7e308), 0),
         ],
     )
     def test_non_finite_or_overflowing_rejected(self, alpha, beta):
         with pytest.raises(InvalidStateError):
             make_qubit(alpha, beta)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 5e-324])
+    def test_extreme_scales_normalize_exactly(self, scale):
+        # Squaring these moduli would overflow or underflow to zero.
+        q = make_qubit(scale, 0)
+        assert q.alpha == 1 and q.beta == 0
+        q = make_qubit(0, -scale * 1j)
+        assert q.alpha == 0 and q.beta == -1j
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_keep_ratio(self, scale):
+        q = make_qubit(3 * scale, 4j * scale)
+        assert abs(q.alpha - 0.6) <= 1e-15
+        assert abs(q.beta - 0.8j) <= 1e-15
 
     @given(
         st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
