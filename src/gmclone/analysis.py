@@ -7,17 +7,21 @@ Clones sit on positions 1..M, anticlones on M+1..2M-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-from .builder import GMParameters, StateVector, build_gm, gm_factors
+from .builder import (
+    FULL_ENUMERATION_LIMIT,
+    GMParameters,
+    StateVector,
+    build_gm,
+    gamma,
+)
 from .errors import DomainError, ResourceLimitError
 from .mps import bond_dimension, mps_from_state
-from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit
+from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 from ._format import float17
 
 SWEEP_LIMIT = 8  # 2M-1 <= 15 qubits
@@ -98,63 +102,104 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
     return _single_qubit_fidelities(state, range(M + 1, 2 * M), anticlone(input))
 
 
-# The cloner output is Psi = sum_j w_j C_j (x) A_j over the sector stacks
-# (C, A) of ``gm_factors``, so every figure below is taken on the factors:
-# O(M^2 2^M) work instead of a pass over the 2^(2M-1) amplitudes.
+# On the Dicke bases |D^M_a> of the clones and |D^(M-1)_b> of the anticlones
+# the cloner output sum_j gamma_j |S^M_j(psi)>|S^(M-1)_j(psi_a)> is the
+# (M+1) x M matrix c = R_C^T diag(gamma) R_A, where row j of R_phi holds the
+# Dicke coefficients of symmetric_ket(n, j, phi).  Every figure below is read
+# from c in O(M^3) work, with no 2^M-amplitude ket and no dense register.
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry (j, k) is <a_j|b_k> for the rows of two stacks of kets."""
-    return a.conj() @ b.T
+def _append_qubit(maps, factor, stay, move):
+    """Dicke coefficients of every ket of ``maps`` with one qubit appended.
 
-
-def _factored_fidelities(weights, kets, partner, target: Qubit) -> list[float]:
-    # With the measured positions in the sector of ``kets``, projecting
-    # qubit p of every kets_j onto the target gives
-    # P_j = t_0* K_j[:, 0, :] + t_1* K_j[:, 1, :] on the (2^(p-1), 2, rest)
-    # view K_j, and F_p = sum_jk w_j w_k <P_j|P_k> <partner_j|partner_k>.
-    coupling = np.outer(weights, weights) * _gram(partner, partner)
-    t0, t1 = target.components().conj()
-    rows = kets.shape[0]
-    out = []
-    for pos in range(1, kets.shape[1].bit_length()):
-        view = kets.reshape(rows, 2 ** (pos - 1), 2, -1)
-        projected = (t0 * view[:, :, 0, :] + t1 * view[:, :, 1, :]).reshape(rows, -1)
-        out.append(float((coupling * _gram(projected, projected)).sum().real))
-    return out
-
-
-def _dicke_coefficients(kets: np.ndarray) -> np.ndarray:
-    """Rows of symmetric m-qubit kets on the Dicke basis |D_a>, a = 0..m.
-
-    |D_a> is the normalized sum of the kets with a ones; a symmetric ket
-    lies in their span, so the rows lose nothing.
+    ``maps[i, j]`` holds k-1-qubit coefficients and ``factor[i]`` the
+    appended qubit; |D^k_a> = stay[a] |D^(k-1)_a>|0> + move[a]
+    |D^(k-1)_(a-1)>|1> gives the k-qubit coefficients.
     """
-    size = kets.shape[1]
-    m = size.bit_length() - 1
-    ones = kernels.popcounts(np.arange(size))
-    norms = np.sqrt([math.comb(m, a) for a in range(m + 1)])
-    basis = np.zeros((size, m + 1))
-    basis[np.arange(size), ones] = 1.0 / norms[ones]
-    return kets @ basis
+    k = maps.shape[-1]
+    grown = np.zeros(maps.shape[:-1] + (k + 1,), dtype=np.complex128)
+    grown[..., :k] = maps * stay[:k] * factor[:, 0, None, None]
+    grown[..., 1:] += maps * move[1:] * factor[:, 1, None, None]
+    return grown
 
 
-def _dicke_output(weights, clone, anti) -> np.ndarray:
-    """The (M+1) x M matrix of the cloner output on Dicke x Dicke states."""
-    return (_dicke_coefficients(clone) * weights[:, None]).T @ _dicke_coefficients(anti)
+def _dicke_maps(n: int, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """``[i, j, a] = <D^m_a|symmetric_ket(m, j, qubits[i])>`` for m = n-1 and n.
+
+    Returns the two arrays, of shapes (len(qubits), n, n) and
+    (len(qubits), n+1, n+1).  One loop over n qubits grows them with
+    |S^k_j> = sqrt((k-j)/k) |S^(k-1)_j> phi + sqrt(j/k) |S^(k-1)_(j-1)> perp(phi)
+    on the ket side and the same recursion of |D^k_a> on the basis side.
+    Every weight is at most 1, so the maps stay accurate at hundreds of
+    qubits, unlike the closed form through binomial-weighted polynomial
+    coefficients, which cancels.
+    """
+    u = np.array([q.components() for q in qubits])
+    v = np.array([perp(q).components() for q in qubits])
+    previous = maps = np.ones((len(qubits), 1, 1), dtype=np.complex128)
+    for k in range(1, n + 1):
+        stay = np.sqrt(np.arange(k, -1, -1) / k)
+        move = np.sqrt(np.arange(k + 1) / k)
+        grown = np.zeros((len(qubits), k + 1, k + 1), dtype=np.complex128)
+        grown[:, :k] = stay[:k, None] * _append_qubit(maps, u, stay, move)
+        grown[:, 1:] += move[1:, None] * _append_qubit(maps, v, stay, move)
+        previous, maps = maps, grown
+    return previous, maps
 
 
-def _factored_gap(M: int, weights, clone, anti, q: Qubit) -> float:
-    # All three outputs lie in Sym(M) (x) Sym(M-1), where they are small
-    # matrices; the gap is the norm of their difference, taken directly
-    # rather than from <Psi|Psi> + <S|S> - 2|<S|Psi>|, which would cancel to
-    # a rounding residue of order 1e-16 and leave 1e-8 after the root.
-    cloned = _dicke_output(weights, clone, anti)
-    superposed = q.alpha * _dicke_output(*gm_factors(M, Qubit(1.0 + 0j, 0j)))
-    superposed += q.beta * _dicke_output(*gm_factors(M, Qubit(0j, 1.0 + 0j)))
+def _dicke_outputs(M: int, inputs) -> np.ndarray:
+    """The cloner output of each of ``inputs`` on Dicke (x) Dicke states.
+
+    Entry [i, a, b] is the amplitude of |D^M_a>|D^(M-1)_b> in GM(inputs[i]);
+    clone and anticlone maps of all inputs come from one recursion.  Not
+    guarded: the cost is O(M^3) per input.
+    """
+    count = len(inputs)
+    short, full = _dicke_maps(M, list(inputs) + [anticlone(q) for q in inputs])
+    weights = np.array([gamma(M, j) for j in range(M)])
+    clone = full[:count, :M]   # rows j < M of the M-qubit maps
+    anti = short[count:]
+    return (clone * weights[:, None]).transpose(0, 2, 1) @ anti
+
+
+def _split_fidelity(c: np.ndarray, target: Qubit, copies: int) -> list[float]:
+    """Fidelity with ``target`` of any one qubit of the row register of ``c``.
+
+    Splitting one qubit off |D^m_a> projects the output onto
+    t_0* sqrt((m-a)/m) c[a] + t_1* sqrt((a+1)/m) c[a+1] for a = 0..m-1; the
+    rows are symmetric, so every one of the ``copies`` positions shares the
+    value.
+    """
+    if not copies:
+        return []
+    m = c.shape[0] - 1
+    t0, t1 = target.components().conj()
+    a = np.arange(m)[:, None]
+    projected = t0 * np.sqrt((m - a) / m) * c[:-1] + t1 * np.sqrt((a + 1) / m) * c[1:]
+    return [float(np.vdot(projected, projected).real)] * copies
+
+
+def _gap(cloned, zero, one, q: Qubit) -> float:
+    # The norm of the phase-aligned difference, taken directly rather than
+    # from <Psi|Psi> + <S|S> - 2|<S|Psi>|, which would cancel to a rounding
+    # residue of order 1e-16 and leave 1e-8 after the root.
+    superposed = q.alpha * zero + q.beta * one
     overlap = np.vdot(superposed, cloned)
     phase = overlap / abs(overlap) if overlap else 1.0
     return float(np.linalg.norm(cloned - phase * superposed))
+
+
+_BASIS = (Qubit(1.0 + 0j, 0j), Qubit(0j, 1.0 + 0j))
+
+
+def _guard(M: int) -> None:
+    if M < 1:
+        raise DomainError("M must be >= 1")
+    if M > FULL_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"analysis guarded at M <= {FULL_ENUMERATION_LIMIT}, "
+            "the dense register guard"
+        )
 
 
 def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
@@ -163,13 +208,15 @@ def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     Returns || GM(alpha 0 + beta 1) - (alpha GM(0) + beta GM(1)) || minimized
     over a global phase on the first term.  Zero at basis inputs, strictly
     positive for genuine superpositions once M >= 2 (the cloning map is not
-    linear); trivially zero for M = 1.  Taken on the sector factors of the
-    three outputs, with no dense register.
+    linear); trivially zero for M = 1.  Taken on the Dicke-basis matrices of
+    the three outputs, with no dense register; guarded like
+    :func:`analyze_cloner`.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
     q = make_qubit(alpha, beta)
-    return _factored_gap(M, *gm_factors(M, q), q)
+    _guard(M)
+    return _gap(*_dicke_outputs(M, (q, *_BASIS)), q)
 
 
 @dataclass(frozen=True)
@@ -179,24 +226,27 @@ class ClonerAnalysis:
     nonlinearity_gap: float
 
 
+def _analyze(M: int, input: Qubit) -> ClonerAnalysis:
+    cloned, zero, one = _dicke_outputs(M, (input, *_BASIS))
+    return ClonerAnalysis(
+        clone_fidelities=_split_fidelity(cloned, input, M),
+        anticlone_fidelities=_split_fidelity(cloned.T, anticlone(input), M - 1),
+        nonlinearity_gap=_gap(cloned, zero, one, input),
+    )
+
+
 def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
     """Fidelities and nonlinearity gap of the cloner output for ``input``.
 
     The same figures as :func:`clone_fidelity` and
     :func:`anticlone_fidelity` on ``build_gm`` and as
-    :func:`nonlinearity_gap`, taken from the sector factors of GM(input)
-    (shared by all three), GM(|0>) and GM(|1>): no dense register is built.
-    Guarded like ``gm_factors`` (:class:`ResourceLimitError` above
-    ``FULL_ENUMERATION_LIMIT``).
+    :func:`nonlinearity_gap`, read from the (M+1) x M Dicke-basis matrices
+    of GM(input), GM(|0>) and GM(|1>) in O(M^3) work: no dense register and
+    no sector ket is built.  Keeps the dense register guard
+    (:class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``).
     """
-    weights, clone, anti = gm_factors(M, input)
-    return ClonerAnalysis(
-        clone_fidelities=_factored_fidelities(weights, clone, anti, input),
-        anticlone_fidelities=_factored_fidelities(
-            weights, anti, clone, anticlone(input)
-        ),
-        nonlinearity_gap=_factored_gap(M, weights, clone, anti, input),
-    )
+    _guard(M)
+    return _analyze(M, input)
 
 
 def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gmclone import builder, kernels
 from gmclone.analysis import (
     SCALING_CSV_HEADER,
+    _analyze,
+    _dicke_maps,
+    _dicke_outputs,
     analyze_cloner,
     anticlone_fidelity,
     clone_fidelity,
@@ -16,9 +20,15 @@ from gmclone.analysis import (
     scaling_sweep,
     write_scaling_csv,
 )
-from gmclone.builder import GMParameters, StateVector, build_gm, build_gm_basis
+from gmclone.builder import (
+    GMParameters,
+    StateVector,
+    build_gm,
+    build_gm_basis,
+    symmetric_ket,
+)
 from gmclone.errors import DomainError, ResourceLimitError
-from gmclone.qubit import Qubit, equatorial_qubit, make_qubit
+from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
 
 # phase-minimized distance between cloning the equal superposition and
 # superposing the two basis outputs at M=2; frozen from the dense oracle
@@ -191,6 +201,76 @@ class TestFactoredAnalysis:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             analyze_cloner(13, equatorial_qubit(0.0))
+
+
+def dicke_projection(kets):
+    """Rows of symmetric n-qubit kets on the Dicke basis |D_a>, a = 0..n."""
+    n = kets.shape[1].bit_length() - 1
+    ones = np.array([bin(x).count("1") for x in range(2**n)])
+    basis = np.zeros((2**n, n + 1))
+    basis[np.arange(2**n), ones] = 1 / np.sqrt([math.comb(n, a) for a in ones])
+    return kets @ basis
+
+
+class TestDickeAnalysis:
+    BASE = [
+        Qubit(1.0 + 0j, 0j),
+        Qubit(0j, 1.0 + 0j),
+        equatorial_qubit(2.1),
+        make_qubit(0.3 - 0.2j, 0.5 + 0.4j),
+    ]
+    QUBITS = BASE + [anticlone(q) for q in BASE]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_maps_are_dicke_projections_of_symmetric_kets(self, n):
+        short, full = _dicke_maps(n, self.QUBITS)
+        assert short.shape == (len(self.QUBITS), n, n)
+        assert full.shape == (len(self.QUBITS), n + 1, n + 1)
+        for maps, m in ((full, n), (short, n - 1)):
+            for q, rows in zip(self.QUBITS, maps):
+                if m == 0:
+                    assert rows.tolist() == [[1.0]]
+                    continue
+                kets = np.stack([symmetric_ket(m, j, q).amplitudes for j in range(m + 1)])
+                np.testing.assert_allclose(rows, dicke_projection(kets), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(rows @ rows.conj().T, np.eye(m + 1), atol=1e-14)
+
+    def test_builds_no_sector_ket_and_no_register(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis must stay on the Dicke basis")
+
+        for module, name in (
+            (builder, "gm_factors"),
+            (builder, "build_gm"),
+            (builder, "gm_from_factors"),
+            (builder, "symmetric_ket"),
+            (kernels, "permutation_average"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr("gmclone.analysis.build_gm", refuse)
+        q = equatorial_qubit(0.4)
+        result = analyze_cloner(7, q)
+        assert abs(result.clone_fidelities[0] - 15 / 21) < 1e-12
+        assert nonlinearity_gap(7, q.alpha, q.beta) == result.nonlinearity_gap
+
+    @pytest.mark.parametrize("name", ["equatorial", "amps"])
+    def test_stable_at_a_hundred_clones(self, name):
+        M = 100
+        q = TestFactoredAnalysis.INPUTS[name]
+        (cloned,) = _dicke_outputs(M, [q])
+        assert cloned.shape == (M + 1, M)
+        assert abs(np.linalg.norm(cloned) - 1) <= 1e-13
+        result = _analyze(M, q)
+        assert len(result.clone_fidelities) == M
+        assert len(result.anticlone_fidelities) == M - 1
+        target = (2 * M + 1) / (3 * M)
+        assert abs(result.clone_fidelities[0] - target) <= 1e-13
+
+    def test_gap_guard(self):
+        with pytest.raises(ResourceLimitError):
+            nonlinearity_gap(13, 1 / math.sqrt(2), 1 / math.sqrt(2))
+        with pytest.raises(DomainError):
+            nonlinearity_gap(0, 1, 0)
 
 
 class TestScalingSweep:

@@ -456,3 +456,71 @@ class TestGMMatrixProperties:
             with pytest.raises(StageParseError) as err:
                 read_gm_matrix(path, expected_length=expected)
             assert str(err.value) == f"{path}:{lineno}: {problem}"
+
+
+def _per_line_bitstring_reader(data: bytes, expected_length):
+    """The bitstring stage grammar applied one line at a time."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    strings, width, prev = [], expected_length, None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("ascii", errors="replace")
+        if not line or line.strip("01"):
+            return lineno, f"bad bitstring {line!r}"
+        if width is None:
+            width = len(line)
+        if len(line) != width:
+            return lineno, f"expected {width} bits, got {len(line)}"
+        if prev is not None and line <= prev:
+            return lineno, f"bitstring {line} does not follow {prev} (need sorted, unique)"
+        strings.append(line)
+        prev = line
+    return strings
+
+
+class TestBitstringStageProperties:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 100), st.sampled_from(list(b"01\n\r2x \xff"))),
+            max_size=3,
+        ),
+        cut=st.tuples(st.integers(0, 100), st.integers(0, 5)),
+        expected=st.sampled_from([None, 0, 3, 4]),
+    )
+    def test_array_checks_agree_with_per_line_reader(self, tmp_path, edits, cut, expected):
+        """A corrupted stage fails on the line, and with the message, of the
+        per-line reader, and an intact one reads to the same strings."""
+        data = bytearray(b"000\n001\n011\n100\n101\n110\n111\n")
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        start = cut[0] % len(data)
+        del data[start : start + cut[1]]
+        path = tmp_path / "FullBitString"
+        path.write_bytes(bytes(data))
+        reference = _per_line_bitstring_reader(bytes(data), expected)
+        if isinstance(reference, list):
+            assert read_bitstring_stage(path, expected_length=expected) == reference
+        else:
+            with pytest.raises(StageParseError) as err:
+                read_bitstring_stage(path, expected_length=expected)
+            lineno, problem = reference
+            assert str(err.value) == f"{path}:{lineno}: {problem}"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"\n", b"0\n\n1\n", b"\n0\n", b"01", b"\xff\n", b"1\n0", b"0" * 70 + b"\n" + b"1" * 70],
+    )
+    @pytest.mark.parametrize("expected", [None, 0, 1, 70])
+    def test_edge_files(self, tmp_path, content, expected):
+        path = tmp_path / "GMBitString"
+        path.write_bytes(content)
+        reference = _per_line_bitstring_reader(content, expected)
+        if isinstance(reference, list):
+            assert read_bitstring_stage(path, expected_length=expected) == reference
+        else:
+            with pytest.raises(StageParseError) as err:
+                read_bitstring_stage(path, expected_length=expected)
+            assert str(err.value) == f"{path}:{reference[0]}: {reference[1]}"
