@@ -37,11 +37,8 @@ def dumps_17g(obj, indent: int = 2) -> str:
         if isinstance(value, (list, tuple)):
             if not len(value):
                 return "[]"
-            if all(type(item) is float for item in value):
-                body = inner + (",\n" + inner).join(map(float17, value))
-            else:
-                body = ",\n".join(f"{inner}{render(item, depth + 1)}" for item in value)
-            return "[\n" + body + "\n" + pad + "]"
+            rows = [f"{inner}{render(item, depth + 1)}" for item in value]
+            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
         if isinstance(value, str):
             return f'"{_escape(value)}"'
         if value is None:

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from .builder import (
-    FULL_ENUMERATION_LIMIT,
     GMParameters,
     StateVector,
     build_gm,
+    check_register,
     gamma,
 )
 from .errors import DomainError, ResourceLimitError
@@ -192,16 +192,6 @@ def _gap(cloned, zero, one, q: Qubit) -> float:
 _BASIS = (Qubit(1.0 + 0j, 0j), Qubit(0j, 1.0 + 0j))
 
 
-def _guard(M: int) -> None:
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    if M > FULL_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"analysis guarded at M <= {FULL_ENUMERATION_LIMIT}, "
-            "the dense register guard"
-        )
-
-
 def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     """Distance between cloning the superposition and superposing the clones.
 
@@ -212,10 +202,8 @@ def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     the three outputs, with no dense register; guarded like
     :func:`analyze_cloner`.
     """
-    if M < 1:
-        raise DomainError("M must be >= 1")
+    check_register(M)
     q = make_qubit(alpha, beta)
-    _guard(M)
     return _gap(*_dicke_outputs(M, (q, *_BASIS)), q)
 
 
@@ -245,7 +233,7 @@ def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
     no sector ket is built.  Keeps the dense register guard
     (:class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``).
     """
-    _guard(M)
+    check_register(M)
     return _analyze(M, input)
 
 

@@ -183,6 +183,20 @@ def _sector_kets(n: int, count: int, phi: Qubit) -> np.ndarray:
     return np.stack(_symmetric_kets_binomial(n, count - 1, u, v))
 
 
+def check_register(M: int) -> None:
+    """Refuse M < 1 (:class:`DomainError`) and registers above the guard.
+
+    Raises :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``.
+    """
+    if M < 1:
+        raise DomainError("M must be >= 1")
+    if M > FULL_ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"dense register guarded at M <= {FULL_ENUMERATION_LIMIT} "
+            f"(2^{2 * FULL_ENUMERATION_LIMIT - 1} amplitudes)"
+        )
+
+
 def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights and stacked sector kets of the cloner output for input ``q``.
 
@@ -194,13 +208,7 @@ def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT`` before
     anything is allocated.
     """
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    if M > FULL_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"dense register guarded at M <= {FULL_ENUMERATION_LIMIT} "
-            f"(2^{2 * FULL_ENUMERATION_LIMIT - 1} amplitudes)"
-        )
+    check_register(M)
     weights = np.array([gamma(M, j) for j in range(M)])
     clone = _sector_kets(M, M, q)
     if M == 1:

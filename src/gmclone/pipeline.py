@@ -227,18 +227,6 @@ def write_bitstring_stage(path, strings) -> None:
     path.write_text("".join(s + "\n" for s in strings), encoding="ascii")
 
 
-def _bitstring_problem(line: bytes, width: int | None, prev: str | None):
-    """What is wrong with one bitstring-stage line, or None; in grammar order."""
-    text = line.decode("ascii", errors="replace")
-    if not text or text.strip("01"):
-        return f"bad bitstring {text!r}"
-    if width is not None and len(text) != width:
-        return f"expected {width} bits, got {len(text)}"
-    if prev is not None and text <= prev:
-        return f"bitstring {text} does not follow {prev} (need sorted, unique)"
-    return None
-
-
 def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
     """Parse a FullBitString/GMBitString stage; strict line grammar.
 
@@ -246,48 +234,33 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
     otherwise from the first line; every later line must match it and be
     strictly greater than the line before (sorted, no duplicates).  Only LF
     ends a line, and a last line without one still counts, as in
-    :func:`read_gm_matrix`.  All lines are checked at once with array masks;
-    the first bad line is reported, worded by :func:`_bitstring_problem`.
+    :func:`read_gm_matrix`.  The first bad line is reported.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if not data:
-        return []
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _LF)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    lines = path.read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    strings = []
     width = expected_length
-    if width is None:
-        width = int(ends[0])
-    bad = 0  # an empty line or a width below 1 fails on the first line
-    if width > 0:
-        # Lines before the first of another length hold width+1 bytes each,
-        # so they form a (head, width+1) matrix of bytes.
-        head = _first(ends - starts != width)
-        rows = buf[: head * (width + 1)].reshape(head, width + 1)
-        line_bad = np.zeros(head, dtype=bool)
-        for col in range(width):
-            line_bad |= (rows[:, col] | 1) != _ONE  # only "0" and "1" map to "1"
-        # Rows of one width and only 0/1 compare as byte strings in
-        # numeric order.
-        keys = rows.reshape(-1).view(f"S{width + 1}")
-        line_bad[1:] |= keys[1:] <= keys[:-1]
-        bad = _first(line_bad)
-    if bad < ends.size:
-        prev = data[starts[bad - 1] : ends[bad - 1]].decode() if bad else None
-        problem = _bitstring_problem(
-            data[starts[bad] : ends[bad]],
-            None if expected_length is None and not bad else width,
-            prev,
-        )
-        if problem is None:
-            raise InternalConsistencyError(
-                f"{path}:{bad + 1}: array checks reject a line the grammar accepts"
+    prev = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("ascii", errors="replace")
+        if not line or line.strip("01"):
+            raise StageParseError(path, lineno, f"bad bitstring {line!r}")
+        if width is None:
+            width = len(line)
+        if len(line) != width:
+            raise StageParseError(
+                path, lineno, f"expected {width} bits, got {len(line)}"
             )
-        raise StageParseError(path, bad + 1, problem)
-    return data.decode("ascii").split()
+        if prev is not None and line <= prev:
+            raise StageParseError(
+                path, lineno,
+                f"bitstring {line} does not follow {prev} (need sorted, unique)",
+            )
+        strings.append(line)
+        prev = line
+    return strings
 
 
 def write_gm_matrix(path, matrix: GMMatrix) -> None:

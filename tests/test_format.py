@@ -11,7 +11,7 @@ from gmclone._format import _escape, dumps_17g, float17
 
 
 def recursive_dumps(obj, indent=2):
-    """The renderer with every value, list items included, on one recursive path."""
+    """A frozen copy of the recursive renderer that pins the output format."""
 
     def render(value, depth):
         pad = " " * (indent * depth)

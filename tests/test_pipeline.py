@@ -490,7 +490,7 @@ class TestBitstringStageProperties:
         cut=st.tuples(st.integers(0, 100), st.integers(0, 5)),
         expected=st.sampled_from([None, 0, 3, 4]),
     )
-    def test_array_checks_agree_with_per_line_reader(self, tmp_path, edits, cut, expected):
+    def test_agrees_with_per_line_reader(self, tmp_path, edits, cut, expected):
         """A corrupted stage fails on the line, and with the message, of the
         per-line reader, and an intact one reads to the same strings."""
         data = bytearray(b"000\n001\n011\n100\n101\n110\n111\n")
