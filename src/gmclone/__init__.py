@@ -16,7 +16,6 @@ from .builder import (
     gm_factors,
     gm_from_factors,
     symmetric_ket,
-    symmetrize,
 )
 from .mps import (
     BondCut,
@@ -109,5 +108,4 @@ __all__ = [
     "save_mps",
     "scaling_sweep",
     "symmetric_ket",
-    "symmetrize",
 ]

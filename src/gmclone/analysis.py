@@ -15,13 +15,13 @@ import numpy as np
 from .builder import (
     GMParameters,
     StateVector,
+    _sector_maps,
     build_gm,
     check_register,
-    gamma,
 )
 from .errors import DomainError, ResourceLimitError
 from .mps import bond_dimension, mps_from_state
-from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
+from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit
 from ._format import float17
 
 SWEEP_LIMIT = 8  # 2M-1 <= 15 qubits
@@ -109,56 +109,14 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
 # from c in O(M^3) work, with no 2^M-amplitude ket and no dense register.
 
 
-def _append_qubit(maps, factor, stay, move):
-    """Dicke coefficients of every ket of ``maps`` with one qubit appended.
-
-    ``maps[i, j]`` holds k-1-qubit coefficients and ``factor[i]`` the
-    appended qubit; |D^k_a> = stay[a] |D^(k-1)_a>|0> + move[a]
-    |D^(k-1)_(a-1)>|1> gives the k-qubit coefficients.
-    """
-    k = maps.shape[-1]
-    grown = np.zeros(maps.shape[:-1] + (k + 1,), dtype=np.complex128)
-    grown[..., :k] = maps * stay[:k] * factor[:, 0, None, None]
-    grown[..., 1:] += maps * move[1:] * factor[:, 1, None, None]
-    return grown
-
-
-def _dicke_maps(n: int, qubits) -> tuple[np.ndarray, np.ndarray]:
-    """``[i, j, a] = <D^m_a|symmetric_ket(m, j, qubits[i])>`` for m = n-1 and n.
-
-    Returns the two arrays, of shapes (len(qubits), n, n) and
-    (len(qubits), n+1, n+1).  One loop over n qubits grows them with
-    |S^k_j> = sqrt((k-j)/k) |S^(k-1)_j> phi + sqrt(j/k) |S^(k-1)_(j-1)> perp(phi)
-    on the ket side and the same recursion of |D^k_a> on the basis side.
-    Every weight is at most 1, so the maps stay accurate at hundreds of
-    qubits, unlike the closed form through binomial-weighted polynomial
-    coefficients, which cancels.
-    """
-    u = np.array([q.components() for q in qubits])
-    v = np.array([perp(q).components() for q in qubits])
-    previous = maps = np.ones((len(qubits), 1, 1), dtype=np.complex128)
-    for k in range(1, n + 1):
-        stay = np.sqrt(np.arange(k, -1, -1) / k)
-        move = np.sqrt(np.arange(k + 1) / k)
-        grown = np.zeros((len(qubits), k + 1, k + 1), dtype=np.complex128)
-        grown[:, :k] = stay[:k, None] * _append_qubit(maps, u, stay, move)
-        grown[:, 1:] += move[1:, None] * _append_qubit(maps, v, stay, move)
-        previous, maps = maps, grown
-    return previous, maps
-
-
 def _dicke_outputs(M: int, inputs) -> np.ndarray:
     """The cloner output of each of ``inputs`` on Dicke (x) Dicke states.
 
-    Entry [i, a, b] is the amplitude of |D^M_a>|D^(M-1)_b> in GM(inputs[i]);
-    clone and anticlone maps of all inputs come from one recursion.  Not
-    guarded: the cost is O(M^3) per input.
+    Entry [i, a, b] is the amplitude of |D^M_a>|D^(M-1)_b> in GM(inputs[i]),
+    from the maps of :func:`_sector_maps`.  Not guarded: the cost is O(M^3)
+    per input.
     """
-    count = len(inputs)
-    short, full = _dicke_maps(M, list(inputs) + [anticlone(q) for q in inputs])
-    weights = np.array([gamma(M, j) for j in range(M)])
-    clone = full[:count, :M]   # rows j < M of the M-qubit maps
-    anti = short[count:]
+    weights, clone, anti = _sector_maps(M, inputs)
     return (clone * weights[:, None]).transpose(0, 2, 1) @ anti
 
 

@@ -6,12 +6,16 @@ The 1->M universal symmetric cloner maps an input qubit psi to the
     sum_{j=0}^{M-1} gamma_j |(M-j) psi, j psi_perp>_S (x) |(M-j-1) psi_a, j psi_a_perp>_S
 
 with gamma_j = sqrt(2(M-j) / (M(M+1))), M clones on qubits 1..M and M-1
-anticlones on qubits M+1..2M-1.  ``gm_factors`` returns the two stacks of
-sector kets and the weights of that sum; ``gm_from_factors`` (and so
-``build_gm``) assembles the dense state from them in one matrix product;
-``expand_gm_decomposed`` rebuilds it along an independent route (explicit
-insertion of the input amplitudes and enumeration of the symmetrized
-arrangements) and serves as the cross-check oracle.
+anticlones on qubits M+1..2M-1.  Every sector ket is symmetric, so it is
+fixed by its coefficients on the Dicke states |D^n_a> (a ones among n
+qubits); one recursion over qubits (``_dicke_maps``) gives them for every
+consumer.  ``symmetric_ket`` and ``gm_factors`` spread them over the
+register with one gather, ``gm_from_factors`` (and so ``build_gm``)
+assembles the dense state in one matrix product, and the analysis reads
+the output on the Dicke bases directly.  ``expand_gm_decomposed`` rebuilds
+the state along an independent route (explicit insertion of the input
+amplitudes and enumeration of the placements of the orthogonal factors) and
+serves as the cross-check oracle.
 """
 
 from __future__ import annotations
@@ -19,24 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceLimitError, ZeroProjectionError
+from .errors import DomainError, ResourceLimitError
 from .qubit import Qubit, anticlone, perp
-
-# Hard ceiling for explicit permutation averaging: 9! permutations is the
-# largest sweep that stays in tens-of-MB / seconds territory.
-PERMUTATION_LIMIT = 9
-
-# symmetric_ket switches from permutation averaging to the binomial
-# construction above this size; both paths are exact and tested against
-# each other through n = 8.
-_PERMUTATION_KET_MAX = 6
-
-ZERO_PROJECTION_TOL = 1e-13
 
 # Largest M with a dense register: 2^(2M-1) amplitudes, 128 MiB at M = 12.
 # The parity pipeline enumerates every basis index under the same guard.
@@ -93,66 +86,69 @@ def gamma(M: int, j: int) -> float:
     return math.sqrt(2 * (M - j) / (M * (M + 1)))
 
 
-@lru_cache(maxsize=None)
-def _permutations_array(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+def _append_qubit(maps, factor, stay, move):
+    """Dicke coefficients of every ket of ``maps`` with one qubit appended.
 
-
-def symmetrize(state: StateVector) -> StateVector:
-    """Project onto the completely symmetric subspace and renormalize.
-
-    Averages the amplitude tensor over all n! qubit permutations; the
-    normalization is computed numerically after the projection.  Guarded at
-    n <= 9 because the permutation count grows factorially.
+    ``maps[i, j]`` holds k-1-qubit coefficients and ``factor[i]`` the
+    appended qubit; |D^k_a> = stay[a] |D^(k-1)_a>|0> + move[a]
+    |D^(k-1)_(a-1)>|1> gives the k-qubit coefficients.
     """
-    n = state.num_qubits
-    if n < 1:
-        raise DomainError("need at least one qubit")
-    if n > PERMUTATION_LIMIT:
-        raise ResourceLimitError(
-            f"explicit permutation averaging limited to n <= {PERMUTATION_LIMIT}"
-        )
-    projected = kernels.permutation_average(
-        np.ascontiguousarray(state.amplitudes, dtype=np.complex128),
-        _permutations_array(n),
-    )
-    norm = np.linalg.norm(projected)
-    if norm < ZERO_PROJECTION_TOL:
-        raise ZeroProjectionError("state has no symmetric component")
-    return StateVector(n, projected / norm)
+    k = maps.shape[-1]
+    grown = np.zeros(maps.shape[:-1] + (k + 1,), dtype=np.complex128)
+    grown[..., :k] = maps * stay[:k] * factor[:, 0, None, None]
+    grown[..., 1:] += maps * move[1:] * factor[:, 1, None, None]
+    return grown
 
 
-def _product_state(factors) -> np.ndarray:
-    return reduce(np.kron, factors)
+def _dicke_maps(n: int, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """``[i, j, a] = <D^m_a|symmetric_ket(m, j, qubits[i])>`` for m = n-1 and n.
+
+    Returns the two arrays, of shapes (len(qubits), n, n) and
+    (len(qubits), n+1, n+1).  One loop over n qubits grows them with
+    |S^k_j> = sqrt((k-j)/k) |S^(k-1)_j> phi + sqrt(j/k) |S^(k-1)_(j-1)> perp(phi)
+    on the ket side and the same recursion of |D^k_a> on the basis side.
+    Every weight is at most 1, so the maps stay accurate at hundreds of
+    qubits, unlike the closed form through binomial-weighted polynomial
+    coefficients, which cancels.
+    """
+    u = np.array([q.components() for q in qubits])
+    v = np.array([perp(q).components() for q in qubits])
+    previous = maps = np.ones((len(qubits), 1, 1), dtype=np.complex128)
+    for k in range(1, n + 1):
+        stay = np.sqrt(np.arange(k, -1, -1) / k)
+        move = np.sqrt(np.arange(k + 1) / k)
+        grown = np.zeros((len(qubits), k + 1, k + 1), dtype=np.complex128)
+        grown[:, :k] = stay[:k, None] * _append_qubit(maps, u, stay, move)
+        grown[:, 1:] += move[1:, None] * _append_qubit(maps, v, stay, move)
+        previous, maps = maps, grown
+    return previous, maps
 
 
-def _symmetric_ket_permutation(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    prod = _product_state([u] * (n - j) + [v] * j)
-    return symmetrize(StateVector(n, prod)).amplitudes
+def _sector_maps(M: int, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and Dicke maps of the cloner output for each of ``inputs``.
+
+    Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``,
+    ``clone[i, j, a] = <D^M_a|symmetric_ket(M, j, inputs[i])>`` for
+    j = 0..M-1 and ``anti[i, j, b] = <D^(M-1)_b|symmetric_ket(M-1, j,
+    anticlone(inputs[i]))>``.  The maps of all inputs come from one
+    recursion.  Not guarded: the cost is O(M^3) per input.
+    """
+    count = len(inputs)
+    short, full = _dicke_maps(M, list(inputs) + [anticlone(q) for q in inputs])
+    weights = np.array([gamma(M, j) for j in range(M)])
+    return weights, full[:count, :M], short[count:]
 
 
-def _symmetric_kets_binomial(n: int, j_max: int, u: np.ndarray, v: np.ndarray) -> list:
-    # Equal-weight sum over the C(n, j) placements of the v factors; the
-    # placements are mutually orthogonal product states (u and v are
-    # orthogonal), so the normalization is exactly 1/sqrt(C(n, j)).  The
-    # recursion over qubits carries every count up to j_max at once.
-    by_count = {0: np.ones(1, dtype=np.complex128)}
-    for _ in range(n):
-        grown = {}
-        for count in range(min(j_max, len(by_count)) + 1):
-            parts = []
-            if count in by_count:
-                parts.append(np.kron(by_count[count], u))
-            if count - 1 in by_count:
-                parts.append(np.kron(by_count[count - 1], v))
-            if parts:
-                grown[count] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        by_count = grown
-    return [by_count[j] / math.sqrt(math.comb(n, j)) for j in range(j_max + 1)]
+def _dicke_kets(maps: np.ndarray) -> np.ndarray:
+    """Amplitudes of the symmetric kets whose Dicke coefficients are ``maps``.
 
-
-def _symmetric_ket_binomial(n: int, j: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _symmetric_kets_binomial(n, j, u, v)[j]
+    Row j of the (rows, n+1) array ``maps`` becomes a 2^n-amplitude ket,
+    ``ket_j[x] = maps[j, popcount(x)] / sqrt(C(n, popcount(x)))``: one
+    gather, as |D^n_a> spreads evenly over the C(n, a) strings with a ones.
+    """
+    n = maps.shape[-1] - 1
+    norms = np.sqrt([float(math.comb(n, a)) for a in range(n + 1)])
+    return (maps / norms)[:, kernels.popcounts(np.arange(2**n))]
 
 
 def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
@@ -165,22 +161,8 @@ def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
         raise DomainError("need at least one qubit")
     if not 0 <= j <= n:
         raise DomainError(f"j={j} outside 0..{n}")
-    u = phi.components()
-    v = perp(phi).components()
-    if n <= _PERMUTATION_KET_MAX:
-        amps = _symmetric_ket_permutation(n, j, u, v)
-    else:
-        amps = _symmetric_ket_binomial(n, j, u, v)
-    return StateVector(n, amps)
-
-
-def _sector_kets(n: int, count: int, phi: Qubit) -> np.ndarray:
-    """Rows j = 0..count-1 are ``symmetric_ket(n, j, phi)``, bit for bit."""
-    if n <= _PERMUTATION_KET_MAX:
-        return np.stack([symmetric_ket(n, j, phi).amplitudes for j in range(count)])
-    u = phi.components()
-    v = perp(phi).components()
-    return np.stack(_symmetric_kets_binomial(n, count - 1, u, v))
+    _, maps = _dicke_maps(n, [phi])
+    return StateVector(n, _dicke_kets(maps[0, j : j + 1])[0])
 
 
 def check_register(M: int) -> None:
@@ -203,19 +185,15 @@ def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``, row j
     of the ``(M, 2^M)`` array ``clone`` is ``symmetric_ket(M, j, q)`` and row
     j of the ``(M, 2^(M-1))`` array ``anti`` is
-    ``symmetric_ket(M-1, j, anticlone(q))``.  For M = 1 the anticlone sector
-    is the empty register, whose only amplitude is 1.  Raises
+    ``symmetric_ket(M-1, j, anticlone(q))``, bit for bit: both come from the
+    same Dicke maps by the same gather.  For M = 1 the anticlone sector is
+    the empty register, whose only amplitude is 1.  Raises
     :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT`` before
     anything is allocated.
     """
     check_register(M)
-    weights = np.array([gamma(M, j) for j in range(M)])
-    clone = _sector_kets(M, M, q)
-    if M == 1:
-        anti = np.ones((1, 1), dtype=np.complex128)
-    else:
-        anti = _sector_kets(M - 1, M, anticlone(q))
-    return weights, clone, anti
+    weights, clone, anti = _sector_maps(M, [q])
+    return weights, _dicke_kets(clone[0]), _dicke_kets(anti[0])
 
 
 def gm_from_factors(weights, clone, anti) -> StateVector:
@@ -255,7 +233,7 @@ def build_gm_basis(M: int, bit: int) -> StateVector:
 def expand_gm_decomposed(M: int, input: Qubit) -> StateVector:
     """Independent oracle: explicit insertion of the input amplitudes.
 
-    Expands each symmetrized sector ket as the equal-weight sum over
+    Expands each symmetric sector ket as the equal-weight sum over
     placements of the orthogonal factors (a fully symmetric product of basis
     kets is already its own symmetrization) and accumulates one kron chain
     per placement pair.  Shares only the gamma weights and the single-qubit
@@ -278,5 +256,5 @@ def expand_gm_decomposed(M: int, input: Qubit) -> StateVector:
                 anti_factors = [
                     anti_v if p in anti_pos else anti_u for p in range(M - 1)
                 ]
-                total += weight * _product_state(clone_factors + anti_factors)
+                total += weight * reduce(np.kron, clone_factors + anti_factors)
     return StateVector(2 * M - 1, total)

@@ -13,10 +13,6 @@ class DomainError(GMCloneError, ValueError):
     """An argument is outside the documented domain of an operation."""
 
 
-class ZeroProjectionError(GMCloneError):
-    """The symmetric component of a state has (numerically) zero norm."""
-
-
 class DegenerateStateError(GMCloneError):
     """Every singular value at some cut was truncated away."""
 

@@ -16,6 +16,7 @@ left boundary . A_1 ... A_n . right boundary in ascending site order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,42 +215,74 @@ def save_mps(path, mps: MatrixProductState, spectrum: BondSpectrum | None = None
     Path(path).write_text(dumps_17g(export_document(mps, spectrum)), encoding="ascii")
 
 
-def _to_complex_array(rows, shape, path) -> np.ndarray:
-    try:
-        values = np.array([complex(re, im) for re, im in rows], dtype=np.complex128)
-        return values.reshape(shape)
-    except (TypeError, ValueError):
-        raise StageParseError(path, 0, "malformed complex entries") from None
+def _number(value) -> float:
+    """A finite JSON number as a float; bools, strings and nulls are refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
+
+
+def _count(value, low: int, high: int) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"expected an integer in {low}..{high}, got {value!r}")
+    return value
+
+
+def _complex_array(rows) -> np.ndarray:
+    return np.array(
+        [complex(_number(re), _number(im)) for re, im in rows], dtype=np.complex128
+    )
+
+
+def _site(site) -> np.ndarray:
+    entries = _complex_array(site["entries"])
+    shape = tuple(_count(d, 1, entries.size) for d in site["shape"])
+    if math.prod(shape) != entries.size:
+        raise ValueError(f"{entries.size} entries do not fill shape {list(shape)}")
+    return entries.reshape(shape)
+
+
+def _spectrum(spec) -> BondSpectrum:
+    tolerance = _number(spec["tolerance"])
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance {tolerance!r} outside [0, 1)")
+    cuts = []
+    for cut in spec["cuts"]:
+        values = np.array([_number(v) for v in cut["singular_values"]], dtype=np.float64)
+        if np.any(values < 0.0):
+            raise ValueError("negative singular value")
+        cuts.append(BondCut(values, _count(cut["retained"], 0, values.size)))
+    return BondSpectrum(cuts=cuts, tolerance=tolerance)
 
 
 def load_mps(path):
-    """Inverse of :func:`save_mps`; returns (mps, spectrum-or-None)."""
+    """Inverse of :func:`save_mps`; returns (mps, spectrum-or-None).
+
+    Raises :class:`StageParseError` for a document :func:`save_mps` cannot
+    write: invalid JSON, a missing or mistyped field, a non-finite number,
+    a site shape that is not positive integers filled by its entries, a
+    negative singular value, a tolerance outside [0, 1) or a retained count
+    that is not an integer in 0..len(singular_values).  Sites whose bonds
+    do not chain raise :class:`MalformedMPSError`.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="ascii"))
+        doc = json.loads(path.read_bytes().decode("ascii"))
+    except UnicodeDecodeError:
+        raise StageParseError(path, 0, "non-ASCII byte") from None
     except json.JSONDecodeError as exc:
         raise StageParseError(path, exc.lineno, exc.msg) from None
     try:
-        sites = [
-            _to_complex_array(site["entries"], tuple(site["shape"]), path)
-            for site in doc["sites"]
-        ]
-        left = _to_complex_array(doc["left_boundary"], (-1,), path)
-        right = _to_complex_array(doc["right_boundary"], (-1,), path)
-    except (KeyError, TypeError):
-        raise StageParseError(path, 0, "missing or malformed MPS fields") from None
+        sites = [_site(site) for site in doc["sites"]]
+        left = _complex_array(doc["left_boundary"])
+        right = _complex_array(doc["right_boundary"])
+        spectrum = _spectrum(doc["spectrum"]) if "spectrum" in doc else None
+    except KeyError as exc:
+        raise StageParseError(path, 0, f"missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StageParseError(path, 0, f"malformed MPS document: {exc}") from None
     mps = MatrixProductState(sites=sites, left_boundary=left, right_boundary=right)
-    spectrum = None
-    if "spectrum" in doc:
-        spec = doc["spectrum"]
-        spectrum = BondSpectrum(
-            cuts=[
-                BondCut(
-                    np.array(cut["singular_values"], dtype=np.float64),
-                    int(cut["retained"]),
-                )
-                for cut in spec["cuts"]
-            ],
-            tolerance=float(spec["tolerance"]),
-        )
     return mps, spectrum

@@ -35,14 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .builder import FULL_ENUMERATION_LIMIT, StateVector, gm_factors
+from .builder import StateVector, check_register, gamma
 from .errors import (
     DomainError,
     InternalConsistencyError,
-    ResourceLimitError,
     StageParseError,
 )
-from .qubit import Qubit
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
@@ -100,16 +98,6 @@ class PipelineArtifacts:
     matrix_path: Path
 
 
-def _register_width(M: int) -> int:
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    if M > FULL_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"full enumeration guarded at M <= {FULL_ENUMERATION_LIMIT}"
-        )
-    return 2 * M - 1
-
-
 def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     """ASCII bitstrings of ``indices``: a (rows, width+1) uint8 matrix, LF last."""
     rows = np.empty((indices.size, width + 1), dtype=np.uint8)
@@ -131,7 +119,8 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
     anticlone sector for some j, and conversely any split of M-1 ones is
     realized.
     """
-    n = _register_width(M)
+    check_register(M)
+    n = 2 * M - 1
     counts = kernels.popcounts(np.arange(2**n, dtype=np.int64))
     support = np.flatnonzero((counts == M - 1) | (counts == M))
     one = counts[support] == M
@@ -147,7 +136,8 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def gen_full_bitstrings(M: int) -> list[str]:
     """All 2^(2M-1) bitstrings of register length 2M-1, lexicographic."""
-    n = _register_width(M)
+    check_register(M)
+    n = 2 * M - 1
     return _strings(np.arange(2**n, dtype=np.int64), n)
 
 
@@ -182,21 +172,21 @@ def assign_coefficients(M: int) -> GMMatrix:
     Each support ket x|y (clone half x, anticlone half y) lies in exactly
     one sector j of its class's cloner output, so its amplitude is the one
     term ``gamma_j * (clone_j[x] * anti_j[y])`` of :func:`gm_factors`, with
-    no dense state built.  For the clone of |0> the clone sector's perp
-    factors are the ones, so j = popcount(x); for the clone of |1> they
-    are the zeros, so j = M - popcount(x).
+    no ket and no dense state built.  For the clone of |0> the clone
+    sector's perp factors are the ones, so j = popcount(x); for the clone
+    of |1> they are the zeros, so j = M - popcount(x).  Either way the
+    sector kets of a basis input are equal-weight sums over placements,
+    with the sign (-1)^j of perp(|0>) = -|1> on one side: the term is
+    ``gamma_j * ((-1)^j / sqrt(C(M, j)) * (1 / sqrt(C(M-1, j))))``.
     """
     n, support, one = _support(M)
-    half = M - 1
-    x, y = support >> half, support & ((1 << half) - 1)
-    ones = kernels.popcounts(x)
+    ones = kernels.popcounts(support >> (M - 1))
     j = np.where(one, M - ones, ones)
-    weights, clone0, anti0 = gm_factors(M, Qubit(1.0 + 0j, 0j))
-    _, clone1, anti1 = gm_factors(M, Qubit(0j, 1.0 + 0j))
-    cls = one.astype(np.intp)
-    clone = np.stack([clone0, clone1])[cls, j, x]
-    anti = np.stack([anti0, anti1])[cls, j, y]
-    coefficients = weights[j] * (clone * anti)
+    sectors = range(M)
+    weights = np.array([gamma(M, k) for k in sectors])
+    clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
+    anti = np.array([1.0 / math.sqrt(math.comb(M - 1, k)) for k in sectors])
+    coefficients = (weights * (clone * anti))[j].astype(np.complex128)
     return GMMatrix(n, support, coefficients, one)
 
 

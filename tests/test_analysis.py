@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gmclone import builder, kernels
+from gmclone import builder
 from gmclone.analysis import (
     SCALING_CSV_HEADER,
     _analyze,
-    _dicke_maps,
     _dicke_outputs,
     analyze_cloner,
     anticlone_fidelity,
@@ -23,12 +22,14 @@ from gmclone.analysis import (
 from gmclone.builder import (
     GMParameters,
     StateVector,
+    _dicke_maps,
     build_gm,
     build_gm_basis,
-    symmetric_ket,
 )
 from gmclone.errors import DomainError, ResourceLimitError
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
+
+from test_builder import frozen_kets
 
 # phase-minimized distance between cloning the equal superposition and
 # superposing the two basis outputs at M=2; frozen from the dense oracle
@@ -231,8 +232,9 @@ class TestDickeAnalysis:
                 if m == 0:
                     assert rows.tolist() == [[1.0]]
                     continue
-                kets = np.stack([symmetric_ket(m, j, q).amplitudes for j in range(m + 1)])
-                np.testing.assert_allclose(rows, dicke_projection(kets), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(
+                    rows, dicke_projection(frozen_kets(m, q)), rtol=0, atol=1e-14
+                )
                 np.testing.assert_allclose(rows @ rows.conj().T, np.eye(m + 1), atol=1e-14)
 
     def test_builds_no_sector_ket_and_no_register(self, monkeypatch):
@@ -244,7 +246,6 @@ class TestDickeAnalysis:
             (builder, "build_gm"),
             (builder, "gm_from_factors"),
             (builder, "symmetric_ket"),
-            (kernels, "permutation_average"),
         ):
             monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr("gmclone.analysis.build_gm", refuse)

@@ -7,7 +7,9 @@ perp(|0>) = -|1>, so magnitudes follow the equal-weight expansion while the
 signs alternate per sector.
 """
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,22 +18,17 @@ from gmclone.builder import (
     FULL_ENUMERATION_LIMIT,
     GMParameters,
     StateVector,
-    _sector_kets,
-    _symmetric_ket_binomial,
-    _symmetric_ket_permutation,
     build_gm,
     build_gm_basis,
     expand_gm_decomposed,
     gamma,
     gm_factors,
     symmetric_ket,
-    symmetrize,
 )
-from gmclone.errors import DomainError, ResourceLimitError, ZeroProjectionError
+from gmclone.errors import DomainError, ResourceLimitError
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 INV_SQRT2 = 1 / math.sqrt(2)
-INV_SQRT3 = 1 / math.sqrt(3)
 INV_SQRT6 = 1 / math.sqrt(6)
 
 
@@ -46,6 +43,48 @@ def random_qubit(rng):
     return make_qubit(
         complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     )
+
+
+ORACLE_INPUTS = [
+    Qubit(1.0 + 0j, 0j),
+    Qubit(0j, 1.0 + 0j),
+    equatorial_qubit(2.1),
+    make_qubit(0.3 - 0.2j, 0.5 + 0.4j),
+]
+
+
+# Frozen copies of the two routes that built the sector kets before they
+# all came from the Dicke maps, kept as a value oracle: for n <= 6 the
+# product state averaged over all n! qubit permutations (one transpose per
+# permutation) and renormalized, for larger n the equal-weight kron
+# recursion over the placements of the perp factors.
+
+def _permutation_ket(n, j, u, v):
+    tensor = reduce(np.kron, [u] * (n - j) + [v] * j).reshape((2,) * n)
+    acc = np.zeros_like(tensor)
+    for p in itertools.permutations(range(n)):
+        acc += tensor.transpose(p)
+    acc = acc.reshape(-1) / math.factorial(n)
+    return acc / np.linalg.norm(acc)
+
+
+def _binomial_kets(n, u, v):
+    kets = [np.ones(1, dtype=np.complex128)]  # kets[j]: j perp factors
+    for _ in range(n):
+        kets = (
+            [np.kron(kets[0], u)]
+            + [np.kron(a, u) + np.kron(b, v) for a, b in zip(kets[1:], kets)]
+            + [np.kron(kets[-1], v)]
+        )
+    return [ket / math.sqrt(math.comb(n, j)) for j, ket in enumerate(kets)]
+
+
+def frozen_kets(n, q):
+    """Rows j = 0..n: ``symmetric_ket(n, j, q)`` as the retired routes built it."""
+    u, v = q.components(), perp(q).components()
+    if n <= 6:
+        return np.stack([_permutation_ket(n, j, u, v) for j in range(n + 1)])
+    return np.stack(_binomial_kets(n, u, v))
 
 
 class TestGamma:
@@ -75,40 +114,6 @@ class TestGamma:
             assert all(a > b for a, b in zip(values, values[1:]))
 
 
-class TestSymmetrize:
-    def test_two_qubit_example(self):
-        out = symmetrize(_state(2, {"01": 1.0}))
-        expected = _state(2, {"01": INV_SQRT2, "10": INV_SQRT2})
-        np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-14)
-
-    def test_already_symmetric_invariant(self):
-        out = symmetrize(_state(3, {"000": 1.0}))
-        np.testing.assert_allclose(
-            out.amplitudes, _state(3, {"000": 1.0}).amplitudes, atol=1e-14
-        )
-
-    def test_three_qubit_average(self):
-        out = symmetrize(_state(3, {"001": 1.0}))
-        expected = _state(3, {"001": INV_SQRT3, "010": INV_SQRT3, "100": INV_SQRT3})
-        np.testing.assert_allclose(out.amplitudes, expected.amplitudes, atol=1e-14)
-
-    def test_antisymmetric_rejected(self):
-        singlet = _state(2, {"01": INV_SQRT2, "10": -INV_SQRT2})
-        with pytest.raises(ZeroProjectionError):
-            symmetrize(singlet)
-
-    def test_factorial_guard(self):
-        with pytest.raises(ResourceLimitError):
-            symmetrize(StateVector(10, np.ones(2**10, dtype=np.complex128) / 32))
-
-    def test_output_is_permutation_invariant(self, rng):
-        n = 4
-        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        out = symmetrize(StateVector(n, amps)).amplitudes.reshape((2,) * n)
-        swapped = out.transpose(1, 0, 2, 3)
-        np.testing.assert_allclose(out, swapped, atol=1e-12)
-
-
 class TestSymmetricKet:
     def test_one_perp_factor_carries_sign(self):
         out = symmetric_ket(2, 1, Qubit(1, 0))
@@ -135,16 +140,19 @@ class TestSymmetricKet:
             np.abs(out.amplitudes[support]), 1 / math.sqrt(6), atol=1e-14
         )
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_construction_paths_agree(self, n, rng):
-        # permutation averaging vs the binomial construction, exact match
-        js = range(n + 1) if n <= 6 else (0, 1, n // 2, n)
-        for j in js:
-            q = random_qubit(rng)
-            u, v = q.components(), perp(q).components()
-            a = _symmetric_ket_permutation(n, j, u, v)
-            b = _symmetric_ket_binomial(n, j, u, v)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_construction_paths_agree(self, n):
+        # symmetric_ket and the gm_factors rows against the frozen routes
+        for q in ORACLE_INPUTS:
+            _, clone, anti = gm_factors(n, q)
+            for phi in (q, anticlone(q)):
+                kets = np.stack([symmetric_ket(n, j, phi).amplitudes for j in range(n + 1)])
+                np.testing.assert_allclose(kets, frozen_kets(n, phi), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(clone, frozen_kets(n, q)[:n], rtol=0, atol=1e-14)
+            if n > 1:
+                np.testing.assert_allclose(
+                    anti, frozen_kets(n - 1, anticlone(q)), rtol=0, atol=1e-14
+                )
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -233,9 +241,12 @@ class TestFactoredBuild:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sector_kets_equal_symmetric_ket_bitwise(self, n, rng):
         q = random_qubit(rng)
-        rows = _sector_kets(n, n + 1, q)
-        for j in range(n + 1):
-            assert np.array_equal(rows[j], symmetric_ket(n, j, q).amplitudes)
+        _, clone, anti = gm_factors(n, q)
+        for j in range(n):
+            assert np.array_equal(clone[j], symmetric_ket(n, j, q).amplitudes)
+            if n > 1:
+                expected = symmetric_ket(n - 1, j, anticlone(q)).amplitudes
+                assert np.array_equal(anti[j], expected)
 
     def test_factor_shapes(self):
         weights, clone, anti = gm_factors(4, equatorial_qubit(0.3))
@@ -317,10 +328,15 @@ class TestExpandOracle:
         b = expand_gm_decomposed(2, q)
         assert abs(abs(a.overlap(b)) - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("M", range(1, 6))
+    @pytest.mark.parametrize("M", range(1, 8))
     def test_route_equivalence_random_equatorial(self, M, rng):
-        for _ in range(10):
-            q = equatorial_qubit(rng.uniform(0, 2 * np.pi))
-            a = build_gm(GMParameters(M, q))
-            b = expand_gm_decomposed(M, q)
-            assert abs(abs(a.overlap(b)) - 1.0) < 1e-10
+        # the oracle costs 0.7 s per input at M = 7
+        phases = rng.uniform(0, 2 * np.pi, size=10 if M <= 5 else 1)
+        inputs = ORACLE_INPUTS + [equatorial_qubit(phase) for phase in phases]
+        for q in inputs:
+            np.testing.assert_allclose(
+                build_gm(GMParameters(M, q)).amplitudes,
+                expand_gm_decomposed(M, q).amplitudes,
+                rtol=0,
+                atol=1e-13,
+            )

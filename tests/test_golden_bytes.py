@@ -8,9 +8,18 @@ per-line implementation it replaced, by running in one fresh directory per M:
 
 so both compiles take the `gm_matrix` source.  For M = 8 and 9 only the
 `prepare` stages are pinned (computed before the GMMatrix coefficients were
-evaluated on the support alone); at these sizes both sector kets take the
-binomial construction.  `prepare` digests are pure text and must hold on
-any platform.  `mps.json` and `compile_report.json`
+evaluated on the support alone).
+
+When every sector ket moved onto the Dicke construction, the GMMatrix
+coefficients became the closed form gamma_j (-1)^j / sqrt(C(M,j) C(M-1,j)).
+For M = 3..7 the sector kets had come from averaging over qubit
+permutations, which rounds some coefficients one ulp away (at most 5.6e-17)
+from the closed form.  So the `GMMatrix` and `basis:{0,1}` compile digests of
+M = 3..7 were re-pinned by running the commands above once on the new code;
+the recompiled states agree with the old ones to 6.3e-15 and the singular
+values to 4.0e-15, with equal bond dimensions and ranks.  Every other digest
+here is older than that change and unchanged by it.  `prepare` digests are
+pure text and must hold on any platform.  `mps.json` and `compile_report.json`
 carry SVD output; they were produced with numpy 2.4.6 (OpenBLAS) on x86-64
 Linux, and another LAPACK build may round the last digit differently.
 """
@@ -60,15 +69,15 @@ GOLDEN = {
         "GMBitString":
             "98d44952c958011ebd753ae90e18735cf193936d07030d6ca590189803ce4ea5",
         "GMMatrix":
-            "875cc0fee6b55e1e4b8b80c5e496f91baa6c58cf6464bf0cbdab80b6a19bb0f8",
+            "9564e49c4d2bd2b120da6541904cfdb23706b495d5a8c9c88aa30fbe396bb3dd",
         "basis:0 mps.json":
-            "b444c26d7ec55ec0bdb729d322da9326a18a8bc5379d8d6b60812f0901163a2c",
+            "78a4cdc7e1982878f93e2ca5693d946f8d849cae307ab123ae36d9f684e10f81",
         "basis:0 compile_report.json":
-            "5518de41dcafe91b44b22ec054083fddadca3f47dab2c1db9a32bd551d37c2ec",
+            "418c01a04a454655aa72a98e1d088c5d8e2253f6b0d89e0a13d857de28930c29",
         "basis:1 mps.json":
-            "db53a8a9b3831211fb7bcf4ba48bac4adde1c3a8c0d67ed202433133b70b93b1",
+            "021cf61a910ac90cf049bfe7e7e05511bb2600ba7b5d9bbc122cee8f06997651",
         "basis:1 compile_report.json":
-            "1fbbead67509e529772a0b734cca210e1708f31a0f8e2e51aaf3fee2f120cb33",
+            "f2609f05ed447cadb8b9ed24a1c97fd06d2ce36602055509d3f39ba508a2d508",
     },
     4: {
         "FullBitString":
@@ -76,15 +85,15 @@ GOLDEN = {
         "GMBitString":
             "e8156d158f24da9af45b3659c44f59af9c8bb8383a4968d581bd7649f0366e21",
         "GMMatrix":
-            "c724bdee5735d6359dd3a60425a1f8fd64ad6fc675e5a39f00dab99226c2e8d1",
+            "b7996712e3f26a520cfdc873e83ed130b880adf301a23458dd0c184811605858",
         "basis:0 mps.json":
-            "dda5a8d8ed8a7d6b80e2452ad83ee521b80d054b5eddd6e0ca0d3c997bc50ed6",
+            "8253f27b1b32947e8e8d5422b5e285d9225e41d61ebbf007231d345ef5740840",
         "basis:0 compile_report.json":
-            "199f700de843a234d493dec20a70aa92bc49b560790bf6cea41a7cf8193d1e53",
+            "2f40b89951ca3e8648eeeb34bc12aed274223c6b5dc0072c72e70ef26807ddb4",
         "basis:1 mps.json":
-            "dfc081b55a59076089eba9c7a81dcf61c683666e270a5a6b64dc4db50cd7e30e",
+            "ac9c2561a48c6c270bc71997bc60417eb7a71caaf2860d0690854e12da8cfc4e",
         "basis:1 compile_report.json":
-            "5bc2ec196d377ceda3e190684d3566abceef78bf9f3538adae96da5cbde8cb2d",
+            "acffef33dd90c8e2da82e388eaa6bb9ca663e5797656e6c29483ff5c7daa7d94",
     },
     5: {
         "FullBitString":
@@ -92,15 +101,15 @@ GOLDEN = {
         "GMBitString":
             "ce0ca21a2bab9b596d037a7fcde3466c4a07176b5ec6689a65cebb0974e90eb9",
         "GMMatrix":
-            "d992869741d51aee6be41263ec8d6b0247feaa436a1379882e9bbd36ea41426f",
+            "1bc4431a631ac4fb68a099ae97bf148a8e23f91803b1b6b1b26a516ff8ed7f6e",
         "basis:0 mps.json":
-            "ae6566765b839924d69328599116e34b11949faa047950a8c2df1b92ddf166e6",
+            "598117acd6bcd7d6dac27261af5181e11d62db1b3e4a33abe04b26810083bcb4",
         "basis:0 compile_report.json":
-            "a33517ec485ce6c8a719c27757e02bb5fb937544b0c79a8bdfc60b848ec318eb",
+            "070db4c1d1e4c5d3dfcd4b7a5c9d3f781854464e0df930352bf07c8019f4aa1e",
         "basis:1 mps.json":
-            "d11e9e2c41b69f7f4bb29851fea14437c4b27f2318749a38ec43f6189e7d8217",
+            "9e4254041b959ce2fc7d94262f8979c7a903cf6e96c2448f1fc2c3de98a04aa3",
         "basis:1 compile_report.json":
-            "c2084bf5a08fca4dd12f7538d693e12ee1d2c97978eca020d1c6545340c74d09",
+            "acd9b216691eb495ac4dbbe6411d12138696a852bf746f1d49b0dca71a9440d1",
     },
     6: {
         "FullBitString":
@@ -108,15 +117,15 @@ GOLDEN = {
         "GMBitString":
             "e31575f8ae2241387b2d16c90ddf4a418a2ef1a034296787b3d6e88ff4357138",
         "GMMatrix":
-            "81fa7b9b6d5547d18e1f2813b13ac020f43914568288cbed0adc97bf0c7c75e5",
+            "035b0d9a8a52134ca2ce17a00ba34b61a36dcda303a1cf6a31b599260679068d",
         "basis:0 mps.json":
-            "77c27f43aec0c9d501a5b70298487f1a25f404eba233416c903d6f392ad7950a",
+            "5f2c01f5f2f933c59f81b0f255087d6e2a8a75eec8ca7eaf8af9e269eb31a5a3",
         "basis:0 compile_report.json":
-            "c6b8a49e55b47d17a0aae56787f970f9ef08bee6a49004ea78c7ea90919ffd1a",
+            "1c3249a5a29a7a01312c9424e1eef240238bad52001bbc76bb0227ce0940743e",
         "basis:1 mps.json":
-            "16b9853415f2375b5e2fa1ceeeaf10a61f167f38883607659c920564babd7ce5",
+            "0e15752ee84668bff2675228ed8f28e1ac4d254f11b823feafbdb5f107856d3c",
         "basis:1 compile_report.json":
-            "a46ade9f5a3cefbb4692958b98aed9979974869f7e7b38d89e15399cf29b03cf",
+            "a91dbc1583a4595f9a9c1f0582f821ae1fdeaa8a94d3b11f10a491748ab24ac9",
     },
     7: {
         "FullBitString":
@@ -124,15 +133,15 @@ GOLDEN = {
         "GMBitString":
             "cbec3b2057aef250bd3f5d10d456c8a9d79afd6babe9a4dc0fd7d6d515aaf4f3",
         "GMMatrix":
-            "48303dee7dd76f5db45d37eedf2ccd9d61fc4d76e8f35b8137ff7d1743c74fb3",
+            "6eb5d391b6cc99c8c836cf790e91e941128ba0c9677cbdfd412728352c8d9ce2",
         "basis:0 mps.json":
-            "b2fbc6cef398040c49e3f5bd3c9e0ab18050c369b9c9df1834664bd80360a20c",
+            "8f34490cc2bf210f497600958f2c33b7b86565e0f7813a105c25d1e45a12124f",
         "basis:0 compile_report.json":
-            "25ff6dabce41ab6aa7a6681089202f0d6d8cb6ca18a93c6682e6721de53586fd",
+            "4af2afe3999306a8c35af54324441a31a68f2e31d67a956af6e83b737de42fac",
         "basis:1 mps.json":
-            "637acbf5dde108c90d114686e3f4514db08d0db8ca79f830c50293fe94daca4f",
+            "2d6066232fe59bc281ba5b72a1b88cdda31cd58a66e5f35c79ec360a7eb860ac",
         "basis:1 compile_report.json":
-            "b14a9a5df80b366856b5a9e57dadde2ee6ad1c02443caed068be1d951ce2fa77",
+            "d1b76c3cce9f9b77f73917bde703ff583984714956b95a54774463a2016c54a7",
     },
 }
 
@@ -155,34 +164,36 @@ GOLDEN_STAGES = {
     },
 }
 
-# `compile` from the builder (no GMMatrix in --out), computed before the
-# builder's state stopped being held through the SVD sweep and rebuilt for
-# the roundtrip error.  At M = 5 the sector kets come from the permutation
-# symmetrizer, at M = 8 from the binomial construction.
+# `compile` from the builder (no GMMatrix in --out).  Re-pinned with
+# `gmclone compile --clones M --input SPEC --out DIR` once the sector kets
+# came from the Dicke maps by one gather; before, they came from averaging
+# over qubit permutations (M = 5) and from a kron recursion (M = 8).  Old and
+# new compiles agree to 4.0e-15 in the contracted state (`mps_to_state`) and
+# to 6.8e-15 in the singular values, with equal bond dimensions and ranks.
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
-            "a0e1b6ce82407a30505345d2195fa72bc952595de791325ce9218cfb03b1e47c",
+            "c97796ac51fd7bce01b9f60c4816708fe9c0055f259c0668292a68b9a8ea40f4",
         "compile_report.json":
-            "3877a8e0a01edd1e091ea726843698f484eac1fb1cd592f6a1a03b5aab593da2",
+            "7f85ee3872934b13cfc5fc00c6b180187dd176c67247859865041d58fd1e673b",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "c8fae363bc58c3176c31b71fc5b34e82f7655a169e8924e7c07cf616c54839e6",
+            "8b1584ee933f034528ffc67a85e245cb8846f42346980688027bb62ba8044882",
         "compile_report.json":
-            "803778faacbe21b3a4e728584523375a3e541059120f9adf02ed70ccd924fd85",
+            "98251a735456bb0b65da89a411f1178ae8306ed86c0ef38ea1a5e5c4b6d79938",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
-            "b525f25ffc77bcb3f5f94b4bd67fe5095257110badc9fae7519097dc6b25b7e1",
+            "315e189ee68c1031074c48d337766fa37e2df838288849e33fe5b66428a664e4",
         "compile_report.json":
-            "7d70b02e228a16252e59e35d238adc740077d0a4f96e31cf4b37686d61de8a13",
+            "cb6542dc04b4686002b2659d597cd94061633cbbb1e22e0fa190909b27dce1f1",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "fe8c274a370d863adbff774ff85a89def0036f656e43dc8a8b7c374cba3c871f",
+            "316262879ea8f971f0245b520bfa6e5a28f03f8f905c852abe4900349abad14b",
         "compile_report.json":
-            "c337becd061a019171e97e9e32c7c883da562594591cbd9bbc1df46759f50c8f",
+            "1d259c0ed90064b54892b36c1a2d7636781b931d5b4303d524c2f4b0a01b71c7",
     },
 }
 

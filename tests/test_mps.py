@@ -1,18 +1,29 @@
 """Tests for the successive-SVD MPS compiler."""
 
+import copy
+import json
 import math
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gmclone.builder import GMParameters, StateVector, build_gm, build_gm_basis
-from gmclone.errors import DegenerateStateError, DomainError, MalformedMPSError
+from gmclone.errors import (
+    DegenerateStateError,
+    DomainError,
+    MalformedMPSError,
+    StageParseError,
+)
+from gmclone._format import dumps_17g
 from gmclone.mps import (
     MatrixProductState,
     bond_dimension,
     combine_basis_mps,
+    export_document,
     load_mps,
     mps_from_state,
     mps_to_state,
@@ -287,3 +298,154 @@ class TestExportImport:
         loaded, loaded_spectrum = load_mps(first)
         save_mps(second, loaded, loaded_spectrum)
         assert first.read_bytes() == second.read_bytes()
+
+
+def _valid_document():
+    mps, spectrum = mps_from_state(build_gm(GMParameters(2, equatorial_qubit(0.4))), 1e-12)
+    return export_document(mps, spectrum)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+VALID_DOCUMENT = _valid_document()
+DOCUMENT_PATHS = list(_paths(VALID_DOCUMENT))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _assert_loaded_document_is_valid(mps, spectrum):
+    for A in mps.sites:
+        assert A.shape[0] == 2 and min(A.shape) >= 1
+        assert np.isfinite(A).all()
+    assert np.isfinite(mps.left_boundary).all()
+    assert np.isfinite(mps.right_boundary).all()
+    if spectrum is not None:
+        assert 0.0 <= spectrum.tolerance < 1.0
+        for cut in spectrum.cuts:
+            assert np.isfinite(cut.singular_values).all()
+            assert (cut.singular_values >= 0).all()
+            assert type(cut.retained) is int
+            assert 0 <= cut.retained <= cut.singular_values.size
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("sites", 0, "entries", 0, 0), math.nan),
+            (("sites", 1, "entries", 3, 1), math.inf),
+            (("left_boundary", 0, 1), -math.inf),
+            (("right_boundary", 0, 0), math.nan),
+            (("spectrum", "cuts", 0, "singular_values", 1), math.nan),
+            (("spectrum", "cuts", 0, "singular_values", 1), -0.5),
+            (("spectrum", "cuts", 0, "retained"), 1.7),
+            (("spectrum", "cuts", 0, "retained"), -3),
+            (("spectrum", "cuts", 0, "retained"), 3),
+            (("spectrum", "cuts", 0, "retained"), "x"),
+            (("spectrum", "cuts", 0, "retained"), None),
+            (("spectrum", "cuts", 0, "retained"), True),
+            (("spectrum", "tolerance"), "abc"),
+            (("spectrum", "tolerance"), None),
+            (("spectrum", "tolerance"), 1.5),
+            (("sites", 2, "shape"), [2, 1, -1]),
+            (("sites", 2, "shape"), [2, 2, 2]),
+            (("sites", 0, "entries", 0), ["1", 0]),
+            (("sites", 0, "entries", 0), [10**400, 0]),
+        ],
+    )
+    def test_rejects_bad_value(self, tmp_path, path, value):
+        doc = copy.deepcopy(VALID_DOCUMENT)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path / "mps.json"
+        target.write_text(json.dumps(doc))
+        with pytest.raises(StageParseError):
+            load_mps(target)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("spectrum", "cuts"), ("spectrum", "tolerance"), ("sites",), ("left_boundary",)],
+    )
+    def test_rejects_missing_field(self, tmp_path, path):
+        doc = copy.deepcopy(VALID_DOCUMENT)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        target = tmp_path / "mps.json"
+        target.write_text(json.dumps(doc))
+        with pytest.raises(StageParseError, match="missing field"):
+            load_mps(target)
+
+    def test_rejects_non_ascii(self, tmp_path):
+        target = tmp_path / "mps.json"
+        target.write_bytes(json.dumps(VALID_DOCUMENT).encode() + b" \xff")
+        with pytest.raises(StageParseError):
+            load_mps(target)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        path=st.sampled_from(DOCUMENT_PATHS),
+        value=JSON_VALUES,
+        delete=st.booleans(),
+    )
+    def test_replaced_values_load_valid_or_fail_as_documented(
+        self, tmp_path, path, value, delete
+    ):
+        """A document with any one value replaced or removed either loads
+        into a valid MPS and spectrum or fails with a documented error."""
+        doc = copy.deepcopy(VALID_DOCUMENT)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if delete:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        target = tmp_path / "mps.json"
+        target.write_text(json.dumps(doc))
+        try:
+            mps, spectrum = load_mps(target)
+        except (StageParseError, MalformedMPSError):
+            return
+        _assert_loaded_document_is_valid(mps, spectrum)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 2000), st.sampled_from(list(b"0159.-e,[]{}\": tnNI\xff"))),
+            max_size=3,
+        ),
+        cut=st.tuples(st.integers(0, 2000), st.integers(0, 3)),
+    )
+    def test_corrupted_bytes_load_valid_or_fail_as_documented(self, tmp_path, edits, cut):
+        """Byte edits of a saved document either load into a valid MPS and
+        spectrum or fail with a documented error, never a raw exception."""
+        data = bytearray(dumps_17g(VALID_DOCUMENT).encode("ascii"))
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        start = cut[0] % len(data)
+        del data[start : start + cut[1]]
+        target = tmp_path / "mps.json"
+        target.write_bytes(bytes(data))
+        try:
+            mps, spectrum = load_mps(target)
+        except (StageParseError, MalformedMPSError):
+            return
+        _assert_loaded_document_is_valid(mps, spectrum)
