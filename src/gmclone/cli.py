@@ -1,8 +1,8 @@
 """Command-line driver: prepare / compile / analyze / sweep.
 
-Exit codes: 0 success, 2 usage error, 3 resource guard, 4 internal
-consistency failure, 1 anything else.  All outputs are deterministic —
-identical invocations produce byte-identical files.
+Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
+4 internal consistency failure, 1 anything else.  All outputs are
+deterministic — identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -245,6 +245,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -265,8 +265,10 @@ def load_mps(path):
     write: invalid JSON, a missing or mistyped field, a non-finite number,
     a site shape that is not positive integers filled by its entries, a
     negative singular value, a tolerance outside [0, 1) or a retained count
-    that is not an integer in 0..len(singular_values).  Sites whose bonds
-    do not chain raise :class:`MalformedMPSError`.
+    that is not an integer in 0..len(singular_values), or a spectrum whose
+    cuts do not match the inner bonds (one cut per inner bond, retaining its
+    dimension).  Sites whose bonds do not chain raise
+    :class:`MalformedMPSError`.
     """
     path = Path(path)
     try:
@@ -285,4 +287,10 @@ def load_mps(path):
     except (TypeError, ValueError, OverflowError) as exc:
         raise StageParseError(path, 0, f"malformed MPS document: {exc}") from None
     mps = MatrixProductState(sites=sites, left_boundary=left, right_boundary=right)
+    bonds = mps.bond_dims()[1:-1]
+    if spectrum is not None and spectrum.retained_ranks() != bonds:
+        raise StageParseError(
+            path, 0,
+            f"spectrum retains {spectrum.retained_ranks()} at inner bonds {bonds}",
+        )
     return mps, spectrum

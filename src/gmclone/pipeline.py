@@ -317,13 +317,15 @@ def _float_or_nan(text: bytes) -> float:
         return math.nan  # the line grammar words the failure
 
 
-def _floats(texts: list) -> np.ndarray:
+def _floats(texts: list, table: dict) -> np.ndarray:
     """``float()`` of every text; NaN, which no valid line holds, where it fails.
 
-    Each distinct text is parsed once: a stage written from a few distinct
-    doubles repeats the same few texts on every line.
+    Each distinct text is parsed once into ``table``, which callers share
+    across chunks: a stage written from a few distinct doubles repeats the
+    same few texts on every line.
     """
-    table = {text: _float_or_nan(text) for text in set(texts)}
+    for text in set(texts).difference(table):
+        table[text] = _float_or_nan(text)
     return np.fromiter(map(table.__getitem__, texts), np.float64, len(texts))
 
 
@@ -386,8 +388,15 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
         bad = _first(line_bad)
         # These lines hold 3 tabs each, so splitting them at every TAB gives
         # BITS, RE, IM, then CLASS+LF+BITS of the next line, RE, IM, ...
-        pieces = data[: ends[bad - 1]].split(b"\t") if bad else []
-        re, im = _floats(pieces[1::3]), _floats(pieces[2::3])
+        # A fixed number of lines at a time bounds the split's bytes objects.
+        chunk = 1 << 14
+        re, im = np.empty(bad), np.empty(bad)
+        table = {}
+        for lo in range(0, bad, chunk):
+            hi = min(lo + chunk, bad)
+            pieces = data[starts[lo] : ends[hi - 1]].split(b"\t")
+            re[lo:hi] = _floats(pieces[1::3], table)
+            im[lo:hi] = _floats(pieces[2::3], table)
         bad = _first(~(np.isfinite(re) & np.isfinite(im)))
 
     if bad < ends.size:

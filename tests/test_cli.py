@@ -12,13 +12,14 @@ import pytest
 
 from gmclone import cli
 from gmclone.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     main,
     parse_input_spec,
 )
-from gmclone.errors import UsageError
+from gmclone.errors import InternalConsistencyError, UsageError
 
 
 class TestInputSpec:
@@ -241,6 +242,27 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert "bad --input spec" in captured.err
         assert not (tmp_path / "mps.json").exists()
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (MemoryError("Unable to allocate 64.0 GiB for an array"), EXIT_RESOURCE),
+            (MemoryError(), EXIT_RESOURCE),
+            (InternalConsistencyError("rebuilt state disagrees"), EXIT_INTERNAL),
+        ],
+    )
+    def test_one_error_line_and_exit_code(self, error, code, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setitem(cli._HANDLERS, "compile", fail)
+        assert main(["compile", "--clones", "2", "--out", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestUsageErrors:

@@ -18,10 +18,21 @@ from the closed form.  So the `GMMatrix` and `basis:{0,1}` compile digests of
 M = 3..7 were re-pinned by running the commands above once on the new code;
 the recompiled states agree with the old ones to 6.3e-15 and the singular
 values to 4.0e-15, with equal bond dimensions and ranks.  Every other digest
-here is older than that change and unchanged by it.  `prepare` digests are
-pure text and must hold on any platform.  `mps.json` and `compile_report.json`
-carry SVD output; they were produced with numpy 2.4.6 (OpenBLAS) on x86-64
-Linux, and another LAPACK build may round the last digit differently.
+here is older than that change and unchanged by it.
+
+When the roundtrip contraction (`kernels.contract_sweep`) became one matrix
+product per site instead of one `einsum`, its sums ran in another order, so
+the contracted state moved by at most 1.7e-16 and `roundtrip_error` in its
+last digits.  The SVD is untouched, so no `mps.json` or stage digest moved.
+The `compile_report.json` digests that did (`basis:0` of M = 4, both bases of
+M = 5..7 and all four builder compiles) were re-pinned by running the
+commands above once on the new code; each new report equals the old one in
+every field but `roundtrip_error`, which moved by at most 4.5e-17.
+
+`prepare` digests are pure text and must hold on any platform.  `mps.json`
+and `compile_report.json` carry SVD output; they were produced with numpy
+2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
+digit differently.
 """
 
 import hashlib
@@ -89,7 +100,7 @@ GOLDEN = {
         "basis:0 mps.json":
             "8253f27b1b32947e8e8d5422b5e285d9225e41d61ebbf007231d345ef5740840",
         "basis:0 compile_report.json":
-            "2f40b89951ca3e8648eeeb34bc12aed274223c6b5dc0072c72e70ef26807ddb4",
+            "215bc46c5eb9e53ed548d20f9e70362eba33bf58babc3d78ad2a389545a8e9d1",
         "basis:1 mps.json":
             "ac9c2561a48c6c270bc71997bc60417eb7a71caaf2860d0690854e12da8cfc4e",
         "basis:1 compile_report.json":
@@ -105,11 +116,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "598117acd6bcd7d6dac27261af5181e11d62db1b3e4a33abe04b26810083bcb4",
         "basis:0 compile_report.json":
-            "070db4c1d1e4c5d3dfcd4b7a5c9d3f781854464e0df930352bf07c8019f4aa1e",
+            "3f7f20e696bcf6e46a8126e0e6eaf473d467fc0af6c1b1fe268c3eac981a70ff",
         "basis:1 mps.json":
             "9e4254041b959ce2fc7d94262f8979c7a903cf6e96c2448f1fc2c3de98a04aa3",
         "basis:1 compile_report.json":
-            "acd9b216691eb495ac4dbbe6411d12138696a852bf746f1d49b0dca71a9440d1",
+            "6732d5461997ac288f22a1b0396b164816a4460bc005470403a7e743c42bfd2e",
     },
     6: {
         "FullBitString":
@@ -121,11 +132,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "5f2c01f5f2f933c59f81b0f255087d6e2a8a75eec8ca7eaf8af9e269eb31a5a3",
         "basis:0 compile_report.json":
-            "1c3249a5a29a7a01312c9424e1eef240238bad52001bbc76bb0227ce0940743e",
+            "dd9090a328c9ffb7c558fdf05fb367e4e72696d072862eb60b635333f0cf9d33",
         "basis:1 mps.json":
             "0e15752ee84668bff2675228ed8f28e1ac4d254f11b823feafbdb5f107856d3c",
         "basis:1 compile_report.json":
-            "a91dbc1583a4595f9a9c1f0582f821ae1fdeaa8a94d3b11f10a491748ab24ac9",
+            "baf1f0a5ad5eca1d673b4906f9f8dee3c314cc4c8309e9210583098b23d2b214",
     },
     7: {
         "FullBitString":
@@ -137,11 +148,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "8f34490cc2bf210f497600958f2c33b7b86565e0f7813a105c25d1e45a12124f",
         "basis:0 compile_report.json":
-            "4af2afe3999306a8c35af54324441a31a68f2e31d67a956af6e83b737de42fac",
+            "43e165156a0f21abe31d4d9be7b283514ae4e3993c17c7bda21fcc658d4d325f",
         "basis:1 mps.json":
             "2d6066232fe59bc281ba5b72a1b88cdda31cd58a66e5f35c79ec360a7eb860ac",
         "basis:1 compile_report.json":
-            "d1b76c3cce9f9b77f73917bde703ff583984714956b95a54774463a2016c54a7",
+            "67d0135fbda8108029d56f46551e867462eab7473a41f7697c52f401feff5d0f",
     },
 }
 
@@ -170,30 +181,33 @@ GOLDEN_STAGES = {
 # over qubit permutations (M = 5) and from a kron recursion (M = 8).  Old and
 # new compiles agree to 4.0e-15 in the contracted state (`mps_to_state`) and
 # to 6.8e-15 in the singular values, with equal bond dimensions and ranks.
+# The `compile_report.json` digests were re-pinned once more when the
+# roundtrip contraction became one matrix product per site; only their
+# `roundtrip_error` moved (see the header).
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
             "c97796ac51fd7bce01b9f60c4816708fe9c0055f259c0668292a68b9a8ea40f4",
         "compile_report.json":
-            "7f85ee3872934b13cfc5fc00c6b180187dd176c67247859865041d58fd1e673b",
+            "6f1e02fa7908c57ea14e2a2429d1d1e5f9e479094ad9d0afbfae1d368135ce2e",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "8b1584ee933f034528ffc67a85e245cb8846f42346980688027bb62ba8044882",
         "compile_report.json":
-            "98251a735456bb0b65da89a411f1178ae8306ed86c0ef38ea1a5e5c4b6d79938",
+            "08ca33ff91d065f7c68a5472095cd545a3b058579cba8155b3d0732159136c8e",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
             "315e189ee68c1031074c48d337766fa37e2df838288849e33fe5b66428a664e4",
         "compile_report.json":
-            "cb6542dc04b4686002b2659d597cd94061633cbbb1e22e0fa190909b27dce1f1",
+            "629418b276bfc02c9362ba49cb6f16b4d9d7516966ea8d77e08a2a1994e3bfca",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "316262879ea8f971f0245b520bfa6e5a28f03f8f905c852abe4900349abad14b",
         "compile_report.json":
-            "1d259c0ed90064b54892b36c1a2d7636781b931d5b4303d524c2f4b0a01b71c7",
+            "ae627ffd8185ec4686478e380c5ce678d4b26288ab3b074ed1024270986122a1",
     },
 }
 

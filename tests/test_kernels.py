@@ -1,11 +1,42 @@
 """Kernel checks: each numpy kernel against a direct reference."""
 
+import json
+
 import numpy as np
+import pytest
 
 from gmclone import kernels
-from gmclone.builder import GMParameters, build_gm
-from gmclone.mps import mps_from_state
+from gmclone.builder import GMParameters, build_gm, build_gm_basis
+from gmclone.cli import EXIT_OK, main
+from gmclone.mps import MatrixProductState, combine_basis_mps, mps_from_state
 from gmclone.qubit import equatorial_qubit
+
+
+def einsum_sweep(sites, left, right):
+    """Frozen copy of the one-`einsum`-per-site sweep that `contract_sweep`
+    replaced: the reference for the prefix order x -> 2x + i."""
+    T = np.asarray(left, dtype=np.complex128).reshape(1, -1)
+    for A in sites:
+        T = np.einsum("xa,iab->xib", T, A).reshape(-1, A.shape[2])
+    return T @ np.asarray(right, dtype=np.complex128)
+
+
+def random_mps(rng, n):
+    """n sites with ragged bonds of 1..5, boundary vectors included."""
+    dims = rng.integers(1, 6, size=n + 1)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    sites = [cplx(2, dims[k], dims[k + 1]) for k in range(n)]
+    return MatrixProductState(sites, cplx(dims[0]), cplx(dims[n]))
+
+
+def assert_matches_einsum_sweep(mps):
+    expected = einsum_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+    got = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+    assert got.shape == (2**mps.num_sites,)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestPopcounts:
@@ -34,3 +65,36 @@ class TestContractSweep:
                 chain = chain @ mps.sites[k][int(bit)]
             expected = (chain @ mps.right_boundary)[0]
             assert abs(out[idx] - expected) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_ragged_random_mps_against_einsum_sweep(self, n):
+        rng = np.random.default_rng(7000 + n)
+        assert_matches_einsum_sweep(random_mps(rng, n))
+        combined = combine_basis_mps(random_mps(rng, n), random_mps(rng, n), 0.6, 0.8j)
+        assert_matches_einsum_sweep(combined)
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_combined_basis_mps_against_einsum_sweep(self, M):
+        mps0, _ = mps_from_state(build_gm_basis(M, 0), 1e-12)
+        mps1, _ = mps_from_state(build_gm_basis(M, 1), 1e-12)
+        combined = combine_basis_mps(mps0, mps1, 0.6, -0.8j)
+        assert combined.left_boundary.size == 2
+        assert_matches_einsum_sweep(combined)
+
+
+@pytest.mark.parametrize("spec", ["amps:0.3,-0.2,0.5,0.4", "equatorial:0.7"])
+@pytest.mark.parametrize("M", range(1, 11))
+def test_builder_compile_roundtrip_error(M, spec, tmp_path, capsys):
+    """`compile` checks its export by contracting it back.  The error is at
+    most the truncation bound, the root-sum-square of the discarded singular
+    values (up to 3.2e-13 at M = 10: SVD noise the cutoff drops), plus
+    rounding."""
+    argv = ["compile", "--clones", str(M), "--input", spec, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    report = json.loads((tmp_path / "compile_report.json").read_text())
+    assert report["source"] == "builder"
+    discarded = sum(
+        sum(s * s for s in values[kept:])
+        for values, kept in zip(report["singular_values_per_cut"], report["retained_ranks"])
+    )
+    assert report["roundtrip_error"] <= np.sqrt(discarded) + 1e-13

@@ -338,6 +338,7 @@ def _assert_loaded_document_is_valid(mps, spectrum):
             assert (cut.singular_values >= 0).all()
             assert type(cut.retained) is int
             assert 0 <= cut.retained <= cut.singular_values.size
+        assert spectrum.retained_ranks() == mps.bond_dims()[1:-1]
 
 
 class TestLoadValidation:
@@ -390,6 +391,26 @@ class TestLoadValidation:
         target.write_text(json.dumps(doc))
         with pytest.raises(StageParseError, match="missing field"):
             load_mps(target)
+
+    @pytest.mark.parametrize(
+        "extra_cut, first_retained",
+        [(True, 1), (True, 2), (False, 1)],
+    )
+    def test_rejects_spectrum_that_contradicts_the_bonds(
+        self, tmp_path, extra_cut, first_retained
+    ):
+        """A spectrum needs one cut per inner bond, retaining its dimension:
+        the M = 2 document has bonds [1, 2, 2, 1], so cuts retain [2, 2]."""
+        doc = copy.deepcopy(VALID_DOCUMENT)
+        cuts = doc["spectrum"]["cuts"]
+        if extra_cut:
+            cuts.append(copy.deepcopy(cuts[-1]))
+        cuts[0]["retained"] = first_retained
+        target = tmp_path / "mps.json"
+        target.write_text(json.dumps(doc))
+        with pytest.raises(StageParseError, match="inner bonds") as info:
+            load_mps(target)
+        assert info.value.line_number == 0
 
     def test_rejects_non_ascii(self, tmp_path):
         target = tmp_path / "mps.json"

@@ -316,6 +316,33 @@ class TestGMMatrixReaderSemantics:
         path.write_bytes(GOOD_M2.encode() + "100\t0.5\t0\tC1 \n".encode())
         assert "non-ASCII" in _raises_on_line(path, 4)
 
+    @pytest.mark.parametrize(
+        "line_number, field, text, problem",
+        [
+            (None, None, None, None),
+            (16384, 1, b"x1", "unparseable coefficient"),
+            (16385, 2, b"inf", "non-finite coefficient"),
+            (48620, 1, b"nan", "non-finite coefficient"),
+        ],
+    )
+    def test_coefficients_past_one_chunk(self, tmp_path, line_number, field, text, problem):
+        """M = 9 has 48,620 lines, so RE and IM are parsed in several chunks
+        of lines; a bad one is still reported on its own line."""
+        matrix = assign_coefficients(9)
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, matrix)
+        if line_number is None:
+            loaded = read_gm_matrix(path, expected_length=17)
+            np.testing.assert_array_equal(loaded.indices, matrix.indices)
+            np.testing.assert_array_equal(loaded.coefficients, matrix.coefficients)
+            return
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[line_number - 1].split(b"\t")
+        fields[field] = text
+        lines[line_number - 1] = b"\t".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        assert problem in _raises_on_line(path, line_number, expected_length=17)
+
 
 class TestGMMatrixInvariants:
     @pytest.mark.parametrize(
