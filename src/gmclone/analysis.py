@@ -21,7 +21,7 @@ from .builder import (
 )
 from .errors import DomainError, ResourceLimitError
 from .mps import bond_dimension, mps_from_state
-from .qubit import Qubit, anticlone, equatorial_qubit, make_qubit
+from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
 from ._format import float17
 
 SWEEP_LIMIT = 8  # 2M-1 <= 15 qubits
@@ -147,9 +147,6 @@ def _gap(cloned, zero, one, q: Qubit) -> float:
     return float(np.linalg.norm(cloned - phase * superposed))
 
 
-_BASIS = (Qubit(1.0 + 0j, 0j), Qubit(0j, 1.0 + 0j))
-
-
 def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     """Distance between cloning the superposition and superposing the clones.
 
@@ -162,7 +159,7 @@ def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     """
     check_register(M)
     q = make_qubit(alpha, beta)
-    return _gap(*_dicke_outputs(M, (q, *_BASIS)), q)
+    return _gap(*_dicke_outputs(M, (q, *BASIS)), q)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ class ClonerAnalysis:
 
 
 def _analyze(M: int, input: Qubit) -> ClonerAnalysis:
-    cloned, zero, one = _dicke_outputs(M, (input, *_BASIS))
+    cloned, zero, one = _dicke_outputs(M, (input, *BASIS))
     return ClonerAnalysis(
         clone_fidelities=_split_fidelity(cloned, input, M),
         anticlone_fidelities=_split_fidelity(cloned.T, anticlone(input), M - 1),

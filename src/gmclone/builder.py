@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .qubit import Qubit, anticlone, perp
+from .qubit import BASIS, Qubit, anticlone, perp
 
 # Largest M with a dense register: 2^(2M-1) amplitudes, 128 MiB at M = 12.
 # The parity pipeline enumerates every basis index under the same guard.
@@ -71,10 +71,6 @@ class GMParameters:
     def __post_init__(self):
         if self.clones < 1:
             raise DomainError("clones must be >= 1")
-
-
-def qubit_state(q: Qubit) -> StateVector:
-    return StateVector(1, q.components())
 
 
 def gamma(M: int, j: int) -> float:
@@ -226,8 +222,7 @@ def build_gm_basis(M: int, bit: int) -> StateVector:
     """
     if bit not in (0, 1):
         raise DomainError("bit must be 0 or 1")
-    q = Qubit(1.0 + 0j, 0j) if bit == 0 else Qubit(0j, 1.0 + 0j)
-    return build_gm(GMParameters(M, q))
+    return build_gm(GMParameters(M, BASIS[bit]))
 
 
 def expand_gm_decomposed(M: int, input: Qubit) -> StateVector:

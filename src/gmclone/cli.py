@@ -1,15 +1,21 @@
 """Command-line driver: prepare / compile / analyze / sweep.
 
+The parser is built once, at import; ``main`` only parses and dispatches the
+namespace to one handler per command.  ``compile`` names the source of its
+register on stdout: the GMMatrix stage in ``--out`` for a ``basis:`` input,
+or the builder.
+
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
-4 internal consistency failure, 1 anything else.  All outputs are
-deterministic — identical invocations produce byte-identical files.
+4 internal consistency failure, 1 anything else (an ``OSError`` such as an
+unwritable ``--out`` included).  Past argument parsing, each of these
+failures prints one ``error: ...`` line.  All outputs are deterministic —
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     UsageError,
 )
-from .qubit import Qubit, equatorial_qubit, make_qubit
+from .qubit import BASIS, Qubit, equatorial_qubit, make_qubit
 from ._format import dumps_17g, float17
 
 EXIT_OK = 0
@@ -32,33 +38,20 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    clones: int
-    input_spec: str
-    tol: float
-    out_dir: Path
-    format: str
-
-    def __post_init__(self):
-        if self.clones < 1:
-            raise UsageError("--clones must be >= 1")
-        if not 0.0 <= self.tol < 1.0:
-            raise UsageError("--tol must lie in [0, 1)")
-        if self.format not in ("json", "csv"):
-            raise UsageError("--format must be json or csv")
+def _basis_bit(spec: str):
+    """0 or 1 for exactly ``basis:0`` or ``basis:1``, else None."""
+    return {"basis:0": 0, "basis:1": 1}.get(spec)
 
 
 def parse_input_spec(spec: str) -> Qubit:
     """SPEC grammar: basis:0 | basis:1 | equatorial:FLOAT | amps:RE,IM,RE,IM."""
+    bit = _basis_bit(spec)
+    if bit is not None:
+        return BASIS[bit]
     tag, _, payload = spec.partition(":")
     try:
         if tag == "basis":
-            bit = int(payload)
-            if bit not in (0, 1):
-                raise ValueError
-            return Qubit(1.0 + 0j, 0j) if bit == 0 else Qubit(0j, 1.0 + 0j)
+            raise ValueError
         if tag == "equatorial":
             return equatorial_qubit(float(payload))
         if tag == "amps":
@@ -71,64 +64,53 @@ def parse_input_spec(spec: str) -> Qubit:
     raise UsageError(f"unknown --input tag {tag!r}")
 
 
-def _basis_bit(spec: str):
-    tag, _, payload = spec.partition(":")
-    if tag == "basis" and payload in ("0", "1"):
-        return int(payload)
-    return None
-
-
-def cmd_prepare(cfg: RunConfig) -> int:
-    artifacts, matrix = pipeline.run_pipeline(cfg.clones, cfg.out_dir)
+def cmd_prepare(args) -> int:
+    artifacts, matrix = pipeline.run_pipeline(args.clones, args.out)
     count1 = int(np.count_nonzero(matrix.clone_of_one))
     count0 = len(matrix) - count1
-    print(f"FullBitString: {2 ** (2 * cfg.clones - 1)} lines -> {artifacts.full_path}")
+    print(f"FullBitString: {2 ** (2 * args.clones - 1)} lines -> {artifacts.full_path}")
     print(f"GMBitString:   {len(matrix)} lines -> {artifacts.gm_path}")
     print(f"GMMatrix:      {len(matrix)} records -> {artifacts.matrix_path}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
 
 
-def _gm_matrix_state(cfg: RunConfig):
-    """The basis-input state rebuilt from the GMMatrix stage in ``--out``,
+def _gm_matrix_state(args, matrix_path):
+    """The basis-input state rebuilt from the GMMatrix stage at ``matrix_path``,
     or None when the input is not a basis state or the stage is absent."""
-    bit = _basis_bit(cfg.input_spec)
-    matrix_path = cfg.out_dir / pipeline.MATRIX_STAGE_NAME
+    bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None
-    matrix = pipeline.read_gm_matrix(matrix_path, expected_length=2 * cfg.clones - 1)
-    cls = (
-        pipeline.ParityClass.CLONE_OF_0
-        if bit == 0
-        else pipeline.ParityClass.CLONE_OF_1
-    )
-    return pipeline.reconstruct_state(matrix, cfg.clones, cls)
+    matrix = pipeline.read_gm_matrix(matrix_path, expected_length=2 * args.clones - 1)
+    cls = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)[bit]
+    return pipeline.reconstruct_state(matrix, args.clones, cls)
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    state = _gm_matrix_state(cfg)
+def cmd_compile(args) -> int:
+    matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
+    state = _gm_matrix_state(args, matrix_path)
     if state is not None:
-        source = "gm_matrix"
-        compiled, spectrum = mps.mps_from_state(state, cfg.tol)
+        source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
+        compiled, spectrum = mps.mps_from_state(state, args.tol)
     else:
-        source = "builder"
-        factors = gm_factors(cfg.clones, parse_input_spec(cfg.input_spec))
+        source = origin = "builder"
+        factors = gm_factors(args.clones, parse_input_spec(args.input))
         # No reference to the assembled state outlives the call, so the sweep
         # frees it after the first cut; the roundtrip error is taken against
         # a second assembly from the same factors, which has the same bits.
-        compiled, spectrum = mps.mps_from_state(gm_from_factors(*factors), cfg.tol)
+        compiled, spectrum = mps.mps_from_state(gm_from_factors(*factors), args.tol)
         state = gm_from_factors(*factors)
     roundtrip = mps.mps_to_state(compiled)
     error = float(np.linalg.norm(state.amplitudes - roundtrip.amplitudes))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    export_path = cfg.out_dir / "mps.json"
-    report_path = cfg.out_dir / "compile_report.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    export_path = args.out / "mps.json"
+    report_path = args.out / "compile_report.json"
     mps.save_mps(export_path, compiled, spectrum)
     report = {
-        "M": cfg.clones,
+        "M": args.clones,
         "num_qubits": state.num_qubits,
-        "input": cfg.input_spec,
-        "tol": float(cfg.tol),
+        "input": args.input,
+        "tol": float(args.tol),
         "source": source,
         "bond_dims": compiled.bond_dims(),
         "retained_ranks": spectrum.retained_ranks(),
@@ -138,26 +120,27 @@ def cmd_compile(cfg: RunConfig) -> int:
         "roundtrip_error": error,
     }
     report_path.write_text(dumps_17g(report), encoding="ascii")
+    print(f"source: {origin}")
     print(f"MPS export -> {export_path}")
     print(f"report     -> {report_path}")
     print(f"bond_dims: {compiled.bond_dims()}  roundtrip_error: {float17(error)}")
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    result = analysis.analyze_cloner(cfg.clones, parse_input_spec(cfg.input_spec))
+def cmd_analyze(args) -> int:
+    result = analysis.analyze_cloner(args.clones, parse_input_spec(args.input))
     clones = result.clone_fidelities
     anticlones = result.anticlone_fidelities
     gap = result.nonlinearity_gap
-    if cfg.format == "csv":
+    if args.format == "csv":
         print("metric,value")
         print("clone_fidelities," + ";".join(float17(f) for f in clones))
         print("anticlone_fidelities," + ";".join(float17(f) for f in anticlones))
         print("nonlinearity_gap," + float17(gap))
     else:
         report = {
-            "M": cfg.clones,
-            "input": cfg.input_spec,
+            "M": args.clones,
+            "input": args.input,
             "clone_fidelities": clones,
             "anticlone_fidelities": anticlones,
             "nonlinearity_gap": gap,
@@ -166,10 +149,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = analysis.scaling_sweep(1, cfg.clones, cfg.tol)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out_dir / "scaling.csv"
+def cmd_sweep(args) -> int:
+    rows = analysis.scaling_sweep(1, args.clones, args.tol)
+    args.out.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out / "scaling.csv"
     analysis.write_scaling_csv(csv_path, rows)
     print(f"scaling CSV -> {csv_path}")
     for row in rows:
@@ -224,22 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = RunConfig(
-            command=args.command,
-            clones=args.clones,
-            input_spec=getattr(args, "input", "basis:0"),
-            tol=getattr(args, "tol", 0.0),
-            out_dir=args.out,
-            format=args.format,
-        )
-        return _HANDLERS[cfg.command](cfg)
+        if args.clones < 1:
+            raise UsageError("--clones must be >= 1")
+        if not 0.0 <= getattr(args, "tol", 0.0) < 1.0:
+            raise UsageError("--tol must lie in [0, 1)")
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -252,7 +233,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GMCloneError as exc:
+    except (GMCloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -41,6 +41,7 @@ from .errors import (
     InternalConsistencyError,
     StageParseError,
 )
+from .qubit import bit_index
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
@@ -153,12 +154,7 @@ def parity_classify(bits: str, M: int) -> ParityClass:
         raise DomainError(
             f"expected {2 * M - 1} bits for M={M}, got {len(bits)}"
         )
-    ones = 0
-    for ch in bits:
-        if ch == "1":
-            ones += 1
-        elif ch != "0":
-            raise DomainError(f"invalid bit character {ch!r}")
+    ones = bit_index(bits).bit_count()
     if ones == M - 1:
         return ParityClass.CLONE_OF_0
     if ones == M:

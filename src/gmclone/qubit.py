@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidStateError
 
-NORM_ATOL = 1e-12
-
 # Moduli whose squares are normal doubles, summed without overflow.
 _SQUARE_SAFE = (2.0**-500, 2.0**500)
 
@@ -36,6 +34,9 @@ class Qubit:
 
     def norm_sq(self) -> float:
         return abs(self.alpha) ** 2 + abs(self.beta) ** 2
+
+
+BASIS = (Qubit(1.0 + 0j, 0j), Qubit(0j, 1.0 + 0j))  # |0>, |1>
 
 
 def make_qubit(alpha: complex, beta: complex) -> Qubit:

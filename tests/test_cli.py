@@ -12,6 +12,7 @@ import pytest
 
 from gmclone import cli
 from gmclone.cli import (
+    EXIT_FAILURE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -39,7 +40,8 @@ class TestInputSpec:
 
     @pytest.mark.parametrize(
         "spec",
-        ["basis:2", "equatorial:abc", "amps:1,0", "ghz:0", "basis", "amps:0,0,0,0"],
+        ["basis:2", "equatorial:abc", "amps:1,0", "ghz:0", "basis", "amps:0,0,0,0",
+         "basis:01", "basis: 1", "basis:+1"],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(UsageError):
@@ -133,6 +135,30 @@ class TestCompile:
         report = json.loads((tmp_path / "compile_report.json").read_text())
         assert report["source"] == "gm_matrix"
         assert report["bond_dims"] == [1, 2, 2, 1]
+
+    def test_names_its_source_on_stdout(self, tmp_path, capsys):
+        argv = ["compile", "--clones", "2", "--input", "basis:1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "source: builder"
+        main(["prepare", "--clones", "2", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"source: gm_matrix {tmp_path / 'GMMatrix'}"
+        assert len(lines) == 4
+
+    def test_padded_basis_spec_is_refused_before_the_stage(self, tmp_path, capsys):
+        # Only exactly basis:0 / basis:1 name a basis input, with or without
+        # a GMMatrix stage to read.
+        main(["prepare", "--clones", "2", "--out", str(tmp_path)])
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        capsys.readouterr()
+        argv = ["compile", "--clones", "2", "--input", "basis:+1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --input spec 'basis:+1'\n"
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
     def test_stage_of_wrong_register_size_fails(self, tmp_path, capsys):
         main(["prepare", "--clones", "3", "--out", str(tmp_path)])
@@ -263,6 +289,52 @@ class TestFailureExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["prepare", "compile", "sweep"])
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_one_error_line_and_exit_failure(self, command, below_file, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run" if below_file else blocker
+        assert main([command, "--clones", "2", "--out", str(out)]) == EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert blocker.read_text() == "not a directory\n"
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "--clones", "2"],
+            ["compile", "--clones", "2", "--input", "basis:0"],
+            ["analyze", "--clones", "2"],
+            ["sweep", "--clones", "2"],
+        ],
+    )
+    def test_main_does_not_rebuild_the_parser(self, argv, tmp_path, monkeypatch):
+        def rebuild():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+
+    def test_format_does_not_leak_into_the_next_call(self, capsys):
+        main(["analyze", "--clones", "2", "--format", "csv"])
+        assert capsys.readouterr().out.startswith("metric,value\n")
+        assert main(["analyze", "--clones", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["M"] == 2
+
+    def test_tol_does_not_leak_into_the_next_call(self, tmp_path):
+        report = tmp_path / "compile_report.json"
+        main(["compile", "--clones", "2", "--tol", "1e-3", "--out", str(tmp_path)])
+        assert json.loads(report.read_text())["tol"] == 1e-3
+        main(["compile", "--clones", "2", "--out", str(tmp_path)])
+        assert json.loads(report.read_text())["tol"] == 1e-12
 
 
 class TestUsageErrors:
