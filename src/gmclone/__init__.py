@@ -24,6 +24,7 @@ from .mps import (
     bond_dimension,
     combine_basis_mps,
     load_mps,
+    mps_from_factors,
     mps_from_state,
     mps_to_state,
     save_mps,
@@ -98,6 +99,7 @@ __all__ = [
     "index_bits",
     "load_mps",
     "make_qubit",
+    "mps_from_factors",
     "mps_from_state",
     "mps_to_state",
     "nonlinearity_gap",

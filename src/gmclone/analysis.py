@@ -13,18 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .builder import (
-    GMParameters,
     StateVector,
     _sector_maps,
-    build_gm,
+    build_gm,  # noqa: F401  no caller; tests replace it to show analyze never builds
     check_register,
+    gm_factors,
 )
-from .errors import DomainError, ResourceLimitError
-from .mps import bond_dimension, mps_from_state
+from .errors import DomainError
+from .mps import bond_dimension, mps_from_factors
 from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
 from ._format import float17
-
-SWEEP_LIMIT = 8  # 2M-1 <= 15 qubits
 
 SCALING_CSV_HEADER = "M,num_qubits,bond_dim,cut_ranks,tol"
 
@@ -195,18 +193,21 @@ def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
 def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     """Compile the cloner output of the fixed equatorial input for each M.
 
-    Every row must satisfy bond_dim <= 2M; the sweep itself is reported as
-    data rather than asserted beyond that bound.
+    Each output is compiled from its ``gm_factors`` stacks by
+    ``mps_from_factors``, with no dense register; ``M_max`` keeps the
+    register guard of the other commands (:class:`ResourceLimitError`
+    above ``FULL_ENUMERATION_LIMIT``).  Every row must satisfy
+    bond_dim <= 2M; the sweep itself is reported as data rather than
+    asserted beyond that bound.
     """
     if M_min < 1 or M_min > M_max:
         raise DomainError("need 1 <= M_min <= M_max")
-    if M_max > SWEEP_LIMIT:
-        raise ResourceLimitError(f"sweep guarded at M <= {SWEEP_LIMIT} (15 qubits)")
+    check_register(M_max)
     input_qubit = equatorial_qubit(0.0)
     rows = []
     for M in range(M_min, M_max + 1):
-        state = build_gm(GMParameters(M, input_qubit))
-        mps, spectrum = mps_from_state(state, tol)
+        weights, clone, anti = gm_factors(M, input_qubit)
+        mps, spectrum = mps_from_factors((clone * weights[:, None]).T, anti, tol)
         rows.append(
             ScalingRow(
                 M=M,

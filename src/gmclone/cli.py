@@ -1,9 +1,10 @@
 """Command-line driver: prepare / compile / analyze / sweep.
 
 The parser is built once, at import; ``main`` only parses and dispatches the
-namespace to one handler per command.  ``compile`` names the source of its
-register on stdout: the GMMatrix stage in ``--out`` for a ``basis:`` input,
-or the builder.
+namespace to one handler per command; ``--format`` is an option of
+``analyze`` alone.  ``compile`` names its source on stdout: the GMMatrix
+stage in ``--out`` for a ``basis:`` input, whose rebuilt register it
+compiles, or the builder, whose factors it compiles with no register.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure, 1 anything else (an ``OSError`` such as an
@@ -94,12 +95,13 @@ def cmd_compile(args) -> int:
         compiled, spectrum = mps.mps_from_state(state, args.tol)
     else:
         source = origin = "builder"
-        factors = gm_factors(args.clones, parse_input_spec(args.input))
-        # No reference to the assembled state outlives the call, so the sweep
-        # frees it after the first cut; the roundtrip error is taken against
-        # a second assembly from the same factors, which has the same bits.
-        compiled, spectrum = mps.mps_from_state(gm_from_factors(*factors), args.tol)
-        state = gm_from_factors(*factors)
+        weights, clone, anti = gm_factors(args.clones, parse_input_spec(args.input))
+        compiled, spectrum = mps.mps_from_factors(
+            (clone * weights[:, None]).T, anti, args.tol
+        )
+        # The register is formed only for the roundtrip check, which compares
+        # the export with this independent assembly of the same factors.
+        state = gm_from_factors(weights, clone, anti)
     roundtrip = mps.mps_to_state(compiled)
     error = float(np.linalg.norm(state.amplitudes - roundtrip.amplitudes))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -195,13 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
                 help="relative singular-value cutoff in [0, 1)",
             )
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
 
     add_common(sub.add_parser("prepare", help="run the bitstring pipeline stages"),
                with_input=False, with_tol=False)
     add_common(sub.add_parser("compile", help="compile a cloner output state to MPS"))
-    add_common(sub.add_parser("analyze", help="fidelities and nonlinearity gap"),
-               with_tol=False)
+    analyze = add_common(sub.add_parser("analyze", help="fidelities and nonlinearity gap"),
+                         with_tol=False)
+    analyze.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sub.add_parser("sweep", help="bond-dimension scaling study M=1..clones"),
                with_input=False)
     return parser

@@ -296,7 +296,7 @@ class TestScalingSweep:
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            scaling_sweep(1, 9, 1e-12)
+            scaling_sweep(1, 13, 1e-12)
         with pytest.raises(DomainError):
             scaling_sweep(3, 2, 1e-12)
 

@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -70,33 +69,45 @@ class TestPrepare:
 
 
 class TestCompile:
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="before 3.11 CPython keeps call arguments on the caller's stack",
-    )
-    def test_builder_state_not_held_through_the_sweep(self, tmp_path, monkeypatch):
-        # The register the sweep compiles is freed after its first cut; the
-        # roundtrip error uses a second assembly.
-        refs, alive = [], []
+    def test_builder_register_formed_only_after_the_sweep(self, tmp_path, monkeypatch):
+        # The builder route compiles from the factors: no matrix of 2^(2M-1)
+        # entries reaches the SVD, and the register is assembled once, after
+        # the last cut, for the roundtrip check alone.
+        M = 4
+        events = []
         real_assemble, real_svd = cli.gm_from_factors, np.linalg.svd
 
         def assemble(*factors):
-            state = real_assemble(*factors)
-            amps = state.amplitudes
-            refs.append(weakref.ref(amps if amps.base is None else amps.base))
-            return state
+            events.append("assemble")
+            return real_assemble(*factors)
 
         def svd(matrix, **kwargs):
-            alive.append(refs[0]() is not None)
+            events.append(matrix.size)
             return real_svd(matrix, **kwargs)
 
         monkeypatch.setattr(cli, "gm_from_factors", assemble)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        argv = ["compile", "--clones", "3", "--input", "equatorial:0.4",
+        argv = ["compile", "--clones", str(M), "--input", "equatorial:0.4",
                 "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
-        assert alive == [True] + [False] * 3
-        assert len(refs) == 2
+        *sizes, last = events
+        assert last == "assemble"
+        assert len(sizes) == 2 * M - 2
+        assert all(size < 2 ** (2 * M - 1) for size in sizes)
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["roundtrip_error"] < 1e-14
+
+    @pytest.mark.parametrize("M, seed", [(11, seed) for seed in range(8)] + [(12, 0)])
+    def test_builder_bond_dims_analytic_up_to_the_guard(self, M, seed, tmp_path, capsys):
+        # Compiled from the factors, no cut is wider than 2^(M-1) * M columns,
+        # so SVD rounding stays far below the default tol.
+        re0, im0, re1, im1 = np.random.default_rng(seed).normal(size=4).tolist()
+        argv = ["compile", "--clones", str(M), "--input",
+                f"amps:{re0!r},{im0!r},{re1!r},{im1!r}", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
+        assert report["roundtrip_error"] <= 1e-13
 
     def test_basis_report(self, tmp_path):
         code = main([
@@ -223,6 +234,17 @@ class TestAnalyze:
         assert lines[0] == "metric,value"
         assert lines[1].startswith("clone_fidelities,0.8333")
 
+    def test_csv_output_bytes(self, capsys):
+        argv = ["analyze", "--clones", "3", "--input", "amps:0.3,-0.2,0.5,0.4",
+                "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "metric,value\n"
+            "clone_fidelities,0.77777777777777768;0.77777777777777768;0.77777777777777768\n"
+            "anticlone_fidelities,0.66666666666666663;0.66666666666666663\n"
+            "nonlinearity_gap,1.2021359072090712\n"
+        )
+
 
 class TestSweep:
     def test_writes_csv(self, tmp_path, capsys):
@@ -239,7 +261,7 @@ class TestSweep:
         assert lines[1].startswith("1,1,1,")
 
     def test_resource_guard(self, tmp_path):
-        assert main(["sweep", "--clones", "9", "--out", str(tmp_path)]) == EXIT_RESOURCE
+        assert main(["sweep", "--clones", "13", "--out", str(tmp_path)]) == EXIT_RESOURCE
 
 
 class TestDenseGuard:
@@ -351,6 +373,13 @@ class TestUsageErrors:
     def test_bad_input_spec(self, capsys):
         code = main(["analyze", "--clones", "2", "--input", "nonsense:1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["prepare", "compile", "sweep"])
+    def test_format_belongs_to_analyze_alone(self, command, tmp_path, capsys):
+        argv = [command, "--clones", "2", "--format", "csv", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "--format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_tol(self, tmp_path):
         code = main([
