@@ -31,7 +31,6 @@ from .mps import (
 )
 from .pipeline import (
     GMMatrix,
-    GMMatrixRecord,
     ParityClass,
     PipelineArtifacts,
     assign_coefficients,
@@ -70,7 +69,6 @@ __all__ = [
     "ClonerAnalysis",
     "DensityMatrix",
     "GMMatrix",
-    "GMMatrixRecord",
     "GMParameters",
     "MatrixProductState",
     "ParityClass",

@@ -15,7 +15,6 @@ import numpy as np
 from .builder import (
     StateVector,
     _sector_maps,
-    build_gm,  # noqa: F401  no caller; tests replace it to show analyze never builds
     check_register,
     gm_factors,
 )

@@ -2,9 +2,14 @@
 
 The parser is built once, at import; ``main`` only parses and dispatches the
 namespace to one handler per command; ``--format`` is an option of
-``analyze`` alone.  ``compile`` names its source on stdout: the GMMatrix
-stage in ``--out`` for a ``basis:`` input, whose rebuilt register it
-compiles, or the builder, whose factors it compiles with no register.
+``analyze`` alone.  ``compile`` builds the cloner's sector factors
+(``builder.gm_factors``), and so passes the register guard, before it reads
+anything, then makes one factor sweep (``mps.mps_from_factors``) with the
+anticlone stack as tail.  It names its source on stdout: the GMMatrix stage
+in ``--out`` for a ``basis:`` input, whose rebuilt register, projected onto
+the anticlone rows, is the head, or the builder, whose weighted clone stack
+is.  ``roundtrip_error`` measures the export against the stage register, or
+against the builder register assembled after the sweep.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure, 1 anything else (an ``OSError`` such as an
@@ -88,22 +93,27 @@ def _gm_matrix_state(args, matrix_path):
 
 
 def cmd_compile(args) -> int:
+    weights, clone, anti = gm_factors(args.clones, parse_input_spec(args.input))
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
     state = _gm_matrix_state(args, matrix_path)
-    if state is not None:
-        source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
-        compiled, spectrum = mps.mps_from_state(state, args.tol)
-    else:
+    if state is None:
         source = origin = "builder"
-        weights, clone, anti = gm_factors(args.clones, parse_input_spec(args.input))
-        compiled, spectrum = mps.mps_from_factors(
-            (clone * weights[:, None]).T, anti, args.tol
-        )
+        head = (clone * weights[:, None]).T
+    else:
+        source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
+        # The stage's clone rows in the anticlone basis: whatever an edited
+        # stage holds outside the span of the anticlone rows is left out of
+        # the export and shows in roundtrip_error.
+        head = state.amplitudes.reshape(clone.shape[1], -1) @ anti.conj().T
+    compiled, spectrum = mps.mps_from_factors(head, anti, args.tol)
+    del head
+    difference = mps.mps_to_state(compiled).amplitudes
+    if state is None:
         # The register is formed only for the roundtrip check, which compares
         # the export with this independent assembly of the same factors.
         state = gm_from_factors(weights, clone, anti)
-    roundtrip = mps.mps_to_state(compiled)
-    error = float(np.linalg.norm(state.amplitudes - roundtrip.amplitudes))
+    difference -= state.amplitudes
+    error = float(np.linalg.norm(difference))
     args.out.mkdir(parents=True, exist_ok=True)
     export_path = args.out / "mps.json"
     report_path = args.out / "compile_report.json"

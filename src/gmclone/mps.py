@@ -8,14 +8,16 @@ carried forward as the next remainder.  Singular values below
 columns/rows; the roundtrip error is then bounded by the root-sum-square of
 everything discarded (Oseledets, SISC 33, 2295 (2011)).
 
-``mps_from_state`` sweeps a dense register.  ``mps_from_factors`` sweeps a
-state given as head @ tail, where tail has orthonormal rows, without
-forming it: the cuts through head have the singular values and left vectors
-of the dense cuts, and tail joins the remainder after the last of them.
-``compile`` and ``sweep`` pass the cloner's clone and anticlone stacks
-(``builder.gm_factors``), so at M = 12 the widest cut is 2 x (2^11 * 12)
-instead of 2 x 2^22, where rounding of about eps * sqrt(cols) * sigma_max
-can pass the default cutoff as a singular value.
+There is one sweep, ``mps_from_factors``, over a state given as
+head @ tail, where tail has orthonormal rows, without forming it: the cuts
+through head have the singular values and left vectors of the dense cuts,
+and tail joins the remainder after the last of them.  ``mps_from_state`` is
+that sweep with the whole register as head and a 1 x 1 tail.  ``compile``
+and ``sweep`` pass the cloner's anticlone stack (``builder.gm_factors``) as
+tail, with the weighted clone stack as head, or for a GMMatrix stage its
+register projected onto the anticlone rows.  So at M = 12 the widest cut is
+2 x (2^11 * 12) instead of 2 x 2^22, where rounding of about
+eps * sqrt(cols) * sigma_max can pass the default cutoff as a singular value.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
@@ -113,18 +115,47 @@ def _qubit_count(size: int, what: str) -> int:
     return n
 
 
-def _sweep(held: list, tail, split: int, n: int, tol: float):
-    """The successive-SVD sweep of both compilers; returns (mps, spectrum).
+def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
+    """Compile a dense state into MPS form; returns (mps, spectrum).
 
-    ``held`` is a one-element list with the (1, cols) first remainder, which
-    the sweep takes out, so that no caller keeps it alive past the first cut.
-    Before cut ``split + 1`` the remainder, (D, 2^j * r), is multiplied by
-    I_(2^j) (x) ``tail`` (r, c); ``tail`` None compiles the remainder as it
-    is.
+    ``tol`` is relative: at every cut, singular values > tol * sigma_max are
+    retained.  tol = 0 keeps everything nonzero and makes the roundtrip
+    exact to machine precision.  This is :func:`mps_from_factors` with the
+    whole register as head and a 1 x 1 tail.
     """
+    return mps_from_factors(state.amplitudes.reshape(-1, 1), np.ones((1, 1)), tol)
+
+
+def mps_from_factors(head, tail, tol: float = DEFAULT_TOL):
+    """Compile the state ``(head @ tail).reshape(-1)`` into MPS form.
+
+    ``head`` is (2^m, r) and ``tail`` is (r, 2^(n-m)) with orthonormal rows.
+    Cut k <= m of the dense sweep is the (2 D_k, 2^(m-k) r) remainder of
+    ``head`` times I (x) ``tail``, whose rows are orthonormal, so the small
+    matrix has the same singular values and left vectors.  ``tail`` is
+    multiplied in once, after cut m (after the last cut when m = n), and
+    the sweep finishes on the (D_m, 2^(n-m)) remainder.  Returns
+    (mps, spectrum) like :func:`mps_from_state` of the product, up to a
+    phase per singular vector.  Raises :class:`DomainError` for a ``tol``
+    outside [0, 1), shapes that are not (2^m, r) and (r, 2^(n-m)), n = 0,
+    or a ``tail`` whose Gram matrix is further than 1e-12 from the identity.
+    """
+    _check_tol(tol)
+    head = np.asarray(head, dtype=np.complex128)
+    tail = np.asarray(tail, dtype=np.complex128)
+    if head.ndim != 2 or tail.ndim != 2 or not 1 <= head.shape[1] == tail.shape[0]:
+        raise DomainError(
+            f"head {head.shape} and tail {tail.shape} are not (2^m, r) and (r, 2^(n-m))"
+        )
+    m = _qubit_count(head.shape[0], "head column")
+    n = m + _qubit_count(tail.shape[1], "tail row")
     if n < 1:
         raise DomainError("need at least one qubit")
-    remainder = held.pop()
+    gram = tail @ tail.conj().T
+    if not np.max(np.abs(gram - np.eye(tail.shape[0]))) <= 1e-12:
+        raise DomainError("tail rows are not orthonormal to 1e-12")
+    split = min(m, n - 1)
+    remainder = np.ascontiguousarray(head).reshape(1, -1)
     sites = []
     cuts = []
     for k in range(n):
@@ -152,52 +183,6 @@ def _sweep(held: list, tail, split: int, n: int, tol: float):
         right_boundary=np.ones(1, dtype=np.complex128),
     )
     return mps, BondSpectrum(cuts=cuts, tolerance=tol)
-
-
-def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
-    """Compile a dense state into MPS form; returns (mps, spectrum).
-
-    ``tol`` is relative: at every cut, singular values > tol * sigma_max are
-    retained.  tol = 0 keeps everything nonzero and makes the roundtrip
-    exact to machine precision.
-    """
-    _check_tol(tol)
-    n = state.num_qubits
-    held = [np.ascontiguousarray(state.amplitudes, dtype=np.complex128).reshape(1, -1)]
-    # Without a reference held by the caller, the register is freed as soon
-    # as the first cut has replaced the remainder.
-    del state
-    return _sweep(held, None, n, n, tol)
-
-
-def mps_from_factors(head, tail, tol: float = DEFAULT_TOL):
-    """Compile the state ``(head @ tail).reshape(-1)`` into MPS form.
-
-    ``head`` is (2^m, r) and ``tail`` is (r, 2^(n-m)) with orthonormal rows.
-    Cut k <= m of the dense sweep is the (2 D_k, 2^(m-k) r) remainder of
-    ``head`` times I (x) ``tail``, whose rows are orthonormal, so the small
-    matrix has the same singular values and left vectors.  ``tail`` is
-    multiplied in once, after cut m, and the sweep finishes on the
-    (D_m, 2^(n-m)) remainder.  Returns (mps, spectrum) like
-    :func:`mps_from_state` of the product, up to a phase per singular
-    vector.  Raises :class:`DomainError` for a ``tol`` outside [0, 1),
-    shapes that are not (2^m, r) and (r, 2^(n-m)), n = 0, or a ``tail``
-    whose Gram matrix is further than 1e-12 from the identity.
-    """
-    _check_tol(tol)
-    head = np.asarray(head, dtype=np.complex128)
-    tail = np.asarray(tail, dtype=np.complex128)
-    if head.ndim != 2 or tail.ndim != 2 or not 1 <= head.shape[1] == tail.shape[0]:
-        raise DomainError(
-            f"head {head.shape} and tail {tail.shape} are not (2^m, r) and (r, 2^(n-m))"
-        )
-    m = _qubit_count(head.shape[0], "head column")
-    n = m + _qubit_count(tail.shape[1], "tail row")
-    gram = tail @ tail.conj().T
-    if not np.max(np.abs(gram - np.eye(tail.shape[0]))) <= 1e-12:
-        raise DomainError("tail rows are not orthonormal to 1e-12")
-    held = [np.ascontiguousarray(head).reshape(1, -1)]
-    return _sweep(held, tail, min(m, n - 1), n, tol)
 
 
 def mps_to_state(mps: MatrixProductState) -> StateVector:

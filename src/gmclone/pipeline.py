@@ -59,13 +59,6 @@ class ParityClass(enum.Enum):
     NOT_GM = "NOT_GM"
 
 
-@dataclass(frozen=True)
-class GMMatrixRecord:
-    bits: str
-    coefficient: complex
-    parity_class: ParityClass
-
-
 @dataclass(frozen=True, eq=False)
 class GMMatrix:
     """The GMMatrix stage as columns, one entry per support ket."""
@@ -77,19 +70,6 @@ class GMMatrix:
 
     def __len__(self) -> int:
         return self.indices.size
-
-    def __iter__(self):
-        """Read-only per-record view, in file order."""
-        for index, coefficient, one in zip(
-            self.indices.tolist(),
-            self.coefficients.tolist(),
-            self.clone_of_one.tolist(),
-        ):
-            yield GMMatrixRecord(
-                format(index, f"0{self.width}b"),
-                coefficient,
-                ParityClass.CLONE_OF_1 if one else ParityClass.CLONE_OF_0,
-            )
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,9 @@ def test_criterion_12_file_roundtrips(tmp_path):
         support = read_bitstring_stage(artifacts.gm_path)
         loaded = read_gm_matrix(artifacts.matrix_path)
         assert len(full) == 2 ** (2 * M - 1)
-        assert [r.bits for r in loaded] == support
-        assert all(a.coefficient == b.coefficient for a, b in zip(records, loaded))
+        assert loaded.width == len(support[0])
+        assert loaded.indices.tolist() == [int(bits, 2) for bits in support]
+        assert loaded.coefficients.tolist() == records.coefficients.tolist()
         # byte-identical rewrite
         rewrite_dir = tmp_path / "rewrite"
         rewrite_dir.mkdir()

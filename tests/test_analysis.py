@@ -248,7 +248,7 @@ class TestDickeAnalysis:
             (builder, "symmetric_ket"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr("gmclone.analysis.build_gm", refuse)
+        monkeypatch.setattr("gmclone.analysis.gm_factors", refuse)
         q = equatorial_qubit(0.4)
         result = analyze_cloner(7, q)
         assert abs(result.clone_fidelities[0] - 15 / 21) < 1e-12

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmclone import cli
+from gmclone import cli, pipeline
+from gmclone.builder import build_gm_basis
 from gmclone.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -20,6 +21,14 @@ from gmclone.cli import (
     parse_input_spec,
 )
 from gmclone.errors import InternalConsistencyError, UsageError
+from gmclone.mps import load_mps, mps_to_state
+
+
+@pytest.fixture(scope="module")
+def stage_m11(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stage-m11")
+    assert main(["prepare", "--clones", "11", "--out", str(out)]) == EXIT_OK
+    return out
 
 
 class TestInputSpec:
@@ -70,9 +79,10 @@ class TestPrepare:
 
 class TestCompile:
     def test_builder_register_formed_only_after_the_sweep(self, tmp_path, monkeypatch):
-        # The builder route compiles from the factors: no matrix of 2^(2M-1)
-        # entries reaches the SVD, and the register is assembled once, after
-        # the last cut, for the roundtrip check alone.
+        # Both routes compile from the factors: no matrix of 2^(2M-1) entries
+        # reaches the SVD.  The builder register is assembled once, after
+        # the last cut, for the roundtrip check alone; a stage's register is
+        # read from the stage and never assembled.
         M = 4
         events = []
         real_assemble, real_svd = cli.gm_from_factors, np.linalg.svd
@@ -97,6 +107,17 @@ class TestCompile:
         report = json.loads((tmp_path / "compile_report.json").read_text())
         assert report["roundtrip_error"] < 1e-14
 
+        assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
+        events.clear()
+        argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert "assemble" not in events
+        assert len(events) == 2 * M - 2
+        assert all(size < 2 ** (2 * M - 1) for size in events)
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["source"] == "gm_matrix"
+        assert report["roundtrip_error"] < 1e-14
+
     @pytest.mark.parametrize("M, seed", [(11, seed) for seed in range(8)] + [(12, 0)])
     def test_builder_bond_dims_analytic_up_to_the_guard(self, M, seed, tmp_path, capsys):
         # Compiled from the factors, no cut is wider than 2^(M-1) * M columns,
@@ -108,6 +129,73 @@ class TestCompile:
         report = json.loads((tmp_path / "compile_report.json").read_text())
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_stage_bond_dims_analytic_at_m11(self, bit, stage_m11, capsys):
+        # The stage route sweeps its register's factors too, so its widest
+        # cut is 2 x (2^10 * 11), not 2 x 2^20.
+        M = 11
+        argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
+                "--out", str(stage_m11)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((stage_m11 / "compile_report.json").read_text())
+        assert report["source"] == "gm_matrix"
+        assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
+        assert report["roundtrip_error"] <= 1e-13
+
+    def test_guard_precedes_the_stage(self, tmp_path, monkeypatch, capsys):
+        # A GMMatrix stage in --out gives no way past the register guard:
+        # compile refuses M = 13 before it reads the stage.
+        M = 13
+        (tmp_path / "GMMatrix").write_text("0" * M + "1" * (M - 1) + "\t1\t0\tC0\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage read before the register guard")
+
+        monkeypatch.setattr(pipeline, "read_gm_matrix", refuse)
+        argv = ["compile", "--clones", str(M), "--input", "basis:0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["GMMatrix"]
+
+    def test_stage_numbers_are_what_gets_compiled(self, tmp_path, capsys):
+        # Every coefficient of the stage doubled: the export is twice the
+        # builder's state, so compile reads the stage, not the builder.
+        M = 4
+        main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        path = tmp_path / "GMMatrix"
+        matrix = pipeline.read_gm_matrix(path)
+        pipeline.write_gm_matrix(path, pipeline.GMMatrix(
+            matrix.width, matrix.indices, 2 * matrix.coefficients, matrix.clone_of_one,
+        ))
+        argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        compiled, _ = load_mps(tmp_path / "mps.json")
+        expected = 2 * build_gm_basis(M, 1).amplitudes
+        assert np.max(np.abs(mps_to_state(compiled).amplitudes - expected)) <= 1e-14
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["roundtrip_error"] <= 1e-14
+
+    def test_edit_outside_the_anticlone_span_shows_in_roundtrip_error(self, tmp_path, capsys):
+        # Record 100|01 of M = 3 edited by delta: the export keeps its
+        # projection onto the anticlone Dicke ket (|01> + |10>)/sqrt(2), and
+        # the rest, delta/2 (|01> - |10>), is the roundtrip error.
+        M, delta = 3, 0.01
+        main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        path = tmp_path / "GMMatrix"
+        matrix = pipeline.read_gm_matrix(path)
+        coefficients = matrix.coefficients.copy()
+        coefficients[np.flatnonzero(matrix.indices == 0b100_01)] += delta
+        pipeline.write_gm_matrix(path, pipeline.GMMatrix(
+            matrix.width, matrix.indices, coefficients, matrix.clone_of_one,
+        ))
+        argv = ["compile", "--clones", str(M), "--input", "basis:0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert abs(report["roundtrip_error"] - delta / math.sqrt(2)) <= 1e-15
+        assert report["bond_dims"][M] == M
 
     def test_basis_report(self, tmp_path):
         code = main([

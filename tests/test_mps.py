@@ -3,8 +3,6 @@
 import copy
 import json
 import math
-import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -111,30 +109,6 @@ class TestCompile:
         state = StateVector(2, np.zeros(4, dtype=np.complex128))
         with pytest.raises(DegenerateStateError):
             mps_from_state(state, 0.0)
-
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="before 3.11 CPython keeps call arguments on the caller's stack",
-    )
-    def test_register_freed_after_first_cut(self, monkeypatch):
-        # When the caller holds no reference, the dense register must not
-        # live through the whole sweep: `compile` relies on it for its peak.
-        refs, alive = [], []
-        real_svd = np.linalg.svd
-
-        def svd(matrix, **kwargs):
-            alive.append(refs[0]() is not None)
-            return real_svd(matrix, **kwargs)
-
-        def build():
-            state = build_gm(GMParameters(4, equatorial_qubit(0.2)))
-            amps = state.amplitudes
-            refs.append(weakref.ref(amps if amps.base is None else amps.base))
-            return state
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        mps_from_state(build(), 1e-12)
-        assert alive == [True] + [False] * 5
 
 
 def orthonormal_rows(rng, rows, cols):

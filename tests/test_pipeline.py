@@ -115,33 +115,34 @@ class TestParityClassify:
 
 class TestAssignCoefficients:
     def test_m1_records(self):
-        records = assign_coefficients(1)
-        assert [(r.bits, r.parity_class) for r in records] == [
-            ("0", ParityClass.CLONE_OF_0),
-            ("1", ParityClass.CLONE_OF_1),
-        ]
-        assert all(abs(r.coefficient - 1.0) < 1e-15 for r in records)
+        matrix = assign_coefficients(1)
+        assert matrix.width == 1
+        assert matrix.indices.tolist() == [0b0, 0b1]
+        assert matrix.clone_of_one.tolist() == [False, True]
+        assert np.all(np.abs(matrix.coefficients - 1.0) < 1e-15)
 
     def test_m2_known_amplitudes(self):
         # magnitudes from the equal-weight expansion; signs follow the
         # builder's orthogonal-complement convention ((-1)^j per sector)
-        by_bits = {r.bits: r for r in assign_coefficients(2)}
-        assert abs(by_bits["001"].coefficient - math.sqrt(2 / 3)) < 1e-14
-        assert abs(abs(by_bits["010"].coefficient) - 1 / math.sqrt(6)) < 1e-14
-        assert by_bits["001"].parity_class is ParityClass.CLONE_OF_0
-        assert by_bits["010"].parity_class is ParityClass.CLONE_OF_0
+        matrix = assign_coefficients(2)
+        row = {index: k for k, index in enumerate(matrix.indices.tolist())}
+        assert abs(matrix.coefficients[row[0b001]] - math.sqrt(2 / 3)) < 1e-14
+        assert abs(abs(matrix.coefficients[row[0b010]]) - 1 / math.sqrt(6)) < 1e-14
+        assert not matrix.clone_of_one[row[0b001]]
+        assert not matrix.clone_of_one[row[0b010]]
 
     def test_records_sorted_by_bits(self):
-        records = assign_coefficients(3)
-        bits = [r.bits for r in records]
-        assert bits == sorted(bits)
+        indices = assign_coefficients(3).indices
+        assert np.all(np.diff(indices) > 0)
 
     def test_coefficients_equal_builder_amplitudes(self):
         amps0 = build_gm_basis(3, 0).amplitudes
         amps1 = build_gm_basis(3, 1).amplitudes
-        for rec in assign_coefficients(3):
-            source = amps0 if rec.parity_class is ParityClass.CLONE_OF_0 else amps1
-            assert abs(rec.coefficient - source[int(rec.bits, 2)]) < 1e-15
+        matrix = assign_coefficients(3)
+        source = np.where(
+            matrix.clone_of_one, amps1[matrix.indices], amps0[matrix.indices]
+        )
+        assert np.all(np.abs(matrix.coefficients - source) < 1e-15)
 
     @pytest.mark.parametrize("M", range(1, 9))
     def test_reconstruction_matches_builder(self, M):
@@ -214,11 +215,11 @@ class TestStageFiles:
         write_gm_matrix(path, records)
         loaded = read_gm_matrix(path)
         assert len(loaded) == 6
-        for orig, back in zip(records, loaded):
-            assert back.bits == orig.bits
-            assert back.parity_class is orig.parity_class
-            # 17 significant digits round-trip doubles exactly
-            assert back.coefficient == orig.coefficient
+        assert loaded.width == records.width
+        assert loaded.indices.tolist() == records.indices.tolist()
+        assert loaded.clone_of_one.tolist() == records.clone_of_one.tolist()
+        # 17 significant digits round-trip doubles exactly
+        assert loaded.coefficients.tolist() == records.coefficients.tolist()
 
     def test_matrix_rewrite_byte_identical(self, tmp_path):
         path1 = tmp_path / "GMMatrix"
@@ -291,14 +292,15 @@ class TestGMMatrixReaderSemantics:
         path = tmp_path / "GMMatrix"
         path.write_bytes(b"")
         assert len(read_gm_matrix(path)) == 0
-        assert list(read_gm_matrix(path, expected_length=3)) == []
+        assert len(read_gm_matrix(path, expected_length=3)) == 0
 
     def test_final_line_without_lf_parses(self, tmp_path):
         path = tmp_path / "GMMatrix"
         path.write_text(GOOD_M2.rstrip("\n"))
-        records = list(read_gm_matrix(path))
-        assert [r.bits for r in records] == ["001", "010", "011"]
-        assert records[-1].parity_class is ParityClass.CLONE_OF_1
+        matrix = read_gm_matrix(path)
+        assert matrix.width == 3
+        assert matrix.indices.tolist() == [0b001, 0b010, 0b011]
+        assert matrix.clone_of_one.tolist() == [False, False, True]
 
     def test_crlf_rejected_on_line_1(self, tmp_path):
         path = tmp_path / "GMMatrix"
