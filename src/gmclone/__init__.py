@@ -26,6 +26,7 @@ from .mps import (
     load_mps,
     mps_from_factors,
     mps_from_state,
+    mps_halves,
     mps_to_state,
     save_mps,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "make_qubit",
     "mps_from_factors",
     "mps_from_state",
+    "mps_halves",
     "mps_to_state",
     "nonlinearity_gap",
     "parity_classify",

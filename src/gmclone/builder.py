@@ -51,6 +51,8 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, "
                 f"got shape {self.amplitudes.shape}"
             )
+        if not np.isfinite(self.amplitudes).all():
+            raise DomainError("amplitudes must be finite (no NaN or infinity)")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

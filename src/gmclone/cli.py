@@ -6,14 +6,19 @@ namespace to one handler per command; ``--format`` is an option of
 (``builder.gm_factors``), and so passes the register guard, before it reads
 anything, then makes one factor sweep (``mps.mps_from_factors``) with the
 anticlone stack as tail.  It names its source on stdout: the GMMatrix stage
-in ``--out`` for a ``basis:`` input, whose rebuilt register, projected onto
-the anticlone rows, is the head, or the builder, whose weighted clone stack
-is.  ``roundtrip_error`` measures the export against the stage register, or
-against the builder register assembled after the sweep.
+in ``--out`` for a ``basis:`` input, whose register rows, projected onto the
+anticlone rows, are the head, or the builder, whose weighted clone stack is.
+``roundtrip_error`` measures the export against the stage register, or
+against the builder's head times the anticlone stack, entry by entry.  Both
+sides are 2^M x 2^(M-1) matrices at the clone|anticlone bond: the export as
+the product of its contracted halves (``mps.mps_halves``), the reference as
+``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of 2^(2M-1)
+amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
-4 internal consistency failure, 1 anything else (an ``OSError`` such as an
-unwritable ``--out`` included).  Past argument parsing, each of these
+4 internal consistency failure or a numpy ``LinAlgError`` (an SVD that does
+not converge), 1 anything else (an ``OSError`` such as an unwritable
+``--out`` included).  Past argument parsing, each of these
 failures prints one ``error: ...`` line.  All outputs are deterministic —
 identical invocations produce byte-identical files.
 """
@@ -21,13 +26,14 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, mps, pipeline
-from .builder import gm_factors, gm_from_factors
+from .builder import gm_factors
 from .errors import (
     GMCloneError,
     InternalConsistencyError,
@@ -42,6 +48,10 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+# Clone-index rows per block of the compile roundtrip check: one block of the
+# register is ROW_BLOCK x 2^(M-1) amplitudes, 1 MiB at M = 12.
+ROW_BLOCK = 32
 
 
 def _basis_bit(spec: str):
@@ -81,46 +91,77 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _gm_matrix_state(args, matrix_path):
-    """The basis-input state rebuilt from the GMMatrix stage at ``matrix_path``,
-    or None when the input is not a basis state or the stage is absent."""
+def _stage_records(args, matrix_path):
+    """Sorted indices and coefficients of the basis input's parity class in
+    the GMMatrix stage at ``matrix_path``, or None when the input is not a
+    basis state or the stage is absent."""
     bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None
     matrix = pipeline.read_gm_matrix(matrix_path, expected_length=2 * args.clones - 1)
-    cls = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)[bit]
-    return pipeline.reconstruct_state(matrix, args.clones, cls)
+    keep = matrix.clone_of_one == bool(bit)
+    return matrix.indices[keep], matrix.coefficients[keep]
+
+
+def _stage_rows(records, lo: int, hi: int, cols: int) -> np.ndarray:
+    """Rows lo..hi-1 of the stage register read as a (2^M, cols) matrix: the
+    records whose indices fall in them, scattered into zeros."""
+    indices, coefficients = records
+    start, stop = np.searchsorted(indices, (lo * cols, hi * cols))
+    block = np.zeros((hi - lo) * cols, dtype=np.complex128)
+    block[indices[start:stop] - lo * cols] = coefficients[start:stop]
+    return block.reshape(hi - lo, cols)
+
+
+def _roundtrip_error(halves, reference, blocks) -> float:
+    """Distance of the export from its reference, entry by entry.
+
+    The export is L @ R at the clone|anticlone bond and ``reference(lo, hi)``
+    gives rows lo..hi-1 of the reference as a 2^M x 2^(M-1) matrix; the
+    squared distances of the row ``blocks`` are summed, so no array of
+    2^(2M-1) amplitudes is formed.
+    """
+    left, right = halves
+    squares = 0.0
+    for lo, hi in blocks:
+        difference = left[lo:hi] @ right
+        difference -= reference(lo, hi)
+        squares += np.vdot(difference, difference).real
+    return math.sqrt(squares)
 
 
 def cmd_compile(args) -> int:
     weights, clone, anti = gm_factors(args.clones, parse_input_spec(args.input))
+    rows, cols = clone.shape[1], anti.shape[1]
+    blocks = [(lo, min(lo + ROW_BLOCK, rows)) for lo in range(0, rows, ROW_BLOCK)]
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
-    state = _gm_matrix_state(args, matrix_path)
-    if state is None:
+    records = _stage_records(args, matrix_path)
+    if records is None:
         source = origin = "builder"
         head = (clone * weights[:, None]).T
+
+        def reference(lo, hi):
+            return head[lo:hi] @ anti
     else:
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
+
+        def reference(lo, hi):
+            return _stage_rows(records, lo, hi, cols)
+
         # The stage's clone rows in the anticlone basis: whatever an edited
         # stage holds outside the span of the anticlone rows is left out of
         # the export and shows in roundtrip_error.
-        head = state.amplitudes.reshape(clone.shape[1], -1) @ anti.conj().T
+        to_anti = anti.conj().T
+        head = np.concatenate([reference(lo, hi) @ to_anti for lo, hi in blocks])
     compiled, spectrum = mps.mps_from_factors(head, anti, args.tol)
-    del head
-    difference = mps.mps_to_state(compiled).amplitudes
-    if state is None:
-        # The register is formed only for the roundtrip check, which compares
-        # the export with this independent assembly of the same factors.
-        state = gm_from_factors(weights, clone, anti)
-    difference -= state.amplitudes
-    error = float(np.linalg.norm(difference))
+    error = _roundtrip_error(mps.mps_halves(compiled, args.clones), reference, blocks)
     args.out.mkdir(parents=True, exist_ok=True)
     export_path = args.out / "mps.json"
     report_path = args.out / "compile_report.json"
     mps.save_mps(export_path, compiled, spectrum)
     report = {
         "M": args.clones,
-        "num_qubits": state.num_qubits,
+        "num_qubits": compiled.num_sites,
         "input": args.input,
         "tol": float(args.tol),
         "source": source,
@@ -243,7 +284,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InternalConsistencyError as exc:
+    except (InternalConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (GMCloneError, OSError) as exc:

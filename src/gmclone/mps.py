@@ -21,7 +21,11 @@ eps * sqrt(cols) * sigma_max can pass the default cutoff as a singular value.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
-left boundary . A_1 ... A_n . right boundary in ascending site order.
+left boundary . A_1 ... A_n . right boundary in ascending site order;
+``mps_halves`` contracts the two sides of one bond apart, so the state is a
+product of a (2^k, D) and a (D, 2^(n-k)) matrix that a caller can compare
+with a reference a block of rows at a time.  ``compile`` checks its export
+that way at the clone|anticlone bond, with no 2^n-amplitude array.
 """
 
 from __future__ import annotations
@@ -190,6 +194,26 @@ def mps_to_state(mps: MatrixProductState) -> StateVector:
     mps.validate()
     amps = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
     return StateVector(mps.num_sites, amps)
+
+
+def mps_halves(mps: MatrixProductState, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state as the product L @ R of its two halves at the bond after site k.
+
+    L, of shape (2^k, D), contracts sites 1..k and R, of shape (D, 2^(n-k)),
+    sites k+1..n, each in one :func:`kernels.contract_sweep` with an
+    identity on the open bond; for k = n, R is the right boundary as a
+    column.  ``(L @ R).reshape(-1)`` is :func:`mps_to_state` up to rounding,
+    with no array of 2^n entries formed.  Raises :class:`DomainError` for a
+    k outside 1..n.
+    """
+    mps.validate()
+    if not 1 <= k <= mps.num_sites:
+        raise DomainError(f"cut after site {k} outside 1..{mps.num_sites}")
+    bond = np.eye(mps.sites[k - 1].shape[2], dtype=np.complex128)
+    left = kernels.contract_sweep(mps.sites[:k], mps.left_boundary, bond)
+    if k == mps.num_sites:
+        return left, mps.right_boundary.reshape(-1, 1)
+    return left, kernels.contract_sweep(mps.sites[k:], bond, mps.right_boundary)
 
 
 def bond_dimension(mps: MatrixProductState) -> int:

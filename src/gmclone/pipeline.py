@@ -19,9 +19,12 @@ In memory a bitstring is its basis index (qubit 1 is the most significant
 bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
 stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
 coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
-bitstring stages are one ``(rows, n+1)`` uint8 ASCII matrix written with
-``tobytes()``, the writer formats each distinct double once, and the reader
-checks all lines at once with array masks over the raw bytes.  The per-line
+bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
+``tobytes()``, the GMMatrix writer formats each distinct double once, and the
+reader checks all lines at once with array masks over the raw bytes.  Every
+writer goes through one open file, ``CHUNK_ROWS`` lines at a time, and the
+support scan takes its popcounts ``CHUNK_ROWS`` indices at a time, so no
+temporary grows with the 2^(2M-1) register.  The per-line
 grammar in :func:`_line_problem` only words the error for the first bad line.
 """
 
@@ -45,6 +48,9 @@ from .qubit import bit_index
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
+# Rows (basis indices, stage lines) handled at a time: bounds the temporaries
+# of the support scan, the stage writers and the GMMatrix parser.
+CHUNK_ROWS = 1 << 14
 
 FULL_STAGE_NAME = "FullBitString"
 GM_STAGE_NAME = "GMBitString"
@@ -88,6 +94,19 @@ def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
+def _row_chunks(rows: int):
+    """(lo, hi) bounds of consecutive runs of ``CHUNK_ROWS`` of ``rows`` rows."""
+    return ((lo, min(lo + CHUNK_ROWS, rows)) for lo in range(0, rows, CHUNK_ROWS))
+
+
+def _write_rows(path, rows: int, lines) -> None:
+    """Write ``lines(lo, hi)``, the bytes of rows lo..hi-1, for each chunk of
+    ``rows`` rows in order, through one open file."""
+    with Path(path).open("wb") as handle:
+        for lo, hi in _row_chunks(rows):
+            handle.write(lines(lo, hi))
+
+
 def _strings(indices: np.ndarray, width: int) -> list[str]:
     return _bit_rows(indices, width).tobytes().decode("ascii").split()
 
@@ -102,9 +121,13 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
     """
     check_register(M)
     n = 2 * M - 1
-    counts = kernels.popcounts(np.arange(2**n, dtype=np.int64))
-    support = np.flatnonzero((counts == M - 1) | (counts == M))
-    one = counts[support] == M
+    support, one = [], []
+    for lo, hi in _row_chunks(2**n):
+        counts = kernels.popcounts(np.arange(lo, hi, dtype=np.int64))
+        hits = np.flatnonzero((counts == M - 1) | (counts == M))
+        support.append(hits + lo)
+        one.append(counts[hits] == M)
+    support, one = np.concatenate(support), np.concatenate(one)
     # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
     per_class = math.comb(n, M)
     if support.size != 2 * per_class or np.count_nonzero(one) != per_class:
@@ -235,12 +258,16 @@ def write_gm_matrix(path, matrix: GMMatrix) -> None:
     values, inverse = np.unique(parts, return_inverse=True)
     texts = np.array(["\t" + float17(v) for v in values.tolist()], dtype=object)
     classes = np.array(["\tC0\n", "\tC1\n"], dtype=object)
-    cells = np.empty((rows, 4), dtype=object)
-    cells[:, 0] = _strings(matrix.indices, matrix.width)
-    cells[:, 1] = texts[inverse[:rows]]
-    cells[:, 2] = texts[inverse[rows:]]
-    cells[:, 3] = classes[matrix.clone_of_one.astype(np.intp)]
-    Path(path).write_text("".join(cells.ravel().tolist()), encoding="ascii")
+
+    def lines(lo, hi):
+        cells = np.empty((hi - lo, 4), dtype=object)
+        cells[:, 0] = _strings(matrix.indices[lo:hi], matrix.width)
+        cells[:, 1] = texts[inverse[lo:hi]]
+        cells[:, 2] = texts[inverse[rows + lo : rows + hi]]
+        cells[:, 3] = classes[matrix.clone_of_one[lo:hi].astype(np.intp)]
+        return "".join(cells.ravel().tolist()).encode("ascii")
+
+    _write_rows(path, rows, lines)
 
 
 def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
@@ -365,11 +392,9 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
         # These lines hold 3 tabs each, so splitting them at every TAB gives
         # BITS, RE, IM, then CLASS+LF+BITS of the next line, RE, IM, ...
         # A fixed number of lines at a time bounds the split's bytes objects.
-        chunk = 1 << 14
         re, im = np.empty(bad), np.empty(bad)
         table = {}
-        for lo in range(0, bad, chunk):
-            hi = min(lo + chunk, bad)
+        for lo, hi in _row_chunks(bad):
             pieces = data[starts[lo] : ends[hi - 1]].split(b"\t")
             re[lo:hi] = _floats(pieces[1::3], table)
             im[lo:hi] = _floats(pieces[2::3], table)
@@ -405,8 +430,9 @@ def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
         gm_path=out_dir / GM_STAGE_NAME,
         matrix_path=out_dir / MATRIX_STAGE_NAME,
     )
-    full = np.arange(2**n, dtype=np.int64)
-    artifacts.full_path.write_bytes(_bit_rows(full, n).tobytes())
-    artifacts.gm_path.write_bytes(_bit_rows(matrix.indices, n).tobytes())
+    _write_rows(artifacts.full_path, 2**n, lambda lo, hi: _bit_rows(
+        np.arange(lo, hi, dtype=np.int64), n).tobytes())
+    _write_rows(artifacts.gm_path, len(matrix), lambda lo, hi: _bit_rows(
+        matrix.indices[lo:hi], n).tobytes())
     write_gm_matrix(artifacts.matrix_path, matrix)
     return artifacts, matrix

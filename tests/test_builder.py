@@ -340,3 +340,14 @@ class TestExpandOracle:
                 rtol=0,
                 atol=1e-13,
             )
+
+
+class TestStateVector:
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)]
+    )
+    def test_rejects_non_finite_amplitudes(self, bad):
+        amps = np.array([0.6, 0.8, 0, 0], dtype=np.complex128)
+        amps[2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            StateVector(2, amps)

@@ -1,16 +1,18 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
+import functools
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmclone import cli, pipeline
-from gmclone.builder import build_gm_basis
+from gmclone import builder, cli, mps, pipeline
+from gmclone.builder import build_gm_basis, gm_factors, gm_from_factors
 from gmclone.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -78,45 +80,74 @@ class TestPrepare:
 
 
 class TestCompile:
-    def test_builder_register_formed_only_after_the_sweep(self, tmp_path, monkeypatch):
-        # Both routes compile from the factors: no matrix of 2^(2M-1) entries
-        # reaches the SVD.  The builder register is assembled once, after
-        # the last cut, for the roundtrip check alone; a stage's register is
-        # read from the stage and never assembled.
+    def test_no_register_formed_on_either_route(self, tmp_path, monkeypatch):
+        # Both routes compile from the factors, so no matrix of 2^(2M-1)
+        # entries reaches the SVD, and check the export at the clone|anticlone
+        # bond a row block at a time: nothing assembles the builder register,
+        # rebuilds the stage register or contracts the whole export.
         M = 4
-        events = []
-        real_assemble, real_svd = cli.gm_from_factors, np.linalg.svd
-
-        def assemble(*factors):
-            events.append("assemble")
-            return real_assemble(*factors)
+        sizes = []
+        real_svd = np.linalg.svd
 
         def svd(matrix, **kwargs):
-            events.append(matrix.size)
+            sizes.append(matrix.size)
             return real_svd(matrix, **kwargs)
 
-        monkeypatch.setattr(cli, "gm_from_factors", assemble)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        argv = ["compile", "--clones", str(M), "--input", "equatorial:0.4",
-                "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        *sizes, last = events
-        assert last == "assemble"
-        assert len(sizes) == 2 * M - 2
-        assert all(size < 2 ** (2 * M - 1) for size in sizes)
-        report = json.loads((tmp_path / "compile_report.json").read_text())
-        assert report["roundtrip_error"] < 1e-14
+        def refuse(*args, **kwargs):
+            raise AssertionError("2^(2M-1)-amplitude register formed")
 
-        assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
-        events.clear()
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for module, name in ((builder, "gm_from_factors"),
+                             (pipeline, "reconstruct_state"),
+                             (mps, "mps_to_state")):
+            monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(cli, name, refuse, raising=False)
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        assert "assemble" not in events
-        assert len(events) == 2 * M - 2
-        assert all(size < 2 ** (2 * M - 1) for size in events)
-        report = json.loads((tmp_path / "compile_report.json").read_text())
-        assert report["source"] == "gm_matrix"
-        assert report["roundtrip_error"] < 1e-14
+        for source in ("builder", "gm_matrix"):
+            if source == "gm_matrix":
+                assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
+            sizes.clear()
+            assert main(argv) == EXIT_OK
+            assert len(sizes) == 2 * M - 2
+            assert all(size < 2 ** (2 * M - 1) for size in sizes)
+            report = json.loads((tmp_path / "compile_report.json").read_text())
+            assert report["source"] == source
+            assert report["roundtrip_error"] < 1e-14
+
+    def test_builder_compile_memory_is_a_fraction_of_the_register(self, tmp_path, capsys):
+        # At M = 10 the register is 2^19 amplitudes, 8 MiB; the compile's
+        # traced peak stays below a quarter of it.
+        M = 10
+        argv = ["compile", "--clones", str(M), "--input", "amps:0.3,-0.2,0.5,0.4",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** (2 * M - 1) * 16 / 4
+
+    @pytest.mark.parametrize("M", range(1, 10))
+    def test_blockwise_roundtrip_error_is_the_dense_distance(self, M, tmp_path, capsys):
+        # Oracle: the register of the export against the dense reference,
+        # the builder's assembly or the stage's rebuilt register.
+        q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
+        cases = [("amps:0.3,-0.2,0.5,0.4", lambda: gm_from_factors(*gm_factors(M, q)))]
+        matrix = pipeline.run_pipeline(M, tmp_path)[1]
+        classes = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)
+        for bit, cls in enumerate(classes):
+            cases.append((f"basis:{bit}", functools.partial(
+                pipeline.reconstruct_state, matrix, M, cls)))
+        for spec, dense in cases:
+            argv = ["compile", "--clones", str(M), "--input", spec, "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+            report = json.loads((tmp_path / "compile_report.json").read_text())
+            assert report["source"] == ("builder" if spec.startswith("amps") else "gm_matrix")
+            compiled, _ = load_mps(tmp_path / "mps.json")
+            distance = np.linalg.norm(mps_to_state(compiled).amplitudes - dense().amplitudes)
+            assert abs(report["roundtrip_error"] - distance) <= 1e-16
 
     @pytest.mark.parametrize("M, seed", [(11, seed) for seed in range(8)] + [(12, 0)])
     def test_builder_bond_dims_analytic_up_to_the_guard(self, M, seed, tmp_path, capsys):
@@ -399,6 +430,20 @@ class TestFailureExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestLinAlgError:
+    def test_unconverged_svd_exits_internal(self, tmp_path, monkeypatch, capsys):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        argv = ["compile", "--clones", "3", "--input", "equatorial:0.2", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SVD did not converge\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnwritableOut:

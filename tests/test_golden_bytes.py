@@ -56,6 +56,17 @@ now lists M singular values instead of min(2M, 2^(M-1)); the ones it no
 longer lists were discarded rounding, at most 5.2e-15 * sigma_max.  M = 1
 has no cut, and no `prepare` or builder digest moved.
 
+When `compile` stopped forming the 2^(2M-1) register (the roundtrip check
+multiplies the export's two halves at the clone|anticlone bond, 2^M x D and
+D x 2^(M-1), and compares them with the reference a block of 32 clone rows
+at a time), `roundtrip_error` was summed in another order.  The sweep, and so
+every `mps.json` digest, is unchanged; so is every `prepare` digest, now
+written in chunks of rows.  The 13 `compile_report.json` digests that moved
+(`basis:0` of M = 3, both bases of M = 4..7 and all four builder compiles)
+were re-pinned by running the commands above once on the new code.  Each new
+report equals the old one in every field but `roundtrip_error`, which moved
+by at most 3.9e-17 (`basis:0` of M = 5).
+
 `prepare` digests are pure text and must hold on any platform.  `mps.json`
 and `compile_report.json` carry SVD output; they were produced with numpy
 2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
@@ -111,7 +122,7 @@ GOLDEN = {
         "basis:0 mps.json":
             "5313815ae41b61018378b6b3bcf26de03b5a729e1c359bd8e1001dcc78c6ce6d",
         "basis:0 compile_report.json":
-            "ed741c69116b53f79f99e4bce5908fe3db8829d152147f40d3fbd1eb7246fee7",
+            "4a76e05778e4e503b2ce6c823a36bd6a5d8295cb7550700f6b19b389dc7923a5",
         "basis:1 mps.json":
             "59a4fc4395cfda01de87c440b053d27e9f0a05e333b44e877292d12e1a6e585f",
         "basis:1 compile_report.json":
@@ -127,11 +138,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "1bbe9290274867c10acf73ec6743e64b037d82e3c5592d0be8343693a665aa72",
         "basis:0 compile_report.json":
-            "6286abb1e7c64bb7f0091b3d41b73c137d68e67dcb6afb6ab1ec7a11ad12c77f",
+            "80fd32c6e965275ec4533dd8c59b9a01bf093235f727ee1db66ada1eb7a0e9bd",
         "basis:1 mps.json":
             "03249d2eae3d2a2d51d01cd8a191ed9369d3eab917f43b8b7b1117f46d6d1e86",
         "basis:1 compile_report.json":
-            "dbd42495ac564f3a169f33db61f611dfc3d5c1af30ca2cd2a5f1fc950c87db43",
+            "03e565591a248123da348189b7239c25433ad7fc6a4f721c63c59a2d62166870",
     },
     5: {
         "FullBitString":
@@ -143,11 +154,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "b9dba2a6fe582702294eaba1435e92492b531c0e93ab3182afe861acc91c4c38",
         "basis:0 compile_report.json":
-            "0e46f4beacac1f80f5350fbcfc229c6ce594b640b6775b764a406991b923c6bc",
+            "84c3265b16812d6e732aba27c2b445f22e67b146ee3be2b5b87aa7ea5003b477",
         "basis:1 mps.json":
             "2b77c7853410e6a4a80c4eabc613085c2375a223202c206aeae2d160add5ad98",
         "basis:1 compile_report.json":
-            "430a1ca6ac05c80781b9ee3e0506acd609974a3a7df20ab00de33cffc2ca3410",
+            "42c1b76bc385b387fc3933f50539a363539bbb0d3596cf04fe2b8b7238e12a37",
     },
     6: {
         "FullBitString":
@@ -159,11 +170,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "3a961fe9f5d64ecc8bdc45aec10945aa133a093ce622ec391008094ac73dab20",
         "basis:0 compile_report.json":
-            "e5c5b07d550ecd80ae045b564a268e6c9507fadff28c913944976430638341d6",
+            "6a55c4c1115d5a29464509c3781ae6b3d450a19248c90ab94a0a2b5bb06a0ed4",
         "basis:1 mps.json":
             "b294d7e27b830c4fa602860774c587dabab2ce2ef7faa1cfcc8eeca689d59c99",
         "basis:1 compile_report.json":
-            "7dfe5882db81baa436e49d01cf2c439d6f4a04a92a4e09ae8b94462816391684",
+            "7ebe66c06cddd020d3db664d99af8c8c35c1359bd229edc5d479b744701f45d0",
     },
     7: {
         "FullBitString":
@@ -175,11 +186,11 @@ GOLDEN = {
         "basis:0 mps.json":
             "6fc9948f9180e41dbc5a9d78eb631a7b595fe958b1fd27a6ef5026b3faa3e7b4",
         "basis:0 compile_report.json":
-            "b7f57745c569dd74e4d4d4a50815d9fce972688d4182676a97606812b3b3dd33",
+            "a29ff66b492ebbd59ae62084af4f37fe405e7e5403741ec4043fb89abcbda07f",
         "basis:1 mps.json":
             "1cea955891445023f1509babb83f8a23d3a25c03e52761d948c98d3792cb4753",
         "basis:1 compile_report.json":
-            "75f814ef3f50d3736e69a25c0d3c26ea61eb6b29451f7e38588bd599d8a61db6",
+            "c7b13f21b32a208202d4ad35705c8bdbf86ee685f1a7a469238185a0f3733568",
     },
 }
 
@@ -208,33 +219,34 @@ GOLDEN_STAGES = {
 # over qubit permutations (M = 5) and from a kron recursion (M = 8).  Old and
 # new compiles agree to 4.0e-15 in the contracted state (`mps_to_state`) and
 # to 6.8e-15 in the singular values, with equal bond dimensions and ranks.
-# The `compile_report.json` digests were re-pinned once more when the
-# roundtrip contraction became one matrix product per site; only their
-# `roundtrip_error` moved (see the header).
+# The `compile_report.json` digests were re-pinned twice more, when the
+# roundtrip contraction became one matrix product per site and when the
+# roundtrip check moved to row blocks; only their `roundtrip_error` moved
+# (see the header).
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
             "1fca5f2fa0b0c3696b30db278d9ebc33816e51d235b7495bb6af44690c6b1d5c",
         "compile_report.json":
-            "9811b82a01676aa0d0b0dac5fb80dce53dd3bc34f497ec0b112e0e5f9dd55fc1",
+            "dec9a3a47a6db12ff2382769bf58f084c781bd3c0123a3c7911f171538585f66",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "a8177a4c485d9c6105be97e35a5cc1ba50283e98c1855391b72f9e898c50d321",
         "compile_report.json":
-            "d298909b90d8a224ad9fc73215075b4fc24f7dc9f47a7641779eb8d207179761",
+            "1f062b5de2f6741a01620a4431f05fd45222bc1204776d0409bf04ea96e77e26",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
             "b7809048ae0e6eac8f10174e93a08f1b886f15da4e7e0e84b2edb9ba7a835592",
         "compile_report.json":
-            "ba018dd6c4fc04d872c97a381f4ce9fc4f0e42e39afe1f4352ed584575b2aa98",
+            "dec0c2f218f9f142b43673d151ac85f017953382b826c76af27edf8ba3b3c04e",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "9c50e165ea7c60516937cdf4aa6de158ddf6e0d49fbaa72eb2c5f86c0d457007",
         "compile_report.json":
-            "5a3f349ddb544f7e188590a674e270d09bc1f01eae63458252cd0b3bece871fe",
+            "88c8a74f2cf87470ea42e4edb8a18892fe1c588e0a6df6e48d1a95d2608525bf",
     },
 }
 

@@ -8,7 +8,14 @@ import pytest
 from gmclone import kernels
 from gmclone.builder import GMParameters, build_gm, build_gm_basis
 from gmclone.cli import EXIT_OK, main
-from gmclone.mps import MatrixProductState, combine_basis_mps, mps_from_state
+from gmclone.errors import DomainError
+from gmclone.mps import (
+    MatrixProductState,
+    combine_basis_mps,
+    mps_from_state,
+    mps_halves,
+    mps_to_state,
+)
 from gmclone.qubit import equatorial_qubit
 
 
@@ -80,6 +87,49 @@ class TestContractSweep:
         combined = combine_basis_mps(mps0, mps1, 0.6, -0.8j)
         assert combined.left_boundary.size == 2
         assert_matches_einsum_sweep(combined)
+
+
+class TestMatrixBoundaries:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_halves_multiply_to_the_contracted_state(self, n):
+        # L (2^k, D) from sites 1..k and R (D, 2^(n-k)) from the rest, each
+        # one contract_sweep with an identity on the open bond: L @ R read
+        # row-major is the full contraction, at every cut.
+        mps = random_mps(np.random.default_rng(7100 + n), n)
+        expected = mps_to_state(mps).amplitudes
+        scale = np.linalg.norm(expected)
+        for k in range(1, n + 1):
+            left, right = mps_halves(mps, k)
+            assert left.shape == (2**k, mps.bond_dims()[k])
+            assert right.shape == (mps.bond_dims()[k], 2 ** (n - k))
+            assert np.max(np.abs((left @ right).reshape(-1) - expected)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_clone_anticlone_halves_of_a_compiled_state(self, M):
+        # The cut compile checks at: normalized amplitudes, so 1e-15 absolute.
+        mps, _ = mps_from_state(build_gm(GMParameters(M, equatorial_qubit(0.4))), 1e-12)
+        left, right = mps_halves(mps, M)
+        expected = mps_to_state(mps).amplitudes
+        assert np.max(np.abs((left @ right).reshape(-1) - expected)) <= 1e-15
+
+    def test_matrix_boundaries_of_the_kernel(self):
+        # (r, D_1) and (D_{n+1}, c) boundaries add a leading and a trailing
+        # index to the (2^n,) result of the vector boundaries.
+        rng = np.random.default_rng(7200)
+        mps = random_mps(rng, 5)
+        lefts = rng.normal(size=(3, mps.bond_dims()[0]))
+        rights = rng.normal(size=(mps.bond_dims()[-1], 4))
+        got = kernels.contract_sweep(mps.sites, lefts, rights)
+        assert got.shape == (3, 2**5, 4)
+        for r in range(3):
+            for c in range(4):
+                expected = einsum_sweep(mps.sites, lefts[r], rights[:, c])
+                assert np.max(np.abs(got[r, :, c] - expected)) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_cut_outside_the_chain(self, k):
+        with pytest.raises(DomainError):
+            mps_halves(random_mps(np.random.default_rng(7300), 3), k)
 
 
 @pytest.mark.parametrize("spec", ["amps:0.3,-0.2,0.5,0.4", "equatorial:0.7"])
