@@ -20,12 +20,17 @@ bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
 stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
 coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
 bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
-``tobytes()``, the GMMatrix writer formats each distinct double once, and the
-reader checks all lines at once with array masks over the raw bytes.  Every
-writer goes through one open file, ``CHUNK_ROWS`` lines at a time, and the
-support scan takes its popcounts ``CHUNK_ROWS`` indices at a time, so no
-temporary grows with the 2^(2M-1) register.  The per-line
-grammar in :func:`_line_problem` only words the error for the first bad line.
+``tobytes()`` (FullBitString refills only the high columns of one block per
+chunk), the GMMatrix writer formats each distinct double once, and the
+reader checks a block of lines at once with array masks over its raw bytes.
+Every writer goes through one open file, ``CHUNK_ROWS`` lines at a time; the
+reader goes through one open file, ``READ_BLOCK`` bytes of whole lines at a
+time; and the support is generated sorted, by a recursion over the top bit,
+without a scan of the 2^(2M-1) register.  So no temporary grows with the register, and none
+of stage I/O grows with the file beyond the columns it reads or writes.  The
+per-line grammar in :func:`_line_problem` only words the error for the first
+bad line.  :func:`check_gm_matrix` holds a parsed stage to the closed form
+of :func:`assign_coefficients`.
 """
 
 from __future__ import annotations
@@ -48,9 +53,14 @@ from .qubit import bit_index
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
-# Rows (basis indices, stage lines) handled at a time: bounds the temporaries
-# of the support scan, the stage writers and the GMMatrix parser.
+# Rows (stage lines, records) handled at a time: bounds the temporaries of
+# the stage writers and of the stage cross-check.  A power of two.
 CHUNK_ROWS = 1 << 14
+# Bytes read from a GMMatrix stage at a time, completed to a whole line.
+READ_BLOCK = 1 << 18
+# Largest distance of a stage coefficient from its closed form that compile
+# accepts.
+STAGE_ATOL = 1e-12
 
 FULL_STAGE_NAME = "FullBitString"
 GM_STAGE_NAME = "GMBitString"
@@ -117,17 +127,28 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
     The supports are the full popcount classes M-1 and M: a support string
     of the clone of |0> has j ones in the clone sector and M-1-j in the
     anticlone sector for some j, and conversely any split of M-1 ones is
-    realized.
+    realized.  They are generated, not scanned for, by the top-bit
+    recursion: the m-bit indices with popcount a or a+1 are the (m-1)-bit
+    ones with the same popcounts (top bit 0), then 2^(m-1) plus the (m-1)-bit
+    ones with popcount a-1 or a (top bit 1), so each list comes out sorted.
     """
     check_register(M)
     n = 2 * M - 1
-    support, one = [], []
-    for lo, hi in _row_chunks(2**n):
-        counts = kernels.popcounts(np.arange(lo, hi, dtype=np.int64))
-        hits = np.flatnonzero((counts == M - 1) | (counts == M))
-        support.append(hits + lo)
-        one.append(counts[hits] == M)
-    support, one = np.concatenate(support), np.concatenate(one)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+    # level[a]: the sorted m-bit indices with popcount a or a+1, and the mask
+    # of those with a+1, for each a from which popcounts M-1 and M are still
+    # reachable; at m = 0 only the index 0 (popcount 0) exists.
+    level = {
+        -1: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)),
+        0: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)),
+    }
+    for m in range(1, n + 1):
+        high, below = 1 << (m - 1), level
+        level = {}
+        for a in range(max(-1, m - M), min(m, M - 1) + 1):
+            (low, low_one), (top, top_one) = below.get(a, empty), below.get(a - 1, empty)
+            level[a] = (np.concatenate([low, top + high]), np.concatenate([low_one, top_one]))
+    support, one = level[M - 1]
     # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
     per_class = math.comb(n, M)
     if support.size != 2 * per_class or np.count_nonzero(one) != per_class:
@@ -179,14 +200,48 @@ def assign_coefficients(M: int) -> GMMatrix:
     ``gamma_j * ((-1)^j / sqrt(C(M, j)) * (1 / sqrt(C(M-1, j))))``.
     """
     n, support, one = _support(M)
-    ones = kernels.popcounts(support >> (M - 1))
+    coefficients = _basis_amplitudes(M, support, one).astype(np.complex128)
+    return GMMatrix(n, support, coefficients, one)
+
+
+def _basis_amplitudes(M: int, indices: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """The closed form of :func:`assign_coefficients` at the support kets
+    ``indices`` of the classes ``one`` (True for the clone of |1>)."""
+    ones = kernels.popcounts(indices >> (M - 1))
     j = np.where(one, M - ones, ones)
     sectors = range(M)
     weights = np.array([gamma(M, k) for k in sectors])
     clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
     anti = np.array([1.0 / math.sqrt(math.comb(M - 1, k)) for k in sectors])
-    coefficients = (weights * (clone * anti))[j].astype(np.complex128)
-    return GMMatrix(n, support, coefficients, one)
+    return (weights * (clone * anti))[j]
+
+
+def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
+    """Require ``matrix`` to be the GMMatrix stage of M clones: all
+    2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
+    amplitude.
+
+    The reader has already checked that the indices are strictly increasing
+    and in their popcount classes, so the count makes them the whole
+    support.  The closed form is taken ``CHUNK_ROWS`` records at a time.
+    Raises :class:`InternalConsistencyError` naming ``source`` otherwise.
+    """
+    expected = 2 * math.comb(2 * M - 1, M)
+    if len(matrix) != expected:
+        raise InternalConsistencyError(
+            f"{source}: {len(matrix)} records, but the cloner of M={M} "
+            f"has {expected} support kets"
+        )
+    for lo, hi in _row_chunks(len(matrix)):
+        closed = _basis_amplitudes(M, matrix.indices[lo:hi], matrix.clone_of_one[lo:hi])
+        off = np.abs(matrix.coefficients[lo:hi] - closed)
+        worst = int(np.argmax(off))
+        if not off[worst] <= STAGE_ATOL:  # NaN fails too
+            raise InternalConsistencyError(
+                f"{source}:{lo + worst + 1}: coefficient is {off[worst]:.3g} "
+                f"from the cloner's amplitude {float17(closed[worst])} "
+                f"(tolerance {STAGE_ATOL:g})"
+            )
 
 
 def reconstruct_state(
@@ -253,21 +308,32 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
 
 
 def write_gm_matrix(path, matrix: GMMatrix) -> None:
-    rows = len(matrix)
-    parts = np.concatenate([matrix.coefficients.real, matrix.coefficients.imag])
-    values, inverse = np.unique(parts, return_inverse=True)
-    texts = np.array(["\t" + float17(v) for v in values.tolist()], dtype=object)
+    """Write ``matrix`` as a GMMatrix stage, ``CHUNK_ROWS`` lines at a time.
+
+    Each chunk's distinct doubles are found with ``np.unique`` on that chunk
+    alone, and each is formatted once: one ``float -> text`` table is kept
+    across chunks.
+    """
+    table = {}
     classes = np.array(["\tC0\n", "\tC1\n"], dtype=object)
 
+    def text(value):
+        if value not in table:
+            table[value] = "\t" + float17(value)
+        return table[value]
+
     def lines(lo, hi):
+        part = matrix.coefficients[lo:hi]
+        values, inverse = np.unique(np.concatenate([part.real, part.imag]), return_inverse=True)
+        texts = np.array([text(v) for v in values.tolist()], dtype=object)[inverse]
         cells = np.empty((hi - lo, 4), dtype=object)
         cells[:, 0] = _strings(matrix.indices[lo:hi], matrix.width)
-        cells[:, 1] = texts[inverse[lo:hi]]
-        cells[:, 2] = texts[inverse[rows + lo : rows + hi]]
+        cells[:, 1] = texts[: hi - lo]
+        cells[:, 2] = texts[hi - lo :]
         cells[:, 3] = classes[matrix.clone_of_one[lo:hi].astype(np.intp)]
         return "".join(cells.ravel().tolist()).encode("ascii")
 
-    _write_rows(path, rows, lines)
+    _write_rows(path, len(matrix), lines)
 
 
 def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
@@ -323,36 +389,34 @@ def _float_or_nan(text: bytes) -> float:
 def _floats(texts: list, table: dict) -> np.ndarray:
     """``float()`` of every text; NaN, which no valid line holds, where it fails.
 
-    Each distinct text is parsed once into ``table``, which callers share
-    across chunks: a stage written from a few distinct doubles repeats the
-    same few texts on every line.
+    Each distinct text is parsed once into ``table``, which the RE and IM
+    columns of a block share: a stage written from a few distinct doubles
+    repeats the same few texts on every line.
     """
     for text in set(texts).difference(table):
         table[text] = _float_or_nan(text)
     return np.fromiter(map(table.__getitem__, texts), np.float64, len(texts))
 
 
-def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
-    """Parse and validate a GMMatrix stage.
+def _line_blocks(handle):
+    """The bytes of ``handle`` in blocks of whole lines, each about
+    ``READ_BLOCK`` bytes and ending in LF; a last line without one gets it."""
+    while block := handle.read(READ_BLOCK):
+        if not block.endswith(b"\n"):
+            block += handle.readline()
+            if not block.endswith(b"\n"):
+                block += b"\n"
+        yield block
 
-    Every line is ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of one odd width
-    (``expected_length`` when given, else that of line 1), strictly
-    increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
-    M-1 and ``C1`` for popcount M, where the width is 2M-1.  Only LF ends a
-    line, and a last line without one still counts.  The earliest bad line
-    is reported, with the first check it fails in :func:`_line_problem`.
+
+def _check_block(path, data: bytes, lineno: int, width, prev):
+    """Width and columns of one block of whole GMMatrix lines.
+
+    ``lineno`` lines come before the block, the last with basis index
+    ``prev`` (None for the first block); ``width`` is None when it is still
+    to be taken from line 1.  The array checks flag the earliest bad line,
+    which :func:`_line_problem` then words.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if not data:
-        return GMMatrix(
-            expected_length or 0,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.complex128),
-            np.empty(0, dtype=bool),
-        )
-    if not data.endswith(b"\n"):
-        data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _LF)
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -364,7 +428,7 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
         head = min(head, int(np.searchsorted(ends, np.argmax(buf >= 0x80))))
     tabs = tabs[: 3 * head].reshape(head, 3)
     bit_len = tabs[:, 0] - starts[:head]
-    width = expected_length
+    given = width
     if width is None:
         width = int(bit_len[0]) if head else 0
 
@@ -381,6 +445,8 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
             indices = (indices << 1) | one
             popcount += one
         line_bad[1:] |= indices[1:] <= indices[:-1]
+        if prev is not None:
+            line_bad[0] |= indices[0] <= prev
         cls_at = tabs[:, 2] + 1
         digit = buf[np.minimum(cls_at + 1, last)]
         clone_of_one = digit == _ONE
@@ -391,32 +457,61 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
         bad = _first(line_bad)
         # These lines hold 3 tabs each, so splitting them at every TAB gives
         # BITS, RE, IM, then CLASS+LF+BITS of the next line, RE, IM, ...
-        # A fixed number of lines at a time bounds the split's bytes objects.
-        re, im = np.empty(bad), np.empty(bad)
+        pieces = data[: ends[bad - 1]].split(b"\t") if bad else []
         table = {}
-        for lo, hi in _row_chunks(bad):
-            pieces = data[starts[lo] : ends[hi - 1]].split(b"\t")
-            re[lo:hi] = _floats(pieces[1::3], table)
-            im[lo:hi] = _floats(pieces[2::3], table)
-        bad = _first(~(np.isfinite(re) & np.isfinite(im)))
+        coefficients = np.empty(bad, dtype=np.complex128)
+        coefficients.real = _floats(pieces[1::3], table)
+        coefficients.imag = _floats(pieces[2::3], table)
+        bad = _first(~np.isfinite(coefficients))
 
     if bad < ends.size:
-        prev_bits = None
         if bad:
-            prev_bits = data[starts[bad - 1] : tabs[bad - 1, 0]].decode()
+            prev = int(indices[bad - 1])
         problem = _line_problem(
             data[starts[bad] : ends[bad]],
-            None if expected_length is None and not bad else width,
-            prev_bits,
+            None if given is None and not bad else width,
+            None if prev is None else format(prev, f"0{width}b"),
         )
         if problem is None:
             raise InternalConsistencyError(
-                f"{path}:{bad + 1}: array checks reject a line the grammar accepts"
+                f"{path}:{lineno + bad + 1}: array checks reject a line the grammar accepts"
             )
-        raise StageParseError(path, bad + 1, problem)
-    coefficients = np.empty(head, dtype=np.complex128)
-    coefficients.real, coefficients.imag = re, im
-    return GMMatrix(width, indices, coefficients, clone_of_one)
+        raise StageParseError(path, lineno + bad + 1, problem)
+    return width, (indices, coefficients, clone_of_one)
+
+
+def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
+    """Parse and validate a GMMatrix stage.
+
+    Every line is ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of one odd width
+    (``expected_length`` when given, else that of line 1), strictly
+    increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
+    M-1 and ``C1`` for popcount M, where the width is 2M-1.  Only LF ends a
+    line, and a last line without one still counts.  The earliest bad line
+    is reported, with the first check it fails in :func:`_line_problem`.
+
+    The file is read through one open handle, ``READ_BLOCK`` bytes of whole
+    lines at a time; only the columns of the lines read so far grow with it.
+    """
+    path = Path(path)
+    width, lineno, prev = expected_length, 0, None
+    columns = (
+        [np.empty(0, dtype=np.int64)],
+        [np.empty(0, dtype=np.complex128)],
+        [np.empty(0, dtype=bool)],
+    )
+    with path.open("rb") as handle:
+        for data in _line_blocks(handle):
+            width, block = _check_block(path, data, lineno, width, prev)
+            for column, part in zip(columns, block):
+                column.append(part)
+            lineno += block[0].size
+            prev = int(block[0][-1])
+    joined = []
+    for column in columns:  # one column's blocks and copy alive at a time
+        joined.append(np.concatenate(column))
+        column.clear()
+    return GMMatrix(width or 0, *joined)  # an empty file may give no width
 
 
 def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
@@ -430,8 +525,16 @@ def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
         gm_path=out_dir / GM_STAGE_NAME,
         matrix_path=out_dir / MATRIX_STAGE_NAME,
     )
-    _write_rows(artifacts.full_path, 2**n, lambda lo, hi: _bit_rows(
-        np.arange(lo, hi, dtype=np.int64), n).tobytes())
+    # The low bits of a chunk of FullBitString lines are those of every
+    # chunk (CHUNK_ROWS is a power of two), and its high bits are constant.
+    low = min(n, CHUNK_ROWS.bit_length() - 1)
+    block = _bit_rows(np.arange(1 << low, dtype=np.int64), n)
+
+    def full_lines(lo, hi):
+        block[:, : n - low] = _bit_rows(np.array([lo >> low]), n - low)[:, :-1]
+        return block.tobytes()
+
+    _write_rows(artifacts.full_path, 2**n, full_lines)
     _write_rows(artifacts.gm_path, len(matrix), lambda lo, hi: _bit_rows(
         matrix.indices[lo:hi], n).tobytes())
     write_gm_matrix(artifacts.matrix_path, matrix)

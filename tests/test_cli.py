@@ -192,41 +192,46 @@ class TestCompile:
         assert [f.name for f in tmp_path.iterdir()] == ["GMMatrix"]
 
     def test_stage_numbers_are_what_gets_compiled(self, tmp_path, capsys):
-        # Every coefficient of the stage doubled: the export is twice the
-        # builder's state, so compile reads the stage, not the builder.
+        # Every coefficient of the stage doubled: a stage of norm 2 is not
+        # the cloner's, so compile checks the stage's numbers and exits 4
+        # before it exports anything.
         M = 4
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        capsys.readouterr()
         path = tmp_path / "GMMatrix"
         matrix = pipeline.read_gm_matrix(path)
         pipeline.write_gm_matrix(path, pipeline.GMMatrix(
             matrix.width, matrix.indices, 2 * matrix.coefficients, matrix.clone_of_one,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        compiled, _ = load_mps(tmp_path / "mps.json")
-        expected = 2 * build_gm_basis(M, 1).amplitudes
-        assert np.max(np.abs(mps_to_state(compiled).amplitudes - expected)) <= 1e-14
-        report = json.loads((tmp_path / "compile_report.json").read_text())
-        assert report["roundtrip_error"] <= 1e-14
+        assert main(argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}:1: ")
+        assert "from the cloner's amplitude" in err
+        assert not (tmp_path / "mps.json").exists()
 
     def test_edit_outside_the_anticlone_span_shows_in_roundtrip_error(self, tmp_path, capsys):
-        # Record 100|01 of M = 3 edited by delta: the export keeps its
-        # projection onto the anticlone Dicke ket (|01> + |10>)/sqrt(2), and
-        # the rest, delta/2 (|01> - |10>), is the roundtrip error.
+        # Record 100|01 of M = 3 edited by delta: its anticlone half holds
+        # a single 1, so part of the edit lies outside the span of the
+        # anticlone rows.  The stage is no longer the cloner's: compile
+        # names the record's line and exits 4.
         M, delta = 3, 0.01
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        capsys.readouterr()
         path = tmp_path / "GMMatrix"
         matrix = pipeline.read_gm_matrix(path)
         coefficients = matrix.coefficients.copy()
-        coefficients[np.flatnonzero(matrix.indices == 0b100_01)] += delta
+        edited = int(np.flatnonzero(matrix.indices == 0b100_01)[0])
+        coefficients[edited] += delta
         pipeline.write_gm_matrix(path, pipeline.GMMatrix(
             matrix.width, matrix.indices, coefficients, matrix.clone_of_one,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:0", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        report = json.loads((tmp_path / "compile_report.json").read_text())
-        assert abs(report["roundtrip_error"] - delta / math.sqrt(2)) <= 1e-15
-        assert report["bond_dims"][M] == M
+        assert main(argv) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}:{edited + 1}: coefficient is 0.01 ")
+        assert not (tmp_path / "compile_report.json").exists()
 
     def test_basis_report(self, tmp_path):
         code = main([

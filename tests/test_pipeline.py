@@ -1,15 +1,18 @@
 """Tests for the bitstring pipeline stages and their file formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gmclone import pipeline
 from gmclone.builder import build_gm_basis
 from gmclone.errors import (
     DomainError,
+    InternalConsistencyError,
     ResourceLimitError,
     StageParseError,
 )
@@ -18,7 +21,9 @@ from gmclone.pipeline import (
     GMMatrix,
     ParityClass,
     _line_problem,
+    _support,
     assign_coefficients,
+    check_gm_matrix,
     gen_full_bitstrings,
     gen_gm_bitstrings,
     parity_classify,
@@ -77,6 +82,16 @@ class TestGMBitstrings:
                 for i in np.nonzero(np.abs(amps) > 1e-13)[0]
             }
         assert gen_gm_bitstrings(M) == sorted(expected)
+
+    @pytest.mark.parametrize("M", range(1, 12))
+    def test_support_is_the_popcount_scan(self, M):
+        n, support, one = _support(M)
+        everything = np.arange(2**n, dtype=np.int64)
+        counts = np.bitwise_count(everything)
+        expected = np.flatnonzero((counts == M - 1) | (counts == M))
+        assert support.dtype == np.int64
+        np.testing.assert_array_equal(support, expected)
+        np.testing.assert_array_equal(one, counts[expected] == M)
 
     @pytest.mark.parametrize("M", range(1, 11))
     def test_class_sizes_match_binomials(self, M):
@@ -252,6 +267,22 @@ class TestStageFiles:
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("M, chunk", [(1, 4), (2, 4), (3, 4), (5, 8), (8, 1 << 14)])
+    def test_full_stage_in_chunks_of_high_bits(self, tmp_path, monkeypatch, M, chunk):
+        # Each chunk of FullBitString lines reuses one block of low bits and
+        # fills its constant high bits; M = 8 has two default chunks.
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+        artifacts, _ = run_pipeline(M, tmp_path)
+        n = 2 * M - 1
+        expected = "".join(format(i, f"0{n}b") + "\n" for i in range(2**n))
+        assert artifacts.full_path.read_text() == expected
+
+    @pytest.mark.parametrize("M", range(1, 12))
+    def test_prepared_stage_passes_the_cross_check(self, tmp_path, M):
+        artifacts, _ = run_pipeline(M, tmp_path)
+        matrix = read_gm_matrix(artifacts.matrix_path, expected_length=2 * M - 1)
+        check_gm_matrix(matrix, M, artifacts.matrix_path)
+
     def test_produces_three_parsable_stages(self, tmp_path):
         artifacts, records = run_pipeline(2, tmp_path)
         assert artifacts.full_path.name == "FullBitString"
@@ -382,6 +413,121 @@ class TestGMMatrixInvariants:
         assert "GMMatrix:1:" in capsys.readouterr().err
 
 
+class TestStageCrossCheck:
+    def _stage(self, M, edit=None):
+        matrix = assign_coefficients(M)
+        coefficients = matrix.coefficients.copy()
+        if edit is not None:
+            row, delta = edit
+            coefficients[row] += delta
+        return GMMatrix(matrix.width, matrix.indices, coefficients, matrix.clone_of_one)
+
+    @pytest.mark.parametrize("delta", [5e-13, -5e-13, 5e-13j])
+    def test_offsets_within_tolerance_pass(self, delta):
+        check_gm_matrix(self._stage(4, (7, delta)), 4, "GMMatrix")
+
+    @pytest.mark.parametrize(
+        "M, row, delta",
+        [(1, 0, 2e-12), (4, 7, -2e-12), (4, 69, 1e-3j), (9, 40000, 1.0)],
+    )
+    def test_coefficient_off_the_closed_form_names_its_line(self, M, row, delta):
+        with pytest.raises(InternalConsistencyError) as err:
+            check_gm_matrix(self._stage(M, (row, delta)), M, "GMMatrix")
+        assert str(err.value).startswith(f"GMMatrix:{row + 1}: coefficient is ")
+
+    def test_missing_record_rejected(self):
+        matrix = assign_coefficients(3)
+        keep = np.arange(len(matrix)) != 5
+        short = GMMatrix(
+            matrix.width, matrix.indices[keep], matrix.coefficients[keep],
+            matrix.clone_of_one[keep],
+        )
+        with pytest.raises(InternalConsistencyError, match="19 records, but"):
+            check_gm_matrix(short, 3, "GMMatrix")
+
+    def test_empty_stage_fails_compile(self, tmp_path, capsys):
+        (tmp_path / "GMMatrix").write_bytes(b"")
+        code = main([
+            "compile", "--clones", "2", "--input", "basis:0", "--out", str(tmp_path),
+        ])
+        assert code == 4
+        assert "0 records, but the cloner of M=2 has 6" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the reader in small blocks, and the memory of stage I/O
+# ---------------------------------------------------------------------------
+
+class SmallBlocks:
+    """Read stages a few bytes at a time: a block is then a line or two, so
+    every check meets the line before it in another block.  The 48,620-line
+    M = 9 file takes 4 KiB blocks, about 90 lines each, to stay fast."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, request, monkeypatch):
+        big = request.node.originalname == "test_coefficients_past_one_chunk"
+        monkeypatch.setattr(pipeline, "READ_BLOCK", 4099 if big else 5)
+
+
+class TestGMMatrixReaderSemanticsInSmallBlocks(SmallBlocks, TestGMMatrixReaderSemantics):
+    pass
+
+
+class TestGMMatrixInvariantsInSmallBlocks(SmallBlocks, TestGMMatrixInvariants):
+    pass
+
+
+class TestGMMatrixReaderBlocks:
+    @pytest.mark.parametrize("block", [1, 5, 26, 28, 37, 38, 1 << 18])
+    def test_last_line_without_lf_across_blocks(self, tmp_path, monkeypatch, block):
+        # The last line without LF starts at byte 26 of the 38.
+        monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+        path = tmp_path / "GMMatrix"
+        path.write_text(GOOD_M2.rstrip("\n"))
+        matrix = read_gm_matrix(path)
+        assert matrix.width == 3
+        assert matrix.indices.tolist() == [0b001, 0b010, 0b011]
+        assert matrix.coefficients.tolist() == [0.5, 0.5, 0.5]
+        assert matrix.clone_of_one.tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("block", [5, 64, 1000])
+    def test_blocks_give_the_same_arrays(self, tmp_path, monkeypatch, block):
+        for M in range(1, 7):
+            path = tmp_path / f"GMMatrix{M}"
+            write_gm_matrix(path, assign_coefficients(M))
+            whole = read_gm_matrix(path)
+            monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+            parts = read_gm_matrix(path)
+            monkeypatch.undo()
+            assert parts.width == whole.width
+            for name in ("indices", "coefficients", "clone_of_one"):
+                a, b = getattr(parts, name), getattr(whole, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStageMemory:
+    """tracemalloc peaks of the GMMatrix reader and writer: the reader holds
+    the columns it returns and one block, the writer one chunk of lines."""
+
+    @pytest.mark.parametrize("M", [10, 11])
+    def test_stage_io_peaks(self, tmp_path, M):
+        matrix = assign_coefficients(M)
+        path = tmp_path / "GMMatrix"
+        tracemalloc.start()
+        try:
+            write_gm_matrix(path, matrix)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            del matrix
+            tracemalloc.reset_peak()
+            loaded = read_gm_matrix(path, expected_length=2 * M - 1)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = loaded.indices.nbytes + loaded.coefficients.nbytes + loaded.clone_of_one.nbytes
+        assert write_peak <= 8 * 2**20
+        assert read_peak <= 2.5 * table
+
+
 # ---------------------------------------------------------------------------
 # property tests: the array writer and reader against per-line references
 # ---------------------------------------------------------------------------
@@ -394,6 +540,15 @@ doubles = st.one_of(
     st.sampled_from(EDGE_DOUBLES),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+# byte edits, a cut and an expected width for the line-grammar property
+EDITS = st.lists(
+    st.tuples(st.integers(0, 200), st.sampled_from(list(b"019\t\nC2x.-\r"))),
+    max_size=3,
+)
+CUTS = st.tuples(st.integers(0, 200), st.integers(0, 2))
+EXPECTED = st.sampled_from([None, 3, 5])
 
 
 @st.composite
@@ -446,45 +601,53 @@ class TestGMMatrixProperties:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        edits=st.lists(
-            st.tuples(st.integers(0, 200), st.sampled_from(list(b"019\t\nC2x.-\r"))),
-            max_size=3,
-        ),
-        cut=st.tuples(st.integers(0, 200), st.integers(0, 2)),
-        expected=st.sampled_from([None, 3, 5]),
-    )
+    @given(edits=EDITS, cut=CUTS, expected=EXPECTED)
     def test_array_checks_agree_with_line_grammar(self, tmp_path, edits, cut, expected):
         """Corrupted files fail on the line, and with the message, of a
         sequential reader that applies the line grammar one line at a time."""
-        data = bytearray(
-            b"001\t0.5\t0\tC0\n010\t-1e-3\t1e308\tC0\n011\t0.25\t0\tC1\n"
-            b"100\t1\t-0\tC0\n101\t3.5e+2\t2e-5\tC1\n110\t1_0\t.5\tC1\n"
-        )
-        for pos, byte in edits:
-            data[pos % len(data)] = byte
-        start = cut[0] % len(data)
-        del data[start : start + cut[1]]
-        path = tmp_path / "GMMatrix"
-        path.write_bytes(bytes(data))
+        _agrees_with_line_grammar(tmp_path, edits, cut, expected)
 
-        lines = bytes(data).split(b"\n")
-        if lines[-1] == b"":
-            lines.pop()
-        width, prev, problem = expected, None, None
-        for lineno, line in enumerate(lines, start=1):
-            problem = _line_problem(line, width, prev)
-            if problem is not None:
-                break
-            prev = line.split(b"\t")[0].decode()
-            width = len(prev)
-        if problem is None:
-            matrix = read_gm_matrix(path, expected_length=expected)
-            assert len(matrix) == len(lines)
-        else:
-            with pytest.raises(StageParseError) as err:
-                read_gm_matrix(path, expected_length=expected)
-            assert str(err.value) == f"{path}:{lineno}: {problem}"
+
+def _agrees_with_line_grammar(tmp_path, edits, cut, expected):
+    data = bytearray(
+        b"001\t0.5\t0\tC0\n010\t-1e-3\t1e308\tC0\n011\t0.25\t0\tC1\n"
+        b"100\t1\t-0\tC0\n101\t3.5e+2\t2e-5\tC1\n110\t1_0\t.5\tC1\n"
+    )
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    start = cut[0] % len(data)
+    del data[start : start + cut[1]]
+    path = tmp_path / "GMMatrix"
+    path.write_bytes(bytes(data))
+
+    lines = bytes(data).split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    width, prev, problem = expected, None, None
+    for lineno, line in enumerate(lines, start=1):
+        problem = _line_problem(line, width, prev)
+        if problem is not None:
+            break
+        prev = line.split(b"\t")[0].decode()
+        width = len(prev)
+    if problem is None:
+        matrix = read_gm_matrix(path, expected_length=expected)
+        assert len(matrix) == len(lines)
+    else:
+        with pytest.raises(StageParseError) as err:
+            read_gm_matrix(path, expected_length=expected)
+        assert str(err.value) == f"{path}:{lineno}: {problem}"
+
+
+class TestGMMatrixGrammarInSmallBlocks:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=EDITS, cut=CUTS, expected=EXPECTED, block=st.integers(1, 40))
+    def test_array_checks_agree_with_line_grammar(self, tmp_path, edits, cut, expected, block):
+        """The same, read ``block`` bytes at a time."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "READ_BLOCK", block)
+            _agrees_with_line_grammar(tmp_path, edits, cut, expected)
 
 
 def _per_line_bitstring_reader(data: bytes, expected_length):
