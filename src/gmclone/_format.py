@@ -3,9 +3,18 @@
 Floats are printed with 17 significant digits everywhere a file format is
 involved: 17 digits round-trip IEEE-754 doubles exactly, so every stage
 file, export document and report is lossless and byte-stable on rewrite.
+
+The JSON renderer takes a float64 array as one leaf: its text, the nested
+lists of ``arr.tolist()``, comes from a single ``str.format`` call on a
+template of ``{:.17g}`` fields built from the array's shape and depth.  The
+renderer yields the document as text pieces, one per array or scalar and
+the punctuation between them, so a writer that streams the pieces holds at
+most one array's text at a time.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def float17(x: float) -> str:
@@ -19,52 +28,83 @@ def dumps_17g(obj, indent: int = 2) -> str:
     """JSON text with floats rendered via :func:`float17`.
 
     Supports the subset of JSON this package emits: dict (insertion order
-    preserved), list/tuple, str, bool, int, float, None.
+    preserved), list/tuple, str, bool, int, float, None, and float64
+    ``np.ndarray`` of any shape, rendered as its ``tolist()``.
     """
+    return "".join(_pieces(obj, indent))
 
-    def render(value, depth):
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            rows = []
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON keys must be str, got {type(key)}")
-                rows.append(f'{inner}"{_escape(key)}": {render(item, depth + 1)}')
-            return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-        if isinstance(value, (list, tuple)):
-            if not len(value):
-                return "[]"
-            rows = [f"{inner}{render(item, depth + 1)}" for item in value]
-            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-        if isinstance(value, str):
-            return f'"{_escape(value)}"'
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, float):
-            return float17(value)
-        raise TypeError(f"cannot serialize {type(value)}")
 
-    return render(obj, 0) + "\n"
+def _pieces(obj, indent: int = 2):
+    """The text of :func:`dumps_17g` as an iterator of pieces."""
+    yield from _render(obj, 0, indent)
+    yield "\n"
+
+
+def _render(value, depth, indent):
+    """Pieces of ``value``: each leaf with the punctuation before it."""
+    if not isinstance(value, (dict, list, tuple)):
+        yield _leaf(value, depth, indent)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
+    inner = " " * (indent * (depth + 1))
+    if isinstance(value, dict):
+        opener, closer = "{\n", "}"
+        items = [(f'{inner}"{_key(key)}": ', item) for key, item in value.items()]
+    else:
+        opener, closer = "[\n", "]"
+        items = [(inner, item) for item in value]
+    for head, item in items:
+        if isinstance(item, (dict, list, tuple)):
+            yield opener + head
+            yield from _render(item, depth + 1, indent)
+        else:
+            yield opener + head + _leaf(item, depth + 1, indent)
+        opener = ",\n"
+    yield "\n" + " " * (indent * depth) + closer
+
+
+def _template(shape, depth, indent):
+    """Format template of an array of ``shape`` rendered at ``depth``."""
+    if not shape:
+        return "{:.17g}"
+    if not shape[0]:
+        return "[]"
+    row = " " * (indent * (depth + 1)) + _template(shape[1:], depth + 1, indent)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + " " * (indent * depth) + "]"
+
+
+def _leaf(value, depth, indent) -> str:
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64:
+            raise TypeError(f"cannot serialize a {value.dtype} array")
+        # + 0.0 turns -0.0 into 0.0, which prints "0" as in float17.
+        values = (value.reshape(-1) + 0.0).tolist()
+        return _template(value.shape, depth, indent).format(*values)
+    if isinstance(value, str):
+        return f'"{_escape(value)}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return float17(value)
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON keys must be str, got {type(key)}")
+    return _escape(key)
+
+
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
 def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_ESCAPES)

@@ -18,9 +18,10 @@ the product of its contracted halves (``mps.mps_halves``), the reference as
 amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
-4 internal consistency failure or a numpy ``LinAlgError`` (an SVD that does
-not converge), 1 anything else (an ``OSError`` such as an unwritable
-``--out`` included).  Past argument parsing, each of these
+4 internal consistency failure or a ``ValueError`` that is not a gmclone
+error, such as numpy's ``LinAlgError`` (an SVD that does not converge),
+1 any other gmclone error or an ``OSError`` (an unwritable ``--out``
+included).  Past argument parsing, each of these
 failures prints one ``error: ...`` line.  All outputs are deterministic —
 identical invocations produce byte-identical files.
 """
@@ -171,9 +172,7 @@ def cmd_compile(args) -> int:
         "source": source,
         "bond_dims": compiled.bond_dims(),
         "retained_ranks": spectrum.retained_ranks(),
-        "singular_values_per_cut": [
-            [float(s) for s in cut.singular_values] for cut in spectrum.cuts
-        ],
+        "singular_values_per_cut": [cut.singular_values for cut in spectrum.cuts],
         "roundtrip_error": error,
     }
     report_path.write_text(dumps_17g(report), encoding="ascii")
@@ -288,12 +287,17 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InternalConsistencyError, np.linalg.LinAlgError) as exc:
+    except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (GMCloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except ValueError as exc:
+        # After GMCloneError, since DomainError is a ValueError too; numpy's
+        # LinAlgError is one, so an unconverged SVD lands here.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry_point() -> None:

@@ -40,7 +40,7 @@ import numpy as np
 from . import kernels
 from .builder import StateVector
 from .errors import DegenerateStateError, DomainError, MalformedMPSError, StageParseError
-from ._format import dumps_17g
+from ._format import _pieces
 
 DEFAULT_TOL = 1e-12
 
@@ -257,19 +257,25 @@ def combine_basis_mps(
 # export / import
 # ---------------------------------------------------------------------------
 
-def _complex_rows(array: np.ndarray) -> list:
-    flat = array.reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _complex_rows(array: np.ndarray) -> np.ndarray:
+    """The entries as an (n, 2) float view, one [re, im] row per entry."""
+    flat = np.ascontiguousarray(array, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
 
 
 def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = None) -> dict:
+    """The JSON document of :func:`save_mps`.
+
+    Site entries (row-major over bit, row, col) and the boundaries are
+    (n, 2) float64 views of the complex data, one [re, im] row per entry,
+    and each cut's singular values a float64 vector: array leaves that
+    :func:`~gmclone._format.dumps_17g` renders as their ``tolist()`` in one
+    format call each.  ``json.loads(dumps_17g(doc))`` is the plain-list form.
+    """
     doc = {
         "num_qubits": mps.num_sites,
         "sites": [
-            {
-                "shape": [int(d) for d in A.shape],
-                "entries": _complex_rows(A),  # row-major over (bit, row, col)
-            }
+            {"shape": [int(d) for d in A.shape], "entries": _complex_rows(A)}
             for A in mps.sites
         ],
         "left_boundary": _complex_rows(mps.left_boundary),
@@ -280,7 +286,7 @@ def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = Non
             "tolerance": float(spectrum.tolerance),
             "cuts": [
                 {
-                    "singular_values": [float(s) for s in cut.singular_values],
+                    "singular_values": np.asarray(cut.singular_values, dtype=np.float64),
                     "retained": int(cut.retained),
                 }
                 for cut in spectrum.cuts
@@ -290,7 +296,13 @@ def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = Non
 
 
 def save_mps(path, mps: MatrixProductState, spectrum: BondSpectrum | None = None) -> None:
-    Path(path).write_text(dumps_17g(export_document(mps, spectrum)), encoding="ascii")
+    """Write the :func:`export_document` of ``mps`` as ``dumps_17g`` text.
+
+    The text is written piece by piece through one open file, one site's
+    entries at a time, so at most one array's text is in memory.
+    """
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(_pieces(export_document(mps, spectrum)))
 
 
 def _number(value) -> float:

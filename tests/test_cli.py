@@ -22,7 +22,7 @@ from gmclone.cli import (
     main,
     parse_input_spec,
 )
-from gmclone.errors import InternalConsistencyError, UsageError
+from gmclone.errors import DomainError, InternalConsistencyError, UsageError
 from gmclone.mps import load_mps, mps_to_state
 
 
@@ -423,6 +423,9 @@ class TestFailureExitCodes:
             (MemoryError("Unable to allocate 64.0 GiB for an array"), EXIT_RESOURCE),
             (MemoryError(), EXIT_RESOURCE),
             (InternalConsistencyError("rebuilt state disagrees"), EXIT_INTERNAL),
+            (ValueError("operands could not be broadcast together"), EXIT_INTERNAL),
+            (np.linalg.LinAlgError("SVD did not converge"), EXIT_INTERNAL),
+            (DomainError("tol must lie in [0, 1)"), EXIT_FAILURE),
         ],
     )
     def test_one_error_line_and_exit_code(self, error, code, tmp_path, monkeypatch, capsys):

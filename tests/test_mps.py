@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gmclone.builder import (
     gm_factors,
     gm_from_factors,
 )
+from gmclone.cli import EXIT_OK, main
 from gmclone.errors import (
     DegenerateStateError,
     DomainError,
@@ -25,6 +27,8 @@ from gmclone.errors import (
 )
 from gmclone._format import dumps_17g
 from gmclone.mps import (
+    BondCut,
+    BondSpectrum,
     MatrixProductState,
     bond_dimension,
     combine_basis_mps,
@@ -36,6 +40,8 @@ from gmclone.mps import (
     save_mps,
 )
 from gmclone.qubit import equatorial_qubit, make_qubit
+
+from test_format import as_lists, recursive_dumps
 
 
 def random_state(rng, n):
@@ -425,9 +431,68 @@ class TestExportImport:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _synthetic_mps(M, rng):
+    """Random sites and spectrum with the cloner's bond dims at M."""
+    n = 2 * M - 1
+    dims = [1] + [min(k + 1, 2 * M - k, M) for k in range(1, n)] + [1]
+    sites = [
+        rng.normal(size=(2, a, b)) + 1j * rng.normal(size=(2, a, b))
+        for a, b in zip(dims, dims[1:])
+    ]
+    ones = np.ones(1, dtype=np.complex128)
+    cuts = [BondCut(np.sort(rng.random(d))[::-1], d) for d in dims[1:-1]]
+    return MatrixProductState(sites, ones, ones), BondSpectrum(cuts, 1e-12)
+
+
+class TestExportBytes:
+    """``save_mps`` writes what the frozen recursive renderer makes of the
+    plain-list document, and holds one array's text at a time."""
+
+    @pytest.mark.parametrize(
+        "M, tol", [(M, None) for M in range(1, 13)] + [(6, "0.3")]
+    )
+    def test_compile_matches_the_recursive_renderer(self, tmp_path, M, tol):
+        argv = ["compile", "--clones", str(M), "--input", "amps:0.6,0.1,-0.2,0.77"]
+        argv += ["--tol", tol] if tol else []
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        compiled, spectrum = load_mps(tmp_path / "mps.json")
+        expected = recursive_dumps(as_lists(export_document(compiled, spectrum)))
+        assert (tmp_path / "mps.json").read_text() == expected
+        report = (tmp_path / "compile_report.json").read_text()
+        assert report == recursive_dumps(json.loads(report))
+
+    def test_synthetic_m30_matches_the_recursive_renderer(self, tmp_path, rng):
+        compiled, spectrum = _synthetic_mps(30, rng)
+        save_mps(tmp_path / "mps.json", compiled, spectrum)
+        expected = recursive_dumps(as_lists(export_document(compiled, spectrum)))
+        assert (tmp_path / "mps.json").read_text() == expected
+
+    def test_document_holds_views_of_the_sites(self, rng):
+        compiled, spectrum = _synthetic_mps(3, rng)
+        doc = export_document(compiled, spectrum)
+        for site, A in zip(doc["sites"], compiled.sites):
+            assert np.shares_memory(site["entries"], A)
+            assert site["entries"].shape == (A.size, 2)
+            np.testing.assert_array_equal(site["entries"][:, 0], A.real.reshape(-1))
+
+    def test_peak_memory_below_half_the_file(self, tmp_path):
+        weights, clone, anti = gm_factors(12, equatorial_qubit(0.3))
+        compiled, spectrum = mps_from_factors((clone * weights[:, None]).T, anti)
+        path = tmp_path / "mps.json"
+        save_mps(path, compiled, spectrum)
+        tracemalloc.start()
+        try:
+            save_mps(path, compiled, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+
 def _valid_document():
+    """The plain-list form of an export, so that _paths reaches every number."""
     mps, spectrum = mps_from_state(build_gm(GMParameters(2, equatorial_qubit(0.4))), 1e-12)
-    return export_document(mps, spectrum)
+    return json.loads(dumps_17g(export_document(mps, spectrum)))
 
 
 def _paths(node, prefix=()):
