@@ -8,8 +8,9 @@ anything, then makes one factor sweep (``mps.mps_from_factors``) with the
 anticlone stack as tail.  It names its source on stdout: the GMMatrix stage
 in ``--out`` for a ``basis:`` input, whose register rows, projected onto the
 anticlone rows, are the head, or the builder, whose weighted clone stack is.
-A stage that is not the cloner's, by its record count or by a coefficient
-off its closed form, exits 4 before the sweep.
+The stage is read once, keeping only the input's parity class; a stage that
+is not the cloner's, by its record count or by a coefficient of either
+class off its closed form, exits 4 before the sweep.
 ``roundtrip_error`` measures the export against the stage register, or
 against the builder's head times the anticlone stack, entry by entry.  Both
 sides are 2^M x 2^(M-1) matrices at the clone|anticlone bond: the export as
@@ -97,15 +98,17 @@ def cmd_prepare(args) -> int:
 def _stage_records(args, matrix_path):
     """Sorted indices and coefficients of the basis input's parity class in
     the GMMatrix stage at ``matrix_path``, or None when the input is not a
-    basis state or the stage is absent.  The stage must be the cloner's
-    (``pipeline.check_gm_matrix``)."""
+    basis state or the stage is absent.  The stage must be the cloner's: one
+    read checks both classes block by block and keeps only this one
+    (``pipeline.read_gm_matrix`` with a parity class)."""
     bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None
-    matrix = pipeline.read_gm_matrix(matrix_path, expected_length=2 * args.clones - 1)
-    pipeline.check_gm_matrix(matrix, args.clones, matrix_path)
-    keep = matrix.clone_of_one == bool(bit)
-    return matrix.indices[keep], matrix.coefficients[keep]
+    parity_class = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)[bit]
+    matrix = pipeline.read_gm_matrix(
+        matrix_path, expected_length=2 * args.clones - 1, parity_class=parity_class
+    )
+    return matrix.indices, matrix.coefficients
 
 
 def _stage_rows(records, lo: int, hi: int, cols: int) -> np.ndarray:

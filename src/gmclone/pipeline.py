@@ -22,7 +22,11 @@ coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
 bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
 ``tobytes()`` (FullBitString refills only the high columns of one block per
 chunk), the GMMatrix writer formats each distinct double once, and the
-reader checks a block of lines at once with array masks over its raw bytes.
+reader checks a block of lines at once with array masks over its raw bytes:
+the TAB after each bit field, which a good line has exactly ``width`` bytes
+in, becomes an LF, so one ``bytes.split`` gives the bit fields, joined into a
+``(rows, width)`` matrix, and the ``RE<TAB>IM<TAB>CLASS`` tails, each
+distinct one parsed once through one dict lookup per line.
 Every writer goes through one open file, ``CHUNK_ROWS`` lines at a time; the
 reader goes through one open file, ``READ_BLOCK`` bytes of whole lines at a
 time; and the support is generated sorted, by a recursion over the top bit,
@@ -30,7 +34,9 @@ without a scan of the 2^(2M-1) register.  So no temporary grows with the registe
 of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
 bad line.  :func:`check_gm_matrix` holds a parsed stage to the closed form
-of :func:`assign_coefficients`.
+of :func:`assign_coefficients`; :func:`read_gm_matrix` given a parity class
+makes the same check block by block while it reads, and keeps only the
+records of that class.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ FULL_STAGE_NAME = "FullBitString"
 GM_STAGE_NAME = "GMBitString"
 MATRIX_STAGE_NAME = "GMMatrix"
 
-_TAB, _LF, _C, _ZERO, _ONE = b"\t\nC01"
+_TAB, _LF, _ZERO = b"\t\n0"
 
 
 class ParityClass(enum.Enum):
@@ -216,6 +222,56 @@ def _basis_amplitudes(M: int, indices: np.ndarray, one: np.ndarray) -> np.ndarra
     return (weights * (clone * anti))[j]
 
 
+class _ClosedFormCheck:
+    """Holds the records of a GMMatrix stage of M clones, fed block by block
+    in file order, to the closed form of :func:`assign_coefficients`, and
+    their count to the 2 C(2M-1, M) kets of the support.
+
+    The stage is judged in chunks of ``CHUNK_ROWS`` records: the record named
+    is the worst of the first chunk holding one more than ``STAGE_ATOL`` from
+    its amplitude (NaN counts as off).  A chunk may span blocks, so that
+    record is carried from block to block.  :meth:`done` raises
+    :class:`InternalConsistencyError` naming ``source``, for the count first.
+    """
+
+    def __init__(self, M: int, source):
+        self.M, self.source = M, source
+        self.records = 0
+        self.chunk_end = None  # end of the first chunk with a record off
+        self.worst = None      # (off, record, closed form) of its worst so far
+
+    def add(self, indices, coefficients, clone_of_one) -> None:
+        first, self.records = self.records, self.records + indices.size
+        if self.chunk_end is not None and first >= self.chunk_end:
+            return
+        closed = _basis_amplitudes(self.M, indices, clone_of_one)
+        off = np.abs(coefficients - closed)
+        lo = 0
+        if self.chunk_end is None:
+            lo = _first(~(off <= STAGE_ATOL))
+            if lo == off.size:
+                return
+            self.chunk_end = (first + lo) // CHUNK_ROWS * CHUNK_ROWS + CHUNK_ROWS
+        worst = lo + int(np.argmax(off[lo : self.chunk_end - first]))
+        if self.worst is None or off[worst] > self.worst[0]:
+            self.worst = (off[worst], first + worst, closed[worst])
+
+    def done(self) -> None:
+        expected = 2 * math.comb(2 * self.M - 1, self.M)
+        if self.records != expected:
+            raise InternalConsistencyError(
+                f"{self.source}: {self.records} records, but the cloner of "
+                f"M={self.M} has {expected} support kets"
+            )
+        if self.worst is not None:
+            off, record, closed = self.worst
+            raise InternalConsistencyError(
+                f"{self.source}:{record + 1}: coefficient is {off:.3g} "
+                f"from the cloner's amplitude {float17(closed)} "
+                f"(tolerance {STAGE_ATOL:g})"
+            )
+
+
 def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
     """Require ``matrix`` to be the GMMatrix stage of M clones: all
     2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
@@ -223,25 +279,15 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
 
     The reader has already checked that the indices are strictly increasing
     and in their popcount classes, so the count makes them the whole
-    support.  The closed form is taken ``CHUNK_ROWS`` records at a time.
-    Raises :class:`InternalConsistencyError` naming ``source`` otherwise.
+    support.  The closed form is taken ``CHUNK_ROWS`` records at a time, by
+    the same check that :func:`read_gm_matrix` makes block by block when
+    given a parity class.  Raises :class:`InternalConsistencyError` naming
+    ``source`` otherwise.
     """
-    expected = 2 * math.comb(2 * M - 1, M)
-    if len(matrix) != expected:
-        raise InternalConsistencyError(
-            f"{source}: {len(matrix)} records, but the cloner of M={M} "
-            f"has {expected} support kets"
-        )
+    check = _ClosedFormCheck(M, source)
     for lo, hi in _row_chunks(len(matrix)):
-        closed = _basis_amplitudes(M, matrix.indices[lo:hi], matrix.clone_of_one[lo:hi])
-        off = np.abs(matrix.coefficients[lo:hi] - closed)
-        worst = int(np.argmax(off))
-        if not off[worst] <= STAGE_ATOL:  # NaN fails too
-            raise InternalConsistencyError(
-                f"{source}:{lo + worst + 1}: coefficient is {off[worst]:.3g} "
-                f"from the cloner's amplitude {float17(closed[worst])} "
-                f"(tolerance {STAGE_ATOL:g})"
-            )
+        check.add(matrix.indices[lo:hi], matrix.coefficients[lo:hi], matrix.clone_of_one[lo:hi])
+    check.done()
 
 
 def reconstruct_state(
@@ -379,23 +425,27 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
-def _float_or_nan(text: bytes) -> float:
+def _tail(text: bytes) -> tuple[complex, int]:
+    """RE + IM j and class of the ``RE<TAB>IM<TAB>CLASS`` tail of a line:
+    0 for C0, 1 for C1 and 2 for a tail that :func:`_line_problem` rejects
+    (a non-ASCII byte, a field count, a number that is unparseable or not
+    finite, an unknown class)."""
     try:
-        return float(text)
-    except ValueError:
-        return math.nan  # the line grammar words the failure
+        re_text, im_text, cls_text = text.decode("ascii").split("\t")
+        re, im = float(re_text), float(im_text)
+    except ValueError:  # UnicodeDecodeError and an unpacking error included
+        return 0j, 2
+    if not (math.isfinite(re) and math.isfinite(im)):
+        return 0j, 2
+    return complex(re, im), {"C0": 0, "C1": 1}.get(cls_text, 2)
 
 
-def _floats(texts: list, table: dict) -> np.ndarray:
-    """``float()`` of every text; NaN, which no valid line holds, where it fails.
+class _Codes(dict):
+    """Code of each distinct key: its rank in order of first lookup."""
 
-    Each distinct text is parsed once into ``table``, which the RE and IM
-    columns of a block share: a stage written from a few distinct doubles
-    repeats the same few texts on every line.
-    """
-    for text in set(texts).difference(table):
-        table[text] = _float_or_nan(text)
-    return np.fromiter(map(table.__getitem__, texts), np.float64, len(texts))
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
 
 
 def _line_blocks(handle):
@@ -420,49 +470,43 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _LF)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    tabs = np.flatnonzero(buf == _TAB)
-    # Lines before the first with a wrong field count or a non-ASCII byte
-    # hold exactly three tabs each, so their tabs form a (head, 3) matrix.
-    head = _first(np.diff(np.searchsorted(tabs, ends), prepend=0) != 3)
-    if not data.isascii():
-        head = min(head, int(np.searchsorted(ends, np.argmax(buf >= 0x80))))
-    tabs = tabs[: 3 * head].reshape(head, 3)
-    bit_len = tabs[:, 0] - starts[:head]
     given = width
     if width is None:
-        width = int(bit_len[0]) if head else 0
+        width = max(data.find(b"\t", 0, int(ends[0])), 0)
 
-    bad = head if width % 2 and width <= MAX_WIDTH else 0
+    bad = 0
+    if width % 2 and width <= MAX_WIDTH:
+        # A good line has its first TAB exactly ``width`` bytes in.  A line
+        # too short for that is clipped to its own LF, so a TAB of a later
+        # line cannot stand in for it.
+        at = np.minimum(starts + width, ends)
+        bad = _first(buf[at] != _TAB)
     if bad:
-        last = buf.size - 1
-        indices = np.zeros(head, dtype=np.int64)
-        popcount = np.zeros(head, dtype=np.int64)
-        line_bad = bit_len != width
-        for col in range(width):
-            byte = buf[np.minimum(starts[:head] + col, last)]
-            line_bad |= (byte != _ZERO) & (byte != _ONE)
-            one = byte == _ONE
-            indices = (indices << 1) | one
-            popcount += one
+        # With that TAB made an LF, one split of the lines before ``bad``
+        # gives BITS, RE<TAB>IM<TAB>CLASS, BITS, ..., each BITS ``width`` bytes.
+        lined = buf[: ends[bad - 1]].copy()
+        lined[at[:bad]] = _LF
+        pieces = lined.tobytes().split(b"\n")
+        digits = np.frombuffer(b"".join(pieces[::2]), dtype=np.uint8) - _ZERO
+        line_bad = (digits > 1).reshape(bad, width).any(axis=1)
+        indices = np.zeros(bad, dtype=np.int64)
+        for column in digits.reshape(bad, width).T:
+            indices <<= 1
+            indices |= column
         line_bad[1:] |= indices[1:] <= indices[:-1]
         if prev is not None:
             line_bad[0] |= indices[0] <= prev
-        cls_at = tabs[:, 2] + 1
-        digit = buf[np.minimum(cls_at + 1, last)]
-        clone_of_one = digit == _ONE
-        line_bad |= (ends[:head] - cls_at != 2) | (buf[cls_at] != _C)
-        line_bad |= (digit != _ZERO) & ~clone_of_one
+        # A stage written from a few distinct doubles repeats a few tails on
+        # every line: each distinct one is parsed once, in code order.
+        tails = _Codes()
+        codes = np.fromiter(map(tails.__getitem__, pieces[1::2]), np.intp, bad)
+        values, classes = zip(*map(_tail, tails))
+        coefficients = np.array(values, dtype=np.complex128)[codes]
+        classes = np.array(classes, dtype=np.int64)[codes]
+        clone_of_one = classes == 1
         M = (width + 1) // 2
-        line_bad |= popcount != np.where(clone_of_one, M, M - 1)
+        line_bad |= (classes > 1) | (kernels.popcounts(indices) != M - 1 + classes)
         bad = _first(line_bad)
-        # These lines hold 3 tabs each, so splitting them at every TAB gives
-        # BITS, RE, IM, then CLASS+LF+BITS of the next line, RE, IM, ...
-        pieces = data[: ends[bad - 1]].split(b"\t") if bad else []
-        table = {}
-        coefficients = np.empty(bad, dtype=np.complex128)
-        coefficients.real = _floats(pieces[1::3], table)
-        coefficients.imag = _floats(pieces[2::3], table)
-        bad = _first(~np.isfinite(coefficients))
 
     if bad < ends.size:
         if bad:
@@ -480,7 +524,9 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
     return width, (indices, coefficients, clone_of_one)
 
 
-def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
+def read_gm_matrix(
+    path, expected_length: int | None = None, parity_class: ParityClass | None = None
+) -> GMMatrix:
     """Parse and validate a GMMatrix stage.
 
     Every line is ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of one odd width
@@ -490,10 +536,27 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
     line, and a last line without one still counts.  The earliest bad line
     is reported, with the first check it fails in :func:`_line_problem`.
 
+    Given a ``parity_class`` (C0 or C1, which needs ``expected_length``),
+    the stage must also be the cloner's, as :func:`check_gm_matrix` has it:
+    the records of both classes are held to the closed form block by block,
+    their count is checked at the end, and only the records of that class
+    are kept and returned.  A line error anywhere comes before a count or
+    coefficient error, as it would in a full read followed by that check.
+
     The file is read through one open handle, ``READ_BLOCK`` bytes of whole
-    lines at a time; only the columns of the lines read so far grow with it.
+    lines at a time; only the columns kept of the lines read so far grow
+    with it.
     """
     path = Path(path)
+    check = None
+    if parity_class is not None:
+        if parity_class is ParityClass.NOT_GM or expected_length is None or expected_length % 2 == 0:
+            raise DomainError(
+                f"a read of one class needs C0 or C1 and an odd expected_length, "
+                f"not {parity_class.value} and {expected_length}"
+            )
+        check = _ClosedFormCheck((expected_length + 1) // 2, path)
+        want = parity_class is ParityClass.CLONE_OF_1
     width, lineno, prev = expected_length, 0, None
     columns = (
         [np.empty(0, dtype=np.int64)],
@@ -503,10 +566,16 @@ def read_gm_matrix(path, expected_length: int | None = None) -> GMMatrix:
     with path.open("rb") as handle:
         for data in _line_blocks(handle):
             width, block = _check_block(path, data, lineno, width, prev)
-            for column, part in zip(columns, block):
-                column.append(part)
             lineno += block[0].size
             prev = int(block[0][-1])
+            if check is not None:
+                check.add(*block)
+                keep = block[2] == want
+                block = [part[keep] for part in block]
+            for column, part in zip(columns, block):
+                column.append(part)
+    if check is not None:
+        check.done()
     joined = []
     for column in columns:  # one column's blocks and copy alive at a time
         joined.append(np.concatenate(column))

@@ -191,6 +191,25 @@ class TestCompile:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert [f.name for f in tmp_path.iterdir()] == ["GMMatrix"]
 
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_stage_is_read_once_through_read_gm_matrix(self, bit, tmp_path, monkeypatch):
+        # A stage compile reads its stage in one call of read_gm_matrix, with
+        # the stage path first: the guard test above and tools that time or
+        # count the stage read through that function see the whole read.
+        main(["prepare", "--clones", "3", "--out", str(tmp_path)])
+        calls = []
+        real_read = pipeline.read_gm_matrix
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_read(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "read_gm_matrix", spy)
+        argv = ["compile", "--clones", "3", "--input", f"basis:{bit}", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert calls[0][0] == tmp_path / "GMMatrix"
+
     def test_stage_numbers_are_what_gets_compiled(self, tmp_path, capsys):
         # Every coefficient of the stage doubled: a stage of norm 2 is not
         # the cloner's, so compile checks the stage's numbers and exits 4

@@ -377,6 +377,28 @@ class TestGMMatrixReaderSemantics:
         assert problem in _raises_on_line(path, line_number, expected_length=17)
 
 
+def _edited_m8_stage(tmp_path, row, field, text):
+    """The M = 8 stage up to two lines past the start of its second read
+    block, with ``field`` of line 1 (``row`` "first") or of the first line of
+    that block set to ``text``; the path, the edited line and the matrix."""
+    matrix = assign_coefficients(8)
+    path = tmp_path / "GMMatrix"
+    write_gm_matrix(path, matrix)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+    # A block is READ_BLOCK bytes completed to a whole line, so the second
+    # starts with the first line that starts at or past READ_BLOCK.
+    second = int(np.searchsorted(starts, pipeline.READ_BLOCK))
+    assert 0 < second < len(lines) - 2
+    lines = lines[: second + 2]
+    edited = 0 if row == "first" else second
+    fields = lines[edited].split(b"\t")
+    fields[field] = text
+    lines[edited] = b"\t".join(fields)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path, edited + 1, matrix
+
+
 class TestGMMatrixInvariants:
     @pytest.mark.parametrize(
         "line, message",
@@ -388,12 +410,42 @@ class TestGMMatrixInvariants:
             ("000\t0.5\t0\tC0", "does not follow"),     # unsorted
             ("100\t0.5\t0\tC1", "contradicts popcount"),
             ("111\t0.5\t0\tC1", "neither parity class"),
+            # bit fields too short for a TAB 3 bytes in: 3 bytes in lands on
+            # the TAB of line 4, which must not pass for line 3's
+            ("1\n1\t0.5\t0\tC1", "expected 4 tab-separated fields"),
+            ("\n01\t0.5\t0\tC0", "expected 4 tab-separated fields"),
+            ("0111\t0.5\t0\tC1", "expected 3 bits, got 4"),
+            # a TAB inside the bit field, 3 bytes in or before
+            ("01\t\t0\tC1", "expected 3 bits, got 2"),
+            ("1\t00\t0.5\tC1", "expected 3 bits, got 1"),
+            ("0\t1\t0.5\t0\tC1", "expected 4 tab-separated fields"),
         ],
     )
     def test_rejected_on_its_line(self, tmp_path, line, message):
         path = tmp_path / "GMMatrix"
         path.write_text("001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n" + line + "\n")
         assert message in _raises_on_line(path, 3)
+
+    @pytest.mark.parametrize("row", ["first", "past a block"])
+    @pytest.mark.parametrize("field", [1, 2])
+    @pytest.mark.parametrize("text, value", [(b" 1.0", 1.0), (b"1_0", 10.0), (b"+0.5", 0.5)])
+    def test_coefficient_texts_float_accepts(self, tmp_path, row, field, text, value):
+        path, line_number, matrix = _edited_m8_stage(tmp_path, row, field, text)
+        loaded = read_gm_matrix(path, expected_length=15)
+        expected = matrix.coefficients[: len(loaded)].copy()
+        if field == 1:
+            expected[line_number - 1] = complex(value, expected[line_number - 1].imag)
+        else:
+            expected[line_number - 1] = complex(expected[line_number - 1].real, value)
+        assert loaded.coefficients.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("row", ["first", "past a block"])
+    @pytest.mark.parametrize("field", [1, 2])
+    @pytest.mark.parametrize("text", [b"0x1p3", b"1\x00", b"1.0.0", b""])
+    def test_coefficient_texts_float_rejects(self, tmp_path, row, field, text):
+        path, line_number, _ = _edited_m8_stage(tmp_path, row, field, text)
+        message = _raises_on_line(path, line_number, expected_length=15)
+        assert "unparseable coefficient" in message
 
     def test_even_width_rejected(self, tmp_path):
         path = tmp_path / "GMMatrix"
@@ -452,6 +504,137 @@ class TestStageCrossCheck:
         ])
         assert code == 4
         assert "0 records, but the cloner of M=2 has 6" in capsys.readouterr().err
+
+
+CLASSES = [ParityClass.CLONE_OF_0, ParityClass.CLONE_OF_1]
+
+
+def _class_of(matrix, parity_class):
+    """The records of ``matrix`` in ``parity_class``, as a GMMatrix."""
+    keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
+    return GMMatrix(
+        matrix.width, matrix.indices[keep], matrix.coefficients[keep],
+        matrix.clone_of_one[keep],
+    )
+
+
+def _assert_same(a, b):
+    assert a.width == b.width
+    for name in ("indices", "coefficients", "clone_of_one"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestClassRead:
+    """``read_gm_matrix`` with a parity class: the cross-check of both
+    classes, block by block, and the records of one class kept."""
+
+    @pytest.mark.parametrize("M", range(1, 12))
+    def test_equals_the_filtered_full_read(self, tmp_path, M):
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, assign_coefficients(M))
+        whole = read_gm_matrix(path, expected_length=2 * M - 1)
+        for parity_class in CLASSES:
+            one = read_gm_matrix(path, expected_length=2 * M - 1, parity_class=parity_class)
+            _assert_same(one, _class_of(whole, parity_class))
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_equals_the_filtered_full_read_in_small_blocks(self, tmp_path, monkeypatch, block):
+        for M in range(1, 6):
+            path = tmp_path / f"GMMatrix{M}"
+            write_gm_matrix(path, assign_coefficients(M))
+            whole = read_gm_matrix(path, expected_length=2 * M - 1)
+            monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+            for parity_class in CLASSES:
+                one = read_gm_matrix(path, expected_length=2 * M - 1, parity_class=parity_class)
+                _assert_same(one, _class_of(whole, parity_class))
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("parity_class", CLASSES)
+    @pytest.mark.parametrize("where", ["line 1", "last block", "last line"])
+    def test_coefficient_off_the_closed_form_names_its_line(self, tmp_path, parity_class, where):
+        # M = 9 has 48,620 lines in about 10 blocks, and either class's read
+        # checks both classes.
+        matrix = assign_coefficients(9)
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, matrix)
+        with path.open("rb") as handle:
+            last_block = list(pipeline._line_blocks(handle))[-1]
+        row = {"line 1": 0, "last line": len(matrix) - 1}.get(
+            where, len(matrix) - last_block.count(b"\n"))
+        coefficients = matrix.coefficients.copy()
+        coefficients[row] += 1e-3
+        write_gm_matrix(path, GMMatrix(17, matrix.indices, coefficients, matrix.clone_of_one))
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, expected_length=17, parity_class=parity_class)
+        assert str(err.value).startswith(f"{path}:{row + 1}: coefficient is 0.001 from ")
+        with pytest.raises(InternalConsistencyError) as whole:
+            check_gm_matrix(read_gm_matrix(path), 9, path)
+        assert str(whole.value) == str(err.value)
+
+    @pytest.mark.parametrize("parity_class", CLASSES)
+    def test_worst_of_the_first_chunk_across_blocks(self, tmp_path, monkeypatch, parity_class):
+        # As in check_gm_matrix, the record named is the worst of the first
+        # CHUNK_ROWS records holding one off, though blocks cut that chunk:
+        # with offsets growing down the file, the last record of the chunk,
+        # not a later one in the block that holds the chunk's end.
+        matrix = assign_coefficients(4)
+        coefficients = matrix.coefficients + 1e-3 * np.maximum(np.arange(len(matrix)) - 2, 0)
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, GMMatrix(7, matrix.indices, coefficients, matrix.clone_of_one))
+        monkeypatch.setattr(pipeline, "READ_BLOCK", 100)
+        with path.open("rb") as handle:
+            rows = [block.count(b"\n") for block in pipeline._line_blocks(handle)]
+        firsts = np.cumsum([0] + rows[:-1])
+        # the first block from row 8 on that holds two rows or more
+        straddled = next(a for a, n in zip(firsts, rows) if a >= 8 and n >= 2)
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", int(straddled) + 1)
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, expected_length=7, parity_class=parity_class)
+        assert str(err.value).startswith(f"{path}:{straddled + 1}: coefficient is ")
+        with pytest.raises(InternalConsistencyError) as whole:
+            check_gm_matrix(read_gm_matrix(path), 4, path)
+        assert str(whole.value) == str(err.value)
+
+    @pytest.mark.parametrize("parity_class", CLASSES)
+    def test_missing_record_fails_on_the_count(self, tmp_path, parity_class):
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, assign_coefficients(6))
+        lines = path.read_bytes().split(b"\n")
+        del lines[300]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, expected_length=11, parity_class=parity_class)
+        assert str(err.value) == f"{path}: 923 records, but the cloner of M=6 has 924 support kets"
+
+    def test_line_error_then_count_then_coefficient(self, tmp_path):
+        # The order of a full read followed by check_gm_matrix.
+        matrix = assign_coefficients(3)
+        coefficients = matrix.coefficients.copy()
+        coefficients[1] += 1.0
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, GMMatrix(5, matrix.indices, coefficients, matrix.clone_of_one))
+        good = path.read_bytes()
+        path.write_bytes(good + b"11111\t0\t0\tC1\n")
+        with pytest.raises(StageParseError, match="neither parity class"):
+            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+        path.write_bytes(good[: good.rindex(b"\n", 0, -1) + 1])
+        with pytest.raises(InternalConsistencyError, match="19 records, but"):
+            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+        path.write_bytes(good)
+        with pytest.raises(InternalConsistencyError, match=":2: coefficient is 1 from"):
+            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+
+    @pytest.mark.parametrize(
+        "expected_length, parity_class",
+        [(3, ParityClass.NOT_GM), (None, ParityClass.CLONE_OF_0),
+         (None, ParityClass.CLONE_OF_1), (4, ParityClass.CLONE_OF_1)],
+    )
+    def test_needs_a_class_and_a_width(self, tmp_path, expected_length, parity_class):
+        path = tmp_path / "GMMatrix"
+        path.write_text(GOOD_M2)
+        with pytest.raises(DomainError):
+            read_gm_matrix(path, expected_length=expected_length, parity_class=parity_class)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +709,24 @@ class TestStageMemory:
         table = loaded.indices.nbytes + loaded.coefficients.nbytes + loaded.clone_of_one.nbytes
         assert write_peak <= 8 * 2**20
         assert read_peak <= 2.5 * table
+
+    def test_class_read_peak(self, tmp_path):
+        # Reading one class holds that class's columns and one block, not
+        # the table of both classes and then a copy of one.
+        M = 11
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, assign_coefficients(M))
+        tracemalloc.start()
+        try:
+            loaded = read_gm_matrix(
+                path, expected_length=2 * M - 1, parity_class=ParityClass.CLONE_OF_1,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == math.comb(2 * M - 1, M)
+        table = loaded.indices.nbytes + loaded.coefficients.nbytes + loaded.clone_of_one.nbytes
+        assert peak <= 2 * table
 
 
 # ---------------------------------------------------------------------------
