@@ -1,8 +1,9 @@
-"""Physics validation: reduced density matrices, fidelities, nonlinearity,
-and the bond-dimension scaling study.
+"""Physics validation: clone and anticlone fidelities and the nonlinearity
+gap on the Dicke bases, and the bond-dimension scaling study.
 
-Positions are 1-indexed to match the ket convention (qubit 1 = leftmost).
-Clones sit on positions 1..M, anticlones on M+1..2M-1.
+Clones sit on qubits 1..M (qubit 1 = leftmost), anticlones on M+1..2M-1.
+The dense-register fidelities that the tests check these figures against
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,28 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import (
-    StateVector,
-    _sector_maps,
-    check_register,
-    gm_factors,
-)
+from .builder import _sector_maps, check_register, gm_factors
 from .errors import DomainError
 from .mps import bond_dimension, mps_from_factors
 from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
 from ._format import float17
 
 SCALING_CSV_HEADER = "M,num_qubits,bond_dim,cut_ranks,tol"
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.dim, self.dim):
-            raise DomainError("density matrix shape mismatch")
 
 
 @dataclass(frozen=True)
@@ -45,64 +31,10 @@ class ScalingRow:
     tol: float
 
 
-def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace onto the given 1-indexed qubit positions."""
-    keep = sorted(set(keep))
-    n = state.num_qubits
-    if not keep:
-        raise DomainError("keep must name at least one qubit")
-    if keep[0] < 1 or keep[-1] > n:
-        raise DomainError(f"positions must lie in 1..{n}")
-    axes = [p - 1 for p in keep]
-    rest = [q for q in range(n) if q not in axes]
-    tensor = state.amplitudes.reshape((2,) * n).transpose(axes + rest)
-    matrix = tensor.reshape(2 ** len(axes), -1)
-    rho = matrix @ matrix.conj().T
-    return DensityMatrix(dim=2 ** len(axes), entries=rho)
-
-
-def _single_qubit_fidelities(state, positions, target: Qubit):
-    # <psi|rho_p|psi> = || psi_0^* T[:, 0, :] + psi_1^* T[:, 1, :] ||^2 on the
-    # (2^(p-1), 2, rest) view T of the register: no transposed copy per qubit.
-    psi0, psi1 = target.components().conj()
-    out = []
-    for pos in positions:
-        tensor = state.amplitudes.reshape(2 ** (pos - 1), 2, -1)
-        projected = psi0 * tensor[:, 0, :]
-        projected += psi1 * tensor[:, 1, :]
-        out.append(float(np.vdot(projected, projected).real))
-    return out
-
-
-def clone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
-    """Overlap of each clone's reduced state with the input, one per clone.
-
-    By symmetry of the cloner output all M values coincide; the optimal
-    universal value is (2M+1)/(3M).
-    """
-    if state.num_qubits != 2 * M - 1:
-        raise DomainError(
-            f"state has {state.num_qubits} qubits, expected {2 * M - 1}"
-        )
-    return _single_qubit_fidelities(state, range(1, M + 1), input)
-
-
-def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
-    """Same figure against the anticlone state, one per anticlone position.
-
-    Reported for completeness; no optimality target is attached to it.
-    """
-    if state.num_qubits != 2 * M - 1:
-        raise DomainError(
-            f"state has {state.num_qubits} qubits, expected {2 * M - 1}"
-        )
-    return _single_qubit_fidelities(state, range(M + 1, 2 * M), anticlone(input))
-
-
 # On the Dicke bases |D^M_a> of the clones and |D^(M-1)_b> of the anticlones
 # the cloner output sum_j gamma_j |S^M_j(psi)>|S^(M-1)_j(psi_a)> is the
 # (M+1) x M matrix c = R_C^T diag(gamma) R_A, where row j of R_phi holds the
-# Dicke coefficients of symmetric_ket(n, j, phi).  Every figure below is read
+# Dicke coefficients of the sector ket S^n_j(phi).  Every figure below is read
 # from c in O(M^3) work, with no 2^M-amplitude ket and no dense register.
 
 
@@ -178,12 +110,11 @@ def _analyze(M: int, input: Qubit) -> ClonerAnalysis:
 def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
     """Fidelities and nonlinearity gap of the cloner output for ``input``.
 
-    The same figures as :func:`clone_fidelity` and
-    :func:`anticlone_fidelity` on ``build_gm`` and as
-    :func:`nonlinearity_gap`, read from the (M+1) x M Dicke-basis matrices
-    of GM(input), GM(|0>) and GM(|1>) in O(M^3) work: no dense register and
-    no sector ket is built.  Keeps the dense register guard
-    (:class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``).
+    The fidelity of every clone with ``input``, of every anticlone with
+    its anticlone, and :func:`nonlinearity_gap`, read from the (M+1) x M
+    Dicke-basis matrices of GM(input), GM(|0>) and GM(|1>) in O(M^3) work:
+    no dense register and no sector ket is built.  Keeps the dense register
+    guard (:class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``).
     """
     check_register(M)
     return _analyze(M, input)

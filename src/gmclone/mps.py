@@ -221,38 +221,6 @@ def bond_dimension(mps: MatrixProductState) -> int:
     return max(mps.bond_dims())
 
 
-def combine_basis_mps(
-    mps0: MatrixProductState,
-    mps1: MatrixProductState,
-    alpha: complex,
-    beta: complex,
-) -> MatrixProductState:
-    """Block-direct-sum of the two basis-clone MPSs with doubled bonds.
-
-    Each site stacks the input site tensors block-diagonally; the input
-    weights alpha, beta ride on the left boundary.  The reconstruction is
-    exactly alpha * state(mps0) + beta * state(mps1), which is generally a
-    different state from compiling the cloner output of the superposed
-    input (the cloning map is nonlinear).
-    """
-    if mps0.num_sites != mps1.num_sites:
-        raise DomainError("MPS lengths differ")
-    sites = []
-    for A, B in zip(mps0.sites, mps1.sites):
-        block = np.zeros(
-            (2, A.shape[1] + B.shape[1], A.shape[2] + B.shape[2]),
-            dtype=np.complex128,
-        )
-        block[:, : A.shape[1], : A.shape[2]] = A
-        block[:, A.shape[1] :, A.shape[2] :] = B
-        sites.append(block)
-    left = np.concatenate(
-        [complex(alpha) * mps0.left_boundary, complex(beta) * mps1.left_boundary]
-    )
-    right = np.concatenate([mps0.right_boundary, mps1.right_boundary])
-    return MatrixProductState(sites=sites, left_boundary=left, right_boundary=right)
-
-
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------

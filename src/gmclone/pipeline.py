@@ -33,10 +33,11 @@ time; and the support is generated sorted, by a recursion over the top bit,
 without a scan of the 2^(2M-1) register.  So no temporary grows with the register, and none
 of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
-bad line.  :func:`check_gm_matrix` holds a parsed stage to the closed form
-of :func:`assign_coefficients`; :func:`read_gm_matrix` given a parity class
-makes the same check block by block while it reads, and keeps only the
-records of that class.
+bad line.  :func:`read_gm_matrix` given a parity class holds the stage to
+the closed form of :func:`assign_coefficients` block by block while it
+reads, and keeps only the records of that class.  The package writes the
+bitstring stages and reads only GMMatrix; the string generators and the
+per-line bitstring reader that the tests use live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .builder import StateVector, check_register, gamma
+from .builder import check_register, gamma
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -165,19 +166,6 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
     return n, support, one
 
 
-def gen_full_bitstrings(M: int) -> list[str]:
-    """All 2^(2M-1) bitstrings of register length 2M-1, lexicographic."""
-    check_register(M)
-    n = 2 * M - 1
-    return _strings(np.arange(2**n, dtype=np.int64), n)
-
-
-def gen_gm_bitstrings(M: int) -> list[str]:
-    """Sorted union of the two basis-clone supports."""
-    n, support, _ = _support(M)
-    return _strings(support, n)
-
-
 def parity_classify(bits: str, M: int) -> ParityClass:
     """Popcount M-1 -> clone of |0>, popcount M -> clone of |1>."""
     if len(bits) != 2 * M - 1:
@@ -272,86 +260,9 @@ class _ClosedFormCheck:
             )
 
 
-def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
-    """Require ``matrix`` to be the GMMatrix stage of M clones: all
-    2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
-    amplitude.
-
-    The reader has already checked that the indices are strictly increasing
-    and in their popcount classes, so the count makes them the whole
-    support.  The closed form is taken ``CHUNK_ROWS`` records at a time, by
-    the same check that :func:`read_gm_matrix` makes block by block when
-    given a parity class.  Raises :class:`InternalConsistencyError` naming
-    ``source`` otherwise.
-    """
-    check = _ClosedFormCheck(M, source)
-    for lo, hi in _row_chunks(len(matrix)):
-        check.add(matrix.indices[lo:hi], matrix.coefficients[lo:hi], matrix.clone_of_one[lo:hi])
-    check.done()
-
-
-def reconstruct_state(
-    matrix: GMMatrix, M: int, parity_class: ParityClass
-) -> StateVector:
-    """Dense state of one parity class rebuilt from a GMMatrix table."""
-    n = 2 * M - 1
-    if len(matrix) and matrix.width != n:
-        raise DomainError(
-            f"GMMatrix of width {matrix.width} does not fit a {n}-qubit register"
-        )
-    if parity_class is ParityClass.NOT_GM:
-        keep = np.zeros(len(matrix), dtype=bool)  # no record carries it
-    else:
-        keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[matrix.indices[keep]] = matrix.coefficients[keep]
-    return StateVector(n, amps)
-
-
 # ---------------------------------------------------------------------------
 # stage file I/O
 # ---------------------------------------------------------------------------
-
-def write_bitstring_stage(path, strings) -> None:
-    path = Path(path)
-    path.write_text("".join(s + "\n" for s in strings), encoding="ascii")
-
-
-def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
-    """Parse a FullBitString/GMBitString stage; strict line grammar.
-
-    The register width is taken from ``expected_length`` when given,
-    otherwise from the first line; every later line must match it and be
-    strictly greater than the line before (sorted, no duplicates).  Only LF
-    ends a line, and a last line without one still counts, as in
-    :func:`read_gm_matrix`.  The first bad line is reported.
-    """
-    path = Path(path)
-    lines = path.read_bytes().split(b"\n")
-    if not lines[-1]:
-        lines.pop()
-    strings = []
-    width = expected_length
-    prev = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.decode("ascii", errors="replace")
-        if not line or line.strip("01"):
-            raise StageParseError(path, lineno, f"bad bitstring {line!r}")
-        if width is None:
-            width = len(line)
-        if len(line) != width:
-            raise StageParseError(
-                path, lineno, f"expected {width} bits, got {len(line)}"
-            )
-        if prev is not None and line <= prev:
-            raise StageParseError(
-                path, lineno,
-                f"bitstring {line} does not follow {prev} (need sorted, unique)",
-            )
-        strings.append(line)
-        prev = line
-    return strings
-
 
 def write_gm_matrix(path, matrix: GMMatrix) -> None:
     """Write ``matrix`` as a GMMatrix stage, ``CHUNK_ROWS`` lines at a time.
@@ -537,11 +448,11 @@ def read_gm_matrix(
     is reported, with the first check it fails in :func:`_line_problem`.
 
     Given a ``parity_class`` (C0 or C1, which needs ``expected_length``),
-    the stage must also be the cloner's, as :func:`check_gm_matrix` has it:
-    the records of both classes are held to the closed form block by block,
+    the stage must also be the cloner's: the records of both classes are
+    held to the closed form of :func:`assign_coefficients` block by block,
     their count is checked at the end, and only the records of that class
-    are kept and returned.  A line error anywhere comes before a count or
-    coefficient error, as it would in a full read followed by that check.
+    are kept and returned.  A line error anywhere comes first, then a count
+    error, then a coefficient error.
 
     The file is read through one open handle, ``READ_BLOCK`` bytes of whole
     lines at a time; only the columns kept of the lines read so far grow

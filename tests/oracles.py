@@ -1,0 +1,326 @@
+"""Dense and per-line reference implementations that the tests check gmclone
+against.
+
+No command needs them: ``compile``, ``analyze`` and ``sweep`` work from the
+sector factors and the Dicke maps, and ``prepare`` writes its stages from
+index arrays.  Each one here takes an independent or a plainer route to the
+same figure, so the suites can cross-check the package:
+
+* the dense cloner output (``build_gm``, ``build_gm_basis``) and the
+  decomposed expansion (``expand_gm_decomposed``), which enumerates the
+  placements of the orthogonal factors one kron chain at a time;
+* dense reduced densities and single-qubit fidelities;
+* the block-sum of two basis MPSs, which shows that superposing the clones
+  is not cloning the superposition;
+* the bitstring stages as Python strings, generated by a plain scan of the
+  register, and their per-line reader and writer;
+* ``check_gm_matrix``, the stage cross-check over a table already in
+  memory, and ``reconstruct_state``, one class of a table as a dense
+  register.
+
+Every function keeps the signature it had in the package.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from functools import reduce
+from pathlib import Path
+
+import numpy as np
+
+from gmclone.builder import (
+    StateVector,
+    _dicke_kets,
+    _dicke_maps,
+    check_register,
+    gamma,
+    gm_factors,
+    gm_from_factors,
+)
+from gmclone.errors import DomainError, StageParseError
+from gmclone.mps import MatrixProductState
+from gmclone.pipeline import GMMatrix, ParityClass, _ClosedFormCheck, _row_chunks
+from gmclone.qubit import BASIS, Qubit, anticlone, perp
+
+
+# ---------------------------------------------------------------------------
+# dense cloner output
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GMParameters:
+    """Number of clones and the input qubit; register size is 2M-1."""
+
+    clones: int
+    input: Qubit
+
+    def __post_init__(self):
+        if self.clones < 1:
+            raise DomainError("clones must be >= 1")
+
+
+def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
+    """Normalized symmetric state of n-j factors phi and j factors perp(phi).
+
+    For phi = |0> this is the equal-weight sum over the C(n, j) bitstrings
+    with j ones, up to the sign carried by the orthogonal complement.
+    """
+    if n < 1:
+        raise DomainError("need at least one qubit")
+    if not 0 <= j <= n:
+        raise DomainError(f"j={j} outside 0..{n}")
+    _, maps = _dicke_maps(n, [phi])
+    return StateVector(n, _dicke_kets(maps[0, j : j + 1])[0])
+
+
+def build_gm(params: GMParameters) -> StateVector:
+    """Assemble the (2M-1)-qubit cloner output for an arbitrary input.
+
+    :func:`gm_from_factors` of :func:`gm_factors`.  For M = 1 the output
+    equals the input qubit.  Guarded at M <= ``FULL_ENUMERATION_LIMIT``
+    (:class:`ResourceLimitError`).
+    """
+    return gm_from_factors(*gm_factors(params.clones, params.input))
+
+
+def build_gm_basis(M: int, bit: int) -> StateVector:
+    """Cloner output for a computational-basis input |0> or |1>.
+
+    Every basis ket in the support of the bit=0 output has popcount M-1;
+    every ket for bit=1 has popcount M, which is what the parity pipeline
+    exploits.
+    """
+    if bit not in (0, 1):
+        raise DomainError("bit must be 0 or 1")
+    return build_gm(GMParameters(M, BASIS[bit]))
+
+
+def expand_gm_decomposed(M: int, input: Qubit) -> StateVector:
+    """Independent oracle: explicit insertion of the input amplitudes.
+
+    Expands each symmetric sector ket as the equal-weight sum over
+    placements of the orthogonal factors (a fully symmetric product of basis
+    kets is already its own symmetrization) and accumulates one kron chain
+    per placement pair.  Shares only the gamma weights and the single-qubit
+    maps with :func:`build_gm`.
+    """
+    if M < 1:
+        raise DomainError("M must be >= 1")
+    clone_u = input.components()
+    clone_v = perp(input).components()
+    anti_u = anticlone(input).components()
+    anti_v = perp(anticlone(input)).components()
+    total = np.zeros(2 ** (2 * M - 1), dtype=np.complex128)
+    for j in range(M):
+        weight = gamma(M, j) / math.sqrt(math.comb(M, j) * math.comb(M - 1, j))
+        for clone_pos in itertools.combinations(range(M), j):
+            clone_factors = [
+                clone_v if p in clone_pos else clone_u for p in range(M)
+            ]
+            for anti_pos in itertools.combinations(range(M - 1), j):
+                anti_factors = [
+                    anti_v if p in anti_pos else anti_u for p in range(M - 1)
+                ]
+                total += weight * reduce(np.kron, clone_factors + anti_factors)
+    return StateVector(2 * M - 1, total)
+
+
+# ---------------------------------------------------------------------------
+# dense fidelities
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    dim: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        if self.entries.shape != (self.dim, self.dim):
+            raise DomainError("density matrix shape mismatch")
+
+
+def reduced_density(state: StateVector, keep) -> DensityMatrix:
+    """Partial trace onto the given 1-indexed qubit positions."""
+    keep = sorted(set(keep))
+    n = state.num_qubits
+    if not keep:
+        raise DomainError("keep must name at least one qubit")
+    if keep[0] < 1 or keep[-1] > n:
+        raise DomainError(f"positions must lie in 1..{n}")
+    axes = [p - 1 for p in keep]
+    rest = [q for q in range(n) if q not in axes]
+    tensor = state.amplitudes.reshape((2,) * n).transpose(axes + rest)
+    matrix = tensor.reshape(2 ** len(axes), -1)
+    rho = matrix @ matrix.conj().T
+    return DensityMatrix(dim=2 ** len(axes), entries=rho)
+
+
+def _single_qubit_fidelities(state, positions, target: Qubit):
+    # <psi|rho_p|psi> = || psi_0^* T[:, 0, :] + psi_1^* T[:, 1, :] ||^2 on the
+    # (2^(p-1), 2, rest) view T of the register: no transposed copy per qubit.
+    psi0, psi1 = target.components().conj()
+    out = []
+    for pos in positions:
+        tensor = state.amplitudes.reshape(2 ** (pos - 1), 2, -1)
+        projected = psi0 * tensor[:, 0, :]
+        projected += psi1 * tensor[:, 1, :]
+        out.append(float(np.vdot(projected, projected).real))
+    return out
+
+
+def clone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
+    """Overlap of each clone's reduced state with the input, one per clone.
+
+    By symmetry of the cloner output all M values coincide; the optimal
+    universal value is (2M+1)/(3M).
+    """
+    if state.num_qubits != 2 * M - 1:
+        raise DomainError(
+            f"state has {state.num_qubits} qubits, expected {2 * M - 1}"
+        )
+    return _single_qubit_fidelities(state, range(1, M + 1), input)
+
+
+def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
+    """Same figure against the anticlone state, one per anticlone position.
+
+    Reported for completeness; no optimality target is attached to it.
+    """
+    if state.num_qubits != 2 * M - 1:
+        raise DomainError(
+            f"state has {state.num_qubits} qubits, expected {2 * M - 1}"
+        )
+    return _single_qubit_fidelities(state, range(M + 1, 2 * M), anticlone(input))
+
+
+# ---------------------------------------------------------------------------
+# block-sum MPS
+# ---------------------------------------------------------------------------
+
+def combine_basis_mps(
+    mps0: MatrixProductState,
+    mps1: MatrixProductState,
+    alpha: complex,
+    beta: complex,
+) -> MatrixProductState:
+    """Block-direct-sum of the two basis-clone MPSs with doubled bonds.
+
+    Each site stacks the input site tensors block-diagonally; the input
+    weights alpha, beta ride on the left boundary.  The reconstruction is
+    exactly alpha * state(mps0) + beta * state(mps1), which is generally a
+    different state from compiling the cloner output of the superposed
+    input (the cloning map is nonlinear).
+    """
+    if mps0.num_sites != mps1.num_sites:
+        raise DomainError("MPS lengths differ")
+    sites = []
+    for A, B in zip(mps0.sites, mps1.sites):
+        block = np.zeros(
+            (2, A.shape[1] + B.shape[1], A.shape[2] + B.shape[2]),
+            dtype=np.complex128,
+        )
+        block[:, : A.shape[1], : A.shape[2]] = A
+        block[:, A.shape[1] :, A.shape[2] :] = B
+        sites.append(block)
+    left = np.concatenate(
+        [complex(alpha) * mps0.left_boundary, complex(beta) * mps1.left_boundary]
+    )
+    right = np.concatenate([mps0.right_boundary, mps1.right_boundary])
+    return MatrixProductState(sites=sites, left_boundary=left, right_boundary=right)
+
+
+# ---------------------------------------------------------------------------
+# bitstring stages and the GMMatrix table
+# ---------------------------------------------------------------------------
+
+def gen_full_bitstrings(M: int) -> list[str]:
+    """All 2^(2M-1) bitstrings of register length 2M-1, lexicographic."""
+    check_register(M)
+    n = 2 * M - 1
+    return [format(i, f"0{n}b") for i in range(2**n)]
+
+
+def gen_gm_bitstrings(M: int) -> list[str]:
+    """Sorted union of the two basis-clone supports: a scan of the register
+    for the strings with M-1 or M ones."""
+    return [bits for bits in gen_full_bitstrings(M) if bits.count("1") in (M - 1, M)]
+
+
+def write_bitstring_stage(path, strings) -> None:
+    path = Path(path)
+    path.write_text("".join(s + "\n" for s in strings), encoding="ascii")
+
+
+def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
+    """Parse a FullBitString/GMBitString stage; strict line grammar.
+
+    The register width is taken from ``expected_length`` when given,
+    otherwise from the first line; every later line must match it and be
+    strictly greater than the line before (sorted, no duplicates).  Only LF
+    ends a line, and a last line without one still counts, as in
+    :func:`gmclone.pipeline.read_gm_matrix`.  The first bad line is reported.
+    """
+    path = Path(path)
+    lines = path.read_bytes().split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    strings = []
+    width = expected_length
+    prev = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("ascii", errors="replace")
+        if not line or line.strip("01"):
+            raise StageParseError(path, lineno, f"bad bitstring {line!r}")
+        if width is None:
+            width = len(line)
+        if len(line) != width:
+            raise StageParseError(
+                path, lineno, f"expected {width} bits, got {len(line)}"
+            )
+        if prev is not None and line <= prev:
+            raise StageParseError(
+                path, lineno,
+                f"bitstring {line} does not follow {prev} (need sorted, unique)",
+            )
+        strings.append(line)
+        prev = line
+    return strings
+
+
+def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
+    """Require ``matrix`` to be the GMMatrix stage of M clones: all
+    2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
+    amplitude.
+
+    The reader has already checked that the indices are strictly increasing
+    and in their popcount classes, so the count makes them the whole
+    support.  The closed form is taken ``CHUNK_ROWS`` records at a time, by
+    the same check that :func:`gmclone.pipeline.read_gm_matrix` makes block
+    by block when given a parity class.  Raises
+    :class:`InternalConsistencyError` naming ``source`` otherwise.
+    """
+    check = _ClosedFormCheck(M, source)
+    for lo, hi in _row_chunks(len(matrix)):
+        check.add(matrix.indices[lo:hi], matrix.coefficients[lo:hi], matrix.clone_of_one[lo:hi])
+    check.done()
+
+
+def reconstruct_state(
+    matrix: GMMatrix, M: int, parity_class: ParityClass
+) -> StateVector:
+    """Dense state of one parity class rebuilt from a GMMatrix table."""
+    n = 2 * M - 1
+    if len(matrix) and matrix.width != n:
+        raise DomainError(
+            f"GMMatrix of width {matrix.width} does not fit a {n}-qubit register"
+        )
+    if parity_class is ParityClass.NOT_GM:
+        keep = np.zeros(len(matrix), dtype=bool)  # no record carries it
+    else:
+        keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
+    amps = np.zeros(2**n, dtype=np.complex128)
+    amps[matrix.indices[keep]] = matrix.coefficients[keep]
+    return StateVector(n, amps)

@@ -12,41 +12,32 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gmclone.analysis import (
-    anticlone_fidelity,
-    clone_fidelity,
-    nonlinearity_gap,
-    scaling_csv,
-    scaling_sweep,
-)
-from gmclone.builder import (
-    GMParameters,
-    StateVector,
-    build_gm,
-    build_gm_basis,
-    expand_gm_decomposed,
-    gamma,
-)
-from gmclone.mps import (
-    bond_dimension,
-    combine_basis_mps,
-    load_mps,
-    mps_from_state,
-    mps_to_state,
-    save_mps,
-)
+from gmclone.analysis import nonlinearity_gap, scaling_csv, scaling_sweep
+from gmclone.builder import StateVector, gamma
+from gmclone.mps import bond_dimension, load_mps, mps_from_state, mps_to_state, save_mps
 from gmclone.pipeline import (
     ParityClass,
-    gen_gm_bitstrings,
+    assign_coefficients,
     parity_classify,
-    read_bitstring_stage,
     read_gm_matrix,
-    reconstruct_state,
     run_pipeline,
-    write_bitstring_stage,
     write_gm_matrix,
 )
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
+
+from oracles import (
+    GMParameters,
+    anticlone_fidelity,
+    build_gm,
+    build_gm_basis,
+    clone_fidelity,
+    combine_basis_mps,
+    expand_gm_decomposed,
+    gen_gm_bitstrings,
+    read_bitstring_stage,
+    reconstruct_state,
+    write_bitstring_stage,
+)
 
 
 @contextmanager
@@ -117,9 +108,15 @@ def test_criterion_04_pipeline_equivalence(tmp_path):
 def test_criterion_05_parity_partition():
     with criterion(5, "popcount parity splits every support string, M=1..10"):
         for M in range(1, 11):
+            strings = gen_gm_bitstrings(M)
+            # prepare's support, from the top-bit recursion, is the scan's
+            support = assign_coefficients(M)
+            n = 2 * M - 1
+            assert [format(i, f"0{n}b") for i in support.indices.tolist()] == strings
             count0 = count1 = 0
-            for bits in gen_gm_bitstrings(M):
+            for bits, one in zip(strings, support.clone_of_one.tolist()):
                 cls = parity_classify(bits, M)
+                assert one == (cls is ParityClass.CLONE_OF_1)
                 if cls is ParityClass.CLONE_OF_0:
                     assert bits.count("1") == M - 1
                     count0 += 1

@@ -11,24 +11,23 @@ from gmclone.analysis import (
     _analyze,
     _dicke_outputs,
     analyze_cloner,
-    anticlone_fidelity,
-    clone_fidelity,
     nonlinearity_gap,
-    reduced_density,
     scaling_csv,
     scaling_sweep,
     write_scaling_csv,
 )
-from gmclone.builder import (
-    GMParameters,
-    StateVector,
-    _dicke_maps,
-    build_gm,
-    build_gm_basis,
-)
+from gmclone.builder import StateVector, _dicke_maps
 from gmclone.errors import DomainError, ResourceLimitError
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
 
+from oracles import (
+    GMParameters,
+    anticlone_fidelity,
+    build_gm,
+    build_gm_basis,
+    clone_fidelity,
+    reduced_density,
+)
 from test_builder import frozen_kets
 
 # phase-minimized distance between cloning the equal superposition and
@@ -243,9 +242,8 @@ class TestDickeAnalysis:
 
         for module, name in (
             (builder, "gm_factors"),
-            (builder, "build_gm"),
             (builder, "gm_from_factors"),
-            (builder, "symmetric_ket"),
+            (builder, "_dicke_kets"),
         ):
             monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr("gmclone.analysis.gm_factors", refuse)

@@ -14,19 +14,17 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gmclone.builder import (
-    FULL_ENUMERATION_LIMIT,
+from gmclone.builder import FULL_ENUMERATION_LIMIT, StateVector, gamma, gm_factors
+from gmclone.errors import DomainError, ResourceLimitError
+from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
+
+from oracles import (
     GMParameters,
-    StateVector,
     build_gm,
     build_gm_basis,
     expand_gm_decomposed,
-    gamma,
-    gm_factors,
     symmetric_ket,
 )
-from gmclone.errors import DomainError, ResourceLimitError
-from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 INV_SQRT2 = 1 / math.sqrt(2)
 INV_SQRT6 = 1 / math.sqrt(6)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gmclone import builder, cli, mps, pipeline
-from gmclone.builder import build_gm_basis, gm_factors, gm_from_factors
+from gmclone.builder import gm_factors, gm_from_factors
 from gmclone.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -24,6 +24,8 @@ from gmclone.cli import (
 )
 from gmclone.errors import DomainError, InternalConsistencyError, UsageError
 from gmclone.mps import load_mps, mps_to_state
+
+from oracles import reconstruct_state
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +99,7 @@ class TestCompile:
             raise AssertionError("2^(2M-1)-amplitude register formed")
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        for module, name in ((builder, "gm_from_factors"),
-                             (pipeline, "reconstruct_state"),
-                             (mps, "mps_to_state")):
+        for module, name in ((builder, "gm_from_factors"), (mps, "mps_to_state")):
             monkeypatch.setattr(module, name, refuse)
             monkeypatch.setattr(cli, name, refuse, raising=False)
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
@@ -139,7 +139,7 @@ class TestCompile:
         classes = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)
         for bit, cls in enumerate(classes):
             cases.append((f"basis:{bit}", functools.partial(
-                pipeline.reconstruct_state, matrix, M, cls)))
+                reconstruct_state, matrix, M, cls)))
         for spec, dense in cases:
             argv = ["compile", "--clones", str(M), "--input", spec, "--out", str(tmp_path)]
             assert main(argv) == EXIT_OK

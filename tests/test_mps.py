@@ -10,14 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmclone.builder import (
-    GMParameters,
-    StateVector,
-    build_gm,
-    build_gm_basis,
-    gm_factors,
-    gm_from_factors,
-)
+from gmclone.builder import StateVector, gm_factors, gm_from_factors
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import (
     DegenerateStateError,
@@ -31,7 +24,6 @@ from gmclone.mps import (
     BondSpectrum,
     MatrixProductState,
     bond_dimension,
-    combine_basis_mps,
     export_document,
     load_mps,
     mps_from_factors,
@@ -41,6 +33,7 @@ from gmclone.mps import (
 )
 from gmclone.qubit import equatorial_qubit, make_qubit
 
+from oracles import GMParameters, build_gm, build_gm_basis, combine_basis_mps
 from test_format import as_lists, recursive_dumps
 
 

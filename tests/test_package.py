@@ -1,6 +1,69 @@
 """The public namespace of the package."""
 
+import re
+from pathlib import Path
+
+import pytest
+
 import gmclone
+from gmclone import analysis, builder, mps, pipeline
+
+PUBLIC = [
+    "BondCut",
+    "BondSpectrum",
+    "ClonerAnalysis",
+    "GMMatrix",
+    "MatrixProductState",
+    "ParityClass",
+    "PipelineArtifacts",
+    "Qubit",
+    "ScalingRow",
+    "StateVector",
+    "analyze_cloner",
+    "anticlone",
+    "assign_coefficients",
+    "bit_index",
+    "bloch_qubit",
+    "bond_dimension",
+    "equatorial_qubit",
+    "gamma",
+    "gm_factors",
+    "gm_from_factors",
+    "index_bits",
+    "load_mps",
+    "make_qubit",
+    "mps_from_factors",
+    "mps_from_state",
+    "mps_halves",
+    "mps_to_state",
+    "nonlinearity_gap",
+    "parity_classify",
+    "perp",
+    "run_pipeline",
+    "save_mps",
+    "scaling_sweep",
+]
+
+# Reference implementations that no command calls; they live in tests/oracles.py.
+ORACLES = [
+    "GMParameters",
+    "build_gm",
+    "build_gm_basis",
+    "expand_gm_decomposed",
+    "symmetric_ket",
+    "DensityMatrix",
+    "reduced_density",
+    "_single_qubit_fidelities",
+    "clone_fidelity",
+    "anticlone_fidelity",
+    "combine_basis_mps",
+    "gen_full_bitstrings",
+    "gen_gm_bitstrings",
+    "write_bitstring_stage",
+    "read_bitstring_stage",
+    "check_gm_matrix",
+    "reconstruct_state",
+]
 
 
 def test_star_import_binds_every_public_name():
@@ -8,3 +71,19 @@ def test_star_import_binds_every_public_name():
     exec("from gmclone import *", namespace)
     for name in gmclone.__all__:
         assert namespace[name] is getattr(gmclone, name)
+
+
+def test_public_names_are_pinned():
+    assert sorted(gmclone.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module", [gmclone, builder, analysis, mps, pipeline],
+                         ids=lambda module: module.__name__)
+def test_oracles_stay_out_of_the_package(module):
+    assert [name for name in ORACLES if hasattr(module, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gmclone import pipeline
-from gmclone.builder import build_gm_basis
 from gmclone.errors import (
     DomainError,
     InternalConsistencyError,
@@ -23,16 +22,20 @@ from gmclone.pipeline import (
     _line_problem,
     _support,
     assign_coefficients,
+    parity_classify,
+    read_gm_matrix,
+    run_pipeline,
+    write_gm_matrix,
+)
+
+from oracles import (
+    build_gm_basis,
     check_gm_matrix,
     gen_full_bitstrings,
     gen_gm_bitstrings,
-    parity_classify,
     read_bitstring_stage,
-    read_gm_matrix,
     reconstruct_state,
-    run_pipeline,
     write_bitstring_stage,
-    write_gm_matrix,
 )
 
 
