@@ -2,8 +2,9 @@
 
 Builds the sector factors of the exact (2M-1)-qubit cloner output, prepares
 its basis outputs through a parity-classified bitstring pipeline, compiles
-it into a matrix-product state by one successive-SVD sweep over the factors,
-and checks cloning optimality and bond-dimension scaling on the Dicke bases.
+it into a matrix-product state by one successive-SVD sweep over its
+Dicke-basis matrix, and checks cloning optimality and bond-dimension scaling
+on the Dicke bases.
 The dense reference constructions that the tests check all of this against
 live in ``tests/oracles.py``.
 """
@@ -20,8 +21,7 @@ from .mps import (
     MatrixProductState,
     bond_dimension,
     load_mps,
-    mps_from_factors,
-    mps_from_state,
+    mps_from_dicke,
     mps_halves,
     mps_to_state,
     save_mps,
@@ -78,8 +78,7 @@ __all__ = [
     "index_bits",
     "load_mps",
     "make_qubit",
-    "mps_from_factors",
-    "mps_from_state",
+    "mps_from_dicke",
     "mps_halves",
     "mps_to_state",
     "nonlinearity_gap",

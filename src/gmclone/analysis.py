@@ -1,5 +1,6 @@
 """Physics validation: clone and anticlone fidelities and the nonlinearity
-gap on the Dicke bases, and the bond-dimension scaling study.
+gap on the Dicke bases, and the bond-dimension scaling study, which compiles
+the same (M+1) x M Dicke-basis matrix of the output into an MPS.
 
 Clones sit on qubits 1..M (qubit 1 = leftmost), anticlones on M+1..2M-1.
 The dense-register fidelities that the tests check these figures against
@@ -13,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import _sector_maps, check_register, gm_factors
+from .builder import _dicke_matrices, _sector_maps, check_register
 from .errors import DomainError
-from .mps import bond_dimension, mps_from_factors
+from .mps import bond_dimension, mps_from_dicke
 from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
 from ._format import float17
 
@@ -35,7 +36,8 @@ class ScalingRow:
 # the cloner output sum_j gamma_j |S^M_j(psi)>|S^(M-1)_j(psi_a)> is the
 # (M+1) x M matrix c = R_C^T diag(gamma) R_A, where row j of R_phi holds the
 # Dicke coefficients of the sector ket S^n_j(phi).  Every figure below is read
-# from c in O(M^3) work, with no 2^M-amplitude ket and no dense register.
+# from c in O(M^3) work, with no 2^M-amplitude ket and no dense register, and
+# the scaling sweep compiles c itself (``mps.mps_from_dicke``).
 
 
 def _dicke_outputs(M: int, inputs) -> np.ndarray:
@@ -45,8 +47,7 @@ def _dicke_outputs(M: int, inputs) -> np.ndarray:
     from the maps of :func:`_sector_maps`.  Not guarded: the cost is O(M^3)
     per input.
     """
-    weights, clone, anti = _sector_maps(M, inputs)
-    return (clone * weights[:, None]).transpose(0, 2, 1) @ anti
+    return _dicke_matrices(*_sector_maps(M, inputs))
 
 
 def _split_fidelity(c: np.ndarray, target: Qubit, copies: int) -> list[float]:
@@ -123,8 +124,9 @@ def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
 def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     """Compile the cloner output of the fixed equatorial input for each M.
 
-    Each output is compiled from its ``gm_factors`` stacks by
-    ``mps_from_factors``, with no dense register; ``M_max`` keeps the
+    Each output is compiled from its (M+1) x M Dicke matrix
+    (:func:`_dicke_outputs`) by ``mps_from_dicke``, with no 2^M-wide array
+    and no dense register; ``M_max`` keeps the
     register guard of the other commands (:class:`ResourceLimitError`
     above ``FULL_ENUMERATION_LIMIT``).  Every row must satisfy
     bond_dim <= 2M; the sweep itself is reported as data rather than
@@ -136,8 +138,7 @@ def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     input_qubit = equatorial_qubit(0.0)
     rows = []
     for M in range(M_min, M_max + 1):
-        weights, clone, anti = gm_factors(M, input_qubit)
-        mps, spectrum = mps_from_factors((clone * weights[:, None]).T, anti, tol)
+        mps, spectrum = mps_from_dicke(_dicke_outputs(M, [input_qubit])[0], tol)
         rows.append(
             ScalingRow(
                 M=M,

@@ -10,11 +10,12 @@ anticlones on qubits M+1..2M-1.  Every sector ket S^n_j(phi), the
 normalized symmetric state of n-j factors phi and j factors perp(phi), is
 fixed by its coefficients on the Dicke states |D^n_a> (a ones among n
 qubits); one recursion over qubits (``_dicke_maps``) gives them for every
-consumer.  ``gm_factors`` spreads them over the register with one gather,
-``gm_from_factors`` assembles the dense state in one matrix product, and
-the analysis reads the output on the Dicke bases directly.  The dense
-builders and the decomposed-expansion oracle that the tests check this
-construction against live in ``tests/oracles.py``.
+consumer.  ``_dicke_matrices`` turns them into the (M+1) x M matrix of the
+output on |D^M_a>|D^(M-1)_b>, which the analysis reads and the MPS sweep
+compiles; ``gm_factors`` spreads them over the register with one gather,
+and ``gm_from_factors`` assembles the dense state in one matrix product.
+The dense builders and the decomposed-expansion oracle that the tests check
+this construction against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ def _sector_maps(M: int, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     short, full = _dicke_maps(M, list(inputs) + [anticlone(q) for q in inputs])
     weights = np.array([gamma(M, j) for j in range(M)])
     return weights, full[:count, :M], short[count:]
+
+
+def _dicke_matrices(weights, clone, anti) -> np.ndarray:
+    """Entry [i, a, b]: the amplitude of |D^M_a>|D^(M-1)_b> in output i of
+    :func:`_sector_maps`, ``(clone[i]^T diag(weights) anti[i])[a, b]``."""
+    return (clone * weights[:, None]).transpose(0, 2, 1) @ anti
 
 
 def _dicke_kets(maps: np.ndarray) -> np.ndarray:

@@ -2,21 +2,22 @@
 
 The parser is built once, at import; ``main`` only parses and dispatches the
 namespace to one handler per command; ``--format`` is an option of
-``analyze`` alone.  ``compile`` builds the cloner's sector factors
-(``builder.gm_factors``), and so passes the register guard, before it reads
-anything, then makes one factor sweep (``mps.mps_from_factors``) with the
-anticlone stack as tail.  It names its source on stdout: the GMMatrix stage
-in ``--out`` for a ``basis:`` input, whose register rows, projected onto the
-anticlone rows, are the head, or the builder, whose weighted clone stack is.
-The stage is read once, keeping only the input's parity class; a stage that
-is not the cloner's, by its record count or by a coefficient of either
-class off its closed form, exits 4 before the sweep.
+``analyze`` alone.  ``compile`` passes the register guard before it reads
+anything, then makes one sweep (``mps.mps_from_dicke``) over the (M+1) x M
+matrix c of the output on |D^M_a>|D^(M-1)_b>.  It names its source on
+stdout: the GMMatrix stage in ``--out`` for a ``basis:`` input, whose
+register projected onto the clone-symmetric (x) anticlone-symmetric states
+gives c, or the builder, whose Dicke maps do.  The stage is read once,
+keeping only the input's parity class; a stage that is not the cloner's, by
+its record count or by a coefficient of either class off its closed form,
+exits 4 before the sweep.
 ``roundtrip_error`` measures the export against the stage register, or
-against the builder's head times the anticlone stack, entry by entry.  Both
-sides are 2^M x 2^(M-1) matrices at the clone|anticlone bond: the export as
-the product of its contracted halves (``mps.mps_halves``), the reference as
-``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of 2^(2M-1)
-amplitudes on either route.
+against the builder's sector kets gathered from the same maps, entry by
+entry, so whatever a stage holds outside the symmetric states shows there.
+Both sides are 2^M x 2^(M-1) matrices at the clone|anticlone bond: the
+export as the product of its contracted halves (``mps.mps_halves``), the
+reference ``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of
+2^(2M-1) amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure or a ``ValueError`` that is not a gmclone
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, mps, pipeline
-from .builder import gm_factors
+from .builder import _dicke_kets, _dicke_matrices, _sector_maps, check_register
 from .errors import (
     GMCloneError,
     InternalConsistencyError,
@@ -111,64 +112,69 @@ def _stage_records(args, matrix_path):
     return matrix.indices, matrix.coefficients
 
 
-def _stage_rows(records, lo: int, hi: int, cols: int) -> np.ndarray:
-    """Rows lo..hi-1 of the stage register read as a (2^M, cols) matrix: the
-    records whose indices fall in them, scattered into zeros."""
-    indices, coefficients = records
-    start, stop = np.searchsorted(indices, (lo * cols, hi * cols))
-    block = np.zeros((hi - lo) * cols, dtype=np.complex128)
-    block[indices[start:stop] - lo * cols] = coefficients[start:stop]
-    return block.reshape(hi - lo, cols)
+def _stage_dicke(records, M: int, bit: int) -> np.ndarray:
+    """The (M+1) x M matrix c of the stage register of class ``bit``
+    projected onto |D^M_a>|D^(M-1)_b>.
 
-
-def _roundtrip_error(halves, reference, blocks) -> float:
-    """Distance of the export from its reference, entry by entry.
-
-    The export is L @ R at the clone|anticlone bond and ``reference(lo, hi)``
-    gives rows lo..hi-1 of the reference as a 2^M x 2^(M-1) matrix; the
-    squared distances of the row ``blocks`` are summed, so no array of
-    2^(2M-1) amplitudes is formed.
+    A record's cell is a, the popcount of its clone half, and its class
+    fixes b = M - 1 + bit - a; c[a, b] is the cell's sum over
+    sqrt(C(M, a) C(M-1, b)).  Each cell is summed pairwise, by ``np.sum``
+    of its records, one cell at a time: a sequential sum (``np.bincount``,
+    ``np.add.at``) lands 1.5e-13 off the builder's c at M = 10, and a sort
+    by cell would copy every column.
     """
-    left, right = halves
-    squares = 0.0
-    for lo, hi in blocks:
-        difference = left[lo:hi] @ right
-        difference -= reference(lo, hi)
-        squares += np.vdot(difference, difference).real
-    return math.sqrt(squares)
+    indices, coefficients = records
+    cells = np.bitwise_count(indices >> (M - 1))  # uint8: no int64 copy of the column
+    c = np.zeros((M + 1, M), dtype=np.complex128)
+    for a in range(bit, M + bit):
+        b = M - 1 + bit - a
+        norm = math.sqrt(math.comb(M, a) * math.comb(M - 1, b))
+        c[a, b] = coefficients[cells == a].sum() / norm
+    return c
+
+
+def _minus_stage_rows(block, records, lo: int) -> np.ndarray:
+    """``block``, rows lo.. of a (2^M, cols) matrix, minus the same rows of
+    the stage register: the records whose indices fall in them, subtracted
+    in place."""
+    indices, coefficients = records
+    rows, cols = block.shape
+    start, stop = np.searchsorted(indices, (lo * cols, (lo + rows) * cols))
+    block.reshape(-1)[indices[start:stop] - lo * cols] -= coefficients[start:stop]
+    return block
 
 
 def cmd_compile(args) -> int:
-    weights, clone, anti = gm_factors(args.clones, parse_input_spec(args.input))
-    rows, cols = clone.shape[1], anti.shape[1]
-    blocks = [(lo, min(lo + ROW_BLOCK, rows)) for lo in range(0, rows, ROW_BLOCK)]
+    M, q = args.clones, parse_input_spec(args.input)
+    check_register(M)
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
     records = _stage_records(args, matrix_path)
     if records is None:
         source = origin = "builder"
-        head = (clone * weights[:, None]).T
-
-        def reference(lo, hi):
-            return head[lo:hi] @ anti
+        weights, clone, anti = _sector_maps(M, [q])
+        (c,) = _dicke_matrices(weights, clone, anti)
     else:
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
-
-        def reference(lo, hi):
-            return _stage_rows(records, lo, hi, cols)
-
-        # The stage's clone rows in the anticlone basis: whatever an edited
-        # stage holds outside the span of the anticlone rows is left out of
-        # the export and shows in roundtrip_error.
-        to_anti = anti.conj().T
-        head = np.concatenate([reference(lo, hi) @ to_anti for lo, hi in blocks])
-    compiled, spectrum = mps.mps_from_factors(head, anti, args.tol)
-    error = _roundtrip_error(mps.mps_halves(compiled, args.clones), reference, blocks)
+        c = _stage_dicke(records, M, _basis_bit(args.input))
+    compiled, spectrum = mps.mps_from_dicke(c, args.tol)
+    # Export minus reference as 2^M x 2^(M-1) matrices, ROW_BLOCK clone rows
+    # at a time: L @ R minus the stage rows, or for the builder, whose
+    # reference is the sector kets of the same maps, [L | head] @ [R; -anti].
+    left, right = mps.mps_halves(compiled, M)
+    blocks = [(lo, min(lo + ROW_BLOCK, 2**M)) for lo in range(0, 2**M, ROW_BLOCK)]
+    if records is None:
+        head = (_dicke_kets(clone[0]) * weights[:, None]).T
+        right = np.vstack([right, -_dicke_kets(anti[0])])
+        differences = (np.hstack([left[lo:hi], head[lo:hi]]) @ right for lo, hi in blocks)
+    else:
+        differences = (_minus_stage_rows(left[lo:hi] @ right, records, lo) for lo, hi in blocks)
+    error = math.sqrt(sum(np.vdot(block, block).real for block in differences))
     args.out.mkdir(parents=True, exist_ok=True)
     export_path = args.out / "mps.json"
     report_path = args.out / "compile_report.json"
     mps.save_mps(export_path, compiled, spectrum)
     report = {
-        "M": args.clones,
+        "M": M,
         "num_qubits": compiled.num_sites,
         "input": args.input,
         "tol": float(args.tol),

@@ -1,23 +1,25 @@
-"""Matrix-product-state compilation by a successive-SVD sweep.
+"""Matrix-product-state compilation by a successive-SVD sweep in Dicke
+coordinates.
 
-The coefficient tensor is repartitioned left to right: at each cut the
-current remainder is reshaped to (D_k * 2, rest), SVD'd into V S W+, the
-site tensor absorbs V S (singular values stay on the left factor) and W+ is
-carried forward as the next remainder.  Singular values below
-``tol * sigma_max`` are discarded per cut together with their factor
-columns/rows; the roundtrip error is then bounded by the root-sum-square of
-everything discarded (Oseledets, SISC 33, 2295 (2011)).
+The remainder of the state is repartitioned left to right: at each cut it is
+reshaped to (D_k * 2, rest), SVD'd into V S W+, the site tensor absorbs V S
+(singular values stay on the left factor) and W+ is carried forward as the
+next remainder.  Singular values below ``tol * sigma_max`` are discarded per
+cut together with their factor columns/rows; the roundtrip error is then
+bounded by the root-sum-square of everything discarded (Oseledets, SISC 33,
+2295 (2011)).
 
-There is one sweep, ``mps_from_factors``, over a state given as
-head @ tail, where tail has orthonormal rows, without forming it: the cuts
-through head have the singular values and left vectors of the dense cuts,
-and tail joins the remainder after the last of them.  ``mps_from_state`` is
-that sweep with the whole register as head and a 1 x 1 tail.  ``compile``
-and ``sweep`` pass the cloner's anticlone stack (``builder.gm_factors``) as
-tail, with the weighted clone stack as head, or for a GMMatrix stage its
-register projected onto the anticlone rows.  So at M = 12 the widest cut is
-2 x (2^11 * 12) instead of 2 x 2^22, where rounding of about
-eps * sqrt(cols) * sigma_max can pass the default cutoff as a singular value.
+There is one sweep, ``mps_from_dicke``.  The cloner output is symmetric over
+its clones and over its anticlones, so it is the (M+1) x M matrix c of its
+amplitudes on the Dicke states |D^M_a>|D^(M-1)_b>, and the sweep runs on
+that matrix: the rest of a cut is the Dicke states of the qubits still to
+peel, never a 2^n-wide array: no SVD sees more than 2 M^3 entries (the
+largest at M = 12 is 12 x 84).  ``compile`` passes the builder's c, or for a GMMatrix
+stage the projection of its register onto the clone-symmetric (x)
+anticlone-symmetric states; whatever a stage holds outside them is left out
+of the export and shows in ``roundtrip_error``.  ``sweep`` passes the
+builder's c.  The dense sweep over a whole register, which the tests check
+this one against, lives in ``tests/oracles.py``.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
@@ -87,7 +89,9 @@ class MatrixProductState:
 
 @dataclass(frozen=True)
 class BondCut:
-    singular_values: np.ndarray  # full descending list, pre-truncation
+    # Every singular value of the cut, descending and before truncation:
+    # min(2 D_k, m T) of them for a (2 D_k, m T) cut of mps_from_dicke.
+    singular_values: np.ndarray
     retained: int
 
 
@@ -111,74 +115,49 @@ def _check_tol(tol: float) -> None:
         raise DomainError("tol must lie in [0, 1)")
 
 
-def _qubit_count(size: int, what: str) -> int:
-    """n for a ``size`` of 2^n, else :class:`DomainError`."""
-    n = size.bit_length() - 1
-    if size < 1 or size != 1 << n:
-        raise DomainError(f"{what} has {size} entries, not a power of two")
-    return n
+def mps_from_dicke(c, tol: float = DEFAULT_TOL):
+    """Compile sum_ab c[a, b] |D^p_a>|D^q_b> into MPS form; returns (mps, spectrum).
 
-
-def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
-    """Compile a dense state into MPS form; returns (mps, spectrum).
-
-    ``tol`` is relative: at every cut, singular values > tol * sigma_max are
-    retained.  tol = 0 keeps everything nonzero and makes the roundtrip
-    exact to machine precision.  This is :func:`mps_from_factors` with the
-    whole register as head and a 1 x 1 tail.
-    """
-    return mps_from_factors(state.amplitudes.reshape(-1, 1), np.ones((1, 1)), tol)
-
-
-def mps_from_factors(head, tail, tol: float = DEFAULT_TOL):
-    """Compile the state ``(head @ tail).reshape(-1)`` into MPS form.
-
-    ``head`` is (2^m, r) and ``tail`` is (r, 2^(n-m)) with orthonormal rows.
-    Cut k <= m of the dense sweep is the (2 D_k, 2^(m-k) r) remainder of
-    ``head`` times I (x) ``tail``, whose rows are orthonormal, so the small
-    matrix has the same singular values and left vectors.  ``tail`` is
-    multiplied in once, after cut m (after the last cut when m = n), and
-    the sweep finishes on the (D_m, 2^(n-m)) remainder.  Returns
-    (mps, spectrum) like :func:`mps_from_state` of the product, up to a
-    phase per singular vector.  Raises :class:`DomainError` for a ``tol``
-    outside [0, 1), shapes that are not (2^m, r) and (r, 2^(n-m)), n = 0,
-    or a ``tail`` whose Gram matrix is further than 1e-12 from the identity.
+    ``c`` is the (p+1) x (q+1) matrix, p >= 1, of a state on p + q qubits
+    that is symmetric within its first p and within its last q qubits.  Each
+    cut peels qubit k off the front block with
+    |D^m_a> = sqrt((m-a)/m) |0>|D^(m-1)_a> + sqrt(a/m) |1>|D^(m-1)_(a-1)>,
+    so the cut is a (2 D_k, m T) matrix over the m Dicke states of the m - 1
+    qubits left in the block times the T of the block after it.  Those are
+    orthonormal, so the cut has the singular values and left vectors of the
+    dense (2 D_k, 2^(n-k-1)) cut, up to a phase per vector, and ``tol``
+    truncates as it would there: singular values > tol * sigma_max are
+    retained.  Raises :class:`DomainError` for a ``tol`` outside [0, 1) or a
+    ``c`` that is not a finite matrix of at least two rows, and
+    :class:`DegenerateStateError` for a zero ``c``.
     """
     _check_tol(tol)
-    head = np.asarray(head, dtype=np.complex128)
-    tail = np.asarray(tail, dtype=np.complex128)
-    if head.ndim != 2 or tail.ndim != 2 or not 1 <= head.shape[1] == tail.shape[0]:
-        raise DomainError(
-            f"head {head.shape} and tail {tail.shape} are not (2^m, r) and (r, 2^(n-m))"
-        )
-    m = _qubit_count(head.shape[0], "head column")
-    n = m + _qubit_count(tail.shape[1], "tail row")
-    if n < 1:
-        raise DomainError("need at least one qubit")
-    gram = tail @ tail.conj().T
-    if not np.max(np.abs(gram - np.eye(tail.shape[0]))) <= 1e-12:
-        raise DomainError("tail rows are not orthonormal to 1e-12")
-    split = min(m, n - 1)
-    remainder = np.ascontiguousarray(head).reshape(1, -1)
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[0] < 2 or c.shape[1] < 1:
+        raise DomainError(f"c of shape {c.shape} is not a (p+1) x (q+1) matrix with p >= 1")
+    if not np.isfinite(c).all():
+        raise DomainError("c must be finite (no NaN or infinity)")
+    if not c.any():
+        raise DegenerateStateError("zero state: nothing to retain")
+    remainder = c.reshape(1, *c.shape)
     sites = []
     cuts = []
-    for k in range(n):
-        if k == split:
-            rows = remainder.shape[0]
-            remainder = (remainder.reshape(-1, tail.shape[0]) @ tail).reshape(rows, -1)
-        if k == n - 1:
-            break
-        matrix = remainder.reshape(remainder.shape[0] * 2, -1)
-        U, S, Wh = np.linalg.svd(matrix, full_matrices=False)
-        if S[0] <= 0.0:
-            raise DegenerateStateError("zero state: nothing to retain at this cut")
-        keep = int(np.sum(S > tol * S[0]))
-        if keep == 0:
-            raise DegenerateStateError("all singular values truncated at a cut")
-        cuts.append(BondCut(S.copy(), keep))
+    for _ in range(sum(c.shape) - 3):
+        rows, front, back = remainder.shape
+        if front == 1:  # the front block is peeled: go on with the back one
+            front, back = back, 1
+        m = front - 1
+        root = np.sqrt(np.arange(front) / m)[:, None]  # sqrt(a/m), a = 0..m
+        remainder = remainder.reshape(rows, front, back)
+        matrix = np.empty((rows, 2, m, back), dtype=np.complex128)
+        np.multiply(root[:0:-1], remainder[:, :-1], out=matrix[:, 0])
+        np.multiply(root[1:], remainder[:, 1:], out=matrix[:, 1])
+        U, S, Wh = np.linalg.svd(matrix.reshape(2 * rows, m * back), full_matrices=False)
+        keep = int(np.count_nonzero(S > tol * S[0]))
+        cuts.append(BondCut(S, keep))
         site = (U[:, :keep] * S[:keep]).reshape(-1, 2, keep).transpose(1, 0, 2)
         sites.append(np.ascontiguousarray(site))
-        remainder = Wh[:keep, :]
+        remainder = Wh[:keep].reshape(keep, m, back)
     last = remainder.reshape(-1, 2, 1).transpose(1, 0, 2)
     sites.append(np.ascontiguousarray(last))
     mps = MatrixProductState(

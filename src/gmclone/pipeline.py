@@ -124,10 +124,6 @@ def _write_rows(path, rows: int, lines) -> None:
             handle.write(lines(lo, hi))
 
 
-def _strings(indices: np.ndarray, width: int) -> list[str]:
-    return _bit_rows(indices, width).tobytes().decode("ascii").split()
-
-
 def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Width, sorted support indices and clone-of-|1> mask of both classes.
 
@@ -267,28 +263,29 @@ class _ClosedFormCheck:
 def write_gm_matrix(path, matrix: GMMatrix) -> None:
     """Write ``matrix`` as a GMMatrix stage, ``CHUNK_ROWS`` lines at a time.
 
-    Each chunk's distinct doubles are found with ``np.unique`` on that chunk
-    alone, and each is formatted once: one ``float -> text`` table is kept
-    across chunks.
+    Nothing is built per line.  A chunk's bit fields are its ``(rows,
+    width)`` uint8 rows viewed as ``S{width}`` strings.  Its distinct
+    doubles, and then its distinct (RE, IM, CLASS) codes, come from two 1-D
+    ``np.unique`` calls; each distinct ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tail
+    is formatted once, ``np.strings.add`` appends to each bit field its
+    tail, and the NUL padding of the shorter lines is dropped from the
+    joined bytes.
     """
-    table = {}
-    classes = np.array(["\tC0\n", "\tC1\n"], dtype=object)
-
-    def text(value):
-        if value not in table:
-            table[value] = "\t" + float17(value)
-        return table[value]
+    width = matrix.width
 
     def lines(lo, hi):
         part = matrix.coefficients[lo:hi]
         values, inverse = np.unique(np.concatenate([part.real, part.imag]), return_inverse=True)
-        texts = np.array([text(v) for v in values.tolist()], dtype=object)[inverse]
-        cells = np.empty((hi - lo, 4), dtype=object)
-        cells[:, 0] = _strings(matrix.indices[lo:hi], matrix.width)
-        cells[:, 1] = texts[: hi - lo]
-        cells[:, 2] = texts[hi - lo :]
-        cells[:, 3] = classes[matrix.clone_of_one[lo:hi].astype(np.intp)]
-        return "".join(cells.ravel().tolist()).encode("ascii")
+        texts = [float17(v) for v in values.tolist()]
+        codes = (inverse[: hi - lo] * values.size + inverse[hi - lo :]) * 2
+        keys, tail_of = np.unique(codes + matrix.clone_of_one[lo:hi], return_inverse=True)
+        tails = np.array([
+            f"\t{texts[key // 2 // values.size]}\t{texts[key // 2 % values.size]}"
+            f"\tC{key % 2}\n".encode("ascii")
+            for key in keys.tolist()
+        ])
+        bits = _bit_rows(matrix.indices[lo:hi], width)[:, :width].copy().view(f"S{width}")
+        return np.strings.add(bits[:, 0], tails[tail_of]).tobytes().replace(b"\0", b"")
 
     _write_rows(path, len(matrix), lines)
 

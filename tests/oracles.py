@@ -10,15 +10,20 @@ same figure, so the suites can cross-check the package:
   decomposed expansion (``expand_gm_decomposed``), which enumerates the
   placements of the orthogonal factors one kron chain at a time;
 * dense reduced densities and single-qubit fidelities;
+* the dense successive-SVD sweep over a whole register (``mps_from_state``)
+  and the register of a Dicke-basis matrix (``dicke_state``), against which
+  the package's sweep in Dicke coordinates is checked;
 * the block-sum of two basis MPSs, which shows that superposing the clones
   is not cloning the superposition;
 * the bitstring stages as Python strings, generated by a plain scan of the
-  register, and their per-line reader and writer;
+  register, and their per-line reader and writer, and a per-line GMMatrix
+  writer;
 * ``check_gm_matrix``, the stage cross-check over a table already in
   memory, and ``reconstruct_state``, one class of a table as a dense
   register.
 
-Every function keeps the signature it had in the package.
+Every function that moved here from the package keeps the signature it had
+there.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from gmclone.builder import (
     gm_factors,
     gm_from_factors,
 )
-from gmclone.errors import DomainError, StageParseError
-from gmclone.mps import MatrixProductState
+from gmclone._format import float17
+from gmclone.errors import DegenerateStateError, DomainError, StageParseError
+from gmclone.mps import DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol
 from gmclone.pipeline import GMMatrix, ParityClass, _ClosedFormCheck, _row_chunks
 from gmclone.qubit import BASIS, Qubit, anticlone, perp
 
@@ -197,6 +203,55 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# dense MPS sweep
+# ---------------------------------------------------------------------------
+
+def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
+    """Compile a dense state into MPS form; returns (mps, spectrum).
+
+    The successive-SVD sweep over the whole register: at cut k the
+    remainder is reshaped to (2 D_k, 2^(n-k-1)), SVD'd into V S W+, the site
+    absorbs V S and W+ is carried forward.  ``tol`` is relative: at every
+    cut, singular values > tol * sigma_max are retained.  tol = 0 keeps
+    everything nonzero and makes the roundtrip exact to machine precision.
+    """
+    _check_tol(tol)
+    if state.num_qubits < 1:
+        raise DomainError("need at least one qubit")
+    remainder = np.asarray(state.amplitudes, dtype=np.complex128).reshape(1, -1)
+    sites = []
+    cuts = []
+    for _ in range(state.num_qubits - 1):
+        matrix = remainder.reshape(remainder.shape[0] * 2, -1)
+        U, S, Wh = np.linalg.svd(matrix, full_matrices=False)
+        if S[0] <= 0.0:
+            raise DegenerateStateError("zero state: nothing to retain at this cut")
+        keep = int(np.sum(S > tol * S[0]))
+        cuts.append(BondCut(S, keep))
+        site = (U[:, :keep] * S[:keep]).reshape(-1, 2, keep).transpose(1, 0, 2)
+        sites.append(np.ascontiguousarray(site))
+        remainder = Wh[:keep, :]
+    sites.append(np.ascontiguousarray(remainder.reshape(-1, 2, 1).transpose(1, 0, 2)))
+    ones = np.ones(1, dtype=np.complex128)
+    return MatrixProductState(sites, ones, ones.copy()), BondSpectrum(cuts, tol)
+
+
+def dicke_state(c) -> StateVector:
+    """The register sum_ab c[a, b] |D^p_a>|D^q_b> of a (p+1) x (q+1) ``c``.
+
+    Amplitude x is c[a, b] / sqrt(C(p, a) C(q, b)), with a and b the
+    popcounts of the first p and the last q bits of x.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    p, q = c.shape[0] - 1, c.shape[1] - 1
+    x = np.arange(2 ** (p + q))
+    a, b = np.bitwise_count(x >> q), np.bitwise_count(x & ((1 << q) - 1))
+    counts = np.array([[math.comb(p, i) * math.comb(q, j) for j in range(q + 1)]
+                       for i in range(p + 1)])
+    return StateVector(p + q, c[a, b] / np.sqrt(counts[a, b]))
+
+
+# ---------------------------------------------------------------------------
 # block-sum MPS
 # ---------------------------------------------------------------------------
 
@@ -288,6 +343,16 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
         strings.append(line)
         prev = line
     return strings
+
+
+def write_gm_matrix_lines(path, matrix: GMMatrix) -> None:
+    """The GMMatrix stage of ``matrix`` formatted one line at a time."""
+    lines = [
+        f"{format(int(index), f'0{matrix.width}b')}\t{float17(value.real)}"
+        f"\t{float17(value.imag)}\tC{int(one)}\n"
+        for index, value, one in zip(matrix.indices, matrix.coefficients, matrix.clone_of_one)
+    ]
+    Path(path).write_text("".join(lines), encoding="ascii")
 
 
 def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:

@@ -14,7 +14,7 @@ import pytest
 
 from gmclone.analysis import nonlinearity_gap, scaling_csv, scaling_sweep
 from gmclone.builder import StateVector, gamma
-from gmclone.mps import bond_dimension, load_mps, mps_from_state, mps_to_state, save_mps
+from gmclone.mps import bond_dimension, load_mps, mps_to_state, save_mps
 from gmclone.pipeline import (
     ParityClass,
     assign_coefficients,
@@ -34,6 +34,7 @@ from oracles import (
     combine_basis_mps,
     expand_gm_decomposed,
     gen_gm_bitstrings,
+    mps_from_state,
     read_bitstring_stage,
     reconstruct_state,
     write_bitstring_stage,

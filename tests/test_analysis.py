@@ -246,7 +246,6 @@ class TestDickeAnalysis:
             (builder, "_dicke_kets"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr("gmclone.analysis.gm_factors", refuse)
         q = equatorial_qubit(0.4)
         result = analyze_cloner(7, q)
         assert abs(result.clone_fidelities[0] - 15 / 21) < 1e-12

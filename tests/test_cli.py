@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmclone import builder, cli, mps, pipeline
+from gmclone import analysis, builder, cli, mps, pipeline
+from gmclone.analysis import _dicke_outputs
 from gmclone.builder import gm_factors, gm_from_factors
 from gmclone.cli import (
     EXIT_FAILURE,
@@ -24,6 +25,7 @@ from gmclone.cli import (
 )
 from gmclone.errors import DomainError, InternalConsistencyError, UsageError
 from gmclone.mps import load_mps, mps_to_state
+from gmclone.qubit import BASIS
 
 from oracles import reconstruct_state
 
@@ -83,7 +85,7 @@ class TestPrepare:
 
 class TestCompile:
     def test_no_register_formed_on_either_route(self, tmp_path, monkeypatch):
-        # Both routes compile from the factors, so no matrix of 2^(2M-1)
+        # Both routes compile the Dicke matrix c, so no matrix of 2^(2M-1)
         # entries reaches the SVD, and check the export at the clone|anticlone
         # bond a row block at a time: nothing assembles the builder register,
         # rebuilds the stage register or contracts the whole export.
@@ -151,8 +153,8 @@ class TestCompile:
 
     @pytest.mark.parametrize("M, seed", [(11, seed) for seed in range(8)] + [(12, 0)])
     def test_builder_bond_dims_analytic_up_to_the_guard(self, M, seed, tmp_path, capsys):
-        # Compiled from the factors, no cut is wider than 2^(M-1) * M columns,
-        # so SVD rounding stays far below the default tol.
+        # Compiled from c, no cut is wider than M^2 columns, so SVD rounding
+        # stays far below the default tol.
         re0, im0, re1, im1 = np.random.default_rng(seed).normal(size=4).tolist()
         argv = ["compile", "--clones", str(M), "--input",
                 f"amps:{re0!r},{im0!r},{re1!r},{im1!r}", "--out", str(tmp_path)]
@@ -163,8 +165,8 @@ class TestCompile:
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_stage_bond_dims_analytic_at_m11(self, bit, stage_m11, capsys):
-        # The stage route sweeps its register's factors too, so its widest
-        # cut is 2 x (2^10 * 11), not 2 x 2^20.
+        # The stage route sweeps its register's Dicke matrix too, so no cut
+        # has more than 2 M^3 entries, where a dense cut had 2 x 2^20.
         M = 11
         argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
                 "--out", str(stage_m11)]
@@ -333,6 +335,82 @@ class TestCompile:
         for name in ("FullBitString", "GMBitString", "GMMatrix",
                      "mps.json", "compile_report.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+class TestDickeSweep:
+    """Both ``compile`` routes and ``sweep`` compile the (M+1) x M Dicke
+    matrix c of the output by one ``mps_from_dicke`` sweep."""
+
+    @pytest.mark.parametrize("route", ["builder", "stage", "sweep"])
+    def test_svd_calls_and_sizes(self, route, stage_m11, tmp_path, monkeypatch, capsys):
+        # 2M - 2 SVDs, none of more than 2 M^3 entries.  M = 12 on the
+        # builder and the sweep; the stage route at M = 11, whose stage the
+        # module writes once (a GMMatrix stage of M = 12 is 142 MB).
+        M = 11 if route == "stage" else 12
+        sizes = []
+        real_svd = np.linalg.svd
+
+        def svd(matrix, **kwargs):
+            sizes.append(matrix.size)
+            return real_svd(matrix, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        if route == "sweep":
+            rows = analysis.scaling_sweep(M, M, mps.DEFAULT_TOL)
+            assert rows[0].bond_dim == M
+        else:
+            out = stage_m11 if route == "stage" else tmp_path
+            argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            report = json.loads((out / "compile_report.json").read_text())
+            assert report["source"] == ("gm_matrix" if route == "stage" else "builder")
+        assert len(sizes) == 2 * M - 2
+        assert max(sizes) <= 2 * M**3
+
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_stage_c_is_the_builders(self, M):
+        # The pairwise per-cell sums of the stage records land within
+        # rounding of the builder's c; a sequential sum (np.bincount with
+        # weights) lands 1.8e-12 off at M = 12.
+        table = pipeline.assign_coefficients(M)
+        for bit in (0, 1):
+            keep = table.clone_of_one == bool(bit)
+            records = (table.indices[keep], table.coefficients[keep])
+            c = cli._stage_dicke(records, M, bit)
+            (expected,) = _dicke_outputs(M, [BASIS[bit]])
+            assert np.max(np.abs(c - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 9])
+    def test_each_route_compiles_the_dicke_outputs(self, M, tmp_path, monkeypatch, capsys):
+        seen = []
+        real_sweep = mps.mps_from_dicke
+
+        def spy(c, tol):
+            seen.append(c)
+            return real_sweep(c, tol)
+
+        monkeypatch.setattr(mps, "mps_from_dicke", spy)
+        q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
+        cases = [("amps:0.3,-0.2,0.5,0.4", q), ("basis:0", BASIS[0])]
+        main(["prepare", "--clones", str(M), "--out", str(tmp_path / "stage")])
+        cases += [("stage basis:0", BASIS[0]), ("stage basis:1", BASIS[1])]
+        for spec, qubit in cases:
+            out = tmp_path / ("stage" if spec.startswith("stage") else "builder")
+            argv = ["compile", "--clones", str(M), "--input", spec.split()[-1], "--out", str(out)]
+            seen.clear()
+            assert main(argv) == EXIT_OK
+            (c,) = seen
+            assert c.shape == (M + 1, M)
+            assert np.max(np.abs(c - _dicke_outputs(M, [qubit])[0])) <= 1e-14
+
+    def test_sweep_gathers_no_ket(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep must compile c alone")
+
+        for name in ("_dicke_kets", "gm_factors", "gm_from_factors"):
+            monkeypatch.setattr(builder, name, refuse)
+            monkeypatch.setattr(cli, name, refuse, raising=False)
+        assert main(["sweep", "--clones", "8", "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestAnalyze:

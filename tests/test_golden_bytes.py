@@ -67,6 +67,23 @@ were re-pinned by running the commands above once on the new code.  Each new
 report equals the old one in every field but `roundtrip_error`, which moved
 by at most 3.9e-17 (`basis:0` of M = 5).
 
+When both compile routes moved onto one sweep in Dicke coordinates
+(`mps.mps_from_dicke` over the (M+1) x M matrix c of the output on
+|D^M_a>|D^(M-1)_b>: the builder's c from its Dicke maps, a stage's c from its
+records summed per cell), every cut became a (2 D_k, m T) matrix over Dicke
+states instead of a 2^(M-1)-wide remainder, and the builder's roundtrip
+check became one product per block, [L | head] @ [R; -anti].  The 31
+digests of the compiles with M >= 2 moved: both `basis:` compiles of
+M = 2..7 (all but `basis:1 compile_report.json` of M = 2) and all four
+builder compiles.  They were re-pinned once by running the commands above
+on the new code.  Old and new agree in bond dimensions and retained ranks,
+in the retained singular values to 1.7e-15 * sigma_max, in the contracted
+states to 1.7e-15 and in `roundtrip_error` to 3.3e-15; the fields of
+`compile_report.json` other than the singular values and `roundtrip_error`
+are unchanged.  Each cut now lists min(2 D_k, m T) singular values, where it
+listed up to 2 D_k; every value no longer listed was discarded rounding, at
+most 4.9e-15 * sigma_max.  No `prepare` digest and no M = 1 digest moved.
+
 `prepare` digests are pure text and must hold on any platform.  `mps.json`
 and `compile_report.json` carry SVD output; they were produced with numpy
 2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
@@ -104,11 +121,11 @@ GOLDEN = {
         "GMMatrix":
             "140ec135117d33364e8e01990178c7870eb2748b611f78e640f09f5eb999ff50",
         "basis:0 mps.json":
-            "0eadad4a1bf48ad5b169785a416e011420631516ed0aac8ea8b2d1c3187bf3f9",
+            "c02f7e3e3614b256bbd931b6e0e7f844a6950b9e33725e8f006ceabc389f8528",
         "basis:0 compile_report.json":
-            "d6ee1b0d341e63160243d7280e5eb6d6991521433d5d901ce8822acf9d95a5d8",
+            "230c2b6ff6b5e00af1e60448e19c33cc237bca217a928d67809acf4ce86a9414",
         "basis:1 mps.json":
-            "5d8ee911dac47cc6eeb0440f2b4c773cfebe3459ae4ddce12a459b2ded035272",
+            "0ea6242bef23228e87f348d26a7ea9e41f09828b3c5db6cf6722b5775bd933c4",
         "basis:1 compile_report.json":
             "8f47502935a2d3942f2ced1ddea2545d26a050cd1d97fa282ddae8e480178397",
     },
@@ -120,13 +137,13 @@ GOLDEN = {
         "GMMatrix":
             "9564e49c4d2bd2b120da6541904cfdb23706b495d5a8c9c88aa30fbe396bb3dd",
         "basis:0 mps.json":
-            "5313815ae41b61018378b6b3bcf26de03b5a729e1c359bd8e1001dcc78c6ce6d",
+            "050c4043b591fb3a025c020b70d96055a777dd67a391031493208ecd28a92939",
         "basis:0 compile_report.json":
-            "4a76e05778e4e503b2ce6c823a36bd6a5d8295cb7550700f6b19b389dc7923a5",
+            "db79134314b5fbbf88a3b685f79a7d007049c2de4823588bba307443e02dba1e",
         "basis:1 mps.json":
-            "59a4fc4395cfda01de87c440b053d27e9f0a05e333b44e877292d12e1a6e585f",
+            "929023e8e6c8c9337e3a6103c071d4da63831f0e143e75856613daad9d39c9a5",
         "basis:1 compile_report.json":
-            "c3db435d7db36c5f5ec0db64824d6243e2eab84660d67b1827afb60efebef7c8",
+            "f5995c4fcac9c184c5400ed3406bc7abe46e1139de7b3ff2bc44c7f75c76fbbb",
     },
     4: {
         "FullBitString":
@@ -136,13 +153,13 @@ GOLDEN = {
         "GMMatrix":
             "b7996712e3f26a520cfdc873e83ed130b880adf301a23458dd0c184811605858",
         "basis:0 mps.json":
-            "1bbe9290274867c10acf73ec6743e64b037d82e3c5592d0be8343693a665aa72",
+            "7c153f7d8c48526698d493298a4e660115a555d554f00c785a5d74c6b8b667db",
         "basis:0 compile_report.json":
-            "80fd32c6e965275ec4533dd8c59b9a01bf093235f727ee1db66ada1eb7a0e9bd",
+            "a5951d42df1efe9faed014511d5b5d07117d698dbcf6e282d4d69638d8a776da",
         "basis:1 mps.json":
-            "03249d2eae3d2a2d51d01cd8a191ed9369d3eab917f43b8b7b1117f46d6d1e86",
+            "5fef666287c8174b7f67a70ff8233dfdc962aca1a0e1c42b58289e1bbc0bae5e",
         "basis:1 compile_report.json":
-            "03e565591a248123da348189b7239c25433ad7fc6a4f721c63c59a2d62166870",
+            "fa650776c5f5b7afa5de4d6d090b8d9ad1390b6e299c63a084023367c5c18e98",
     },
     5: {
         "FullBitString":
@@ -152,13 +169,13 @@ GOLDEN = {
         "GMMatrix":
             "1bc4431a631ac4fb68a099ae97bf148a8e23f91803b1b6b1b26a516ff8ed7f6e",
         "basis:0 mps.json":
-            "b9dba2a6fe582702294eaba1435e92492b531c0e93ab3182afe861acc91c4c38",
+            "d32572646df014a23a758d49bd83a15e492e31a6c81f6456365fbcb76b24597d",
         "basis:0 compile_report.json":
-            "84c3265b16812d6e732aba27c2b445f22e67b146ee3be2b5b87aa7ea5003b477",
+            "80125ace80af57884eedd7e8aecddcc48ead2c6e547356cea1de423fcb79e9ec",
         "basis:1 mps.json":
-            "2b77c7853410e6a4a80c4eabc613085c2375a223202c206aeae2d160add5ad98",
+            "2d454236c4d7ffe4b821a668dd947a4c1317f8e004b00ba6873dbd4ab80da2ce",
         "basis:1 compile_report.json":
-            "42c1b76bc385b387fc3933f50539a363539bbb0d3596cf04fe2b8b7238e12a37",
+            "96621b9a251308a7894ba0f097200ef424e24580e9625a0908f4f904717143ac",
     },
     6: {
         "FullBitString":
@@ -168,13 +185,13 @@ GOLDEN = {
         "GMMatrix":
             "035b0d9a8a52134ca2ce17a00ba34b61a36dcda303a1cf6a31b599260679068d",
         "basis:0 mps.json":
-            "3a961fe9f5d64ecc8bdc45aec10945aa133a093ce622ec391008094ac73dab20",
+            "7f8ae8529701a6d44e120e9b8960f4d1b321e8f8790e50b53880a3906aa2b1dd",
         "basis:0 compile_report.json":
-            "6a55c4c1115d5a29464509c3781ae6b3d450a19248c90ab94a0a2b5bb06a0ed4",
+            "7ae8a5bc0bb7cb8fec0ec8857d5007ba8121247569ea6f37f70d60b1c9bce3d0",
         "basis:1 mps.json":
-            "b294d7e27b830c4fa602860774c587dabab2ce2ef7faa1cfcc8eeca689d59c99",
+            "0af499e0dac8acb73c0cb968208500683f5a68d88bbfaf13b9016f75d04230a3",
         "basis:1 compile_report.json":
-            "7ebe66c06cddd020d3db664d99af8c8c35c1359bd229edc5d479b744701f45d0",
+            "5e29d104f0965321b3428d156d986acd19217480bf640d630c19efa03792ae41",
     },
     7: {
         "FullBitString":
@@ -184,13 +201,13 @@ GOLDEN = {
         "GMMatrix":
             "6eb5d391b6cc99c8c836cf790e91e941128ba0c9677cbdfd412728352c8d9ce2",
         "basis:0 mps.json":
-            "6fc9948f9180e41dbc5a9d78eb631a7b595fe958b1fd27a6ef5026b3faa3e7b4",
+            "8f863eacb1628a13917bb19acf703ba52c3edd8ae1e4079381a38d36cd664ca3",
         "basis:0 compile_report.json":
-            "a29ff66b492ebbd59ae62084af4f37fe405e7e5403741ec4043fb89abcbda07f",
+            "b9c61bb71849686da941a0fe34face1cfbb1d4b4ffa58f9dece723f17a271d11",
         "basis:1 mps.json":
-            "1cea955891445023f1509babb83f8a23d3a25c03e52761d948c98d3792cb4753",
+            "406680e886545a7a890ced4fbc23f90b472ff9d9fecf517c6877a8ab1a690b24",
         "basis:1 compile_report.json":
-            "c7b13f21b32a208202d4ad35705c8bdbf86ee685f1a7a469238185a0f3733568",
+            "0793f584049e84d78cd14195e6f7db403b8b474e85c74a195d983ec16f52c066",
     },
 }
 
@@ -222,31 +239,32 @@ GOLDEN_STAGES = {
 # The `compile_report.json` digests were re-pinned twice more, when the
 # roundtrip contraction became one matrix product per site and when the
 # roundtrip check moved to row blocks; only their `roundtrip_error` moved
-# (see the header).
+# (see the header).  Both files were re-pinned once more when the sweep moved
+# to Dicke coordinates (see the header).
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
-            "1fca5f2fa0b0c3696b30db278d9ebc33816e51d235b7495bb6af44690c6b1d5c",
+            "980077a14ab001d913759520491a14e67ca81c9a0be022df218bc62ebf44f6d6",
         "compile_report.json":
-            "dec9a3a47a6db12ff2382769bf58f084c781bd3c0123a3c7911f171538585f66",
+            "b3e727371f99c6c9eaa7cd0b078b2a249e4dd2bb75d00a6425f76cb938acaf95",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "a8177a4c485d9c6105be97e35a5cc1ba50283e98c1855391b72f9e898c50d321",
+            "b76d0bf7c336daabc49fd2b4ce1e5b6772dd01a67f873b7e0b954b0f2b265e3b",
         "compile_report.json":
-            "1f062b5de2f6741a01620a4431f05fd45222bc1204776d0409bf04ea96e77e26",
+            "71b974272c68033a010d1a4d42ea16a7fdcbdf2d4189e9f5a54c994c3a2513d0",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
-            "b7809048ae0e6eac8f10174e93a08f1b886f15da4e7e0e84b2edb9ba7a835592",
+            "26d93f6db4a2a41d01def7dff5efff3798033daa48bd4bea959c8c9f739f0cb7",
         "compile_report.json":
-            "dec0c2f218f9f142b43673d151ac85f017953382b826c76af27edf8ba3b3c04e",
+            "5b7e762d9f03e831561e204388d15d7111cffd02ec83fb2c1a046c3ae3da5546",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "9c50e165ea7c60516937cdf4aa6de158ddf6e0d49fbaa72eb2c5f86c0d457007",
+            "294610dd7a4598e6b7ca3ce7d6ffbcdce0a4beea60065f97e7e88ec8cb7ec0f7",
         "compile_report.json":
-            "88c8a74f2cf87470ea42e4edb8a18892fe1c588e0a6df6e48d1a95d2608525bf",
+            "e6564f38ef2312f63a30397372f009be8520815e8668b287684731e01848e368",
     },
 }
 

@@ -8,10 +8,16 @@ import pytest
 from gmclone import kernels
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import DomainError
-from gmclone.mps import MatrixProductState, mps_from_state, mps_halves, mps_to_state
+from gmclone.mps import MatrixProductState, mps_halves, mps_to_state
 from gmclone.qubit import equatorial_qubit
 
-from oracles import GMParameters, build_gm, build_gm_basis, combine_basis_mps
+from oracles import (
+    GMParameters,
+    build_gm,
+    build_gm_basis,
+    combine_basis_mps,
+    mps_from_state,
+)
 
 
 def einsum_sweep(sites, left, right):

@@ -1,4 +1,4 @@
-"""Tests for the successive-SVD MPS compiler."""
+"""Tests for the successive-SVD MPS compiler and its export."""
 
 import copy
 import json
@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmclone.builder import StateVector, gm_factors, gm_from_factors
+from gmclone import cli
+from gmclone.analysis import _dicke_outputs
+from gmclone.builder import StateVector
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import (
     DegenerateStateError,
@@ -26,14 +28,21 @@ from gmclone.mps import (
     bond_dimension,
     export_document,
     load_mps,
-    mps_from_factors,
-    mps_from_state,
+    mps_from_dicke,
     mps_to_state,
     save_mps,
 )
-from gmclone.qubit import equatorial_qubit, make_qubit
+from gmclone.pipeline import assign_coefficients
+from gmclone.qubit import BASIS, equatorial_qubit, make_qubit
 
-from oracles import GMParameters, build_gm, build_gm_basis, combine_basis_mps
+from oracles import (
+    GMParameters,
+    build_gm,
+    build_gm_basis,
+    combine_basis_mps,
+    dicke_state,
+    mps_from_state,
+)
 from test_format import as_lists, recursive_dumps
 
 
@@ -110,41 +119,78 @@ class TestCompile:
             mps_from_state(state, 0.0)
 
 
-def orthonormal_rows(rng, rows, cols):
-    """A (rows, cols) complex matrix with orthonormal rows, by QR."""
-    z = rng.normal(size=(cols, rows)) + 1j * rng.normal(size=(cols, rows))
-    q, _ = np.linalg.qr(z)
-    return q.T
+def _stage_c(M, bit):
+    """c of the class-``bit`` records of the stage table ``prepare`` writes,
+    as ``compile`` reads it."""
+    table = assign_coefficients(M)
+    keep = table.clone_of_one == bool(bit)
+    return cli._stage_dicke((table.indices[keep], table.coefficients[keep]), M, bit)
 
 
-class TestFromFactors:
-    """``mps_from_factors`` against the dense sweep of the same state."""
+def _assert_same_cuts(spectrum, dense_spectrum):
+    assert spectrum.retained_ranks() == dense_spectrum.retained_ranks()
+    assert spectrum.tolerance == dense_spectrum.tolerance
+    for cut, dense_cut in zip(spectrum.cuts, dense_spectrum.cuts, strict=True):
+        kept = cut.singular_values[: cut.retained]
+        dense_kept = dense_cut.singular_values[: dense_cut.retained]
+        assert np.max(np.abs(kept - dense_kept)) <= 1e-13 * dense_kept[0]
+
+
+class TestFromDicke:
+    """``mps_from_dicke`` against the dense sweep of the same register
+    (``mps_from_state`` in ``tests/oracles.py``)."""
 
     INPUTS = {
         "equatorial": equatorial_qubit(0.7),
         "amps": make_qubit(complex(0.3, -0.2), complex(0.5, 0.4)),
+        "basis:0": BASIS[0],
+        "basis:1": BASIS[1],
     }
+    SOURCES = sorted(INPUTS) + ["stage:C0", "stage:C1"]
 
-    def _both_sweeps(self, M, name):
-        weights, clone, anti = gm_factors(M, self.INPUTS[name])
-        state = gm_from_factors(weights, clone, anti)
-        dense = mps_from_state(state, 1e-12)
-        factored = mps_from_factors((clone * weights[:, None]).T, anti, 1e-12)
-        return state, dense, factored
+    def _c(self, M, name):
+        if name.startswith("stage:"):
+            return _stage_c(M, int(name[-1]))
+        return _dicke_outputs(M, [self.INPUTS[name]])[0]
 
-    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def _both_sweeps(self, M, name, tol=1e-12):
+        c = self._c(M, name)
+        state = dicke_state(c)
+        return state, mps_from_state(state, tol), mps_from_dicke(c, tol)
+
+    @pytest.mark.parametrize("name", SOURCES)
     @pytest.mark.parametrize("M", range(1, 11))
-    def test_matches_dense_sweep_of_the_cloner(self, M, name):
-        state, (dense, dense_spectrum), (mps, spectrum) = self._both_sweeps(M, name)
-        assert mps.bond_dims() == dense.bond_dims()
-        assert spectrum.retained_ranks() == dense_spectrum.retained_ranks()
-        assert spectrum.tolerance == dense_spectrum.tolerance
-        for cut, dense_cut in zip(spectrum.cuts, dense_spectrum.cuts, strict=True):
-            kept = cut.singular_values[: cut.retained]
-            dense_kept = dense_cut.singular_values[: dense_cut.retained]
-            assert np.max(np.abs(kept - dense_kept)) <= 1e-13 * dense_kept[0]
+    def test_matches_the_dense_sweep(self, M, name):
+        # At tol 1e-12 and 0.3 the sweeps keep the same values; the dense
+        # register is the state itself.
+        for tol in (1e-12, 0.3):
+            state, (dense, dense_spectrum), (mps, spectrum) = self._both_sweeps(M, name, tol)
+            assert mps.bond_dims() == dense.bond_dims()
+            _assert_same_cuts(spectrum, dense_spectrum)
+            error = np.linalg.norm(mps_to_state(mps).amplitudes - state.amplitudes)
+            if tol == 0.3:
+                assert error <= math.sqrt(spectrum.discarded_weight()) + 1e-13
+            else:
+                assert np.max(np.abs(mps_to_state(mps).amplitudes - state.amplitudes)) <= 1e-13
+
+    @pytest.mark.parametrize("name", SOURCES)
+    @pytest.mark.parametrize("M", range(1, 11))
+    def test_tol_zero_is_exact(self, M, name):
+        # At tol 0 both sweeps keep rounding noise, as many values as their
+        # cuts are wide, so their ranks differ; the Dicke cuts list
+        # min(2 D_k, m T) values and contract back to the register.
+        c = self._c(M, name)
+        mps, spectrum = mps_from_dicke(c, 0.0)
+        # Cut k <= M has the M - k + 1 clone Dicke states left times the M of
+        # the anticlones; cut M + t has the M - t anticlone states left.
+        widths = [(M - k + 1) * M for k in range(1, M + 1)] + list(range(M - 1, 1, -1))
+        widths = widths[: 2 * M - 2]
+        dims = mps.bond_dims()
+        assert [cut.singular_values.size for cut in spectrum.cuts] == [
+            min(2 * d, w) for d, w in zip(dims, widths)
+        ]
         back = mps_to_state(mps).amplitudes
-        assert np.max(np.abs(back - state.amplitudes)) <= 1e-13
+        assert np.max(np.abs(back - dicke_state(c).amplitudes)) <= 1e-13
 
     @pytest.mark.parametrize(
         "M, name",
@@ -152,7 +198,7 @@ class TestFromFactors:
             pytest.param(M, name, marks=pytest.mark.xfail(
                 strict=True,
                 reason="the dense sweep's MPS contracts to 1.7e-13 off the "
-                "register here, the factor sweep's to 4e-16",
+                "register here, the Dicke sweep's to 3e-16",
             )) if (M, name) == (10, "amps") else (M, name)
             for M in range(1, 11)
             for name in ("amps", "equatorial")
@@ -165,92 +211,61 @@ class TestFromFactors:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        head_qubits=st.integers(0, 5),
-        tail_qubits=st.integers(0, 5),
-        data=st.data(),
+        front=st.integers(1, 6),
+        back=st.integers(0, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_factors_roundtrip(self, head_qubits, tail_qubits, data, seed):
-        n = head_qubits + tail_qubits
-        if n == 0:
-            return
-        rank = data.draw(st.integers(1, 2**tail_qubits), label="rank")
+    def test_random_dicke_matrices(self, front, back, seed):
         rng = np.random.default_rng(seed)
-        head = rng.normal(size=(2**head_qubits, rank)) + 1j * rng.normal(
-            size=(2**head_qubits, rank)
-        )
-        tail = orthonormal_rows(rng, rank, 2**tail_qubits)
-        state = (head @ tail).reshape(-1)
-        # A relative tol of 1e-12 drops only the rounding that the dense
-        # sweep finds at cuts where head @ tail is rank-deficient.
-        mps, spectrum = mps_from_factors(head, tail, 1e-12)
-        assert mps.num_sites == n
-        scale = max(1.0, float(np.max(np.abs(state))))
-        assert np.max(np.abs(mps_to_state(mps).amplitudes - state)) <= 1e-13 * scale
-        _, dense_spectrum = mps_from_state(StateVector(n, state), 1e-12)
-        assert spectrum.retained_ranks() == dense_spectrum.retained_ranks()
-        for cut, dense_cut in zip(spectrum.cuts, dense_spectrum.cuts, strict=True):
-            kept = cut.singular_values[: cut.retained]
-            dense_kept = dense_cut.singular_values[: dense_cut.retained]
-            assert np.max(np.abs(kept - dense_kept)) <= 1e-13 * dense_kept[0]
+        c = rng.normal(size=(front + 1, back + 1)) + 1j * rng.normal(size=(front + 1, back + 1))
+        state = dicke_state(c)
+        mps, spectrum = mps_from_dicke(c, 1e-12)
+        assert mps.num_sites == front + back
+        scale = max(1.0, float(np.max(np.abs(state.amplitudes))))
+        assert np.max(np.abs(mps_to_state(mps).amplitudes - state.amplitudes)) <= 1e-13 * scale
+        dense, dense_spectrum = mps_from_state(state, 1e-12)
+        assert mps.bond_dims() == dense.bond_dims()
+        _assert_same_cuts(spectrum, dense_spectrum)
 
     @pytest.mark.parametrize(
-        "head_qubits, rank, tail_qubits",
+        "front, back",
         [
-            (1, 1, 0),  # M = 1: one qubit, an empty anticlone register
-            (3, 1, 2),  # r = 1: a product of head and tail
-            (4, 2, 1),  # m = n - 1
-            (0, 3, 3),  # m = 0: tail enters before the first cut
-            (2, 5, 3),  # r > 2^m
+            (1, 0),  # M = 1: one qubit, an empty anticlone register
+            (1, 4),  # the front block is one qubit
+            (4, 1),  # the back block is one qubit
+            (5, 0),  # one symmetric block
+            (2, 5),  # a back block wider than the front
         ],
     )
-    def test_ragged_shapes_roundtrip(self, head_qubits, rank, tail_qubits, rng):
-        head = rng.normal(size=(2**head_qubits, rank)) + 1j * rng.normal(
-            size=(2**head_qubits, rank)
-        )
-        tail = orthonormal_rows(rng, rank, 2**tail_qubits)
-        state = (head @ tail).reshape(-1)
-        mps, _ = mps_from_factors(head, tail, 0.0)
-        assert mps.num_sites == head_qubits + tail_qubits
-        assert np.max(np.abs(mps_to_state(mps).amplitudes - state)) <= 1e-13
+    def test_ragged_shapes_roundtrip(self, front, back, rng):
+        c = rng.normal(size=(front + 1, back + 1)) + 1j * rng.normal(size=(front + 1, back + 1))
+        mps, _ = mps_from_dicke(c, 0.0)
+        assert mps.num_sites == front + back
+        assert np.max(np.abs(mps_to_state(mps).amplitudes - dicke_state(c).amplitudes)) <= 1e-13
 
     @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda tail: 1.001 * tail,  # rows not normalized
-            lambda tail: np.vstack([tail[:1], tail[:1]]),  # repeated row
-            lambda tail: tail + 1e-9,  # off by more than 1e-12
-            lambda tail: np.where(np.arange(tail.shape[1]) == 0, np.nan, tail),
-        ],
+        "shape", [(1, 3), (1, 1), (0, 2), (3, 0), (4,), (2, 2, 2)]
     )
-    def test_non_orthonormal_tail_refused(self, damage, rng):
-        tail = damage(orthonormal_rows(rng, 2, 4))
-        head = rng.normal(size=(4, tail.shape[0])).astype(np.complex128)
-        with pytest.raises(DomainError, match="orthonormal"):
-            mps_from_factors(head, tail, 1e-12)
-
-    @pytest.mark.parametrize(
-        "head_shape, tail_shape",
-        [
-            ((4, 2), (3, 4)),  # inner sizes differ
-            ((3, 1), (1, 2)),  # head rows not a power of two
-            ((4, 1), (1, 6)),  # tail columns not a power of two
-            ((1, 1), (1, 1)),  # no qubit at all
-            ((4,), (1, 2)),  # not a matrix
-            ((4, 0), (0, 2)),  # rank 0
-        ],
-    )
-    def test_bad_shapes_refused(self, head_shape, tail_shape):
-        head = np.ones(head_shape, dtype=np.complex128)
-        tail = np.zeros(tail_shape, dtype=np.complex128)
-        if tail.ndim == 2 and tail.size:
-            tail[0, 0] = 1.0
+    def test_bad_shapes_refused(self, shape):
         with pytest.raises(DomainError):
-            mps_from_factors(head, tail, 1e-12)
+            mps_from_dicke(np.ones(shape, dtype=np.complex128), 1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_refused(self, value):
+        c = np.ones((3, 2), dtype=np.complex128)
+        c[1, 0] = value
+        with pytest.raises(DomainError, match="finite"):
+            mps_from_dicke(c, 1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 2), (13, 12), (4, 4)])
+    def test_zero_state_degenerate(self, shape):
+        with pytest.raises(DegenerateStateError):
+            mps_from_dicke(np.zeros(shape), 0.0)
 
     def test_tol_domain(self):
-        with pytest.raises(DomainError):
-            mps_from_factors(np.ones((2, 1)), np.ones((1, 1)), 1.0)
+        for tol in (1.0, -0.1):
+            with pytest.raises(DomainError):
+                mps_from_dicke(np.ones((2, 1)), tol)
 
 
 class TestReconstruction:
@@ -469,8 +484,7 @@ class TestExportBytes:
             np.testing.assert_array_equal(site["entries"][:, 0], A.real.reshape(-1))
 
     def test_peak_memory_below_half_the_file(self, tmp_path):
-        weights, clone, anti = gm_factors(12, equatorial_qubit(0.3))
-        compiled, spectrum = mps_from_factors((clone * weights[:, None]).T, anti)
+        compiled, spectrum = mps_from_dicke(_dicke_outputs(12, [equatorial_qubit(0.3)])[0])
         path = tmp_path / "mps.json"
         save_mps(path, compiled, spectrum)
         tracemalloc.start()

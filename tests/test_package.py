@@ -32,8 +32,7 @@ PUBLIC = [
     "index_bits",
     "load_mps",
     "make_qubit",
-    "mps_from_factors",
-    "mps_from_state",
+    "mps_from_dicke",
     "mps_halves",
     "mps_to_state",
     "nonlinearity_gap",
@@ -57,6 +56,8 @@ ORACLES = [
     "clone_fidelity",
     "anticlone_fidelity",
     "combine_basis_mps",
+    "mps_from_state",
+    "dicke_state",
     "gen_full_bitstrings",
     "gen_gm_bitstrings",
     "write_bitstring_stage",

@@ -36,6 +36,7 @@ from oracles import (
     read_bitstring_stage,
     reconstruct_state,
     write_bitstring_stage,
+    write_gm_matrix_lines,
 )
 
 
@@ -245,6 +246,28 @@ class TestStageFiles:
         write_gm_matrix(path1, assign_coefficients(3))
         write_gm_matrix(path2, read_gm_matrix(path1))
         assert path1.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "M, chunk", [(1, 1), (4, 1), (4, 7), (9, 1000), (9, pipeline.CHUNK_ROWS)]
+    )
+    def test_matrix_writer_matches_the_per_line_writer(self, tmp_path, monkeypatch, M, chunk):
+        # Any table, not only the cloner's: repeated, signed-zero, NaN,
+        # infinite and random coefficients, and classes that ignore the
+        # popcount, in chunks of several sizes.
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(M)
+        table = assign_coefficients(M)
+        n = len(table)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17])
+        re = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.normal(size=n))
+        im = np.where(rng.random(n) < 0.5, rng.choice(special, n), table.coefficients.real)
+        values = re.astype(np.complex128)
+        values.imag = im
+        edited = GMMatrix(table.width, table.indices, values, rng.random(n) < 0.5)
+        for matrix in (table, edited):
+            write_gm_matrix(tmp_path / "GMMatrix", matrix)
+            write_gm_matrix_lines(tmp_path / "lines", matrix)
+            assert (tmp_path / "GMMatrix").read_bytes() == (tmp_path / "lines").read_bytes()
 
     @pytest.mark.parametrize(
         "line",
