@@ -21,7 +21,8 @@ stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
 coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
 bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
 ``tobytes()`` (FullBitString refills only the high columns of one block per
-chunk), the GMMatrix writer formats each distinct double once, and the
+chunk), the GMMatrix writer appends each distinct tail of a chunk,
+formatted once, to the chunk's bit rows viewed as strings, and the
 reader checks a block of lines at once with array masks over its raw bytes:
 the TAB after each bit field, which a good line has exactly ``width`` bytes
 in, becomes an LF, so one ``bytes.split`` gives the bit fields, joined into a
