@@ -1,19 +1,17 @@
 """gmclone: classical simulation of the 1->M universal quantum cloning machine.
 
-Builds the sector factors of the exact (2M-1)-qubit cloner output, prepares
-its basis outputs through a parity-classified bitstring pipeline, compiles
-it into a matrix-product state by one successive-SVD sweep over its
-Dicke-basis matrix, and checks cloning optimality and bond-dimension scaling
-on the Dicke bases.
+Builds the exact (2M-1)-qubit cloner output as its (M+1) x M matrix on the
+Dicke bases (``dicke_outputs``), prepares its basis outputs through a
+parity-classified bitstring pipeline, compiles it into a matrix-product
+state by one successive-SVD sweep over that matrix, and checks cloning
+optimality and bond-dimension scaling on the Dicke bases.
 The dense reference constructions that the tests check all of this against
 live in ``tests/oracles.py``.
 """
 
 from .builder import (
-    StateVector,
+    dicke_outputs,
     gamma,
-    gm_factors,
-    gm_from_factors,
 )
 from .mps import (
     BondCut,
@@ -23,7 +21,6 @@ from .mps import (
     load_mps,
     mps_from_dicke,
     mps_halves,
-    mps_to_state,
     save_mps,
 )
 from .pipeline import (
@@ -64,23 +61,20 @@ __all__ = [
     "PipelineArtifacts",
     "Qubit",
     "ScalingRow",
-    "StateVector",
     "analyze_cloner",
     "anticlone",
     "assign_coefficients",
     "bit_index",
     "bloch_qubit",
     "bond_dimension",
+    "dicke_outputs",
     "equatorial_qubit",
     "gamma",
-    "gm_factors",
-    "gm_from_factors",
     "index_bits",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
-    "mps_to_state",
     "nonlinearity_gap",
     "parity_classify",
     "perp",

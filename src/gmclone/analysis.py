@@ -1,6 +1,7 @@
 """Physics validation: clone and anticlone fidelities and the nonlinearity
 gap on the Dicke bases, and the bond-dimension scaling study, which compiles
-the same (M+1) x M Dicke-basis matrix of the output into an MPS.
+the same (M+1) x M Dicke-basis matrix of the output
+(``builder.dicke_outputs``) into an MPS.
 
 Clones sit on qubits 1..M (qubit 1 = leftmost), anticlones on M+1..2M-1.
 The dense-register fidelities that the tests check these figures against
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import _dicke_matrices, _sector_maps, check_register
+from .builder import check_register, dicke_outputs
 from .errors import DomainError
 from .mps import bond_dimension, mps_from_dicke
 from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
@@ -33,21 +34,10 @@ class ScalingRow:
 
 
 # On the Dicke bases |D^M_a> of the clones and |D^(M-1)_b> of the anticlones
-# the cloner output sum_j gamma_j |S^M_j(psi)>|S^(M-1)_j(psi_a)> is the
-# (M+1) x M matrix c = R_C^T diag(gamma) R_A, where row j of R_phi holds the
-# Dicke coefficients of the sector ket S^n_j(phi).  Every figure below is read
-# from c in O(M^3) work, with no 2^M-amplitude ket and no dense register, and
-# the scaling sweep compiles c itself (``mps.mps_from_dicke``).
-
-
-def _dicke_outputs(M: int, inputs) -> np.ndarray:
-    """The cloner output of each of ``inputs`` on Dicke (x) Dicke states.
-
-    Entry [i, a, b] is the amplitude of |D^M_a>|D^(M-1)_b> in GM(inputs[i]),
-    from the maps of :func:`_sector_maps`.  Not guarded: the cost is O(M^3)
-    per input.
-    """
-    return _dicke_matrices(*_sector_maps(M, inputs))
+# the cloner output is the (M+1) x M matrix c of ``builder.dicke_outputs``.
+# Every figure below is read from c in O(M^3) work, with no 2^M-amplitude ket
+# and no dense register, and the scaling sweep compiles c itself
+# (``mps.mps_from_dicke``).
 
 
 def _split_fidelity(c: np.ndarray, target: Qubit, copies: int) -> list[float]:
@@ -89,7 +79,7 @@ def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
     """
     check_register(M)
     q = make_qubit(alpha, beta)
-    return _gap(*_dicke_outputs(M, (q, *BASIS)), q)
+    return _gap(*dicke_outputs(M, (q, *BASIS)), q)
 
 
 @dataclass(frozen=True)
@@ -100,7 +90,7 @@ class ClonerAnalysis:
 
 
 def _analyze(M: int, input: Qubit) -> ClonerAnalysis:
-    cloned, zero, one = _dicke_outputs(M, (input, *BASIS))
+    cloned, zero, one = dicke_outputs(M, (input, *BASIS))
     return ClonerAnalysis(
         clone_fidelities=_split_fidelity(cloned, input, M),
         anticlone_fidelities=_split_fidelity(cloned.T, anticlone(input), M - 1),
@@ -125,10 +115,10 @@ def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     """Compile the cloner output of the fixed equatorial input for each M.
 
     Each output is compiled from its (M+1) x M Dicke matrix
-    (:func:`_dicke_outputs`) by ``mps_from_dicke``, with no 2^M-wide array
-    and no dense register; ``M_max`` keeps the
-    register guard of the other commands (:class:`ResourceLimitError`
-    above ``FULL_ENUMERATION_LIMIT``).  Every row must satisfy
+    (:func:`~gmclone.builder.dicke_outputs`) by ``mps_from_dicke``, with no
+    2^M-wide array and no dense register; ``M_max`` keeps the register guard
+    of the other commands (:class:`ResourceLimitError` above
+    ``FULL_ENUMERATION_LIMIT``).  Every row must satisfy
     bond_dim <= 2M; the sweep itself is reported as data rather than
     asserted beyond that bound.
     """
@@ -138,7 +128,7 @@ def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     input_qubit = equatorial_qubit(0.0)
     rows = []
     for M in range(M_min, M_max + 1):
-        mps, spectrum = mps_from_dicke(_dicke_outputs(M, [input_qubit])[0], tol)
+        mps, spectrum = mps_from_dicke(dicke_outputs(M, [input_qubit])[0], tol)
         rows.append(
             ScalingRow(
                 M=M,

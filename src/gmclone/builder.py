@@ -1,4 +1,4 @@
-"""Symmetric multiqubit kets and the full cloning-machine output state.
+"""The full cloning-machine output state on the Dicke bases.
 
 The 1->M universal symmetric cloner maps an input qubit psi to the
 (2M-1)-qubit entangled state
@@ -9,56 +9,29 @@ with gamma_j = sqrt(2(M-j) / (M(M+1))), M clones on qubits 1..M and M-1
 anticlones on qubits M+1..2M-1.  Every sector ket S^n_j(phi), the
 normalized symmetric state of n-j factors phi and j factors perp(phi), is
 fixed by its coefficients on the Dicke states |D^n_a> (a ones among n
-qubits); one recursion over qubits (``_dicke_maps``) gives them for every
-consumer.  ``_dicke_matrices`` turns them into the (M+1) x M matrix of the
-output on |D^M_a>|D^(M-1)_b>, which the analysis reads and the MPS sweep
-compiles; ``gm_factors`` spreads them over the register with one gather,
-and ``gm_from_factors`` assembles the dense state in one matrix product.
-The dense builders and the decomposed-expansion oracle that the tests check
-this construction against live in ``tests/oracles.py``.
+qubits); one recursion over qubits (``_dicke_maps``) gives them.
+``dicke_outputs`` turns them into the (M+1) x M matrix c of the output on
+|D^M_a>|D^(M-1)_b>, the one construction of a builder output: ``compile``
+and ``sweep`` compile it and ``analyze`` reads its fidelities from it.
+``_dicke_kets`` spreads Dicke coefficients over 2^n amplitudes with one
+gather, for the register that ``compile`` checks its export against.
+The dense builders, the sector kets and the decomposed-expansion oracle that
+the tests check c against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .qubit import Qubit, anticlone, perp
+from .qubit import anticlone, perp
 
 # Largest M with a dense register: 2^(2M-1) amplitudes, 128 MiB at M = 12.
 # The parity pipeline enumerates every basis index under the same guard.
 FULL_ENUMERATION_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Dense amplitudes of an n-qubit register, big-endian indexed."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 0:
-            raise DomainError("negative qubit count")
-        if self.amplitudes.shape != (2**self.num_qubits,):
-            raise DomainError(
-                f"expected {2**self.num_qubits} amplitudes, "
-                f"got shape {self.amplitudes.shape}"
-            )
-        if not np.isfinite(self.amplitudes).all():
-            raise DomainError("amplitudes must be finite (no NaN or infinity)")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.num_qubits != self.num_qubits:
-            raise DomainError("overlap of states with different register sizes")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def gamma(M: int, j: int) -> float:
@@ -108,24 +81,20 @@ def _dicke_maps(n: int, qubits) -> tuple[np.ndarray, np.ndarray]:
     return previous, maps
 
 
-def _sector_maps(M: int, inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights and Dicke maps of the cloner output for each of ``inputs``.
+def dicke_outputs(M: int, inputs) -> np.ndarray:
+    """The cloner output of each of ``inputs`` on Dicke (x) Dicke states.
 
-    Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``,
-    ``clone[i, j, a] = <D^M_a|S^M_j(inputs[i])>`` for j = 0..M-1 and
-    ``anti[i, j, b] = <D^(M-1)_b|S^(M-1)_j(anticlone(inputs[i]))>``.  The
-    maps of all inputs come from one recursion.  Not guarded: the cost is
-    O(M^3) per input.
+    Entry [i, a, b] is the amplitude of |D^M_a>|D^(M-1)_b> in GM(inputs[i]):
+    c = R_C^T diag(gamma) R_A, where row j of R_C holds the Dicke
+    coefficients of S^M_j(inputs[i]) and row j of R_A those of
+    S^(M-1)_j(anticlone(inputs[i])).  The maps of all inputs and their
+    anticlones come from one recursion.  Not guarded: the cost is O(M^3)
+    per input.
     """
     count = len(inputs)
     short, full = _dicke_maps(M, list(inputs) + [anticlone(q) for q in inputs])
     weights = np.array([gamma(M, j) for j in range(M)])
-    return weights, full[:count, :M], short[count:]
-
-
-def _dicke_matrices(weights, clone, anti) -> np.ndarray:
-    """Entry [i, a, b]: the amplitude of |D^M_a>|D^(M-1)_b> in output i of
-    :func:`_sector_maps`, ``(clone[i]^T diag(weights) anti[i])[a, b]``."""
+    clone, anti = full[:count, :M], short[count:]
     return (clone * weights[:, None]).transpose(0, 2, 1) @ anti
 
 
@@ -153,30 +122,3 @@ def check_register(M: int) -> None:
             f"dense register guarded at M <= {FULL_ENUMERATION_LIMIT} "
             f"(2^{2 * FULL_ENUMERATION_LIMIT - 1} amplitudes)"
         )
-
-
-def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights and stacked sector kets of the cloner output for input ``q``.
-
-    Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``, row j
-    of the ``(M, 2^M)`` array ``clone`` is the sector ket S^M_j(q) and row j
-    of the ``(M, 2^(M-1))`` array ``anti`` is S^(M-1)_j(anticlone(q)), both
-    gathered from one set of Dicke maps.  For M = 1 the anticlone sector is
-    the empty register, whose only amplitude is 1.  Raises
-    :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT`` before
-    anything is allocated.
-    """
-    check_register(M)
-    weights, clone, anti = _sector_maps(M, [q])
-    return weights, _dicke_kets(clone[0]), _dicke_kets(anti[0])
-
-
-def gm_from_factors(weights, clone, anti) -> StateVector:
-    """The dense cloner output from the stacks of :func:`gm_factors`.
-
-    As a ``2^M x 2^(M-1)`` matrix (clone half of the index by anticlone
-    half) the output is ``clone^T diag(weights) anti``, formed in one matrix
-    product; the same factors always give the same bits.
-    """
-    total = ((clone * weights[:, None]).T @ anti).reshape(-1)
-    return StateVector(total.size.bit_length() - 1, total)

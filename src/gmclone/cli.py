@@ -7,17 +7,17 @@ anything, then makes one sweep (``mps.mps_from_dicke``) over the (M+1) x M
 matrix c of the output on |D^M_a>|D^(M-1)_b>.  It names its source on
 stdout: the GMMatrix stage in ``--out`` for a ``basis:`` input, whose
 register projected onto the clone-symmetric (x) anticlone-symmetric states
-gives c, or the builder, whose Dicke maps do.  The stage is read once,
-keeping only the input's parity class; a stage that is not the cloner's, by
-its record count or by a coefficient of either class off its closed form,
-exits 4 before the sweep.
+gives c, or the builder (``builder.dicke_outputs``).  The stage is read
+once, keeping only the input's parity class; a stage that is not the
+cloner's, by its record count or by a coefficient of either class off its
+closed form, exits 4 before the sweep.
 ``roundtrip_error`` measures the export against the stage register, or
-against the builder's sector kets gathered from the same maps, entry by
-entry, so whatever a stage holds outside the symmetric states shows there.
-Both sides are 2^M x 2^(M-1) matrices at the clone|anticlone bond: the
-export as the product of its contracted halves (``mps.mps_halves``), the
-reference ``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of
-2^(2M-1) amplitudes on either route.
+against the register of the builder's c, entry by entry, so whatever a
+stage holds outside the symmetric states shows there.  Both sides are
+2^M x 2^(M-1) matrices at the clone|anticlone bond: the export as the
+product of its contracted halves (``mps.mps_halves``), the reference
+``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of 2^(2M-1)
+amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure or a ``ValueError`` that is not a gmclone
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, mps, pipeline
-from .builder import _dicke_kets, _dicke_matrices, _sector_maps, check_register
+from .builder import _dicke_kets, check_register, dicke_outputs
 from .errors import (
     GMCloneError,
     InternalConsistencyError,
@@ -151,20 +151,20 @@ def cmd_compile(args) -> int:
     records = _stage_records(args, matrix_path)
     if records is None:
         source = origin = "builder"
-        weights, clone, anti = _sector_maps(M, [q])
-        (c,) = _dicke_matrices(weights, clone, anti)
+        (c,) = dicke_outputs(M, [q])
     else:
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
         c = _stage_dicke(records, M, _basis_bit(args.input))
     compiled, spectrum = mps.mps_from_dicke(c, args.tol)
     # Export minus reference as 2^M x 2^(M-1) matrices, ROW_BLOCK clone rows
     # at a time: L @ R minus the stage rows, or for the builder, whose
-    # reference is the sector kets of the same maps, [L | head] @ [R; -anti].
+    # reference is the register of c, [L | head] @ [R; -dicke]: column b of
+    # head is sum_a c[a, b] |D^M_a> and row b of dicke is |D^(M-1)_b>.
     left, right = mps.mps_halves(compiled, M)
     blocks = [(lo, min(lo + ROW_BLOCK, 2**M)) for lo in range(0, 2**M, ROW_BLOCK)]
     if records is None:
-        head = (_dicke_kets(clone[0]) * weights[:, None]).T
-        right = np.vstack([right, -_dicke_kets(anti[0])])
+        head = _dicke_kets(c.T).T
+        right = np.vstack([right, -_dicke_kets(np.eye(M))])
         differences = (np.hstack([left[lo:hi], head[lo:hi]]) @ right for lo, hi in blocks)
     else:
         differences = (_minus_stage_rows(left[lo:hi] @ right, records, lo) for lo, hi in blocks)

@@ -14,12 +14,13 @@ its clones and over its anticlones, so it is the (M+1) x M matrix c of its
 amplitudes on the Dicke states |D^M_a>|D^(M-1)_b>, and the sweep runs on
 that matrix: the rest of a cut is the Dicke states of the qubits still to
 peel, never a 2^n-wide array: no SVD sees more than 2 M^3 entries (the
-largest at M = 12 is 12 x 84).  ``compile`` passes the builder's c, or for a GMMatrix
-stage the projection of its register onto the clone-symmetric (x)
-anticlone-symmetric states; whatever a stage holds outside them is left out
-of the export and shows in ``roundtrip_error``.  ``sweep`` passes the
-builder's c.  The dense sweep over a whole register, which the tests check
-this one against, lives in ``tests/oracles.py``.
+largest at M = 12 is 12 x 84).  ``compile`` passes the builder's c
+(``builder.dicke_outputs``), or for a GMMatrix stage the projection of its
+register onto the clone-symmetric (x) anticlone-symmetric states; whatever a
+stage holds outside them is left out of the export and shows in
+``roundtrip_error``.  ``sweep`` passes the builder's c.  The dense sweep
+over a whole register and the full contraction of an MPS into one, which
+the tests check this module against, live in ``tests/oracles.py``.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
@@ -40,7 +41,6 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .builder import StateVector
 from .errors import DegenerateStateError, DomainError, MalformedMPSError, StageParseError
 from ._format import _pieces
 
@@ -168,22 +168,15 @@ def mps_from_dicke(c, tol: float = DEFAULT_TOL):
     return mps, BondSpectrum(cuts=cuts, tolerance=tol)
 
 
-def mps_to_state(mps: MatrixProductState) -> StateVector:
-    """Contract the MPS back into dense amplitudes (no renormalization)."""
-    mps.validate()
-    amps = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
-    return StateVector(mps.num_sites, amps)
-
-
 def mps_halves(mps: MatrixProductState, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The state as the product L @ R of its two halves at the bond after site k.
 
     L, of shape (2^k, D), contracts sites 1..k and R, of shape (D, 2^(n-k)),
     sites k+1..n, each in one :func:`kernels.contract_sweep` with an
     identity on the open bond; for k = n, R is the right boundary as a
-    column.  ``(L @ R).reshape(-1)`` is :func:`mps_to_state` up to rounding,
-    with no array of 2^n entries formed.  Raises :class:`DomainError` for a
-    k outside 1..n.
+    column.  ``(L @ R).reshape(-1)`` is the contracted state, with no array
+    of 2^n entries formed.  Raises :class:`DomainError` for a k outside
+    1..n.
     """
     mps.validate()
     if not 1 <= k <= mps.num_sites:

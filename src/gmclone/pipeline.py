@@ -182,8 +182,8 @@ def assign_coefficients(M: int) -> GMMatrix:
 
     Each support ket x|y (clone half x, anticlone half y) lies in exactly
     one sector j of its class's cloner output, so its amplitude is the one
-    term ``gamma_j * (clone_j[x] * anti_j[y])`` of :func:`gm_factors`, with
-    no ket and no dense state built.  For the clone of |0> the clone
+    term ``gamma_j * S^M_j(q)[x] * S^(M-1)_j(anticlone(q))[y]`` of the sum
+    over sectors, with no ket and no dense state built.  For the clone of |0> the clone
     sector's perp factors are the ones, so j = popcount(x); for the clone
     of |1> they are the zeros, so j = M - popcount(x).  Either way the
     sector kets of a basis input are equal-weight sums over placements,

@@ -2,17 +2,22 @@
 against.
 
 No command needs them: ``compile``, ``analyze`` and ``sweep`` work from the
-sector factors and the Dicke maps, and ``prepare`` writes its stages from
-index arrays.  Each one here takes an independent or a plainer route to the
-same figure, so the suites can cross-check the package:
+(M+1) x M Dicke-basis matrix of the output (``builder.dicke_outputs``), and
+``prepare`` writes its stages from index arrays.  Each one here takes an
+independent or a plainer route to the same figure, so the suites can
+cross-check the package:
 
-* the dense cloner output (``build_gm``, ``build_gm_basis``) and the
+* a dense register (``StateVector``);
+* the sector kets of the cloner output spread over the register
+  (``gm_factors``) and the dense output assembled from them in one matrix
+  product (``gm_from_factors``, ``build_gm``, ``build_gm_basis``), and the
   decomposed expansion (``expand_gm_decomposed``), which enumerates the
   placements of the orthogonal factors one kron chain at a time;
 * dense reduced densities and single-qubit fidelities;
-* the dense successive-SVD sweep over a whole register (``mps_from_state``)
-  and the register of a Dicke-basis matrix (``dicke_state``), against which
-  the package's sweep in Dicke coordinates is checked;
+* the dense successive-SVD sweep over a whole register (``mps_from_state``),
+  the register of a Dicke-basis matrix (``dicke_state``), against which
+  the package's sweep in Dicke coordinates and its c are checked, and the
+  full contraction of an MPS into a register (``mps_to_state``);
 * the block-sum of two basis MPSs, which shows that superposing the clones
   is not cloning the superposition;
 * the bitstring stages as Python strings, generated by a plain scan of the
@@ -36,15 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gmclone.builder import (
-    StateVector,
-    _dicke_kets,
-    _dicke_maps,
-    check_register,
-    gamma,
-    gm_factors,
-    gm_from_factors,
-)
+from gmclone import kernels
+from gmclone.builder import _dicke_kets, _dicke_maps, check_register, gamma
 from gmclone._format import float17
 from gmclone.errors import DegenerateStateError, DomainError, StageParseError
 from gmclone.mps import DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol
@@ -55,6 +53,61 @@ from gmclone.qubit import BASIS, Qubit, anticlone, perp
 # ---------------------------------------------------------------------------
 # dense cloner output
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StateVector:
+    """Dense amplitudes of an n-qubit register, big-endian indexed."""
+
+    num_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.num_qubits < 0:
+            raise DomainError("negative qubit count")
+        if self.amplitudes.shape != (2**self.num_qubits,):
+            raise DomainError(
+                f"expected {2**self.num_qubits} amplitudes, "
+                f"got shape {self.amplitudes.shape}"
+            )
+        if not np.isfinite(self.amplitudes).all():
+            raise DomainError("amplitudes must be finite (no NaN or infinity)")
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def overlap(self, other: "StateVector") -> complex:
+        if other.num_qubits != self.num_qubits:
+            raise DomainError("overlap of states with different register sizes")
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and stacked sector kets of the cloner output for input ``q``.
+
+    Returns ``(weights, clone, anti)``: ``weights[j] = gamma(M, j)``, row j
+    of the ``(M, 2^M)`` array ``clone`` is the sector ket S^M_j(q) and row j
+    of the ``(M, 2^(M-1))`` array ``anti`` is S^(M-1)_j(anticlone(q)), both
+    gathered from one set of Dicke maps.  For M = 1 the anticlone sector is
+    the empty register, whose only amplitude is 1.  Raises
+    :class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT`` before
+    anything is allocated.
+    """
+    check_register(M)
+    short, full = _dicke_maps(M, [q, anticlone(q)])
+    weights = np.array([gamma(M, j) for j in range(M)])
+    return weights, _dicke_kets(full[0, :M]), _dicke_kets(short[1])
+
+
+def gm_from_factors(weights, clone, anti) -> StateVector:
+    """The dense cloner output from the stacks of :func:`gm_factors`.
+
+    As a ``2^M x 2^(M-1)`` matrix (clone half of the index by anticlone
+    half) the output is ``clone^T diag(weights) anti``, formed in one matrix
+    product; the same factors always give the same bits.
+    """
+    total = ((clone * weights[:, None]).T @ anti).reshape(-1)
+    return StateVector(total.size.bit_length() - 1, total)
+
 
 @dataclass(frozen=True)
 class GMParameters:
@@ -234,6 +287,13 @@ def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
     sites.append(np.ascontiguousarray(remainder.reshape(-1, 2, 1).transpose(1, 0, 2)))
     ones = np.ones(1, dtype=np.complex128)
     return MatrixProductState(sites, ones, ones.copy()), BondSpectrum(cuts, tol)
+
+
+def mps_to_state(mps: MatrixProductState) -> StateVector:
+    """Contract the MPS back into dense amplitudes (no renormalization)."""
+    mps.validate()
+    amps = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+    return StateVector(mps.num_sites, amps)
 
 
 def dicke_state(c) -> StateVector:

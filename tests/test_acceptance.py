@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from gmclone.analysis import nonlinearity_gap, scaling_csv, scaling_sweep
-from gmclone.builder import StateVector, gamma
-from gmclone.mps import bond_dimension, load_mps, mps_to_state, save_mps
+from gmclone.builder import gamma
+from gmclone.mps import bond_dimension, load_mps, save_mps
 from gmclone.pipeline import (
     ParityClass,
     assign_coefficients,
@@ -27,6 +27,7 @@ from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
 
 from oracles import (
     GMParameters,
+    StateVector,
     anticlone_fidelity,
     build_gm,
     build_gm_basis,
@@ -35,6 +36,7 @@ from oracles import (
     expand_gm_decomposed,
     gen_gm_bitstrings,
     mps_from_state,
+    mps_to_state,
     read_bitstring_stage,
     reconstruct_state,
     write_bitstring_stage,

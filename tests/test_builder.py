@@ -14,15 +14,20 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gmclone.builder import FULL_ENUMERATION_LIMIT, StateVector, gamma, gm_factors
+from gmclone.builder import FULL_ENUMERATION_LIMIT, dicke_outputs, gamma
+from gmclone.cli import parse_input_spec
 from gmclone.errors import DomainError, ResourceLimitError
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 from oracles import (
     GMParameters,
+    StateVector,
     build_gm,
     build_gm_basis,
+    dicke_state,
     expand_gm_decomposed,
+    gm_factors,
+    gm_from_factors,
     symmetric_ket,
 )
 
@@ -257,6 +262,21 @@ class TestFactoredBuild:
     def test_register_guard(self, M):
         with pytest.raises(ResourceLimitError):
             build_gm(GMParameters(M, Qubit(1, 0)))
+
+
+class TestDickeOutputs:
+    # compile checks its export against the register of c, so the step from
+    # the maps to c is held here to the sector kets assembled densely.
+    SPECS = ["amps:0.3,-0.2,0.5,0.4", "equatorial:0.7", "basis:0", "basis:1"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("M", range(1, FULL_ENUMERATION_LIMIT + 1))
+    def test_register_of_c_is_the_factored_output(self, M, spec):
+        q = parse_input_spec(spec)
+        (c,) = dicke_outputs(M, [q])
+        assert c.shape == (M + 1, M)
+        difference = dicke_state(c).amplitudes - gm_from_factors(*gm_factors(M, q)).amplitudes
+        assert np.linalg.norm(difference) <= 1e-15
 
 
 class TestBuildGMBasis:

@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmclone import analysis, builder, cli, mps, pipeline
-from gmclone.analysis import _dicke_outputs
-from gmclone.builder import gm_factors, gm_from_factors
+from gmclone import analysis, builder, cli, kernels, mps, pipeline
+from gmclone.builder import dicke_outputs
 from gmclone.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -24,10 +23,10 @@ from gmclone.cli import (
     parse_input_spec,
 )
 from gmclone.errors import DomainError, InternalConsistencyError, UsageError
-from gmclone.mps import load_mps, mps_to_state
+from gmclone.mps import load_mps
 from gmclone.qubit import BASIS
 
-from oracles import reconstruct_state
+from oracles import dicke_state, gm_factors, gm_from_factors, mps_to_state, reconstruct_state
 
 
 @pytest.fixture(scope="module")
@@ -87,23 +86,24 @@ class TestCompile:
     def test_no_register_formed_on_either_route(self, tmp_path, monkeypatch):
         # Both routes compile the Dicke matrix c, so no matrix of 2^(2M-1)
         # entries reaches the SVD, and check the export at the clone|anticlone
-        # bond a row block at a time: nothing assembles the builder register,
-        # rebuilds the stage register or contracts the whole export.
+        # bond a row block at a time: no contraction of the export yields all
+        # 2^(2M-1) amplitudes, only its two halves.
         M = 4
         sizes = []
         real_svd = np.linalg.svd
+        real_contract = kernels.contract_sweep
 
         def svd(matrix, **kwargs):
             sizes.append(matrix.size)
             return real_svd(matrix, **kwargs)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("2^(2M-1)-amplitude register formed")
+        def contract(*args):
+            contracted = real_contract(*args)
+            assert contracted.size < 2 ** (2 * M - 1), "2^(2M-1)-amplitude register formed"
+            return contracted
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        for module, name in ((builder, "gm_from_factors"), (mps, "mps_to_state")):
-            monkeypatch.setattr(module, name, refuse)
-            monkeypatch.setattr(cli, name, refuse, raising=False)
+        monkeypatch.setattr(kernels, "contract_sweep", contract)
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
         for source in ("builder", "gm_matrix"):
             if source == "gm_matrix":
@@ -137,6 +137,7 @@ class TestCompile:
         # the builder's assembly or the stage's rebuilt register.
         q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
         cases = [("amps:0.3,-0.2,0.5,0.4", lambda: gm_from_factors(*gm_factors(M, q)))]
+        cases.append(("amps:0.3,-0.2,0.5,0.4", lambda: dicke_state(dicke_outputs(M, [q])[0])))
         matrix = pipeline.run_pipeline(M, tmp_path)[1]
         classes = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)
         for bit, cls in enumerate(classes):
@@ -377,7 +378,7 @@ class TestDickeSweep:
             keep = table.clone_of_one == bool(bit)
             records = (table.indices[keep], table.coefficients[keep])
             c = cli._stage_dicke(records, M, bit)
-            (expected,) = _dicke_outputs(M, [BASIS[bit]])
+            (expected,) = dicke_outputs(M, [BASIS[bit]])
             assert np.max(np.abs(c - expected)) <= 1e-14
 
     @pytest.mark.parametrize("M", [1, 2, 5, 9])
@@ -401,15 +402,14 @@ class TestDickeSweep:
             assert main(argv) == EXIT_OK
             (c,) = seen
             assert c.shape == (M + 1, M)
-            assert np.max(np.abs(c - _dicke_outputs(M, [qubit])[0])) <= 1e-14
+            assert np.max(np.abs(c - dicke_outputs(M, [qubit])[0])) <= 1e-14
 
     def test_sweep_gathers_no_ket(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("sweep must compile c alone")
 
-        for name in ("_dicke_kets", "gm_factors", "gm_from_factors"):
-            monkeypatch.setattr(builder, name, refuse)
-            monkeypatch.setattr(cli, name, refuse, raising=False)
+        monkeypatch.setattr(builder, "_dicke_kets", refuse)
+        monkeypatch.setattr(cli, "_dicke_kets", refuse)
         assert main(["sweep", "--clones", "8", "--out", str(tmp_path)]) == EXIT_OK
 
 

@@ -84,6 +84,18 @@ are unchanged.  Each cut now lists min(2 D_k, m T) singular values, where it
 listed up to 2 D_k; every value no longer listed was discarded rounding, at
 most 4.9e-15 * sigma_max.  No `prepare` digest and no M = 1 digest moved.
 
+When the builder's roundtrip reference became the register of the compiled
+matrix c itself (each block [L | H] @ [R; -K], column b of H the clone
+half sum_a c[a, b] |D^M_a> and row b of K the Dicke state |D^(M-1)_b>)
+instead of the weighted sector kets gathered from the same Dicke maps,
+`roundtrip_error` was summed from other products.  Only the four builder
+`compile_report.json` digests moved; they were re-pinned by running
+`gmclone compile --clones M --input SPEC --out DIR` once on the new code.
+Each new report equals the old one in every field but `roundtrip_error`,
+which moved by at most 1.4e-17 here (at most 7.3e-17 over builder compiles
+of five inputs at M = 1..12).  c and the sweep are unchanged, so every
+`mps.json` digest, and every `prepare` and `basis:` compile digest, holds.
+
 `prepare` digests are pure text and must hold on any platform.  `mps.json`
 and `compile_report.json` carry SVD output; they were produced with numpy
 2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
@@ -240,31 +252,32 @@ GOLDEN_STAGES = {
 # roundtrip contraction became one matrix product per site and when the
 # roundtrip check moved to row blocks; only their `roundtrip_error` moved
 # (see the header).  Both files were re-pinned once more when the sweep moved
-# to Dicke coordinates (see the header).
+# to Dicke coordinates, and the report once more when the roundtrip
+# reference became the register of c (see the header).
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
             "980077a14ab001d913759520491a14e67ca81c9a0be022df218bc62ebf44f6d6",
         "compile_report.json":
-            "b3e727371f99c6c9eaa7cd0b078b2a249e4dd2bb75d00a6425f76cb938acaf95",
+            "5b74fd8ef80e871d26b0140b9da80fbe068bb0261b700a7daaf9a38362aa7ae8",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "b76d0bf7c336daabc49fd2b4ce1e5b6772dd01a67f873b7e0b954b0f2b265e3b",
         "compile_report.json":
-            "71b974272c68033a010d1a4d42ea16a7fdcbdf2d4189e9f5a54c994c3a2513d0",
+            "a6b1af8cb4ab212f919f6fb6300e5d2f6d6793b6d6770b377fee97978ebbac54",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
             "26d93f6db4a2a41d01def7dff5efff3798033daa48bd4bea959c8c9f739f0cb7",
         "compile_report.json":
-            "5b7e762d9f03e831561e204388d15d7111cffd02ec83fb2c1a046c3ae3da5546",
+            "480fc37cf6b11775138bbfbacc0f78fcfcda5d6aa6c65de6d58a1a132eca48a5",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
             "294610dd7a4598e6b7ca3ce7d6ffbcdce0a4beea60065f97e7e88ec8cb7ec0f7",
         "compile_report.json":
-            "e6564f38ef2312f63a30397372f009be8520815e8668b287684731e01848e368",
+            "354d65f825c4882f3bd15e0418b3ecf5df9f2a1e0b9c70faefccc7c80fe75530",
     },
 }
 

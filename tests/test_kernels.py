@@ -8,7 +8,7 @@ import pytest
 from gmclone import kernels
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import DomainError
-from gmclone.mps import MatrixProductState, mps_halves, mps_to_state
+from gmclone.mps import MatrixProductState, mps_halves
 from gmclone.qubit import equatorial_qubit
 
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     build_gm_basis,
     combine_basis_mps,
     mps_from_state,
+    mps_to_state,
 )
 
 

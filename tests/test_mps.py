@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gmclone import cli
-from gmclone.analysis import _dicke_outputs
-from gmclone.builder import StateVector
+from gmclone.builder import dicke_outputs
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import (
     DegenerateStateError,
@@ -29,7 +28,6 @@ from gmclone.mps import (
     export_document,
     load_mps,
     mps_from_dicke,
-    mps_to_state,
     save_mps,
 )
 from gmclone.pipeline import assign_coefficients
@@ -37,11 +35,13 @@ from gmclone.qubit import BASIS, equatorial_qubit, make_qubit
 
 from oracles import (
     GMParameters,
+    StateVector,
     build_gm,
     build_gm_basis,
     combine_basis_mps,
     dicke_state,
     mps_from_state,
+    mps_to_state,
 )
 from test_format import as_lists, recursive_dumps
 
@@ -151,7 +151,7 @@ class TestFromDicke:
     def _c(self, M, name):
         if name.startswith("stage:"):
             return _stage_c(M, int(name[-1]))
-        return _dicke_outputs(M, [self.INPUTS[name]])[0]
+        return dicke_outputs(M, [self.INPUTS[name]])[0]
 
     def _both_sweeps(self, M, name, tol=1e-12):
         c = self._c(M, name)
@@ -484,7 +484,7 @@ class TestExportBytes:
             np.testing.assert_array_equal(site["entries"][:, 0], A.real.reshape(-1))
 
     def test_peak_memory_below_half_the_file(self, tmp_path):
-        compiled, spectrum = mps_from_dicke(_dicke_outputs(12, [equatorial_qubit(0.3)])[0])
+        compiled, spectrum = mps_from_dicke(dicke_outputs(12, [equatorial_qubit(0.3)])[0])
         path = tmp_path / "mps.json"
         save_mps(path, compiled, spectrum)
         tracemalloc.start()

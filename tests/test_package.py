@@ -1,12 +1,13 @@
 """The public namespace of the package."""
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 import gmclone
-from gmclone import analysis, builder, mps, pipeline
+from gmclone import analysis, builder, cli, mps, pipeline
 
 PUBLIC = [
     "BondCut",
@@ -18,23 +19,20 @@ PUBLIC = [
     "PipelineArtifacts",
     "Qubit",
     "ScalingRow",
-    "StateVector",
     "analyze_cloner",
     "anticlone",
     "assign_coefficients",
     "bit_index",
     "bloch_qubit",
     "bond_dimension",
+    "dicke_outputs",
     "equatorial_qubit",
     "gamma",
-    "gm_factors",
-    "gm_from_factors",
     "index_bits",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
-    "mps_to_state",
     "nonlinearity_gap",
     "parity_classify",
     "perp",
@@ -45,6 +43,10 @@ PUBLIC = [
 
 # Reference implementations that no command calls; they live in tests/oracles.py.
 ORACLES = [
+    "StateVector",
+    "gm_factors",
+    "gm_from_factors",
+    "mps_to_state",
     "GMParameters",
     "build_gm",
     "build_gm_basis",
@@ -78,10 +80,16 @@ def test_public_names_are_pinned():
     assert sorted(gmclone.__all__) == PUBLIC
 
 
-@pytest.mark.parametrize("module", [gmclone, builder, analysis, mps, pipeline],
+@pytest.mark.parametrize("module", [gmclone, builder, analysis, mps, pipeline, cli],
                          ids=lambda module: module.__name__)
 def test_oracles_stay_out_of_the_package(module):
     assert [name for name in ORACLES if hasattr(module, name)] == []
+
+
+def test_mps_does_not_import_the_builder():
+    tree = ast.parse(Path(mps.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "builder" not in imported
 
 
 def test_readme_library_example_runs():
