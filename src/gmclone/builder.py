@@ -14,7 +14,8 @@ qubits); one recursion over qubits (``_dicke_maps``) gives them.
 |D^M_a>|D^(M-1)_b>, the one construction of a builder output: ``compile``
 and ``sweep`` compile it and ``analyze`` reads its fidelities from it.
 ``_dicke_kets`` spreads Dicke coefficients over 2^n amplitudes with one
-gather, for the register that ``compile`` checks its export against.
+gather; ``compile`` takes the Dicke bases from it, onto which it projects
+the halves of a builder export to check them against c.
 The dense builders, the sector kets and the decomposed-expansion oracle that
 the tests check c against live in ``tests/oracles.py``.
 """

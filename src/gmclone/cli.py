@@ -11,12 +11,14 @@ gives c, or the builder (``builder.dicke_outputs``).  The stage is read
 once, keeping only the input's parity class; a stage that is not the
 cloner's, by its record count or by a coefficient of either class off its
 closed form, exits 4 before the sweep.
-``roundtrip_error`` measures the export against the stage register, or
-against the register of the builder's c, entry by entry, so whatever a
-stage holds outside the symmetric states shows there.  Both sides are
-2^M x 2^(M-1) matrices at the clone|anticlone bond: the export as the
-product of its contracted halves (``mps.mps_halves``), the reference
-``ROW_BLOCK`` rows at a time, so ``compile`` forms no array of 2^(2M-1)
+``roundtrip_error`` measures the export, as the product of its contracted
+halves at the clone|anticlone bond (``mps.mps_halves``), against the
+reference.  For the builder that is the register of c, and the check runs
+in the symmetric subspaces (``_symmetric_roundtrip``): no array of it is
+wider than the (M+1) x 2^M Dicke basis of the clones.  For a stage it is
+the stage register, compared entry by entry as 2^M x 2^(M-1) matrices,
+``ROW_BLOCK`` clone rows at a time, so whatever a stage holds outside the
+symmetric states shows there.  ``compile`` forms no array of 2^(2M-1)
 amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
@@ -54,8 +56,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# Clone-index rows per block of the compile roundtrip check: one block of the
-# register is ROW_BLOCK x 2^(M-1) amplitudes, 1 MiB at M = 12.
+# Clone-index rows per block of the stage compile's roundtrip check: one
+# block of the register is ROW_BLOCK x 2^(M-1) amplitudes, 1 MiB at M = 12.
 ROW_BLOCK = 32
 
 
@@ -144,6 +146,32 @@ def _minus_stage_rows(block, records, lo: int) -> np.ndarray:
     return block
 
 
+def _symmetric_roundtrip(left, right, c) -> float:
+    """The distance ||L @ R - K_M^T c K_(M-1)|| from the export's halves at
+    the clone|anticlone bond to the register of ``c``, with no 2^M x 2^(M-1)
+    array.
+
+    K_n is the (n+1) x 2^n matrix of the Dicke states |D^n_a>; its rows are
+    orthonormal.  With A = K_M L and B = R K_(M-1)^T the difference is the
+    sum of three orthogonal parts: K_M^T (A B - c) K_(M-1) inside both
+    symmetric subspaces, (L - K_M^T A) B K_(M-1) outside the clone one and
+    L (R - B K_(M-1)) outside the anticlone one.  Their norms are those of
+    A B - c, (L - K_M^T A) B and T (R - B K_(M-1)), T the triangular factor
+    of L (T^H T = L^H L): each is the norm of an explicit matrix, so no
+    squared part can round negative.  The cost is O(2^M D M).
+    """
+    M = c.shape[0] - 1
+    clone, anti = _dicke_kets(np.eye(M + 1)), _dicke_kets(np.eye(M))
+    a = clone @ left
+    b = right @ anti.T
+    parts = (
+        a @ b - c,
+        (left - clone.T @ a) @ b,
+        np.linalg.qr(left, mode="r") @ (right - b @ anti),
+    )
+    return math.sqrt(sum(np.vdot(part, part).real for part in parts))
+
+
 def cmd_compile(args) -> int:
     M, q = args.clones, parse_input_spec(args.input)
     check_register(M)
@@ -156,19 +184,15 @@ def cmd_compile(args) -> int:
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
         c = _stage_dicke(records, M, _basis_bit(args.input))
     compiled, spectrum = mps.mps_from_dicke(c, args.tol)
-    # Export minus reference as 2^M x 2^(M-1) matrices, ROW_BLOCK clone rows
-    # at a time: L @ R minus the stage rows, or for the builder, whose
-    # reference is the register of c, [L | head] @ [R; -dicke]: column b of
-    # head is sum_a c[a, b] |D^M_a> and row b of dicke is |D^(M-1)_b>.
     left, right = mps.mps_halves(compiled, M)
-    blocks = [(lo, min(lo + ROW_BLOCK, 2**M)) for lo in range(0, 2**M, ROW_BLOCK)]
     if records is None:
-        head = _dicke_kets(c.T).T
-        right = np.vstack([right, -_dicke_kets(np.eye(M))])
-        differences = (np.hstack([left[lo:hi], head[lo:hi]]) @ right for lo, hi in blocks)
+        error = _symmetric_roundtrip(left, right, c)
     else:
+        # Export minus stage register as 2^M x 2^(M-1) matrices, ROW_BLOCK
+        # clone rows at a time: L @ R minus the stage rows, entry by entry.
+        blocks = [(lo, min(lo + ROW_BLOCK, 2**M)) for lo in range(0, 2**M, ROW_BLOCK)]
         differences = (_minus_stage_rows(left[lo:hi] @ right, records, lo) for lo, hi in blocks)
-    error = math.sqrt(sum(np.vdot(block, block).real for block in differences))
+        error = math.sqrt(sum(np.vdot(block, block).real for block in differences))
     args.out.mkdir(parents=True, exist_ok=True)
     export_path = args.out / "mps.json"
     report_path = args.out / "compile_report.json"

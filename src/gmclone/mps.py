@@ -27,8 +27,10 @@ stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
 left boundary . A_1 ... A_n . right boundary in ascending site order;
 ``mps_halves`` contracts the two sides of one bond apart, so the state is a
 product of a (2^k, D) and a (D, 2^(n-k)) matrix that a caller can compare
-with a reference a block of rows at a time.  ``compile`` checks its export
-that way at the clone|anticlone bond, with no 2^n-amplitude array.
+with a reference without forming it.  ``compile`` checks its export that
+way at the clone|anticlone bond, with no 2^n-amplitude array: a builder
+export by projecting the halves onto the Dicke states, a stage export a
+block of rows at a time.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ cross-check the package:
 * dense reduced densities and single-qubit fidelities;
 * the dense successive-SVD sweep over a whole register (``mps_from_state``),
   the register of a Dicke-basis matrix (``dicke_state``), against which
-  the package's sweep in Dicke coordinates and its c are checked, and the
-  full contraction of an MPS into a register (``mps_to_state``);
+  the package's sweep in Dicke coordinates and its c are checked, the
+  full contraction of an MPS into a register (``mps_to_state``), and the
+  builder roundtrip taken entry by entry over blocks of that register
+  (``blockwise_roundtrip``);
 * the block-sum of two basis MPSs, which shows that superposing the clones
   is not cloning the superposition;
 * the bitstring stages as Python strings, generated by a plain scan of the
@@ -300,15 +302,34 @@ def dicke_state(c) -> StateVector:
     """The register sum_ab c[a, b] |D^p_a>|D^q_b> of a (p+1) x (q+1) ``c``.
 
     Amplitude x is c[a, b] / sqrt(C(p, a) C(q, b)), with a and b the
-    popcounts of the first p and the last q bits of x.
+    popcounts of the first p and the last q bits of x: the scaled c indexed
+    by the 2^p clone popcounts against the 2^q anticlone popcounts, so the
+    register is the only array of 2^(p+q) entries.
     """
     c = np.asarray(c, dtype=np.complex128)
     p, q = c.shape[0] - 1, c.shape[1] - 1
-    x = np.arange(2 ** (p + q))
-    a, b = np.bitwise_count(x >> q), np.bitwise_count(x & ((1 << q) - 1))
+    a, b = np.bitwise_count(np.arange(2**p)), np.bitwise_count(np.arange(2**q))
     counts = np.array([[math.comb(p, i) * math.comb(q, j) for j in range(q + 1)]
                        for i in range(p + 1)])
-    return StateVector(p + q, c[a, b] / np.sqrt(counts[a, b]))
+    return StateVector(p + q, (c / np.sqrt(counts))[a[:, None], b].reshape(-1))
+
+
+def blockwise_roundtrip(left, right, c) -> float:
+    """||L @ R - register of c|| over 2^M x 2^(M-1) blocks of 32 clone rows,
+    as ``compile`` checked a builder export before its check moved into the
+    symmetric subspaces.
+
+    ``left`` (2^M, D) and ``right`` (D, 2^(M-1)) are the export's halves at
+    the clone|anticlone bond (``mps.mps_halves``) and ``c`` the (M+1) x M
+    matrix that was compiled.  Each block is one product [L | H] @ [R; -K]:
+    column b of H is sum_a c[a, b] |D^M_a> and row b of K is |D^(M-1)_b>.
+    """
+    M = c.shape[0] - 1
+    head = _dicke_kets(c.T).T
+    stacked = np.vstack([right, -_dicke_kets(np.eye(M))])
+    blocks = [(lo, min(lo + 32, 2**M)) for lo in range(0, 2**M, 32)]
+    differences = (np.hstack([left[lo:hi], head[lo:hi]]) @ stacked for lo, hi in blocks)
+    return math.sqrt(sum(np.vdot(block, block).real for block in differences))
 
 
 # ---------------------------------------------------------------------------

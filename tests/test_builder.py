@@ -275,7 +275,8 @@ class TestDickeOutputs:
         q = parse_input_spec(spec)
         (c,) = dicke_outputs(M, [q])
         assert c.shape == (M + 1, M)
-        difference = dicke_state(c).amplitudes - gm_from_factors(*gm_factors(M, q)).amplitudes
+        difference = dicke_state(c).amplitudes
+        difference -= gm_from_factors(*gm_factors(M, q)).amplitudes
         assert np.linalg.norm(difference) <= 1e-15
 
 

@@ -26,7 +26,14 @@ from gmclone.errors import DomainError, InternalConsistencyError, UsageError
 from gmclone.mps import load_mps
 from gmclone.qubit import BASIS
 
-from oracles import dicke_state, gm_factors, gm_from_factors, mps_to_state, reconstruct_state
+from oracles import (
+    blockwise_roundtrip,
+    dicke_state,
+    gm_factors,
+    gm_from_factors,
+    mps_to_state,
+    reconstruct_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +138,57 @@ class TestCompile:
             tracemalloc.stop()
         assert peak < 2 ** (2 * M - 1) * 16 / 4
 
+    def test_builder_compile_memory_at_the_guard(self, tmp_path, capsys):
+        # At M = 12 the register is 128 MiB.  The builder check forms no
+        # block of its rows, and the traced peak (3.34 MiB) stays below 1/32
+        # of it; products of 32-row blocks peaked at 4.33 MiB.
+        M = 12
+        argv = ["compile", "--clones", str(M), "--input", "equatorial:0.7",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** (2 * M - 1) * 16 / 32
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.999])
+    @pytest.mark.parametrize("spec", ["amps:0.3,-0.2,0.5,0.4", "equatorial:0.7"])
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_symmetric_roundtrip_is_the_blockwise_one(self, M, spec, tol, tmp_path, capsys):
+        # Oracle: the export's halves against the register of c, entry by
+        # entry over blocks of 32 clone rows.  Untruncated both read rounding
+        # (at most 9.5e-17 apart); at tol 0.999 the bond keeps one state and
+        # the error is about 0.9, where they agree to 7.9e-15 relative.
+        argv = ["compile", "--clones", str(M), "--input", spec, "--tol", str(tol),
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        compiled, _ = load_mps(tmp_path / "mps.json")
+        (c,) = dicke_outputs(M, [parse_input_spec(spec)])
+        expected = blockwise_roundtrip(*mps.mps_halves(compiled, M), c)
+        if tol < 0.5:
+            assert abs(report["roundtrip_error"] - expected) <= 1e-16
+        else:
+            assert abs(report["roundtrip_error"] - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_symmetric_roundtrip_of_halves_off_the_symmetric_states(self, M):
+        # A compiled export lies in the symmetric states, where the parts
+        # outside the clone and the anticlone subspace are rounding; random
+        # halves give each of the three parts its own weight.
+        rng = np.random.default_rng(M)
+        D = min(M, 3)
+
+        def normal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        left, right, c = normal(2**M, D), normal(D, 2 ** (M - 1)), normal(M + 1, M)
+        expected = blockwise_roundtrip(left, right, c)
+        assert abs(cli._symmetric_roundtrip(left, right, c) - expected) <= 1e-13 * expected
+
     @pytest.mark.parametrize("M", range(1, 10))
     def test_blockwise_roundtrip_error_is_the_dense_distance(self, M, tmp_path, capsys):
         # Oracle: the register of the export against the dense reference,
@@ -151,6 +209,16 @@ class TestCompile:
             compiled, _ = load_mps(tmp_path / "mps.json")
             distance = np.linalg.norm(mps_to_state(compiled).amplitudes - dense().amplitudes)
             assert abs(report["roundtrip_error"] - distance) <= 1e-16
+        # Truncated to one state at the bond, the error is about 0.9; the
+        # dense distance itself rounds to 2.6e-14 relative at M = 9.
+        argv = ["compile", "--clones", str(M), "--input", "amps:0.3,-0.2,0.5,0.4",
+                "--tol", "0.999", "--out", str(tmp_path / "truncated")]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "truncated" / "compile_report.json").read_text())
+        compiled, _ = load_mps(tmp_path / "truncated" / "mps.json")
+        reference = dicke_state(dicke_outputs(M, [q])[0]).amplitudes
+        distance = np.linalg.norm(mps_to_state(compiled).amplitudes - reference)
+        assert abs(report["roundtrip_error"] - distance) <= 5e-14 * distance
 
     @pytest.mark.parametrize("M, seed", [(11, seed) for seed in range(8)] + [(12, 0)])
     def test_builder_bond_dims_analytic_up_to_the_guard(self, M, seed, tmp_path, capsys):
