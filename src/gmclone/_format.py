@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_INDENT = 2  # spaces per nesting level of the JSON text
+
 
 def float17(x: float) -> str:
     x = float(x)
@@ -24,31 +26,31 @@ def float17(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_17g(obj, indent: int = 2) -> str:
+def dumps_17g(obj) -> str:
     """JSON text with floats rendered via :func:`float17`.
 
     Supports the subset of JSON this package emits: dict (insertion order
     preserved), list/tuple, str, bool, int, float, None, and float64
     ``np.ndarray`` of any shape, rendered as its ``tolist()``.
     """
-    return "".join(_pieces(obj, indent))
+    return "".join(_pieces(obj))
 
 
-def _pieces(obj, indent: int = 2):
+def _pieces(obj):
     """The text of :func:`dumps_17g` as an iterator of pieces."""
-    yield from _render(obj, 0, indent)
+    yield from _render(obj, 0)
     yield "\n"
 
 
-def _render(value, depth, indent):
+def _render(value, depth):
     """Pieces of ``value``: each leaf with the punctuation before it."""
     if not isinstance(value, (dict, list, tuple)):
-        yield _leaf(value, depth, indent)
+        yield _leaf(value, depth)
         return
     if not value:
         yield "{}" if isinstance(value, dict) else "[]"
         return
-    inner = " " * (indent * (depth + 1))
+    inner = " " * (_INDENT * (depth + 1))
     if isinstance(value, dict):
         opener, closer = "{\n", "}"
         items = [(f'{inner}"{_key(key)}": ', item) for key, item in value.items()]
@@ -58,30 +60,30 @@ def _render(value, depth, indent):
     for head, item in items:
         if isinstance(item, (dict, list, tuple)):
             yield opener + head
-            yield from _render(item, depth + 1, indent)
+            yield from _render(item, depth + 1)
         else:
-            yield opener + head + _leaf(item, depth + 1, indent)
+            yield opener + head + _leaf(item, depth + 1)
         opener = ",\n"
-    yield "\n" + " " * (indent * depth) + closer
+    yield "\n" + " " * (_INDENT * depth) + closer
 
 
-def _template(shape, depth, indent):
+def _template(shape, depth):
     """Format template of an array of ``shape`` rendered at ``depth``."""
     if not shape:
         return "{:.17g}"
     if not shape[0]:
         return "[]"
-    row = " " * (indent * (depth + 1)) + _template(shape[1:], depth + 1, indent)
-    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + " " * (indent * depth) + "]"
+    row = " " * (_INDENT * (depth + 1)) + _template(shape[1:], depth + 1)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + " " * (_INDENT * depth) + "]"
 
 
-def _leaf(value, depth, indent) -> str:
+def _leaf(value, depth) -> str:
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64:
             raise TypeError(f"cannot serialize a {value.dtype} array")
         # + 0.0 turns -0.0 into 0.0, which prints "0" as in float17.
         values = (value.reshape(-1) + 0.0).tolist()
-        return _template(value.shape, depth, indent).format(*values)
+        return _template(value.shape, depth).format(*values)
     if isinstance(value, str):
         return f'"{_escape(value)}"'
     if value is None:

@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, ResourceLimitError
 from .qubit import anticlone, perp
 
@@ -108,7 +107,7 @@ def _dicke_kets(maps: np.ndarray) -> np.ndarray:
     """
     n = maps.shape[-1] - 1
     norms = np.sqrt([float(math.comb(n, a)) for a in range(n + 1)])
-    return (maps / norms)[:, kernels.popcounts(np.arange(2**n))]
+    return (maps / norms)[:, np.bitwise_count(np.arange(2**n))]
 
 
 def check_register(M: int) -> None:

@@ -1,6 +1,5 @@
-"""Hot numeric kernels: the left-to-right MPS contraction sweep (one BLAS
-matrix product per site) and bulk popcounts over basis indices, each as one
-numpy implementation.
+"""Hot numeric kernel: the left-to-right MPS contraction sweep, one BLAS
+matrix product per site, as one numpy implementation.
 """
 
 from __future__ import annotations
@@ -30,7 +29,3 @@ def contract_sweep(sites, left, right) -> np.ndarray:
         T = (T @ A.transpose(1, 0, 2).reshape(rows, 2 * cols)).reshape(-1, cols)
     return (T @ right).reshape(left.shape[:-1] + (-1,) + right.shape[1:])
 
-
-def popcounts(values: np.ndarray) -> np.ndarray:
-    """Popcount of every entry of a nonnegative integer array, as int64."""
-    return np.bitwise_count(np.asarray(values)).astype(np.int64)

@@ -34,9 +34,9 @@ time; and the support is generated sorted, by a recursion over the top bit,
 without a scan of the 2^(2M-1) register.  So no temporary grows with the register, and none
 of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
-bad line.  :func:`read_gm_matrix` given a parity class holds the stage to
-the closed form of :func:`assign_coefficients` block by block while it
-reads, and keeps only the records of that class.  The package writes the
+bad line.  :func:`read_gm_matrix` given a parity class holds each block to
+the closed form of :func:`assign_coefficients` in the same pass as the line
+checks, and keeps only the records of that class.  The package writes the
 bitstring stages and reads only GMMatrix; the string generators and the
 per-line bitstring reader that the tests use live in ``tests/oracles.py``.
 """
@@ -50,7 +50,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .builder import check_register, gamma
 from .errors import (
     DomainError,
@@ -61,8 +60,8 @@ from .qubit import bit_index
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
-# Rows (stage lines, records) handled at a time: bounds the temporaries of
-# the stage writers and of the stage cross-check.  A power of two.
+# Stage lines written at a time: bounds the temporaries of the stage
+# writers.  A power of two.
 CHUNK_ROWS = 1 << 14
 # Bytes read from a GMMatrix stage at a time, completed to a whole line.
 READ_BLOCK = 1 << 18
@@ -198,63 +197,13 @@ def assign_coefficients(M: int) -> GMMatrix:
 def _basis_amplitudes(M: int, indices: np.ndarray, one: np.ndarray) -> np.ndarray:
     """The closed form of :func:`assign_coefficients` at the support kets
     ``indices`` of the classes ``one`` (True for the clone of |1>)."""
-    ones = kernels.popcounts(indices >> (M - 1))
+    ones = np.bitwise_count(indices >> (M - 1))
     j = np.where(one, M - ones, ones)
     sectors = range(M)
     weights = np.array([gamma(M, k) for k in sectors])
     clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
     anti = np.array([1.0 / math.sqrt(math.comb(M - 1, k)) for k in sectors])
     return (weights * (clone * anti))[j]
-
-
-class _ClosedFormCheck:
-    """Holds the records of a GMMatrix stage of M clones, fed block by block
-    in file order, to the closed form of :func:`assign_coefficients`, and
-    their count to the 2 C(2M-1, M) kets of the support.
-
-    The stage is judged in chunks of ``CHUNK_ROWS`` records: the record named
-    is the worst of the first chunk holding one more than ``STAGE_ATOL`` from
-    its amplitude (NaN counts as off).  A chunk may span blocks, so that
-    record is carried from block to block.  :meth:`done` raises
-    :class:`InternalConsistencyError` naming ``source``, for the count first.
-    """
-
-    def __init__(self, M: int, source):
-        self.M, self.source = M, source
-        self.records = 0
-        self.chunk_end = None  # end of the first chunk with a record off
-        self.worst = None      # (off, record, closed form) of its worst so far
-
-    def add(self, indices, coefficients, clone_of_one) -> None:
-        first, self.records = self.records, self.records + indices.size
-        if self.chunk_end is not None and first >= self.chunk_end:
-            return
-        closed = _basis_amplitudes(self.M, indices, clone_of_one)
-        off = np.abs(coefficients - closed)
-        lo = 0
-        if self.chunk_end is None:
-            lo = _first(~(off <= STAGE_ATOL))
-            if lo == off.size:
-                return
-            self.chunk_end = (first + lo) // CHUNK_ROWS * CHUNK_ROWS + CHUNK_ROWS
-        worst = lo + int(np.argmax(off[lo : self.chunk_end - first]))
-        if self.worst is None or off[worst] > self.worst[0]:
-            self.worst = (off[worst], first + worst, closed[worst])
-
-    def done(self) -> None:
-        expected = 2 * math.comb(2 * self.M - 1, self.M)
-        if self.records != expected:
-            raise InternalConsistencyError(
-                f"{self.source}: {self.records} records, but the cloner of "
-                f"M={self.M} has {expected} support kets"
-            )
-        if self.worst is not None:
-            off, record, closed = self.worst
-            raise InternalConsistencyError(
-                f"{self.source}:{record + 1}: coefficient is {off:.3g} "
-                f"from the cloner's amplitude {float17(closed)} "
-                f"(tolerance {STAGE_ATOL:g})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +363,7 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
         classes = np.array(classes, dtype=np.int64)[codes]
         clone_of_one = classes == 1
         M = (width + 1) // 2
-        line_bad |= (classes > 1) | (kernels.popcounts(indices) != M - 1 + classes)
+        line_bad |= (classes > 1) | (np.bitwise_count(indices) != M - 1 + classes)
         bad = _first(line_bad)
 
     if bad < ends.size:
@@ -447,26 +396,28 @@ def read_gm_matrix(
 
     Given a ``parity_class`` (C0 or C1, which needs ``expected_length``),
     the stage must also be the cloner's: the records of both classes are
-    held to the closed form of :func:`assign_coefficients` block by block,
-    their count is checked at the end, and only the records of that class
-    are kept and returned.  A line error anywhere comes first, then a count
-    error, then a coefficient error.
+    held to the closed form of :func:`assign_coefficients` as their block is
+    read, their count is checked at the end, and only the records of that
+    class are kept and returned.  A line error anywhere comes first, then a
+    count error, then a coefficient error, which names the earliest record
+    more than ``STAGE_ATOL`` from its amplitude, as a line error names the
+    earliest bad line.
 
     The file is read through one open handle, ``READ_BLOCK`` bytes of whole
     lines at a time; only the columns kept of the lines read so far grow
     with it.
     """
     path = Path(path)
-    check = None
     if parity_class is not None:
         if parity_class is ParityClass.NOT_GM or expected_length is None or expected_length % 2 == 0:
             raise DomainError(
                 f"a read of one class needs C0 or C1 and an odd expected_length, "
                 f"not {parity_class.value} and {expected_length}"
             )
-        check = _ClosedFormCheck((expected_length + 1) // 2, path)
+        M = (expected_length + 1) // 2
         want = parity_class is ParityClass.CLONE_OF_1
     width, lineno, prev = expected_length, 0, None
+    off_error = None  # the error naming the earliest record off, if any
     columns = (
         [np.empty(0, dtype=np.int64)],
         [np.empty(0, dtype=np.complex128)],
@@ -475,16 +426,32 @@ def read_gm_matrix(
     with path.open("rb") as handle:
         for data in _line_blocks(handle):
             width, block = _check_block(path, data, lineno, width, prev)
-            lineno += block[0].size
-            prev = int(block[0][-1])
-            if check is not None:
-                check.add(*block)
-                keep = block[2] == want
+            indices, coefficients, clone_of_one = block
+            if parity_class is not None:
+                if off_error is None:
+                    closed = _basis_amplitudes(M, indices, clone_of_one)
+                    off = np.abs(coefficients - closed)
+                    at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
+                    if at < off.size:
+                        off_error = (
+                            f"{path}:{lineno + at + 1}: coefficient is {off[at]:.3g} "
+                            f"from the cloner's amplitude {float17(closed[at])} "
+                            f"(tolerance {STAGE_ATOL:g})"
+                        )
+                keep = clone_of_one == want
                 block = [part[keep] for part in block]
+            lineno += indices.size
+            prev = int(indices[-1])
             for column, part in zip(columns, block):
                 column.append(part)
-    if check is not None:
-        check.done()
+    if parity_class is not None:
+        expected = 2 * math.comb(expected_length, M)
+        if lineno != expected:
+            raise InternalConsistencyError(
+                f"{path}: {lineno} records, but the cloner of M={M} has {expected} support kets"
+            )
+        if off_error is not None:
+            raise InternalConsistencyError(off_error)
     joined = []
     for column in columns:  # one column's blocks and copy alive at a time
         joined.append(np.concatenate(column))

@@ -46,9 +46,11 @@ import numpy as np
 from gmclone import kernels
 from gmclone.builder import _dicke_kets, _dicke_maps, check_register, gamma
 from gmclone._format import float17
-from gmclone.errors import DegenerateStateError, DomainError, StageParseError
+from gmclone.errors import (
+    DegenerateStateError, DomainError, InternalConsistencyError, StageParseError,
+)
 from gmclone.mps import DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol
-from gmclone.pipeline import GMMatrix, ParityClass, _ClosedFormCheck, _row_chunks
+from gmclone.pipeline import STAGE_ATOL, GMMatrix, ParityClass
 from gmclone.qubit import BASIS, Qubit, anticlone, perp
 
 
@@ -443,15 +445,34 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
 
     The reader has already checked that the indices are strictly increasing
     and in their popcount classes, so the count makes them the whole
-    support.  The closed form is taken ``CHUNK_ROWS`` records at a time, by
-    the same check that :func:`gmclone.pipeline.read_gm_matrix` makes block
-    by block when given a parity class.  Raises
-    :class:`InternalConsistencyError` naming ``source`` otherwise.
+    support.  The count is checked first, then every record at once against
+    ``gamma_j (-1)^j / sqrt(C(M, j)) / sqrt(C(M-1, j))``, j the popcount of
+    the clone half for C0 and M minus it for C1; the earliest record off is
+    named.  Raises :class:`InternalConsistencyError` naming ``source``
+    otherwise.
     """
-    check = _ClosedFormCheck(M, source)
-    for lo, hi in _row_chunks(len(matrix)):
-        check.add(matrix.indices[lo:hi], matrix.coefficients[lo:hi], matrix.clone_of_one[lo:hi])
-    check.done()
+    expected = 2 * math.comb(2 * M - 1, M)
+    if len(matrix) != expected:
+        raise InternalConsistencyError(
+            f"{source}: {len(matrix)} records, but the cloner of "
+            f"M={M} has {expected} support kets"
+        )
+    amplitude = np.array([
+        gamma(M, j) * ((-1.0) ** j / math.sqrt(math.comb(M, j))
+                       * (1.0 / math.sqrt(math.comb(M - 1, j))))
+        for j in range(M)
+    ])
+    ones = np.bitwise_count(matrix.indices >> (M - 1)).astype(np.int64)
+    closed = amplitude[np.where(matrix.clone_of_one, M - ones, ones)]
+    off = np.abs(matrix.coefficients - closed)
+    bad = np.flatnonzero(~(off <= STAGE_ATOL))
+    if bad.size:
+        record = int(bad[0])
+        raise InternalConsistencyError(
+            f"{source}:{record + 1}: coefficient is {off[record]:.3g} "
+            f"from the cloner's amplitude {float17(closed[record])} "
+            f"(tolerance {STAGE_ATOL:g})"
+        )
 
 
 def reconstruct_state(

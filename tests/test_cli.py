@@ -300,7 +300,7 @@ class TestCompile:
         assert "from the cloner's amplitude" in err
         assert not (tmp_path / "mps.json").exists()
 
-    def test_edit_outside_the_anticlone_span_shows_in_roundtrip_error(self, tmp_path, capsys):
+    def test_edited_stage_exits_4_naming_the_edited_line(self, tmp_path, capsys):
         # Record 100|01 of M = 3 edited by delta: its anticlone half holds
         # a single 1, so part of the edit lies outside the span of the
         # anticlone rows.  The stage is no longer the cloner's: compile

@@ -48,15 +48,6 @@ def assert_matches_einsum_sweep(mps):
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.linalg.norm(expected)
 
 
-class TestPopcounts:
-    def test_numpy_against_python(self):
-        values = np.arange(2**12, dtype=np.int64)
-        expected = np.array([bin(v).count("1") for v in values])
-        got = kernels.popcounts(values)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, expected)
-
-
 class TestContractSweep:
     def _mps_sites(self, n=6):
         state = build_gm(GMParameters((n + 1) // 2, equatorial_qubit(0.4)))

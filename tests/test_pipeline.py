@@ -553,7 +553,8 @@ def _assert_same(a, b):
 
 class TestClassRead:
     """``read_gm_matrix`` with a parity class: the cross-check of both
-    classes, block by block, and the records of one class kept."""
+    classes, in the pass that reads the lines, and the records of one class
+    kept."""
 
     @pytest.mark.parametrize("M", range(1, 12))
     def test_equals_the_filtered_full_read(self, tmp_path, M):
@@ -599,25 +600,22 @@ class TestClassRead:
         assert str(whole.value) == str(err.value)
 
     @pytest.mark.parametrize("parity_class", CLASSES)
-    def test_worst_of_the_first_chunk_across_blocks(self, tmp_path, monkeypatch, parity_class):
-        # As in check_gm_matrix, the record named is the worst of the first
-        # CHUNK_ROWS records holding one off, though blocks cut that chunk:
-        # with offsets growing down the file, the last record of the chunk,
-        # not a later one in the block that holds the chunk's end.
+    @pytest.mark.parametrize("chunk", [5, 13, 64, 1 << 14])
+    def test_earliest_record_off_is_named(self, tmp_path, monkeypatch, parity_class, chunk):
+        # With offsets growing down the file from record 3 on, the record
+        # named is record 3, the earliest one off, as for a line error: not
+        # a worse one later in its block, and whatever the writers' chunk.
         matrix = assign_coefficients(4)
         coefficients = matrix.coefficients + 1e-3 * np.maximum(np.arange(len(matrix)) - 2, 0)
         path = tmp_path / "GMMatrix"
         write_gm_matrix(path, GMMatrix(7, matrix.indices, coefficients, matrix.clone_of_one))
         monkeypatch.setattr(pipeline, "READ_BLOCK", 100)
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         with path.open("rb") as handle:
-            rows = [block.count(b"\n") for block in pipeline._line_blocks(handle)]
-        firsts = np.cumsum([0] + rows[:-1])
-        # the first block from row 8 on that holds two rows or more
-        straddled = next(a for a, n in zip(firsts, rows) if a >= 8 and n >= 2)
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", int(straddled) + 1)
+            assert len(list(pipeline._line_blocks(handle))) > 10
         with pytest.raises(InternalConsistencyError) as err:
             read_gm_matrix(path, expected_length=7, parity_class=parity_class)
-        assert str(err.value).startswith(f"{path}:{straddled + 1}: coefficient is ")
+        assert str(err.value).startswith(f"{path}:4: coefficient is 0.001 from ")
         with pytest.raises(InternalConsistencyError) as whole:
             check_gm_matrix(read_gm_matrix(path), 4, path)
         assert str(whole.value) == str(err.value)
