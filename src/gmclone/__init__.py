@@ -25,10 +25,7 @@ from .mps import (
 )
 from .pipeline import (
     GMMatrix,
-    ParityClass,
-    PipelineArtifacts,
     assign_coefficients,
-    parity_classify,
     run_pipeline,
 )
 from .analysis import (
@@ -41,10 +38,7 @@ from .analysis import (
 from .qubit import (
     Qubit,
     anticlone,
-    bit_index,
-    bloch_qubit,
     equatorial_qubit,
-    index_bits,
     make_qubit,
     perp,
 )
@@ -57,26 +51,20 @@ __all__ = [
     "ClonerAnalysis",
     "GMMatrix",
     "MatrixProductState",
-    "ParityClass",
-    "PipelineArtifacts",
     "Qubit",
     "ScalingRow",
     "analyze_cloner",
     "anticlone",
     "assign_coefficients",
-    "bit_index",
-    "bloch_qubit",
     "bond_dimension",
     "dicke_outputs",
     "equatorial_qubit",
     "gamma",
-    "index_bits",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
     "nonlinearity_gap",
-    "parity_classify",
     "perp",
     "run_pipeline",
     "save_mps",

@@ -2,13 +2,14 @@
 
 The parser is built once, at import; ``main`` only parses and dispatches the
 namespace to one handler per command; ``--format`` is an option of
-``analyze`` alone.  ``compile`` passes the register guard before it reads
-anything, then makes one sweep (``mps.mps_from_dicke``) over the (M+1) x M
-matrix c of the output on |D^M_a>|D^(M-1)_b>.  It names its source on
-stdout: the GMMatrix stage in ``--out`` for a ``basis:`` input, whose
-register projected onto the clone-symmetric (x) anticlone-symmetric states
-gives c, or the builder (``builder.dicke_outputs``).  The stage is read
-once, keeping only the input's parity class; a stage that is not the
+``analyze`` alone, and ``analyze``, which writes no file, has no ``--out``.
+``compile`` passes the register guard before it reads anything, then makes
+one sweep (``mps.mps_from_dicke``) over the (M+1) x M matrix c of the
+output on |D^M_a>|D^(M-1)_b>.  It names its source on stdout: the GMMatrix
+stage in ``--out`` for a ``basis:`` input, whose register projected onto
+the clone-symmetric (x) anticlone-symmetric states gives c, or the builder
+(``builder.dicke_outputs``).  The stage is read once, keeping only the
+records of class C{b} for input ``basis:b``; a stage that is not the
 cloner's, by its record count or by a coefficient of either class off its
 closed form, exits 4 before the sweep.
 ``roundtrip_error`` measures the export, as the product of its contracted
@@ -88,12 +89,13 @@ def parse_input_spec(spec: str) -> Qubit:
 
 
 def cmd_prepare(args) -> int:
-    artifacts, matrix = pipeline.run_pipeline(args.clones, args.out)
+    matrix = pipeline.run_pipeline(args.clones, args.out)
     count1 = int(np.count_nonzero(matrix.clone_of_one))
     count0 = len(matrix) - count1
-    print(f"FullBitString: {2 ** (2 * args.clones - 1)} lines -> {artifacts.full_path}")
-    print(f"GMBitString:   {len(matrix)} lines -> {artifacts.gm_path}")
-    print(f"GMMatrix:      {len(matrix)} records -> {artifacts.matrix_path}")
+    print(f"FullBitString: {2 ** (2 * args.clones - 1)} lines -> "
+          f"{args.out / pipeline.FULL_STAGE_NAME}")
+    print(f"GMBitString:   {len(matrix)} lines -> {args.out / pipeline.GM_STAGE_NAME}")
+    print(f"GMMatrix:      {len(matrix)} records -> {args.out / pipeline.MATRIX_STAGE_NAME}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
 
@@ -107,9 +109,8 @@ def _stage_records(args, matrix_path):
     bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None
-    parity_class = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)[bit]
     matrix = pipeline.read_gm_matrix(
-        matrix_path, expected_length=2 * args.clones - 1, parity_class=parity_class
+        matrix_path, expected_length=2 * args.clones - 1, parity_class=bit
     )
     return matrix.indices, matrix.coefficients
 
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True, with_tol=True):
+    def add_common(p, with_input=True, with_tol=True, with_out=True):
         p.add_argument("--clones", type=int, required=True, help="number of clones M")
         if with_input:
             p.add_argument(
@@ -283,14 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "--tol", type=float, default=mps.DEFAULT_TOL,
                 help="relative singular-value cutoff in [0, 1)",
             )
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        if with_out:
+            p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         return p
 
     add_common(sub.add_parser("prepare", help="run the bitstring pipeline stages"),
                with_input=False, with_tol=False)
     add_common(sub.add_parser("compile", help="compile a cloner output state to MPS"))
     analyze = add_common(sub.add_parser("analyze", help="fidelities and nonlinearity gap"),
-                         with_tol=False)
+                         with_tol=False, with_out=False)
     analyze.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(sub.add_parser("sweep", help="bond-dimension scaling study M=1..clones"),
                with_input=False)

@@ -24,7 +24,8 @@ the tests check this module against, live in ``tests/oracles.py``.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
-left boundary . A_1 ... A_n . right boundary in ascending site order;
+left boundary . A_1 ... A_n . right boundary in ascending site order, one
+matrix product per site (``contract_sweep``);
 ``mps_halves`` contracts the two sides of one bond apart, so the state is a
 product of a (2^k, D) and a (D, 2^(n-k)) matrix that a caller can compare
 with a reference without forming it.  ``compile`` checks its export that
@@ -42,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateStateError, DomainError, MalformedMPSError, StageParseError
 from ._format import _pieces
 
@@ -170,24 +170,46 @@ def mps_from_dicke(c, tol: float = DEFAULT_TOL):
     return mps, BondSpectrum(cuts=cuts, tolerance=tol)
 
 
+def contract_sweep(sites, left, right) -> np.ndarray:
+    """Contract boundary . A_1 ... A_n . boundary for all 2^n assignments.
+
+    ``left`` is a (D_1,) vector or an (r, D_1) matrix and ``right`` a
+    (D_{n+1},) vector or a (D_{n+1}, c) matrix; the result has shape
+    (2^n,), (r, 2^n), (2^n, c) or (r, 2^n, c) accordingly, so identity
+    boundaries give the open bond of a run of sites as a matrix index.
+
+    A single left-to-right sweep over a growing prefix table T of shape
+    (r 2^k, D_{k+1}) instead of one matrix chain per basis ket.  Site
+    (2, D, D') is laid out as one (D, 2 D') matrix, so each step is one
+    matrix product; the row-major reshape of its (r 2^k, 2 D') result
+    extends prefix index x to x*2 + i at site value i.
+    """
+    left = np.asarray(left, dtype=np.complex128)
+    right = np.asarray(right, dtype=np.complex128)
+    T = left.reshape(-1, left.shape[-1])
+    for A in sites:
+        _, rows, cols = A.shape
+        T = (T @ A.transpose(1, 0, 2).reshape(rows, 2 * cols)).reshape(-1, cols)
+    return (T @ right).reshape(left.shape[:-1] + (-1,) + right.shape[1:])
+
+
 def mps_halves(mps: MatrixProductState, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The state as the product L @ R of its two halves at the bond after site k.
 
     L, of shape (2^k, D), contracts sites 1..k and R, of shape (D, 2^(n-k)),
-    sites k+1..n, each in one :func:`kernels.contract_sweep` with an
-    identity on the open bond; for k = n, R is the right boundary as a
-    column.  ``(L @ R).reshape(-1)`` is the contracted state, with no array
-    of 2^n entries formed.  Raises :class:`DomainError` for a k outside
-    1..n.
+    sites k+1..n, each in one :func:`contract_sweep` with an identity on
+    the open bond; for k = n, R is the right boundary as a column.
+    ``(L @ R).reshape(-1)`` is the contracted state, with no array of 2^n
+    entries formed.  Raises :class:`DomainError` for a k outside 1..n.
     """
     mps.validate()
     if not 1 <= k <= mps.num_sites:
         raise DomainError(f"cut after site {k} outside 1..{mps.num_sites}")
     bond = np.eye(mps.sites[k - 1].shape[2], dtype=np.complex128)
-    left = kernels.contract_sweep(mps.sites[:k], mps.left_boundary, bond)
+    left = contract_sweep(mps.sites[:k], mps.left_boundary, bond)
     if k == mps.num_sites:
         return left, mps.right_boundary.reshape(-1, 1)
-    return left, kernels.contract_sweep(mps.sites[k:], bond, mps.right_boundary)
+    return left, contract_sweep(mps.sites[k:], bond, mps.right_boundary)
 
 
 def bond_dimension(mps: MatrixProductState) -> int:

@@ -8,7 +8,8 @@ Three stages, each a plain LF-terminated text file:
    popcount classes);
 3. ``GMMatrix``        one ``BITS<TAB>RE<TAB>IM<TAB>CLASS`` record per
    support string, carrying the final per-ket amplitude and its parity
-   class (``C0`` or ``C1``).
+   class ``C{b}``: b = 0 for popcount M-1 (the clone of |0>), b = 1 for
+   popcount M (the clone of |1>).
 
 Coefficients stored in GMMatrix are the normalized per-ket amplitudes of
 the basis-clone states (the j-sector weight divided by the square root of
@@ -18,8 +19,8 @@ to rebuild the dense states.
 In memory a bitstring is its basis index (qubit 1 is the most significant
 bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
 stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
-coefficients and a bool clone-of-|1> mask.  Nothing is built per line: the
-bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
+coefficients and the class bits b as a bool clone-of-|1> mask.  Nothing is
+built per line: the bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
 ``tobytes()`` (FullBitString refills only the high columns of one block per
 chunk), the GMMatrix writer appends each distinct tail of a chunk,
 formatted once, to the chunk's bit rows viewed as strings, and the
@@ -36,14 +37,15 @@ of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
 bad line.  :func:`read_gm_matrix` given a parity class holds each block to
 the closed form of :func:`assign_coefficients` in the same pass as the line
-checks, and keeps only the records of that class.  The package writes the
-bitstring stages and reads only GMMatrix; the string generators and the
-per-line bitstring reader that the tests use live in ``tests/oracles.py``.
+checks, and keeps only the records of that class.  A class is its bit b
+everywhere, as the ``basis:b`` input of ``compile`` names it.  The package
+writes the bitstring stages and reads only GMMatrix; the string generators
+and the per-line bitstring reader that the tests use live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +58,6 @@ from .errors import (
     InternalConsistencyError,
     StageParseError,
 )
-from .qubit import bit_index
 from ._format import float17
 
 MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
@@ -76,12 +77,6 @@ MATRIX_STAGE_NAME = "GMMatrix"
 _TAB, _LF, _ZERO = b"\t\n0"
 
 
-class ParityClass(enum.Enum):
-    CLONE_OF_0 = "C0"
-    CLONE_OF_1 = "C1"
-    NOT_GM = "NOT_GM"
-
-
 @dataclass(frozen=True, eq=False)
 class GMMatrix:
     """The GMMatrix stage as columns, one entry per support ket."""
@@ -93,13 +88,6 @@ class GMMatrix:
 
     def __len__(self) -> int:
         return self.indices.size
-
-
-@dataclass(frozen=True)
-class PipelineArtifacts:
-    full_path: Path
-    gm_path: Path
-    matrix_path: Path
 
 
 def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
@@ -160,20 +148,6 @@ def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
             f"expected {2 * per_class}, half with popcount M-1 and half with M"
         )
     return n, support, one
-
-
-def parity_classify(bits: str, M: int) -> ParityClass:
-    """Popcount M-1 -> clone of |0>, popcount M -> clone of |1>."""
-    if len(bits) != 2 * M - 1:
-        raise DomainError(
-            f"expected {2 * M - 1} bits for M={M}, got {len(bits)}"
-        )
-    ones = bit_index(bits).bit_count()
-    if ones == M - 1:
-        return ParityClass.CLONE_OF_0
-    if ones == M:
-        return ParityClass.CLONE_OF_1
-    return ParityClass.NOT_GM
 
 
 def assign_coefficients(M: int) -> GMMatrix:
@@ -268,12 +242,11 @@ def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
         return f"non-finite coefficient {re_text!r}/{im_text!r}"
     if cls_text not in ("C0", "C1"):
         return f"unknown class {cls_text!r}"
-    M = (width + 1) // 2
-    cls = parity_classify(bits, M)
-    if cls is ParityClass.NOT_GM:
-        return f"popcount {bits.count('1')} is in neither parity class of M={M}"
-    if cls_text != cls.value:
-        return f"class {cls_text} contradicts popcount {bits.count('1')} of M={M}"
+    M, ones = (width + 1) // 2, bits.count("1")
+    if ones not in (M - 1, M):
+        return f"popcount {ones} is in neither parity class of M={M}"
+    if cls_text != f"C{ones - M + 1}":
+        return f"class {cls_text} contradicts popcount {ones} of M={M}"
     return None
 
 
@@ -383,7 +356,7 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
 
 
 def read_gm_matrix(
-    path, expected_length: int | None = None, parity_class: ParityClass | None = None
+    path, expected_length: int | None = None, parity_class: int | None = None
 ) -> GMMatrix:
     """Parse and validate a GMMatrix stage.
 
@@ -394,11 +367,12 @@ def read_gm_matrix(
     line, and a last line without one still counts.  The earliest bad line
     is reported, with the first check it fails in :func:`_line_problem`.
 
-    Given a ``parity_class`` (C0 or C1, which needs ``expected_length``),
-    the stage must also be the cloner's: the records of both classes are
-    held to the closed form of :func:`assign_coefficients` as their block is
-    read, their count is checked at the end, and only the records of that
-    class are kept and returned.  A line error anywhere comes first, then a
+    Given a ``parity_class`` b (0 for C0 or 1 for C1, which needs
+    ``expected_length``), the stage must also be the cloner's: the records
+    of both classes are held to the closed form of
+    :func:`assign_coefficients` as their block is read, their count is
+    checked at the end, and only the records of class b are kept and
+    returned.  A line error anywhere comes first, then a
     count error, then a coefficient error, which names the earliest record
     more than ``STAGE_ATOL`` from its amplitude, as a line error names the
     earliest bad line.
@@ -409,13 +383,12 @@ def read_gm_matrix(
     """
     path = Path(path)
     if parity_class is not None:
-        if parity_class is ParityClass.NOT_GM or expected_length is None or expected_length % 2 == 0:
+        if parity_class not in (0, 1) or expected_length is None or expected_length % 2 == 0:
             raise DomainError(
-                f"a read of one class needs C0 or C1 and an odd expected_length, "
-                f"not {parity_class.value} and {expected_length}"
+                f"a read of one class needs class 0 or 1 and an odd expected_length, "
+                f"not {parity_class!r} and {expected_length}"
             )
         M = (expected_length + 1) // 2
-        want = parity_class is ParityClass.CLONE_OF_1
     width, lineno, prev = expected_length, 0, None
     off_error = None  # the error naming the earliest record off, if any
     columns = (
@@ -438,7 +411,7 @@ def read_gm_matrix(
                             f"from the cloner's amplitude {float17(closed[at])} "
                             f"(tolerance {STAGE_ATOL:g})"
                         )
-                keep = clone_of_one == want
+                keep = clone_of_one == parity_class
                 block = [part[keep] for part in block]
             lineno += indices.size
             prev = int(indices[-1])
@@ -459,17 +432,14 @@ def read_gm_matrix(
     return GMMatrix(width or 0, *joined)  # an empty file may give no width
 
 
-def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
-    """Run all three stages and persist them under ``out_dir``."""
+def run_pipeline(M: int, out_dir) -> GMMatrix:
+    """Run all three stages, persist them under ``out_dir`` as
+    ``FULL_STAGE_NAME``, ``GM_STAGE_NAME`` and ``MATRIX_STAGE_NAME``, and
+    return the GMMatrix stage."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix = assign_coefficients(M)
     n = matrix.width
-    artifacts = PipelineArtifacts(
-        full_path=out_dir / FULL_STAGE_NAME,
-        gm_path=out_dir / GM_STAGE_NAME,
-        matrix_path=out_dir / MATRIX_STAGE_NAME,
-    )
     # The low bits of a chunk of FullBitString lines are those of every
     # chunk (CHUNK_ROWS is a power of two), and its high bits are constant.
     low = min(n, CHUNK_ROWS.bit_length() - 1)
@@ -479,8 +449,8 @@ def run_pipeline(M: int, out_dir) -> tuple[PipelineArtifacts, GMMatrix]:
         block[:, : n - low] = _bit_rows(np.array([lo >> low]), n - low)[:, :-1]
         return block.tobytes()
 
-    _write_rows(artifacts.full_path, 2**n, full_lines)
-    _write_rows(artifacts.gm_path, len(matrix), lambda lo, hi: _bit_rows(
+    _write_rows(out_dir / FULL_STAGE_NAME, 2**n, full_lines)
+    _write_rows(out_dir / GM_STAGE_NAME, len(matrix), lambda lo, hi: _bit_rows(
         matrix.indices[lo:hi], n).tobytes())
-    write_gm_matrix(artifacts.matrix_path, matrix)
-    return artifacts, matrix
+    write_gm_matrix(out_dir / MATRIX_STAGE_NAME, matrix)
+    return matrix

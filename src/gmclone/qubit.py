@@ -1,6 +1,4 @@
-"""Single-qubit state algebra and the bitstring/index conventions.
-
-Conventions used everywhere in the package:
+"""Single-qubit state algebra and the conventions used across the package.
 
 * qubit 1 is the leftmost symbol of a ket and the most significant bit, so
   ``index("i1 i2 ... in") = sum_k i_k * 2**(n-k)``;
@@ -14,7 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidStateError
+import numpy as np
+
+from .errors import InvalidStateError
 
 # Moduli whose squares are normal doubles, summed without overflow.
 _SQUARE_SAFE = (2.0**-500, 2.0**500)
@@ -28,12 +28,7 @@ class Qubit:
     beta: complex
 
     def components(self):
-        import numpy as np
-
         return np.array([self.alpha, self.beta], dtype=np.complex128)
-
-    def norm_sq(self) -> float:
-        return abs(self.alpha) ** 2 + abs(self.beta) ** 2
 
 
 BASIS = (Qubit(1.0 + 0j, 0j), Qubit(0j, 1.0 + 0j))  # |0>, |1>
@@ -78,16 +73,6 @@ def equatorial_qubit(phase: float) -> Qubit:
     return Qubit(1 / math.sqrt(2), cmath.exp(1j * phase) / math.sqrt(2))
 
 
-def bloch_qubit(theta: float, phi: float) -> Qubit:
-    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-    Raises :class:`InvalidStateError` when an angle is NaN or infinite.
-    """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise InvalidStateError(f"non-finite angle in ({theta!r}, {phi!r})")
-    return Qubit(math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))
-
-
 def perp(q: Qubit) -> Qubit:
     """Orthogonal complement beta*|0> - alpha*|1>."""
     return Qubit(q.beta.conjugate(), -q.alpha.conjugate())
@@ -96,26 +81,3 @@ def perp(q: Qubit) -> Qubit:
 def anticlone(q: Qubit) -> Qubit:
     """Anticlone state beta*|0> + alpha|1>."""
     return Qubit(q.beta.conjugate(), q.alpha)
-
-
-def overlap(a: Qubit, b: Qubit) -> complex:
-    return a.alpha.conjugate() * b.alpha + a.beta.conjugate() * b.beta
-
-
-def bit_index(bits: str) -> int:
-    """Big-endian integer of a bitstring; qubit 1 is the most significant bit."""
-    if not bits:
-        raise DomainError("empty bitstring")
-    for ch in bits:
-        if ch not in "01":
-            raise DomainError(f"invalid bit character {ch!r}")
-    return int(bits, 2)
-
-
-def index_bits(num_qubits: int, index: int) -> str:
-    """Inverse of :func:`bit_index` for a register of ``num_qubits``."""
-    if num_qubits < 1:
-        raise DomainError("register must hold at least one qubit")
-    if not 0 <= index < 2**num_qubits:
-        raise DomainError(f"index {index} out of range for {num_qubits} qubits")
-    return format(index, f"0{num_qubits}b")

@@ -43,14 +43,15 @@ from pathlib import Path
 
 import numpy as np
 
-from gmclone import kernels
 from gmclone.builder import _dicke_kets, _dicke_maps, check_register, gamma
 from gmclone._format import float17
 from gmclone.errors import (
     DegenerateStateError, DomainError, InternalConsistencyError, StageParseError,
 )
-from gmclone.mps import DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol
-from gmclone.pipeline import STAGE_ATOL, GMMatrix, ParityClass
+from gmclone.mps import (
+    DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol, contract_sweep,
+)
+from gmclone.pipeline import STAGE_ATOL, GMMatrix
 from gmclone.qubit import BASIS, Qubit, anticlone, perp
 
 
@@ -296,7 +297,7 @@ def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
 def mps_to_state(mps: MatrixProductState) -> StateVector:
     """Contract the MPS back into dense amplitudes (no renormalization)."""
     mps.validate()
-    amps = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+    amps = contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
     return StateVector(mps.num_sites, amps)
 
 
@@ -475,19 +476,15 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
         )
 
 
-def reconstruct_state(
-    matrix: GMMatrix, M: int, parity_class: ParityClass
-) -> StateVector:
-    """Dense state of one parity class rebuilt from a GMMatrix table."""
+def reconstruct_state(matrix: GMMatrix, M: int, parity_class: int) -> StateVector:
+    """Dense state of the parity class ``C{parity_class}`` rebuilt from a
+    GMMatrix table."""
     n = 2 * M - 1
     if len(matrix) and matrix.width != n:
         raise DomainError(
             f"GMMatrix of width {matrix.width} does not fit a {n}-qubit register"
         )
-    if parity_class is ParityClass.NOT_GM:
-        keep = np.zeros(len(matrix), dtype=bool)  # no record carries it
-    else:
-        keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
+    keep = matrix.clone_of_one == parity_class
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[matrix.indices[keep]] = matrix.coefficients[keep]
     return StateVector(n, amps)

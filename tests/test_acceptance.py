@@ -16,9 +16,7 @@ from gmclone.analysis import nonlinearity_gap, scaling_csv, scaling_sweep
 from gmclone.builder import gamma
 from gmclone.mps import bond_dimension, load_mps, save_mps
 from gmclone.pipeline import (
-    ParityClass,
     assign_coefficients,
-    parity_classify,
     read_gm_matrix,
     run_pipeline,
     write_gm_matrix,
@@ -94,13 +92,10 @@ def test_criterion_04_pipeline_equivalence(tmp_path):
     with criterion(4, "GMMatrix records rebuild the basis states, M=1..8"):
         start = time.perf_counter()
         for M in range(1, 9):
-            _, records = run_pipeline(M, tmp_path / f"m{M}")
+            run_pipeline(M, tmp_path / f"m{M}")
             loaded = read_gm_matrix(tmp_path / f"m{M}" / "GMMatrix")
-            for bit, cls in (
-                (0, ParityClass.CLONE_OF_0),
-                (1, ParityClass.CLONE_OF_1),
-            ):
-                rebuilt = reconstruct_state(loaded, M, cls)
+            for bit in (0, 1):
+                rebuilt = reconstruct_state(loaded, M, bit)
                 reference = build_gm_basis(M, bit)
                 assert (
                     np.abs(rebuilt.amplitudes - reference.amplitudes).max() < 1e-12
@@ -118,13 +113,11 @@ def test_criterion_05_parity_partition():
             assert [format(i, f"0{n}b") for i in support.indices.tolist()] == strings
             count0 = count1 = 0
             for bits, one in zip(strings, support.clone_of_one.tolist()):
-                cls = parity_classify(bits, M)
-                assert one == (cls is ParityClass.CLONE_OF_1)
-                if cls is ParityClass.CLONE_OF_0:
-                    assert bits.count("1") == M - 1
+                popcount = bits.count("1")
+                assert one == (popcount == M)
+                if popcount == M - 1:
                     count0 += 1
-                elif cls is ParityClass.CLONE_OF_1:
-                    assert bits.count("1") == M
+                elif popcount == M:
                     count1 += 1
                 else:
                     raise AssertionError(f"{bits} not classified at M={M}")
@@ -279,11 +272,11 @@ def test_criterion_11_combine_basis_mps(rng):
 def test_criterion_12_file_roundtrips(tmp_path):
     with criterion(12, "all stage files and the MPS export round-trip losslessly"):
         M = 3
-        artifacts, records = run_pipeline(M, tmp_path)
+        records = run_pipeline(M, tmp_path)
         # parse back losslessly
-        full = read_bitstring_stage(artifacts.full_path)
-        support = read_bitstring_stage(artifacts.gm_path)
-        loaded = read_gm_matrix(artifacts.matrix_path)
+        full = read_bitstring_stage(tmp_path / "FullBitString")
+        support = read_bitstring_stage(tmp_path / "GMBitString")
+        loaded = read_gm_matrix(tmp_path / "GMMatrix")
         assert len(full) == 2 ** (2 * M - 1)
         assert loaded.width == len(support[0])
         assert loaded.indices.tolist() == [int(bits, 2) for bits in support]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmclone import analysis, builder, cli, kernels, mps, pipeline
+from gmclone import analysis, builder, cli, mps, pipeline
 from gmclone.builder import dicke_outputs
 from gmclone.cli import (
     EXIT_FAILURE,
@@ -98,7 +98,7 @@ class TestCompile:
         M = 4
         sizes = []
         real_svd = np.linalg.svd
-        real_contract = kernels.contract_sweep
+        real_contract = mps.contract_sweep
 
         def svd(matrix, **kwargs):
             sizes.append(matrix.size)
@@ -110,7 +110,7 @@ class TestCompile:
             return contracted
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(kernels, "contract_sweep", contract)
+        monkeypatch.setattr(mps, "contract_sweep", contract)
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
         for source in ("builder", "gm_matrix"):
             if source == "gm_matrix":
@@ -196,11 +196,10 @@ class TestCompile:
         q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
         cases = [("amps:0.3,-0.2,0.5,0.4", lambda: gm_from_factors(*gm_factors(M, q)))]
         cases.append(("amps:0.3,-0.2,0.5,0.4", lambda: dicke_state(dicke_outputs(M, [q])[0])))
-        matrix = pipeline.run_pipeline(M, tmp_path)[1]
-        classes = (pipeline.ParityClass.CLONE_OF_0, pipeline.ParityClass.CLONE_OF_1)
-        for bit, cls in enumerate(classes):
+        matrix = pipeline.run_pipeline(M, tmp_path)
+        for bit in (0, 1):
             cases.append((f"basis:{bit}", functools.partial(
-                reconstruct_state, matrix, M, cls)))
+                reconstruct_state, matrix, M, bit)))
         for spec, dense in cases:
             argv = ["compile", "--clones", str(M), "--input", spec, "--out", str(tmp_path)]
             assert main(argv) == EXIT_OK
@@ -574,7 +573,8 @@ class TestNonFiniteInput:
         ],
     )
     def test_exit_usage(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        out = [] if argv[0] == "analyze" else ["--out", str(tmp_path)]
+        assert main(argv + out) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad --input spec" in captured.err
@@ -649,7 +649,8 @@ class TestSharedParser:
             raise AssertionError("parser rebuilt")
 
         monkeypatch.setattr(cli, "build_parser", rebuild)
-        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        out = [] if argv[0] == "analyze" else ["--out", str(tmp_path)]
+        assert main(argv + out) == EXIT_OK
 
     def test_format_does_not_leak_into_the_next_call(self, capsys):
         main(["analyze", "--clones", "2", "--format", "csv"])
@@ -686,6 +687,10 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         assert "--format" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_belongs_to_the_commands_that_write(self, tmp_path, capsys):
+        assert main(["analyze", "--clones", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
 
     def test_bad_tol(self, tmp_path):
         code = main([

@@ -20,7 +20,7 @@ the recompiled states agree with the old ones to 6.3e-15 and the singular
 values to 4.0e-15, with equal bond dimensions and ranks.  Every other digest
 here is older than that change and unchanged by it.
 
-When the roundtrip contraction (`kernels.contract_sweep`) became one matrix
+When the roundtrip contraction (`mps.contract_sweep`) became one matrix
 product per site instead of one `einsum`, its sums ran in another order, so
 the contracted state moved by at most 1.7e-16 and `roundtrip_error` in its
 last digits.  The SVD is untouched, so no `mps.json` or stage digest moved.

@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gmclone import kernels
 from gmclone.cli import EXIT_OK, main
 from gmclone.errors import DomainError
-from gmclone.mps import MatrixProductState, mps_halves
+from gmclone.mps import MatrixProductState, contract_sweep, mps_halves
 from gmclone.qubit import equatorial_qubit
 
 from oracles import (
@@ -43,7 +42,7 @@ def random_mps(rng, n):
 
 def assert_matches_einsum_sweep(mps):
     expected = einsum_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
-    got = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+    got = contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
     assert got.shape == (2**mps.num_sites,)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.linalg.norm(expected)
 
@@ -57,7 +56,7 @@ class TestContractSweep:
     def test_numpy_against_per_ket_products(self):
         state, mps = self._mps_sites()
         n = mps.num_sites
-        out = kernels.contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
+        out = contract_sweep(mps.sites, mps.left_boundary, mps.right_boundary)
         for idx in (0, 3, 2**n - 1, 17 % 2**n):
             bits = format(idx, f"0{n}b")
             chain = mps.left_boundary.reshape(1, -1)
@@ -112,7 +111,7 @@ class TestMatrixBoundaries:
         mps = random_mps(rng, 5)
         lefts = rng.normal(size=(3, mps.bond_dims()[0]))
         rights = rng.normal(size=(mps.bond_dims()[-1], 4))
-        got = kernels.contract_sweep(mps.sites, lefts, rights)
+        got = contract_sweep(mps.sites, lefts, rights)
         assert got.shape == (3, 2**5, 4)
         for r in range(3):
             for c in range(4):

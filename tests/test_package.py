@@ -15,26 +15,20 @@ PUBLIC = [
     "ClonerAnalysis",
     "GMMatrix",
     "MatrixProductState",
-    "ParityClass",
-    "PipelineArtifacts",
     "Qubit",
     "ScalingRow",
     "analyze_cloner",
     "anticlone",
     "assign_coefficients",
-    "bit_index",
-    "bloch_qubit",
     "bond_dimension",
     "dicke_outputs",
     "equatorial_qubit",
     "gamma",
-    "index_bits",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
     "nonlinearity_gap",
-    "parity_classify",
     "perp",
     "run_pipeline",
     "save_mps",

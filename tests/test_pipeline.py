@@ -18,11 +18,9 @@ from gmclone.errors import (
 from gmclone.cli import main
 from gmclone.pipeline import (
     GMMatrix,
-    ParityClass,
     _line_problem,
     _support,
     assign_coefficients,
-    parity_classify,
     read_gm_matrix,
     run_pipeline,
     write_gm_matrix,
@@ -107,29 +105,37 @@ class TestGMBitstrings:
         assert count1 == expected
 
 
+def _classify(bits: str, cls: str = "C0"):
+    """What the GMMatrix grammar says of ``bits`` read with class ``cls``."""
+    return _line_problem(f"{bits}\t0.5\t0\t{cls}".encode(), 3, None)
+
+
 class TestParityClassify:
+    """The class rule, popcount M - 1 + b for class C{b}: as the GMMatrix
+    grammar words it for a line of width 3, and on every support string."""
+
     def test_clone_of_zero(self):
-        assert parity_classify("001", 2) is ParityClass.CLONE_OF_0
+        assert _classify("001", "C0") is None
+        assert _classify("001", "C1") == "class C1 contradicts popcount 1 of M=2"
 
     def test_clone_of_one(self):
-        assert parity_classify("110", 2) is ParityClass.CLONE_OF_1
+        assert _classify("110", "C1") is None
+        assert _classify("110", "C0") == "class C0 contradicts popcount 2 of M=2"
 
     def test_not_gm(self):
-        assert parity_classify("000", 2) is ParityClass.NOT_GM
-        assert parity_classify("111", 2) is ParityClass.NOT_GM
+        assert _classify("000") == "popcount 0 is in neither parity class of M=2"
+        assert _classify("111") == "popcount 3 is in neither parity class of M=2"
 
     def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            parity_classify("00", 2)
+        assert _classify("00") == "expected 3 bits, got 2"
 
     def test_bad_character(self):
-        with pytest.raises(DomainError):
-            parity_classify("0x1", 2)
+        assert _classify("0x1") == "bad bitstring '0x1'"
 
     @pytest.mark.parametrize("M", range(1, 11))
     def test_partitions_all_support_strings(self, M):
         for bits in gen_gm_bitstrings(M):
-            assert parity_classify(bits, M) is not ParityClass.NOT_GM
+            assert bits.count("1") in (M - 1, M)
 
 
 class TestAssignCoefficients:
@@ -166,8 +172,8 @@ class TestAssignCoefficients:
     @pytest.mark.parametrize("M", range(1, 9))
     def test_reconstruction_matches_builder(self, M):
         records = assign_coefficients(M)
-        for bit, cls in ((0, ParityClass.CLONE_OF_0), (1, ParityClass.CLONE_OF_1)):
-            rebuilt = reconstruct_state(records, M, cls)
+        for bit in (0, 1):
+            rebuilt = reconstruct_state(records, M, bit)
             np.testing.assert_allclose(
                 rebuilt.amplitudes,
                 build_gm_basis(M, bit).amplitudes,
@@ -298,36 +304,34 @@ class TestRunPipeline:
         # Each chunk of FullBitString lines reuses one block of low bits and
         # fills its constant high bits; M = 8 has two default chunks.
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
-        artifacts, _ = run_pipeline(M, tmp_path)
+        run_pipeline(M, tmp_path)
         n = 2 * M - 1
         expected = "".join(format(i, f"0{n}b") + "\n" for i in range(2**n))
-        assert artifacts.full_path.read_text() == expected
+        assert (tmp_path / "FullBitString").read_text() == expected
 
     @pytest.mark.parametrize("M", range(1, 12))
     def test_prepared_stage_passes_the_cross_check(self, tmp_path, M):
-        artifacts, _ = run_pipeline(M, tmp_path)
-        matrix = read_gm_matrix(artifacts.matrix_path, expected_length=2 * M - 1)
-        check_gm_matrix(matrix, M, artifacts.matrix_path)
+        run_pipeline(M, tmp_path)
+        path = tmp_path / "GMMatrix"
+        check_gm_matrix(read_gm_matrix(path, expected_length=2 * M - 1), M, path)
 
     def test_produces_three_parsable_stages(self, tmp_path):
-        artifacts, records = run_pipeline(2, tmp_path)
-        assert artifacts.full_path.name == "FullBitString"
-        assert artifacts.gm_path.name == "GMBitString"
-        assert artifacts.matrix_path.name == "GMMatrix"
-        assert read_bitstring_stage(artifacts.full_path) == gen_full_bitstrings(2)
-        assert read_bitstring_stage(artifacts.gm_path) == gen_gm_bitstrings(2)
-        assert len(read_gm_matrix(artifacts.matrix_path)) == len(records) == 6
+        records = run_pipeline(2, tmp_path)
+        assert read_bitstring_stage(tmp_path / "FullBitString") == gen_full_bitstrings(2)
+        assert read_bitstring_stage(tmp_path / "GMBitString") == gen_gm_bitstrings(2)
+        assert len(read_gm_matrix(tmp_path / "GMMatrix")) == len(records) == 6
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
-        art_a, _ = run_pipeline(3, a_dir)
-        art_b, _ = run_pipeline(3, b_dir)
+        run_pipeline(3, a_dir)
+        run_pipeline(3, b_dir)
         for name in ("FullBitString", "GMBitString", "GMMatrix"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
 GOOD_M2 = "001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n011\t0.5\t0\tC1\n"
+M3_START = "00011\t0.5\t0\tC0\n00101\t0.5\t0\tC0\n"
 
 
 def _raises_on_line(path, line_number, expected_length=None):
@@ -445,12 +449,24 @@ class TestGMMatrixInvariants:
             ("01\t\t0\tC1", "expected 3 bits, got 2"),
             ("1\t00\t0.5\tC1", "expected 3 bits, got 1"),
             ("0\t1\t0.5\t0\tC1", "expected 4 tab-separated fields"),
+            # A case that ends in LF is a whole stage of another width,
+            # bad on its last line: the popcount rule at M = 1 and M = 3.
+            ("0\t1\t0\tC1\n", "class C1 contradicts popcount 0 of M=1"),
+            ("0\t1\t0\tC0\n1\t1\t0\tC0\n", "class C0 contradicts popcount 1 of M=1"),
+            ("00001\t0.5\t0\tC0\n", "popcount 1 is in neither parity class of M=3"),
+            (M3_START + "00110\t0.5\t0\tC1\n", "class C1 contradicts popcount 2 of M=3"),
+            (M3_START + "00111\t0.5\t0\tC0\n", "class C0 contradicts popcount 3 of M=3"),
+            (M3_START + "11111\t0.5\t0\tC1\n", "popcount 5 is in neither parity class of M=3"),
         ],
     )
     def test_rejected_on_its_line(self, tmp_path, line, message):
+        if line.endswith("\n"):
+            stage, bad = line, line.count("\n")
+        else:
+            stage, bad = "001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n" + line + "\n", 3
         path = tmp_path / "GMMatrix"
-        path.write_text("001\t0.5\t0\tC0\n010\t0.5\t0\tC0\n" + line + "\n")
-        assert message in _raises_on_line(path, 3)
+        path.write_text(stage)
+        assert message in _raises_on_line(path, bad)
 
     @pytest.mark.parametrize("row", ["first", "past a block"])
     @pytest.mark.parametrize("field", [1, 2])
@@ -532,12 +548,14 @@ class TestStageCrossCheck:
         assert "0 records, but the cloner of M=2 has 6" in capsys.readouterr().err
 
 
-CLASSES = [ParityClass.CLONE_OF_0, ParityClass.CLONE_OF_1]
+CLASSES = (0, 1)
+# Test ids of the class bits: the clone each belongs to, or none.
+CLASS_IDS = {0: "ParityClass.CLONE_OF_0", 1: "ParityClass.CLONE_OF_1", 2: "ParityClass.NOT_GM"}
 
 
 def _class_of(matrix, parity_class):
-    """The records of ``matrix`` in ``parity_class``, as a GMMatrix."""
-    keep = matrix.clone_of_one == (parity_class is ParityClass.CLONE_OF_1)
+    """The records of ``matrix`` in the class ``parity_class``, as a GMMatrix."""
+    keep = matrix.clone_of_one == parity_class
     return GMMatrix(
         matrix.width, matrix.indices[keep], matrix.coefficients[keep],
         matrix.clone_of_one[keep],
@@ -577,7 +595,7 @@ class TestClassRead:
                 _assert_same(one, _class_of(whole, parity_class))
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("parity_class", CLASSES)
+    @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
     @pytest.mark.parametrize("where", ["line 1", "last block", "last line"])
     def test_coefficient_off_the_closed_form_names_its_line(self, tmp_path, parity_class, where):
         # M = 9 has 48,620 lines in about 10 blocks, and either class's read
@@ -599,7 +617,7 @@ class TestClassRead:
             check_gm_matrix(read_gm_matrix(path), 9, path)
         assert str(whole.value) == str(err.value)
 
-    @pytest.mark.parametrize("parity_class", CLASSES)
+    @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
     @pytest.mark.parametrize("chunk", [5, 13, 64, 1 << 14])
     def test_earliest_record_off_is_named(self, tmp_path, monkeypatch, parity_class, chunk):
         # With offsets growing down the file from record 3 on, the record
@@ -620,7 +638,7 @@ class TestClassRead:
             check_gm_matrix(read_gm_matrix(path), 4, path)
         assert str(whole.value) == str(err.value)
 
-    @pytest.mark.parametrize("parity_class", CLASSES)
+    @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
     def test_missing_record_fails_on_the_count(self, tmp_path, parity_class):
         path = tmp_path / "GMMatrix"
         write_gm_matrix(path, assign_coefficients(6))
@@ -641,18 +659,18 @@ class TestClassRead:
         good = path.read_bytes()
         path.write_bytes(good + b"11111\t0\t0\tC1\n")
         with pytest.raises(StageParseError, match="neither parity class"):
-            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+            read_gm_matrix(path, expected_length=5, parity_class=0)
         path.write_bytes(good[: good.rindex(b"\n", 0, -1) + 1])
         with pytest.raises(InternalConsistencyError, match="19 records, but"):
-            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+            read_gm_matrix(path, expected_length=5, parity_class=0)
         path.write_bytes(good)
         with pytest.raises(InternalConsistencyError, match=":2: coefficient is 1 from"):
-            read_gm_matrix(path, expected_length=5, parity_class=ParityClass.CLONE_OF_0)
+            read_gm_matrix(path, expected_length=5, parity_class=0)
 
     @pytest.mark.parametrize(
         "expected_length, parity_class",
-        [(3, ParityClass.NOT_GM), (None, ParityClass.CLONE_OF_0),
-         (None, ParityClass.CLONE_OF_1), (4, ParityClass.CLONE_OF_1)],
+        [(3, 2), (None, 0), (None, 1), (4, 1)],
+        ids=CLASS_IDS.get,
     )
     def test_needs_a_class_and_a_width(self, tmp_path, expected_length, parity_class):
         path = tmp_path / "GMMatrix"
@@ -743,7 +761,7 @@ class TestStageMemory:
         tracemalloc.start()
         try:
             loaded = read_gm_matrix(
-                path, expected_length=2 * M - 1, parity_class=ParityClass.CLONE_OF_1,
+                path, expected_length=2 * M - 1, parity_class=1,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
