@@ -32,7 +32,6 @@ from .analysis import (
     ClonerAnalysis,
     ScalingRow,
     analyze_cloner,
-    nonlinearity_gap,
     scaling_sweep,
 )
 from .qubit import (
@@ -64,7 +63,6 @@ __all__ = [
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
-    "nonlinearity_gap",
     "perp",
     "run_pipeline",
     "save_mps",

@@ -18,7 +18,7 @@ import numpy as np
 from .builder import check_register, dicke_outputs
 from .errors import DomainError
 from .mps import bond_dimension, mps_from_dicke
-from .qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit
+from .qubit import BASIS, Qubit, anticlone, equatorial_qubit
 from ._format import float17
 
 SCALING_CSV_HEADER = "M,num_qubits,bond_dim,cut_ranks,tol"
@@ -67,21 +67,6 @@ def _gap(cloned, zero, one, q: Qubit) -> float:
     return float(np.linalg.norm(cloned - phase * superposed))
 
 
-def nonlinearity_gap(M: int, alpha: complex, beta: complex) -> float:
-    """Distance between cloning the superposition and superposing the clones.
-
-    Returns || GM(alpha 0 + beta 1) - (alpha GM(0) + beta GM(1)) || minimized
-    over a global phase on the first term.  Zero at basis inputs, strictly
-    positive for genuine superpositions once M >= 2 (the cloning map is not
-    linear); trivially zero for M = 1.  Taken on the Dicke-basis matrices of
-    the three outputs, with no dense register; guarded like
-    :func:`analyze_cloner`.
-    """
-    check_register(M)
-    q = make_qubit(alpha, beta)
-    return _gap(*dicke_outputs(M, (q, *BASIS)), q)
-
-
 @dataclass(frozen=True)
 class ClonerAnalysis:
     clone_fidelities: list
@@ -101,10 +86,13 @@ def _analyze(M: int, input: Qubit) -> ClonerAnalysis:
 def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
     """Fidelities and nonlinearity gap of the cloner output for ``input``.
 
-    The fidelity of every clone with ``input``, of every anticlone with
-    its anticlone, and :func:`nonlinearity_gap`, read from the (M+1) x M
-    Dicke-basis matrices of GM(input), GM(|0>) and GM(|1>) in O(M^3) work:
-    no dense register and no sector ket is built.  Keeps the dense register
+    The fidelity of every clone with ``input`` and of every anticlone with
+    its anticlone, and the gap || GM(alpha 0 + beta 1) - (alpha GM(0) +
+    beta GM(1)) || minimized over a global phase on the first term: zero at
+    basis inputs, > 0 for genuine superpositions once M >= 2 (the cloning
+    map is not linear), and zero at M = 1.  All are read from the (M+1) x M
+    Dicke-basis matrices of GM(input), GM(|0>) and GM(|1>) in O(M^3) work,
+    with no dense register and no sector ket.  Keeps the dense register
     guard (:class:`ResourceLimitError` above ``FULL_ENUMERATION_LIMIT``).
     """
     check_register(M)

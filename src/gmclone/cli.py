@@ -90,7 +90,7 @@ def parse_input_spec(spec: str) -> Qubit:
 
 def cmd_prepare(args) -> int:
     matrix = pipeline.run_pipeline(args.clones, args.out)
-    count1 = int(np.count_nonzero(matrix.clone_of_one))
+    count1 = int(np.count_nonzero(np.bitwise_count(matrix.indices) == args.clones))
     count0 = len(matrix) - count1
     print(f"FullBitString: {2 ** (2 * args.clones - 1)} lines -> "
           f"{args.out / pipeline.FULL_STAGE_NAME}")

@@ -198,7 +198,7 @@ def mps_halves(mps: MatrixProductState, k: int) -> tuple[np.ndarray, np.ndarray]
 
     L, of shape (2^k, D), contracts sites 1..k and R, of shape (D, 2^(n-k)),
     sites k+1..n, each in one :func:`contract_sweep` with an identity on
-    the open bond; for k = n, R is the right boundary as a column.
+    the open bond (for k = n, R is the right boundary as a column).
     ``(L @ R).reshape(-1)`` is the contracted state, with no array of 2^n
     entries formed.  Raises :class:`DomainError` for a k outside 1..n.
     """
@@ -207,8 +207,6 @@ def mps_halves(mps: MatrixProductState, k: int) -> tuple[np.ndarray, np.ndarray]
         raise DomainError(f"cut after site {k} outside 1..{mps.num_sites}")
     bond = np.eye(mps.sites[k - 1].shape[2], dtype=np.complex128)
     left = contract_sweep(mps.sites[:k], mps.left_boundary, bond)
-    if k == mps.num_sites:
-        return left, mps.right_boundary.reshape(-1, 1)
     return left, contract_sweep(mps.sites[k:], bond, mps.right_boundary)
 
 

@@ -18,21 +18,22 @@ to rebuild the dense states.
 
 In memory a bitstring is its basis index (qubit 1 is the most significant
 bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
-stage is one columnar :class:`GMMatrix`: sorted int64 indices, complex128
-coefficients and the class bits b as a bool clone-of-|1> mask.  Nothing is
-built per line: the bitstring stages are ``(rows, n+1)`` uint8 ASCII matrices written with
-``tobytes()`` (FullBitString refills only the high columns of one block per
-chunk), the GMMatrix writer appends each distinct tail of a chunk,
-formatted once, to the chunk's bit rows viewed as strings, and the
-reader checks a block of lines at once with array masks over its raw bytes:
-the TAB after each bit field, which a good line has exactly ``width`` bytes
-in, becomes an LF, so one ``bytes.split`` gives the bit fields, joined into a
-``(rows, width)`` matrix, and the ``RE<TAB>IM<TAB>CLASS`` tails, each
-distinct one parsed once through one dict lookup per line.
+stage is one columnar :class:`GMMatrix`: sorted int64 indices and complex128
+coefficients.  A record's class b is not stored: it is the popcount of its
+index minus M-1.  Nothing is built per line: the bitstring stages are
+``(rows, n+1)`` uint8 ASCII matrices written with ``tobytes()``
+(FullBitString refills only the high columns of one block per chunk), the
+GMMatrix writer appends each distinct tail of a chunk, formatted once, to
+the chunk's bit rows viewed as strings, and the reader checks a block of
+lines at once with array masks over its raw bytes: the TAB after each bit
+field, which a good line has exactly ``width`` bytes in, becomes an LF, so
+one ``bytes.split`` gives the bit fields, joined into a ``(rows, width)``
+matrix, and the ``RE<TAB>IM<TAB>CLASS`` tails, each distinct one parsed once
+through one dict lookup per line.
 Every writer goes through one open file, ``CHUNK_ROWS`` lines at a time; the
 reader goes through one open file, ``READ_BLOCK`` bytes of whole lines at a
-time; and the support is generated sorted, by a recursion over the top bit,
-without a scan of the 2^(2M-1) register.  So no temporary grows with the register, and none
+time; and the support is kept from a scan of the 2^(2M-1) register in runs
+of ``CHUNK_ROWS`` indices.  So no temporary grows with the register, and none
 of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
 bad line.  :func:`read_gm_matrix` given a parity class holds each block to
@@ -84,7 +85,6 @@ class GMMatrix:
     width: int                # register length 2M-1
     indices: np.ndarray       # int64 basis indices, strictly increasing
     coefficients: np.ndarray  # complex128 per-ket amplitudes
-    clone_of_one: np.ndarray  # bool, True for class C1
 
     def __len__(self) -> int:
         return self.indices.size
@@ -112,42 +112,31 @@ def _write_rows(path, rows: int, lines) -> None:
             handle.write(lines(lo, hi))
 
 
-def _support(M: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Width, sorted support indices and clone-of-|1> mask of both classes.
+def _support(M: int) -> tuple[int, np.ndarray]:
+    """Width and sorted support indices of both classes.
 
     The supports are the full popcount classes M-1 and M: a support string
     of the clone of |0> has j ones in the clone sector and M-1-j in the
     anticlone sector for some j, and conversely any split of M-1 ones is
-    realized.  They are generated, not scanned for, by the top-bit
-    recursion: the m-bit indices with popcount a or a+1 are the (m-1)-bit
-    ones with the same popcounts (top bit 0), then 2^(m-1) plus the (m-1)-bit
-    ones with popcount a-1 or a (top bit 1), so each list comes out sorted.
+    realized.  They are kept from a scan of the register, one run of
+    ``CHUNK_ROWS`` indices at a time, so each comes out sorted.
     """
     check_register(M)
     n = 2 * M - 1
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-    # level[a]: the sorted m-bit indices with popcount a or a+1, and the mask
-    # of those with a+1, for each a from which popcounts M-1 and M are still
-    # reachable; at m = 0 only the index 0 (popcount 0) exists.
-    level = {
-        -1: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool)),
-        0: (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool)),
-    }
-    for m in range(1, n + 1):
-        high, below = 1 << (m - 1), level
-        level = {}
-        for a in range(max(-1, m - M), min(m, M - 1) + 1):
-            (low, low_one), (top, top_one) = below.get(a, empty), below.get(a - 1, empty)
-            level[a] = (np.concatenate([low, top + high]), np.concatenate([low_one, top_one]))
-    support, one = level[M - 1]
+    runs = []
+    for lo, hi in _row_chunks(2**n):
+        run = np.arange(lo, hi, dtype=np.int64)
+        ones = np.bitwise_count(run)
+        runs.append(run[(ones == M - 1) | (ones == M)])
+    support = np.concatenate(runs)
     # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
     per_class = math.comb(n, M)
-    if support.size != 2 * per_class or np.count_nonzero(one) != per_class:
+    if support.size != 2 * per_class:
         raise InternalConsistencyError(
             f"popcount classes of M={M} hold {support.size} support indices, "
             f"expected {2 * per_class}, half with popcount M-1 and half with M"
         )
-    return n, support, one
+    return n, support
 
 
 def assign_coefficients(M: int) -> GMMatrix:
@@ -163,16 +152,15 @@ def assign_coefficients(M: int) -> GMMatrix:
     with the sign (-1)^j of perp(|0>) = -|1> on one side: the term is
     ``gamma_j * ((-1)^j / sqrt(C(M, j)) * (1 / sqrt(C(M-1, j))))``.
     """
-    n, support, one = _support(M)
-    coefficients = _basis_amplitudes(M, support, one).astype(np.complex128)
-    return GMMatrix(n, support, coefficients, one)
+    n, support = _support(M)
+    return GMMatrix(n, support, _basis_amplitudes(M, support).astype(np.complex128))
 
 
-def _basis_amplitudes(M: int, indices: np.ndarray, one: np.ndarray) -> np.ndarray:
+def _basis_amplitudes(M: int, indices: np.ndarray) -> np.ndarray:
     """The closed form of :func:`assign_coefficients` at the support kets
-    ``indices`` of the classes ``one`` (True for the clone of |1>)."""
+    ``indices``, each of the class its popcount gives."""
     ones = np.bitwise_count(indices >> (M - 1))
-    j = np.where(one, M - ones, ones)
+    j = np.where(np.bitwise_count(indices) == M, M - ones, ones)
     sectors = range(M)
     weights = np.array([gamma(M, k) for k in sectors])
     clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
@@ -190,19 +178,21 @@ def write_gm_matrix(path, matrix: GMMatrix) -> None:
     Nothing is built per line.  A chunk's bit fields are its ``(rows,
     width)`` uint8 rows viewed as ``S{width}`` strings.  Its distinct
     doubles, and then its distinct (RE, IM, CLASS) codes, come from two 1-D
-    ``np.unique`` calls; each distinct ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tail
-    is formatted once, ``np.strings.add`` appends to each bit field its
-    tail, and the NUL padding of the shorter lines is dropped from the
-    joined bytes.
+    ``np.unique`` calls, CLASS being C1 for popcount M and C0 otherwise;
+    each distinct ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tail is formatted once,
+    ``np.strings.add`` appends to each bit field its tail, and the NUL
+    padding of the shorter lines is dropped from the joined bytes.
     """
     width = matrix.width
+    M = (width + 1) // 2
 
     def lines(lo, hi):
         part = matrix.coefficients[lo:hi]
         values, inverse = np.unique(np.concatenate([part.real, part.imag]), return_inverse=True)
         texts = [float17(v) for v in values.tolist()]
         codes = (inverse[: hi - lo] * values.size + inverse[hi - lo :]) * 2
-        keys, tail_of = np.unique(codes + matrix.clone_of_one[lo:hi], return_inverse=True)
+        one = np.bitwise_count(matrix.indices[lo:hi]) == M
+        keys, tail_of = np.unique(codes + one, return_inverse=True)
         tails = np.array([
             f"\t{texts[key // 2 // values.size]}\t{texts[key // 2 % values.size]}"
             f"\tC{key % 2}\n".encode("ascii")
@@ -291,7 +281,7 @@ def _line_blocks(handle):
 
 
 def _check_block(path, data: bytes, lineno: int, width, prev):
-    """Width and columns of one block of whole GMMatrix lines.
+    """Width, indices and coefficients of one block of whole GMMatrix lines.
 
     ``lineno`` lines come before the block, the last with basis index
     ``prev`` (None for the first block); ``width`` is None when it is still
@@ -334,7 +324,6 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
         values, classes = zip(*map(_tail, tails))
         coefficients = np.array(values, dtype=np.complex128)[codes]
         classes = np.array(classes, dtype=np.int64)[codes]
-        clone_of_one = classes == 1
         M = (width + 1) // 2
         line_bad |= (classes > 1) | (np.bitwise_count(indices) != M - 1 + classes)
         bad = _first(line_bad)
@@ -352,7 +341,7 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
                 f"{path}:{lineno + bad + 1}: array checks reject a line the grammar accepts"
             )
         raise StageParseError(path, lineno + bad + 1, problem)
-    return width, (indices, coefficients, clone_of_one)
+    return width, (indices, coefficients)
 
 
 def read_gm_matrix(
@@ -391,18 +380,14 @@ def read_gm_matrix(
         M = (expected_length + 1) // 2
     width, lineno, prev = expected_length, 0, None
     off_error = None  # the error naming the earliest record off, if any
-    columns = (
-        [np.empty(0, dtype=np.int64)],
-        [np.empty(0, dtype=np.complex128)],
-        [np.empty(0, dtype=bool)],
-    )
+    columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
     with path.open("rb") as handle:
         for data in _line_blocks(handle):
             width, block = _check_block(path, data, lineno, width, prev)
-            indices, coefficients, clone_of_one = block
+            indices, coefficients = block
             if parity_class is not None:
                 if off_error is None:
-                    closed = _basis_amplitudes(M, indices, clone_of_one)
+                    closed = _basis_amplitudes(M, indices)
                     off = np.abs(coefficients - closed)
                     at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
                     if at < off.size:
@@ -411,7 +396,7 @@ def read_gm_matrix(
                             f"from the cloner's amplitude {float17(closed[at])} "
                             f"(tolerance {STAGE_ATOL:g})"
                         )
-                keep = clone_of_one == parity_class
+                keep = np.bitwise_count(indices) == M - 1 + parity_class
                 block = [part[keep] for part in block]
             lineno += indices.size
             prev = int(indices[-1])

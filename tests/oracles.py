@@ -430,11 +430,13 @@ def read_bitstring_stage(path, expected_length: int | None = None) -> list[str]:
 
 
 def write_gm_matrix_lines(path, matrix: GMMatrix) -> None:
-    """The GMMatrix stage of ``matrix`` formatted one line at a time."""
+    """The GMMatrix stage of ``matrix`` formatted one line at a time, each
+    line's class b taken from its popcount M-1+b."""
+    M = (matrix.width + 1) // 2
     lines = [
         f"{format(int(index), f'0{matrix.width}b')}\t{float17(value.real)}"
-        f"\t{float17(value.imag)}\tC{int(one)}\n"
-        for index, value, one in zip(matrix.indices, matrix.coefficients, matrix.clone_of_one)
+        f"\t{float17(value.imag)}\tC{int(index).bit_count() - (M - 1)}\n"
+        for index, value in zip(matrix.indices, matrix.coefficients)
     ]
     Path(path).write_text("".join(lines), encoding="ascii")
 
@@ -464,7 +466,8 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
         for j in range(M)
     ])
     ones = np.bitwise_count(matrix.indices >> (M - 1)).astype(np.int64)
-    closed = amplitude[np.where(matrix.clone_of_one, M - ones, ones)]
+    one = np.bitwise_count(matrix.indices) == M
+    closed = amplitude[np.where(one, M - ones, ones)]
     off = np.abs(matrix.coefficients - closed)
     bad = np.flatnonzero(~(off <= STAGE_ATOL))
     if bad.size:
@@ -484,7 +487,7 @@ def reconstruct_state(matrix: GMMatrix, M: int, parity_class: int) -> StateVecto
         raise DomainError(
             f"GMMatrix of width {matrix.width} does not fit a {n}-qubit register"
         )
-    keep = matrix.clone_of_one == parity_class
+    keep = np.bitwise_count(matrix.indices) == M - 1 + parity_class
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[matrix.indices[keep]] = matrix.coefficients[keep]
     return StateVector(n, amps)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gmclone.analysis import nonlinearity_gap, scaling_csv, scaling_sweep
+from gmclone.analysis import analyze_cloner, scaling_csv, scaling_sweep
 from gmclone.builder import gamma
 from gmclone.mps import bond_dimension, load_mps, save_mps
 from gmclone.pipeline import (
@@ -107,14 +107,13 @@ def test_criterion_05_parity_partition():
     with criterion(5, "popcount parity splits every support string, M=1..10"):
         for M in range(1, 11):
             strings = gen_gm_bitstrings(M)
-            # prepare's support, from the top-bit recursion, is the scan's
+            # prepare's support is the string generator's
             support = assign_coefficients(M)
             n = 2 * M - 1
             assert [format(i, f"0{n}b") for i in support.indices.tolist()] == strings
             count0 = count1 = 0
-            for bits, one in zip(strings, support.clone_of_one.tolist()):
+            for bits in strings:
                 popcount = bits.count("1")
-                assert one == (popcount == M)
                 if popcount == M - 1:
                     count0 += 1
                 elif popcount == M:
@@ -245,10 +244,13 @@ def test_criterion_09_bond_bound(rng, tmp_path):
 
 def test_criterion_10_nonlinearity():
     with criterion(10, "cloning map nonlinear at M=2, linear on basis inputs"):
+        def gap(alpha, beta):
+            return analyze_cloner(2, make_qubit(alpha, beta)).nonlinearity_gap
+
         inv = 1 / math.sqrt(2)
-        assert nonlinearity_gap(2, inv, inv) > 0.1
-        assert nonlinearity_gap(2, 1, 0) < 1e-12
-        assert nonlinearity_gap(2, 0, 1) < 1e-12
+        assert gap(inv, inv) > 0.1
+        assert gap(1, 0) < 1e-12
+        assert gap(0, 1) < 1e-12
 
 
 def test_criterion_11_combine_basis_mps(rng):

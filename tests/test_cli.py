@@ -290,7 +290,7 @@ class TestCompile:
         path = tmp_path / "GMMatrix"
         matrix = pipeline.read_gm_matrix(path)
         pipeline.write_gm_matrix(path, pipeline.GMMatrix(
-            matrix.width, matrix.indices, 2 * matrix.coefficients, matrix.clone_of_one,
+            matrix.width, matrix.indices, 2 * matrix.coefficients,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INTERNAL
@@ -313,7 +313,7 @@ class TestCompile:
         edited = int(np.flatnonzero(matrix.indices == 0b100_01)[0])
         coefficients[edited] += delta
         pipeline.write_gm_matrix(path, pipeline.GMMatrix(
-            matrix.width, matrix.indices, coefficients, matrix.clone_of_one,
+            matrix.width, matrix.indices, coefficients,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:0", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INTERNAL
@@ -442,7 +442,7 @@ class TestDickeSweep:
         # weights) lands 1.8e-12 off at M = 12.
         table = pipeline.assign_coefficients(M)
         for bit in (0, 1):
-            keep = table.clone_of_one == bool(bit)
+            keep = np.bitwise_count(table.indices) == M - 1 + bit
             records = (table.indices[keep], table.coefficients[keep])
             c = cli._stage_dicke(records, M, bit)
             (expected,) = dicke_outputs(M, [BASIS[bit]])

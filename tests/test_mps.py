@@ -123,7 +123,7 @@ def _stage_c(M, bit):
     """c of the class-``bit`` records of the stage table ``prepare`` writes,
     as ``compile`` reads it."""
     table = assign_coefficients(M)
-    keep = table.clone_of_one == bool(bit)
+    keep = np.bitwise_count(table.indices) == M - 1 + bit
     return cli._stage_dicke((table.indices[keep], table.coefficients[keep]), M, bit)
 
 

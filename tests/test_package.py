@@ -28,7 +28,6 @@ PUBLIC = [
     "make_qubit",
     "mps_from_dicke",
     "mps_halves",
-    "nonlinearity_gap",
     "perp",
     "run_pipeline",
     "save_mps",

@@ -85,15 +85,19 @@ class TestGMBitstrings:
             }
         assert gen_gm_bitstrings(M) == sorted(expected)
 
-    @pytest.mark.parametrize("M", range(1, 12))
-    def test_support_is_the_popcount_scan(self, M):
-        n, support, one = _support(M)
-        everything = np.arange(2**n, dtype=np.int64)
-        counts = np.bitwise_count(everything)
+    @pytest.mark.parametrize(
+        "M, chunk",
+        [(M, pipeline.CHUNK_ROWS) for M in range(1, 12)]
+        + [(M, chunk) for chunk in (1, 7, 64) for M in range(1, 9)],
+    )
+    def test_support_is_the_popcount_scan(self, monkeypatch, M, chunk):
+        # Small chunks split a popcount class at the edges of the runs.
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+        n, support = _support(M)
+        counts = np.bitwise_count(np.arange(2**n, dtype=np.int64))
         expected = np.flatnonzero((counts == M - 1) | (counts == M))
         assert support.dtype == np.int64
         np.testing.assert_array_equal(support, expected)
-        np.testing.assert_array_equal(one, counts[expected] == M)
 
     @pytest.mark.parametrize("M", range(1, 11))
     def test_class_sizes_match_binomials(self, M):
@@ -143,7 +147,6 @@ class TestAssignCoefficients:
         matrix = assign_coefficients(1)
         assert matrix.width == 1
         assert matrix.indices.tolist() == [0b0, 0b1]
-        assert matrix.clone_of_one.tolist() == [False, True]
         assert np.all(np.abs(matrix.coefficients - 1.0) < 1e-15)
 
     def test_m2_known_amplitudes(self):
@@ -153,8 +156,6 @@ class TestAssignCoefficients:
         row = {index: k for k, index in enumerate(matrix.indices.tolist())}
         assert abs(matrix.coefficients[row[0b001]] - math.sqrt(2 / 3)) < 1e-14
         assert abs(abs(matrix.coefficients[row[0b010]]) - 1 / math.sqrt(6)) < 1e-14
-        assert not matrix.clone_of_one[row[0b001]]
-        assert not matrix.clone_of_one[row[0b010]]
 
     def test_records_sorted_by_bits(self):
         indices = assign_coefficients(3).indices
@@ -165,7 +166,7 @@ class TestAssignCoefficients:
         amps1 = build_gm_basis(3, 1).amplitudes
         matrix = assign_coefficients(3)
         source = np.where(
-            matrix.clone_of_one, amps1[matrix.indices], amps0[matrix.indices]
+            np.bitwise_count(matrix.indices) == 3, amps1[matrix.indices], amps0[matrix.indices]
         )
         assert np.all(np.abs(matrix.coefficients - source) < 1e-15)
 
@@ -242,7 +243,6 @@ class TestStageFiles:
         assert len(loaded) == 6
         assert loaded.width == records.width
         assert loaded.indices.tolist() == records.indices.tolist()
-        assert loaded.clone_of_one.tolist() == records.clone_of_one.tolist()
         # 17 significant digits round-trip doubles exactly
         assert loaded.coefficients.tolist() == records.coefficients.tolist()
 
@@ -257,9 +257,8 @@ class TestStageFiles:
         "M, chunk", [(1, 1), (4, 1), (4, 7), (9, 1000), (9, pipeline.CHUNK_ROWS)]
     )
     def test_matrix_writer_matches_the_per_line_writer(self, tmp_path, monkeypatch, M, chunk):
-        # Any table, not only the cloner's: repeated, signed-zero, NaN,
-        # infinite and random coefficients, and classes that ignore the
-        # popcount, in chunks of several sizes.
+        # Any coefficients, not only the cloner's: repeated, signed-zero,
+        # NaN, infinite and random ones, in chunks of several sizes.
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         rng = np.random.default_rng(M)
         table = assign_coefficients(M)
@@ -269,7 +268,7 @@ class TestStageFiles:
         im = np.where(rng.random(n) < 0.5, rng.choice(special, n), table.coefficients.real)
         values = re.astype(np.complex128)
         values.imag = im
-        edited = GMMatrix(table.width, table.indices, values, rng.random(n) < 0.5)
+        edited = GMMatrix(table.width, table.indices, values)
         for matrix in (table, edited):
             write_gm_matrix(tmp_path / "GMMatrix", matrix)
             write_gm_matrix_lines(tmp_path / "lines", matrix)
@@ -361,7 +360,6 @@ class TestGMMatrixReaderSemantics:
         matrix = read_gm_matrix(path)
         assert matrix.width == 3
         assert matrix.indices.tolist() == [0b001, 0b010, 0b011]
-        assert matrix.clone_of_one.tolist() == [False, False, True]
 
     def test_crlf_rejected_on_line_1(self, tmp_path):
         path = tmp_path / "GMMatrix"
@@ -514,7 +512,7 @@ class TestStageCrossCheck:
         if edit is not None:
             row, delta = edit
             coefficients[row] += delta
-        return GMMatrix(matrix.width, matrix.indices, coefficients, matrix.clone_of_one)
+        return GMMatrix(matrix.width, matrix.indices, coefficients)
 
     @pytest.mark.parametrize("delta", [5e-13, -5e-13, 5e-13j])
     def test_offsets_within_tolerance_pass(self, delta):
@@ -532,10 +530,7 @@ class TestStageCrossCheck:
     def test_missing_record_rejected(self):
         matrix = assign_coefficients(3)
         keep = np.arange(len(matrix)) != 5
-        short = GMMatrix(
-            matrix.width, matrix.indices[keep], matrix.coefficients[keep],
-            matrix.clone_of_one[keep],
-        )
+        short = GMMatrix(matrix.width, matrix.indices[keep], matrix.coefficients[keep])
         with pytest.raises(InternalConsistencyError, match="19 records, but"):
             check_gm_matrix(short, 3, "GMMatrix")
 
@@ -555,16 +550,14 @@ CLASS_IDS = {0: "ParityClass.CLONE_OF_0", 1: "ParityClass.CLONE_OF_1", 2: "Parit
 
 def _class_of(matrix, parity_class):
     """The records of ``matrix`` in the class ``parity_class``, as a GMMatrix."""
-    keep = matrix.clone_of_one == parity_class
-    return GMMatrix(
-        matrix.width, matrix.indices[keep], matrix.coefficients[keep],
-        matrix.clone_of_one[keep],
-    )
+    M = (matrix.width + 1) // 2
+    keep = np.bitwise_count(matrix.indices) == M - 1 + parity_class
+    return GMMatrix(matrix.width, matrix.indices[keep], matrix.coefficients[keep])
 
 
 def _assert_same(a, b):
     assert a.width == b.width
-    for name in ("indices", "coefficients", "clone_of_one"):
+    for name in ("indices", "coefficients"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -609,7 +602,7 @@ class TestClassRead:
             where, len(matrix) - last_block.count(b"\n"))
         coefficients = matrix.coefficients.copy()
         coefficients[row] += 1e-3
-        write_gm_matrix(path, GMMatrix(17, matrix.indices, coefficients, matrix.clone_of_one))
+        write_gm_matrix(path, GMMatrix(17, matrix.indices, coefficients))
         with pytest.raises(InternalConsistencyError) as err:
             read_gm_matrix(path, expected_length=17, parity_class=parity_class)
         assert str(err.value).startswith(f"{path}:{row + 1}: coefficient is 0.001 from ")
@@ -626,7 +619,7 @@ class TestClassRead:
         matrix = assign_coefficients(4)
         coefficients = matrix.coefficients + 1e-3 * np.maximum(np.arange(len(matrix)) - 2, 0)
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, GMMatrix(7, matrix.indices, coefficients, matrix.clone_of_one))
+        write_gm_matrix(path, GMMatrix(7, matrix.indices, coefficients))
         monkeypatch.setattr(pipeline, "READ_BLOCK", 100)
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         with path.open("rb") as handle:
@@ -655,7 +648,7 @@ class TestClassRead:
         coefficients = matrix.coefficients.copy()
         coefficients[1] += 1.0
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, GMMatrix(5, matrix.indices, coefficients, matrix.clone_of_one))
+        write_gm_matrix(path, GMMatrix(5, matrix.indices, coefficients))
         good = path.read_bytes()
         path.write_bytes(good + b"11111\t0\t0\tC1\n")
         with pytest.raises(StageParseError, match="neither parity class"):
@@ -713,7 +706,6 @@ class TestGMMatrixReaderBlocks:
         assert matrix.width == 3
         assert matrix.indices.tolist() == [0b001, 0b010, 0b011]
         assert matrix.coefficients.tolist() == [0.5, 0.5, 0.5]
-        assert matrix.clone_of_one.tolist() == [False, False, True]
 
     @pytest.mark.parametrize("block", [5, 64, 1000])
     def test_blocks_give_the_same_arrays(self, tmp_path, monkeypatch, block):
@@ -725,7 +717,7 @@ class TestGMMatrixReaderBlocks:
             parts = read_gm_matrix(path)
             monkeypatch.undo()
             assert parts.width == whole.width
-            for name in ("indices", "coefficients", "clone_of_one"):
+            for name in ("indices", "coefficients"):
                 a, b = getattr(parts, name), getattr(whole, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -748,7 +740,7 @@ class TestStageMemory:
             read_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = loaded.indices.nbytes + loaded.coefficients.nbytes + loaded.clone_of_one.nbytes
+        table = loaded.indices.nbytes + loaded.coefficients.nbytes
         assert write_peak <= 8 * 2**20
         assert read_peak <= 2.5 * table
 
@@ -767,7 +759,7 @@ class TestStageMemory:
         finally:
             tracemalloc.stop()
         assert len(loaded) == math.comb(2 * M - 1, M)
-        table = loaded.indices.nbytes + loaded.coefficients.nbytes + loaded.clone_of_one.nbytes
+        table = loaded.indices.nbytes + loaded.coefficients.nbytes
         assert peak <= 2 * table
 
 
@@ -805,9 +797,7 @@ def gm_matrices(draw):
     im = draw(st.lists(doubles, min_size=size, max_size=size))
     coefficients = np.empty(size, dtype=np.complex128)
     coefficients.real, coefficients.imag = re, im
-    indices = np.array(chosen, dtype=np.int64)
-    one = np.array([bin(i).count("1") == M for i in chosen], dtype=bool)
-    return GMMatrix(n, indices, coefficients, one)
+    return GMMatrix(n, np.array(chosen, dtype=np.int64), coefficients)
 
 
 def _reference_text(matrix):
@@ -817,10 +807,10 @@ def _reference_text(matrix):
         return "0" if x == 0 else format(x, ".17g")
 
     lines = []
-    columns = zip(matrix.indices, matrix.coefficients, matrix.clone_of_one)
-    for index, c, one in columns:
+    M = (matrix.width + 1) // 2
+    for index, c in zip(matrix.indices, matrix.coefficients):
         bits = format(int(index), f"0{matrix.width}b")
-        cls = "C1" if one else "C0"
+        cls = f"C{bits.count('1') - (M - 1)}"
         lines.append(f"{bits}\t{number(c.real)}\t{number(c.imag)}\t{cls}\n")
     return "".join(lines)
 
@@ -838,7 +828,6 @@ class TestGMMatrixProperties:
         assert loaded.width == matrix.width
         np.testing.assert_array_equal(loaded.indices, matrix.indices)
         np.testing.assert_array_equal(loaded.coefficients, matrix.coefficients)
-        np.testing.assert_array_equal(loaded.clone_of_one, matrix.clone_of_one)
         write_gm_matrix(second, loaded)
         assert second.read_bytes() == first.read_bytes()
 
