@@ -104,14 +104,12 @@ def _stage_records(args, matrix_path):
     """Sorted indices and coefficients of the basis input's parity class in
     the GMMatrix stage at ``matrix_path``, or None when the input is not a
     basis state or the stage is absent.  The stage must be the cloner's: one
-    read checks both classes block by block and keeps only this one
-    (``pipeline.read_gm_matrix`` with a parity class)."""
+    class read (``pipeline.read_gm_matrix``) checks both classes block by
+    block and keeps only this one."""
     bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None
-    matrix = pipeline.read_gm_matrix(
-        matrix_path, expected_length=2 * args.clones - 1, parity_class=bit
-    )
+    matrix = pipeline.read_gm_matrix(matrix_path, args.clones, bit)
     return matrix.indices, matrix.coefficients
 
 

@@ -225,7 +225,7 @@ def _complex_rows(array: np.ndarray) -> np.ndarray:
     return flat.view(np.float64).reshape(-1, 2)
 
 
-def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = None) -> dict:
+def export_document(mps: MatrixProductState, spectrum: BondSpectrum) -> dict:
     """The JSON document of :func:`save_mps`.
 
     Site entries (row-major over bit, row, col) and the boundaries are
@@ -234,7 +234,7 @@ def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = Non
     :func:`~gmclone._format.dumps_17g` renders as their ``tolist()`` in one
     format call each.  ``json.loads(dumps_17g(doc))`` is the plain-list form.
     """
-    doc = {
+    return {
         "num_qubits": mps.num_sites,
         "sites": [
             {"shape": [int(d) for d in A.shape], "entries": _complex_rows(A)}
@@ -242,9 +242,7 @@ def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = Non
         ],
         "left_boundary": _complex_rows(mps.left_boundary),
         "right_boundary": _complex_rows(mps.right_boundary),
-    }
-    if spectrum is not None:
-        doc["spectrum"] = {
+        "spectrum": {
             "tolerance": float(spectrum.tolerance),
             "cuts": [
                 {
@@ -253,11 +251,11 @@ def export_document(mps: MatrixProductState, spectrum: BondSpectrum | None = Non
                 }
                 for cut in spectrum.cuts
             ],
-        }
-    return doc
+        },
+    }
 
 
-def save_mps(path, mps: MatrixProductState, spectrum: BondSpectrum | None = None) -> None:
+def save_mps(path, mps: MatrixProductState, spectrum: BondSpectrum) -> None:
     """Write the :func:`export_document` of ``mps`` as ``dumps_17g`` text.
 
     The text is written piece by piece through one open file, one site's
@@ -311,16 +309,16 @@ def _spectrum(spec) -> BondSpectrum:
 
 
 def load_mps(path):
-    """Inverse of :func:`save_mps`; returns (mps, spectrum-or-None).
+    """Inverse of :func:`save_mps`; returns (mps, spectrum).
 
     Raises :class:`StageParseError` for a document :func:`save_mps` cannot
-    write: invalid JSON, a missing or mistyped field, a non-finite number,
-    a site shape that is not positive integers filled by its entries, a
-    negative singular value, a tolerance outside [0, 1) or a retained count
-    that is not an integer in 0..len(singular_values), or a spectrum whose
-    cuts do not match the inner bonds (one cut per inner bond, retaining its
-    dimension).  Sites whose bonds do not chain raise
-    :class:`MalformedMPSError`.
+    write: invalid JSON, a missing or mistyped field, a ``num_qubits`` other
+    than the number of sites, a non-finite number, a site shape that is not
+    positive integers filled by its entries, a negative singular value, a
+    tolerance outside [0, 1) or a retained count that is not an integer in
+    0..len(singular_values), or a spectrum whose cuts do not match the inner
+    bonds (one cut per inner bond, retaining its dimension).  Sites whose
+    bonds do not chain raise :class:`MalformedMPSError`.
     """
     path = Path(path)
     try:
@@ -331,16 +329,17 @@ def load_mps(path):
         raise StageParseError(path, exc.lineno, exc.msg) from None
     try:
         sites = [_site(site) for site in doc["sites"]]
+        _count(doc["num_qubits"], len(sites), len(sites))
         left = _complex_array(doc["left_boundary"])
         right = _complex_array(doc["right_boundary"])
-        spectrum = _spectrum(doc["spectrum"]) if "spectrum" in doc else None
+        spectrum = _spectrum(doc["spectrum"])
     except KeyError as exc:
         raise StageParseError(path, 0, f"missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise StageParseError(path, 0, f"malformed MPS document: {exc}") from None
     mps = MatrixProductState(sites=sites, left_boundary=left, right_boundary=right)
     bonds = mps.bond_dims()[1:-1]
-    if spectrum is not None and spectrum.retained_ranks() != bonds:
+    if spectrum.retained_ranks() != bonds:
         raise StageParseError(
             path, 0,
             f"spectrum retains {spectrum.retained_ranks()} at inner bonds {bonds}",

@@ -36,13 +36,13 @@ time; and the support is kept from a scan of the 2^(2M-1) register in runs
 of ``CHUNK_ROWS`` indices.  So no temporary grows with the register, and none
 of stage I/O grows with the file beyond the columns it reads or writes.  The
 per-line grammar in :func:`_line_problem` only words the error for the first
-bad line.  :func:`read_gm_matrix` given a parity class holds each block to
-the closed form of :func:`assign_coefficients` in the same pass as the line
-checks, and keeps only the records of that class.  A class is its bit b
-everywhere, as the ``basis:b`` input of ``compile`` names it.  The package
-writes the bitstring stages and reads only GMMatrix; the string generators
-and the per-line bitstring reader that the tests use live in
-``tests/oracles.py``.
+bad line.  :func:`read_gm_matrix` reads the stage of M clones, width 2M-1,
+for one parity class: it holds each block to the closed form of
+:func:`assign_coefficients` in the same pass as the line checks, and keeps
+only the records of that class.  A class is its bit b everywhere, as the
+``basis:b`` input of ``compile`` names it.  The package writes the
+bitstring stages and reads only GMMatrix; the string generators and the
+per-line bitstring reader that the tests use live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .errors import (
 )
 from ._format import float17
 
-MAX_WIDTH = 61  # widest odd register whose basis indices fit in int64
 # Stage lines written at a time: bounds the temporaries of the stage
 # writers.  A power of two.
 CHUNK_ROWS = 1 << 14
@@ -204,7 +203,7 @@ def write_gm_matrix(path, matrix: GMMatrix) -> None:
     _write_rows(path, len(matrix), lines)
 
 
-def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
+def _line_problem(line: bytes, width: int, prev_bits: str | None):
     """What is wrong with one GMMatrix line, or None; checks in grammar order."""
     try:
         text = line.decode("ascii")
@@ -216,12 +215,8 @@ def _line_problem(line: bytes, width: int | None, prev_bits: str | None):
     bits, re_text, im_text, cls_text = fields
     if not bits or any(ch not in "01" for ch in bits):
         return f"bad bitstring {bits!r}"
-    if width is None:
-        width = len(bits)
     if len(bits) != width:
         return f"expected {width} bits, got {len(bits)}"
-    if width % 2 == 0 or width > MAX_WIDTH:
-        return f"register width {width} is not an odd 2M-1 <= {MAX_WIDTH}"
     if prev_bits is not None and bits <= prev_bits:
         return f"bitstring {bits} does not follow {prev_bits} (need sorted, unique)"
     try:
@@ -280,28 +275,22 @@ def _line_blocks(handle):
         yield block
 
 
-def _check_block(path, data: bytes, lineno: int, width, prev):
-    """Width, indices and coefficients of one block of whole GMMatrix lines.
+def _check_block(path, data: bytes, lineno: int, width: int, prev):
+    """Indices and coefficients of one block of whole GMMatrix lines of
+    ``width`` bits.
 
     ``lineno`` lines come before the block, the last with basis index
-    ``prev`` (None for the first block); ``width`` is None when it is still
-    to be taken from line 1.  The array checks flag the earliest bad line,
-    which :func:`_line_problem` then words.
+    ``prev`` (None for the first block).  The array checks flag the earliest
+    bad line, which :func:`_line_problem` then words.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _LF)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    given = width
-    if width is None:
-        width = max(data.find(b"\t", 0, int(ends[0])), 0)
-
-    bad = 0
-    if width % 2 and width <= MAX_WIDTH:
-        # A good line has its first TAB exactly ``width`` bytes in.  A line
-        # too short for that is clipped to its own LF, so a TAB of a later
-        # line cannot stand in for it.
-        at = np.minimum(starts + width, ends)
-        bad = _first(buf[at] != _TAB)
+    # A good line has its first TAB exactly ``width`` bytes in.  A line too
+    # short for that is clipped to its own LF, so a TAB of a later line
+    # cannot stand in for it.
+    at = np.minimum(starts + width, ends)
+    bad = _first(buf[at] != _TAB)
     if bad:
         # With that TAB made an LF, one split of the lines before ``bad``
         # gives BITS, RE<TAB>IM<TAB>CLASS, BITS, ..., each BITS ``width`` bytes.
@@ -333,7 +322,7 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
             prev = int(indices[bad - 1])
         problem = _line_problem(
             data[starts[bad] : ends[bad]],
-            None if given is None and not bad else width,
+            width,
             None if prev is None else format(prev, f"0{width}b"),
         )
         if problem is None:
@@ -341,80 +330,68 @@ def _check_block(path, data: bytes, lineno: int, width, prev):
                 f"{path}:{lineno + bad + 1}: array checks reject a line the grammar accepts"
             )
         raise StageParseError(path, lineno + bad + 1, problem)
-    return width, (indices, coefficients)
+    return indices, coefficients
 
 
-def read_gm_matrix(
-    path, expected_length: int | None = None, parity_class: int | None = None
-) -> GMMatrix:
-    """Parse and validate a GMMatrix stage.
+def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
+    """The records of class C{parity_class} of the GMMatrix stage of M
+    clones, checked to be the cloner's.
 
-    Every line is ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of one odd width
-    (``expected_length`` when given, else that of line 1), strictly
+    The register guard (:func:`~gmclone.builder.check_register`) and the
+    class, 0 or 1, are checked before the file is opened.  Every line is
+    ``BITS<TAB>RE<TAB>IM<TAB>CLASS``: BITS of width 2M-1, strictly
     increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
-    M-1 and ``C1`` for popcount M, where the width is 2M-1.  Only LF ends a
-    line, and a last line without one still counts.  The earliest bad line
-    is reported, with the first check it fails in :func:`_line_problem`.
-
-    Given a ``parity_class`` b (0 for C0 or 1 for C1, which needs
-    ``expected_length``), the stage must also be the cloner's: the records
-    of both classes are held to the closed form of
-    :func:`assign_coefficients` as their block is read, their count is
-    checked at the end, and only the records of class b are kept and
-    returned.  A line error anywhere comes first, then a
-    count error, then a coefficient error, which names the earliest record
-    more than ``STAGE_ATOL`` from its amplitude, as a line error names the
-    earliest bad line.
+    M-1 and ``C1`` for popcount M.  Only LF ends a line, and a last line
+    without one still counts.  The records of both classes are held to the
+    closed form of :func:`assign_coefficients` as their block is read, their
+    count is checked at the end, and only the records of the class asked
+    for are kept.  A line error anywhere comes first, naming the earliest
+    bad line with the first check it fails in :func:`_line_problem`; then a
+    count error; then a coefficient error, which names the earliest record
+    more than ``STAGE_ATOL`` from its amplitude.
 
     The file is read through one open handle, ``READ_BLOCK`` bytes of whole
     lines at a time; only the columns kept of the lines read so far grow
     with it.
     """
+    check_register(M)
+    if parity_class not in (0, 1):
+        raise DomainError(f"a class read needs class 0 or 1, not {parity_class!r}")
     path = Path(path)
-    if parity_class is not None:
-        if parity_class not in (0, 1) or expected_length is None or expected_length % 2 == 0:
-            raise DomainError(
-                f"a read of one class needs class 0 or 1 and an odd expected_length, "
-                f"not {parity_class!r} and {expected_length}"
-            )
-        M = (expected_length + 1) // 2
-    width, lineno, prev = expected_length, 0, None
+    width, lineno, prev = 2 * M - 1, 0, None
     off_error = None  # the error naming the earliest record off, if any
     columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
     with path.open("rb") as handle:
         for data in _line_blocks(handle):
-            width, block = _check_block(path, data, lineno, width, prev)
+            block = _check_block(path, data, lineno, width, prev)
             indices, coefficients = block
-            if parity_class is not None:
-                if off_error is None:
-                    closed = _basis_amplitudes(M, indices)
-                    off = np.abs(coefficients - closed)
-                    at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
-                    if at < off.size:
-                        off_error = (
-                            f"{path}:{lineno + at + 1}: coefficient is {off[at]:.3g} "
-                            f"from the cloner's amplitude {float17(closed[at])} "
-                            f"(tolerance {STAGE_ATOL:g})"
-                        )
-                keep = np.bitwise_count(indices) == M - 1 + parity_class
-                block = [part[keep] for part in block]
+            if off_error is None:
+                closed = _basis_amplitudes(M, indices)
+                off = np.abs(coefficients - closed)
+                at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
+                if at < off.size:
+                    off_error = (
+                        f"{path}:{lineno + at + 1}: coefficient is {off[at]:.3g} "
+                        f"from the cloner's amplitude {float17(closed[at])} "
+                        f"(tolerance {STAGE_ATOL:g})"
+                    )
+            keep = np.bitwise_count(indices) == M - 1 + parity_class
             lineno += indices.size
             prev = int(indices[-1])
             for column, part in zip(columns, block):
-                column.append(part)
-    if parity_class is not None:
-        expected = 2 * math.comb(expected_length, M)
-        if lineno != expected:
-            raise InternalConsistencyError(
-                f"{path}: {lineno} records, but the cloner of M={M} has {expected} support kets"
-            )
-        if off_error is not None:
-            raise InternalConsistencyError(off_error)
+                column.append(part[keep])
+    expected = 2 * math.comb(width, M)
+    if lineno != expected:
+        raise InternalConsistencyError(
+            f"{path}: {lineno} records, but the cloner of M={M} has {expected} support kets"
+        )
+    if off_error is not None:
+        raise InternalConsistencyError(off_error)
     joined = []
     for column in columns:  # one column's blocks and copy alive at a time
         joined.append(np.concatenate(column))
         column.clear()
-    return GMMatrix(width or 0, *joined)  # an empty file may give no width
+    return GMMatrix(width, *joined)
 
 
 def run_pipeline(M: int, out_dir) -> GMMatrix:

@@ -26,8 +26,8 @@ cross-check the package:
   register, and their per-line reader and writer, and a per-line GMMatrix
   writer;
 * ``check_gm_matrix``, the stage cross-check over a table already in
-  memory, and ``reconstruct_state``, one class of a table as a dense
-  register.
+  memory, ``read_stage``, a whole stage from its two class reads, and
+  ``reconstruct_state``, one class of a table as a dense register.
 
 Every function that moved here from the package keeps the signature it had
 there.
@@ -51,7 +51,7 @@ from gmclone.errors import (
 from gmclone.mps import (
     DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol, contract_sweep,
 )
-from gmclone.pipeline import STAGE_ATOL, GMMatrix
+from gmclone.pipeline import STAGE_ATOL, GMMatrix, read_gm_matrix
 from gmclone.qubit import BASIS, Qubit, anticlone, perp
 
 
@@ -446,8 +446,8 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
     2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
     amplitude.
 
-    The reader has already checked that the indices are strictly increasing
-    and in their popcount classes, so the count makes them the whole
+    The indices are taken to be strictly increasing and in their popcount
+    classes, as the stage reader checks, so the count makes them the whole
     support.  The count is checked first, then every record at once against
     ``gamma_j (-1)^j / sqrt(C(M, j)) / sqrt(C(M-1, j))``, j the popcount of
     the clone half for C0 and M minus it for C1; the earliest record off is
@@ -477,6 +477,16 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
             f"from the cloner's amplitude {float17(closed[record])} "
             f"(tolerance {STAGE_ATOL:g})"
         )
+
+
+def read_stage(path, M: int) -> GMMatrix:
+    """The whole GMMatrix stage of M clones at ``path``: its two class reads
+    (:func:`gmclone.pipeline.read_gm_matrix`) merged in index order."""
+    parts = [read_gm_matrix(path, M, bit) for bit in (0, 1)]
+    indices = np.concatenate([part.indices for part in parts])
+    order = np.argsort(indices)
+    coefficients = np.concatenate([part.coefficients for part in parts])
+    return GMMatrix(2 * M - 1, indices[order], coefficients[order])
 
 
 def reconstruct_state(matrix: GMMatrix, M: int, parity_class: int) -> StateVector:

@@ -36,6 +36,7 @@ from oracles import (
     mps_from_state,
     mps_to_state,
     read_bitstring_stage,
+    read_stage,
     reconstruct_state,
     write_bitstring_stage,
 )
@@ -93,8 +94,8 @@ def test_criterion_04_pipeline_equivalence(tmp_path):
         start = time.perf_counter()
         for M in range(1, 9):
             run_pipeline(M, tmp_path / f"m{M}")
-            loaded = read_gm_matrix(tmp_path / f"m{M}" / "GMMatrix")
             for bit in (0, 1):
+                loaded = read_gm_matrix(tmp_path / f"m{M}" / "GMMatrix", M, bit)
                 rebuilt = reconstruct_state(loaded, M, bit)
                 reference = build_gm_basis(M, bit)
                 assert (
@@ -278,7 +279,7 @@ def test_criterion_12_file_roundtrips(tmp_path):
         # parse back losslessly
         full = read_bitstring_stage(tmp_path / "FullBitString")
         support = read_bitstring_stage(tmp_path / "GMBitString")
-        loaded = read_gm_matrix(tmp_path / "GMMatrix")
+        loaded = read_stage(tmp_path / "GMMatrix", M)
         assert len(full) == 2 ** (2 * M - 1)
         assert loaded.width == len(support[0])
         assert loaded.indices.tolist() == [int(bits, 2) for bits in support]

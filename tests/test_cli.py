@@ -288,7 +288,7 @@ class TestCompile:
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
         capsys.readouterr()
         path = tmp_path / "GMMatrix"
-        matrix = pipeline.read_gm_matrix(path)
+        matrix = pipeline.assign_coefficients(M)
         pipeline.write_gm_matrix(path, pipeline.GMMatrix(
             matrix.width, matrix.indices, 2 * matrix.coefficients,
         ))
@@ -308,7 +308,7 @@ class TestCompile:
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
         capsys.readouterr()
         path = tmp_path / "GMMatrix"
-        matrix = pipeline.read_gm_matrix(path)
+        matrix = pipeline.assign_coefficients(M)
         coefficients = matrix.coefficients.copy()
         edited = int(np.flatnonzero(matrix.indices == 0b100_01)[0])
         coefficients[edited] += delta

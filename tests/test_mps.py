@@ -528,14 +528,13 @@ def _assert_loaded_document_is_valid(mps, spectrum):
         assert np.isfinite(A).all()
     assert np.isfinite(mps.left_boundary).all()
     assert np.isfinite(mps.right_boundary).all()
-    if spectrum is not None:
-        assert 0.0 <= spectrum.tolerance < 1.0
-        for cut in spectrum.cuts:
-            assert np.isfinite(cut.singular_values).all()
-            assert (cut.singular_values >= 0).all()
-            assert type(cut.retained) is int
-            assert 0 <= cut.retained <= cut.singular_values.size
-        assert spectrum.retained_ranks() == mps.bond_dims()[1:-1]
+    assert 0.0 <= spectrum.tolerance < 1.0
+    for cut in spectrum.cuts:
+        assert np.isfinite(cut.singular_values).all()
+        assert (cut.singular_values >= 0).all()
+        assert type(cut.retained) is int
+        assert 0 <= cut.retained <= cut.singular_values.size
+    assert spectrum.retained_ranks() == mps.bond_dims()[1:-1]
 
 
 class TestLoadValidation:
@@ -561,6 +560,9 @@ class TestLoadValidation:
             (("sites", 2, "shape"), [2, 2, 2]),
             (("sites", 0, "entries", 0), ["1", 0]),
             (("sites", 0, "entries", 0), [10**400, 0]),
+            (("num_qubits",), 7),
+            (("num_qubits",), "x"),
+            (("num_qubits",), 3.0),
         ],
     )
     def test_rejects_bad_value(self, tmp_path, path, value):
@@ -576,7 +578,10 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize(
         "path",
-        [("spectrum", "cuts"), ("spectrum", "tolerance"), ("sites",), ("left_boundary",)],
+        [
+            ("spectrum", "cuts"), ("spectrum", "tolerance"), ("sites",), ("left_boundary",),
+            ("num_qubits",), ("spectrum",),
+        ],
     )
     def test_rejects_missing_field(self, tmp_path, path):
         doc = copy.deepcopy(VALID_DOCUMENT)
