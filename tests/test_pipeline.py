@@ -484,6 +484,13 @@ class TestGMMatrixInvariants:
         message = _raises_on_line(path, line_number, M=8)
         assert "unparseable coefficient" in message
 
+    def test_even_width_rejected(self, tmp_path):
+        # No register has an even width 2M-1, so line 1 fails for every M.
+        path = tmp_path / "GMMatrix"
+        path.write_text("0001\t0.5\t0\tC0\n0010\t0.5\t0\tC0\n")
+        for M in (2, 3):
+            assert f"expected {2 * M - 1} bits, got 4" in _raises_on_line(path, 1, M=M)
+
     def test_nan_duplicate_record_fails_compile(self, tmp_path, capsys):
         path = tmp_path / "GMMatrix"
         path.write_text("000\tnan\t0\tC1\n" * 2)
