@@ -21,25 +21,31 @@ bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
 stage is one columnar :class:`GMMatrix`: sorted int64 indices and complex128
 coefficients.  A record's class b is not stored: it is the popcount of its
 index minus M-1.  Nothing is built per line: the bitstring stages are
-``(rows, n+1)`` uint8 ASCII matrices written with ``tobytes()``
-(FullBitString refills only the high columns of one block per chunk), the
-GMMatrix writer appends each distinct tail of a chunk, formatted once, to
-the chunk's bit rows viewed as strings, and the reader checks a block of
-lines at once with array masks over its raw bytes: the TAB after each bit
-field, which a good line has exactly ``width`` bytes in, becomes an LF, so
-one ``bytes.split`` gives the bit fields, joined into a ``(rows, width)``
-matrix, and the ``RE<TAB>IM<TAB>CLASS`` tails, each distinct one parsed once
-through one dict lookup per line.
+``(rows, n+1)`` uint8 ASCII matrices, unpacked from the big-endian bytes of
+the indices and written with ``tobytes()`` (FullBitString refills only the
+high columns of one block per chunk), and the GMMatrix lines come from one
+formatter, :func:`_lines`, which appends a tail formatted once per distinct
+``RE<TAB>IM<TAB>CLASS`` to the bit rows viewed as strings.
+:func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
+parity class.  It first compares the file with the bytes ``prepare`` writes
+for M, regenerated by that formatter one run of the support at a time, and
+keeps the records of a run that matches from the regenerated columns: a
+``prepare``-written stage is checked without parsing a line.  From the
+first run that differs it parses the rest of the file, a block of lines at
+once with array masks over its raw bytes: each bit field, which a good line
+has exactly ``width`` bytes long, is read column by column off the line
+starts, and its ``RE<TAB>IM<TAB>CLASS`` tail is looked up in a dict, so
+each distinct tail is parsed once.  Each parsed block is held to the
+closed form of :func:`assign_coefficients` in the same pass as the line
+checks, and only the records of the class asked for are kept.
 Every writer goes through one open file, ``CHUNK_ROWS`` lines at a time; the
-reader goes through one open file, ``READ_BLOCK`` bytes of whole lines at a
-time; and the support is kept from a scan of the 2^(2M-1) register in runs
-of ``CHUNK_ROWS`` indices.  So no temporary grows with the register, and none
-of stage I/O grows with the file beyond the columns it reads or writes.  The
-per-line grammar in :func:`_line_problem` only words the error for the first
-bad line.  :func:`read_gm_matrix` reads the stage of M clones, width 2M-1,
-for one parity class: it holds each block to the closed form of
-:func:`assign_coefficients` in the same pass as the line checks, and keeps
-only the records of that class.  A class is its bit b everywhere, as the
+reader goes through one open file, a run of lines or ``READ_BLOCK`` bytes of
+whole lines at a time; and the support is kept from a scan of the
+2^(2M-1) register in runs of ``CHUNK_ROWS`` indices (:func:`_support_runs`),
+the runs the reader compares.  So no temporary grows with the register, and
+none of stage I/O grows with the file beyond the columns it reads or
+writes.  The per-line grammar in :func:`_line_problem` only words the error
+for the first bad line.  A class is its bit b everywhere, as the
 ``basis:b`` input of ``compile`` names it.  The package writes the
 bitstring stages and reads only GMMatrix; the string generators and the
 per-line bitstring reader that the tests use live in ``tests/oracles.py``.
@@ -48,6 +54,8 @@ per-line bitstring reader that the tests use live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,9 +99,10 @@ class GMMatrix:
 
 def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     """ASCII bitstrings of ``indices``: a (rows, width+1) uint8 matrix, LF last."""
+    used = (width + 7) // 8  # low bytes of each big-endian index that hold bits
+    big = indices.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - used :]
     rows = np.empty((indices.size, width + 1), dtype=np.uint8)
-    for col in range(width):
-        rows[:, col] = ((indices >> (width - 1 - col)) & 1) + _ZERO
+    np.add(np.unpackbits(big, axis=1)[:, 8 * used - width :], _ZERO, out=rows[:, :width])
     rows[:, width] = _LF
     return rows
 
@@ -111,6 +120,15 @@ def _write_rows(path, rows: int, lines) -> None:
             handle.write(lines(lo, hi))
 
 
+def _support_runs(M: int):
+    """The support indices in each run of ``CHUNK_ROWS`` register indices,
+    run by run: those of popcount M-1 or M, sorted."""
+    for lo, hi in _row_chunks(2 ** (2 * M - 1)):
+        run = np.arange(lo, hi, dtype=np.int64)
+        ones = np.bitwise_count(run)
+        yield run[(ones == M - 1) | (ones == M)]
+
+
 def _support(M: int) -> tuple[int, np.ndarray]:
     """Width and sorted support indices of both classes.
 
@@ -118,16 +136,12 @@ def _support(M: int) -> tuple[int, np.ndarray]:
     of the clone of |0> has j ones in the clone sector and M-1-j in the
     anticlone sector for some j, and conversely any split of M-1 ones is
     realized.  They are kept from a scan of the register, one run of
-    ``CHUNK_ROWS`` indices at a time, so each comes out sorted.
+    ``CHUNK_ROWS`` indices at a time (:func:`_support_runs`), so each comes
+    out sorted.
     """
     check_register(M)
     n = 2 * M - 1
-    runs = []
-    for lo, hi in _row_chunks(2**n):
-        run = np.arange(lo, hi, dtype=np.int64)
-        ones = np.bitwise_count(run)
-        runs.append(run[(ones == M - 1) | (ones == M)])
-    support = np.concatenate(runs)
+    support = np.concatenate(list(_support_runs(M)))
     # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
     per_class = math.comb(n, M)
     if support.size != 2 * per_class:
@@ -152,35 +166,52 @@ def assign_coefficients(M: int) -> GMMatrix:
     ``gamma_j * ((-1)^j / sqrt(C(M, j)) * (1 / sqrt(C(M-1, j))))``.
     """
     n, support = _support(M)
-    return GMMatrix(n, support, _basis_amplitudes(M, support).astype(np.complex128))
+    return GMMatrix(n, support, _sector_amplitudes(M)[_sectors(M, support)].astype(np.complex128))
 
 
-def _basis_amplitudes(M: int, indices: np.ndarray) -> np.ndarray:
-    """The closed form of :func:`assign_coefficients` at the support kets
-    ``indices``, each of the class its popcount gives."""
-    ones = np.bitwise_count(indices >> (M - 1))
-    j = np.where(np.bitwise_count(indices) == M, M - ones, ones)
+def _sector_amplitudes(M: int) -> np.ndarray:
+    """The closed form of :func:`assign_coefficients`: the amplitude of a
+    support ket of sector j, for j = 0..M-1."""
     sectors = range(M)
     weights = np.array([gamma(M, k) for k in sectors])
     clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
     anti = np.array([1.0 / math.sqrt(math.comb(M - 1, k)) for k in sectors])
-    return (weights * (clone * anti))[j]
+    return weights * (clone * anti)
+
+
+def _sectors(M: int, indices: np.ndarray) -> np.ndarray:
+    """The sector j of each support ket of ``indices``, in the class its
+    popcount gives."""
+    ones = np.bitwise_count(indices >> (M - 1))
+    return np.where(np.bitwise_count(indices) == M, M - ones, ones)
 
 
 # ---------------------------------------------------------------------------
 # stage file I/O
 # ---------------------------------------------------------------------------
 
+def _tails(keys) -> np.ndarray:
+    """The ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` line tails of (RE text, IM text,
+    class bit) ``keys``, as an ``S`` array."""
+    return np.array([f"\t{re}\t{im}\tC{b}\n".encode("ascii") for re, im, b in keys])
+
+
+def _lines(indices: np.ndarray, width: int, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
+    """The GMMatrix lines of ``indices``: each bit field, its ``(rows,
+    width)`` uint8 row viewed as an ``S{width}`` string, followed by its
+    tail ``tails[tail_of]``.  ``np.strings.add`` appends the tails, and the
+    NUL padding of the shorter lines is dropped from the joined bytes."""
+    bits = _bit_rows(indices, width)[:, :width].copy().view(f"S{width}")
+    return np.strings.add(bits[:, 0], tails[tail_of]).tobytes().replace(b"\0", b"")
+
+
 def write_gm_matrix(path, matrix: GMMatrix) -> None:
     """Write ``matrix`` as a GMMatrix stage, ``CHUNK_ROWS`` lines at a time.
 
-    Nothing is built per line.  A chunk's bit fields are its ``(rows,
-    width)`` uint8 rows viewed as ``S{width}`` strings.  Its distinct
-    doubles, and then its distinct (RE, IM, CLASS) codes, come from two 1-D
-    ``np.unique`` calls, CLASS being C1 for popcount M and C0 otherwise;
-    each distinct ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tail is formatted once,
-    ``np.strings.add`` appends to each bit field its tail, and the NUL
-    padding of the shorter lines is dropped from the joined bytes.
+    Nothing is built per line.  A chunk's distinct doubles, and then its
+    distinct (RE, IM, CLASS) codes, come from two 1-D ``np.unique`` calls,
+    CLASS being C1 for popcount M and C0 otherwise; each distinct tail is
+    formatted once, and :func:`_lines` appends them to the bit fields.
     """
     width = matrix.width
     M = (width + 1) // 2
@@ -192,13 +223,11 @@ def write_gm_matrix(path, matrix: GMMatrix) -> None:
         codes = (inverse[: hi - lo] * values.size + inverse[hi - lo :]) * 2
         one = np.bitwise_count(matrix.indices[lo:hi]) == M
         keys, tail_of = np.unique(codes + one, return_inverse=True)
-        tails = np.array([
-            f"\t{texts[key // 2 // values.size]}\t{texts[key // 2 % values.size]}"
-            f"\tC{key % 2}\n".encode("ascii")
+        tails = _tails(
+            (texts[key // 2 // values.size], texts[key // 2 % values.size], key % 2)
             for key in keys.tolist()
-        ])
-        bits = _bit_rows(matrix.indices[lo:hi], width)[:, :width].copy().view(f"S{width}")
-        return np.strings.add(bits[:, 0], tails[tail_of]).tobytes().replace(b"\0", b"")
+        )
+        return _lines(matrix.indices[lo:hi], width, tails, tail_of)
 
     _write_rows(path, len(matrix), lines)
 
@@ -292,24 +321,24 @@ def _check_block(path, data: bytes, lineno: int, width: int, prev):
     at = np.minimum(starts + width, ends)
     bad = _first(buf[at] != _TAB)
     if bad:
-        # With that TAB made an LF, one split of the lines before ``bad``
-        # gives BITS, RE<TAB>IM<TAB>CLASS, BITS, ..., each BITS ``width`` bytes.
-        lined = buf[: ends[bad - 1]].copy()
-        lined[at[:bad]] = _LF
-        pieces = lined.tobytes().split(b"\n")
-        digits = np.frombuffer(b"".join(pieces[::2]), dtype=np.uint8) - _ZERO
-        line_bad = (digits > 1).reshape(bad, width).any(axis=1)
+        # The lines before ``bad`` have their BITS field ``width`` bytes
+        # long, so bit k of each is the byte k past its start.
         indices = np.zeros(bad, dtype=np.int64)
-        for column in digits.reshape(bad, width).T:
+        line_bad = np.zeros(bad, dtype=bool)
+        for k in range(width):
+            digits = buf[starts[:bad] + k] - _ZERO
+            line_bad |= digits > 1
             indices <<= 1
-            indices |= column
+            indices |= digits
         line_bad[1:] |= indices[1:] <= indices[:-1]
         if prev is not None:
             line_bad[0] |= indices[0] <= prev
         # A stage written from a few distinct doubles repeats a few tails on
         # every line: each distinct one is parsed once, in code order.
         tails = _Codes()
-        codes = np.fromiter(map(tails.__getitem__, pieces[1::2]), np.intp, bad)
+        tail = operator.itemgetter(slice(width + 1, None))
+        lines = data.split(b"\n", bad)
+        codes = np.fromiter(map(tails.__getitem__, map(tail, lines)), np.intp, bad)
         values, classes = zip(*map(_tail, tails))
         coefficients = np.array(values, dtype=np.complex128)[codes]
         classes = np.array(classes, dtype=np.int64)[codes]
@@ -333,6 +362,41 @@ def _check_block(path, data: bytes, lineno: int, width: int, prev):
     return indices, coefficients
 
 
+def _read_prepared_runs(handle, M: int, parity_class: int, columns) -> tuple[int, int | None]:
+    """Compare ``handle`` with the stage ``prepare`` writes for M, one run of
+    :func:`_support_runs` at a time, and append to ``columns`` the records
+    of class C{parity_class} of each run whose bytes match.
+
+    A run's lines are formatted by the writer's :func:`_lines`, with the 2M
+    tails of (class b, sector j) formatted once.  Its records are kept from
+    the regenerated columns: parsing its lines would give the same indices
+    and the same doubles, as ``float17`` round-trips and IM is 0.  Stops at
+    the first run that differs, with ``handle`` back at its first byte.
+    Returns the number of lines matched and the index of the last one, or
+    None.  A function of its own, so that the temporaries of the last run
+    are freed before the parse starts.
+    """
+    width = 2 * M - 1
+    amplitudes = _sector_amplitudes(M)
+    tails = _tails((float17(a), float17(0.0), b) for b in (0, 1) for a in amplitudes.tolist())
+    lineno, prev = 0, None
+    for run in _support_runs(M):
+        one = np.bitwise_count(run) == M
+        j = _sectors(M, run)
+        lines = _lines(run, width, tails, j + M * one)
+        data = handle.read(len(lines))
+        if data != lines:
+            handle.seek(-len(data), os.SEEK_CUR)
+            break
+        keep = one == parity_class
+        columns[0].append(run[keep])
+        columns[1].append(amplitudes[j[keep]].astype(np.complex128))
+        lineno += run.size
+        if run.size:
+            prev = int(run[-1])
+    return lineno, prev
+
+
 def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     """The records of class C{parity_class} of the GMMatrix stage of M
     clones, checked to be the cloner's.
@@ -350,23 +414,30 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     count error; then a coefficient error, which names the earliest record
     more than ``STAGE_ATOL`` from its amplitude.
 
-    The file is read through one open handle, ``READ_BLOCK`` bytes of whole
-    lines at a time; only the columns kept of the lines read so far grow
-    with it.
+    The file is read through one open handle.  It is first compared with
+    the bytes ``prepare`` writes, one support run at a time
+    (:func:`_read_prepared_runs`): the lines of a run that matches are the
+    cloner's, so none is parsed.  From the first run that differs to the
+    end of the file, ``READ_BLOCK`` bytes of whole lines at a time are
+    parsed and checked (:func:`_check_block`), with the line number and the
+    last index carried over.  So the errors, their order and their line
+    numbers do not depend on where the comparison stopped.  Only the
+    columns kept of the lines read so far grow with the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
         raise DomainError(f"a class read needs class 0 or 1, not {parity_class!r}")
     path = Path(path)
-    width, lineno, prev = 2 * M - 1, 0, None
+    width = 2 * M - 1
     off_error = None  # the error naming the earliest record off, if any
     columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
     with path.open("rb") as handle:
+        lineno, prev = _read_prepared_runs(handle, M, parity_class, columns)
         for data in _line_blocks(handle):
             block = _check_block(path, data, lineno, width, prev)
             indices, coefficients = block
             if off_error is None:
-                closed = _basis_amplitudes(M, indices)
+                closed = _sector_amplitudes(M)[_sectors(M, indices)]
                 off = np.abs(coefficients - closed)
                 at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
                 if at < off.size:

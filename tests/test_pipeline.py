@@ -310,11 +310,14 @@ class TestRunPipeline:
         assert (tmp_path / "FullBitString").read_text() == expected
 
     @pytest.mark.parametrize("M", range(1, 12))
-    def test_prepared_stage_passes_the_cross_check(self, tmp_path, M):
+    def test_prepared_stage_passes_the_cross_check(self, tmp_path, monkeypatch, M):
         matrix = run_pipeline(M, tmp_path)
         path = tmp_path / "GMMatrix"
         check_gm_matrix(matrix, M, path)
+        # Its bytes are the ones the reader regenerates: no line is parsed.
+        calls = _spy_on_check_block(monkeypatch)
         _assert_same(read_stage(path, M), matrix)
+        assert calls == []
 
     def test_produces_three_parsable_stages(self, tmp_path):
         records = run_pipeline(2, tmp_path)
@@ -377,6 +380,10 @@ class TestGMMatrixReaderSemantics:
         "line_number, field, text, problem",
         [
             (None, None, None, None),
+            # IM 0 spelled 0.0: the same table, parsed from line 1 or from
+            # the run of line 16384 on
+            (1, 2, b"0.0", None),
+            (16384, 2, b"0.0", None),
             (16384, 1, b"x1", "unparseable coefficient"),
             (16385, 2, b"inf", "non-finite coefficient"),
             (48620, 1, b"nan", "non-finite coefficient"),
@@ -388,15 +395,16 @@ class TestGMMatrixReaderSemantics:
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
         write_gm_matrix(path, matrix)
-        if line_number is None:
+        if line_number is not None:
+            lines = path.read_bytes().split(b"\n")
+            fields = lines[line_number - 1].split(b"\t")
+            fields[field] = text
+            lines[line_number - 1] = b"\t".join(fields)
+            path.write_bytes(b"\n".join(lines))
+        if problem is None:
             _assert_same(read_stage(path, 9), matrix)
-            return
-        lines = path.read_bytes().split(b"\n")
-        fields = lines[line_number - 1].split(b"\t")
-        fields[field] = text
-        lines[line_number - 1] = b"\t".join(fields)
-        path.write_bytes(b"\n".join(lines))
-        assert problem in _raises_on_line(path, line_number, M=9)
+        else:
+            assert problem in _raises_on_line(path, line_number, M=9)
 
 
 def _edited_m8_stage(tmp_path, row, field, text):
@@ -561,6 +569,31 @@ def _assert_same(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _respell(path, rows):
+    """Write RE of the lines ``rows`` of the stage at ``path`` in exponent
+    form and IM 0 as 0.0: the same doubles in other bytes than the
+    writer's, so the reader parses those lines."""
+    lines = path.read_bytes().split(b"\n")
+    for row in rows:
+        bits, re_text, im_text, cls_text = lines[row].split(b"\t")
+        assert im_text == b"0"
+        lines[row] = b"\t".join([bits, format(float(re_text), ".16e").encode(), b"0.0", cls_text])
+    path.write_bytes(b"\n".join(lines))
+
+
+def _spy_on_check_block(monkeypatch):
+    """Record the line count before and the bytes of each block that
+    ``pipeline._check_block`` parses, in a list."""
+    calls, check_block = [], pipeline._check_block
+
+    def spy(path, data, lineno, width, prev):
+        calls.append((lineno, data))
+        return check_block(path, data, lineno, width, prev)
+
+    monkeypatch.setattr(pipeline, "_check_block", spy)
+    return calls
+
+
 class TestClassRead:
     """``read_gm_matrix``: the cross-check of both classes, in the pass that
     reads the lines, and the records of one class kept."""
@@ -580,10 +613,13 @@ class TestClassRead:
         for M in range(1, 6):
             path = tmp_path / f"GMMatrix{M}"
             whole = assign_coefficients(M)
-            write_gm_matrix(path, whole)
-            for parity_class in CLASSES:
-                one = read_gm_matrix(path, M, parity_class)
-                _assert_same(one, _class_of(whole, parity_class))
+            for respelled in (False, True):
+                write_gm_matrix(path, whole)
+                if respelled:
+                    _respell(path, [0, len(whole) - 1])
+                for parity_class in CLASSES:
+                    one = read_gm_matrix(path, M, parity_class)
+                    _assert_same(one, _class_of(whole, parity_class))
 
     @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
     @pytest.mark.parametrize("where", ["line 1", "last block", "last line"])
@@ -712,10 +748,74 @@ class TestGMMatrixReaderBlocks:
             path = tmp_path / f"GMMatrix{M}"
             write_gm_matrix(path, assign_coefficients(M))
             whole = read_stage(path, M)
+            respelled = tmp_path / f"GMMatrix{M}-respelled"
+            respelled.write_bytes(path.read_bytes())
+            _respell(respelled, range(len(whole)))
             monkeypatch.setattr(pipeline, "READ_BLOCK", block)
             parts = read_stage(path, M)
+            parsed = read_stage(respelled, M)
             monkeypatch.undo()
             _assert_same(parts, whole)
+            _assert_same(parsed, whole)
+
+
+def _run_starts(M):
+    """The number of support kets before each run of ``_support_runs(M)``."""
+    sizes = [run.size for run in pipeline._support_runs(M)]
+    return np.cumsum([0] + sizes[:-1])
+
+
+class TestPreparedRuns:
+    """The reader compares the stage with the bytes ``prepare`` writes, one
+    support run at a time, and parses it only from the first line of the
+    first run that differs.  M = 9 has 8 runs."""
+
+    @pytest.mark.parametrize("where", ["first run", "middle run", "last run", "last line"])
+    def test_parses_from_the_run_of_the_edit(self, tmp_path, monkeypatch, where):
+        matrix = assign_coefficients(9)
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, matrix)
+        starts = _run_starts(9)
+        assert len(starts) == 8
+        row = {"first run": 0, "middle run": starts[4], "last run": starts[-1]}.get(
+            where, len(matrix) - 1)
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[row].split(b"\t")
+        fields[1] = b"x1"
+        lines[row] = b"\t".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        calls = _spy_on_check_block(monkeypatch)
+        with pytest.raises(StageParseError) as err:
+            read_gm_matrix(path, 9, 0)
+        assert str(err.value) == f"{path}:{row + 1}: unparseable coefficient 'x1'/'0'"
+        start = starts[starts <= row][-1]
+        lineno, data = calls[0]
+        assert lineno == start
+        assert data.startswith(lines[start] + b"\n")
+
+    def test_no_final_lf_is_parsed_from_the_last_run(self, tmp_path, monkeypatch):
+        matrix = assign_coefficients(9)
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, matrix)
+        path.write_bytes(path.read_bytes()[:-1])
+        calls = _spy_on_check_block(monkeypatch)
+        _assert_same(read_stage(path, 9), matrix)
+        assert calls and min(lineno for lineno, _ in calls) == _run_starts(9)[-1]
+
+    def test_extra_line_is_parsed_after_the_last_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix(path, assign_coefficients(9))
+        data = path.read_bytes()
+        last = data[data.rindex(b"\n", 0, -1) + 1 :]
+        path.write_bytes(data + last)
+        calls = _spy_on_check_block(monkeypatch)
+        with pytest.raises(StageParseError) as err:
+            read_gm_matrix(path, 9, 1)
+        bits = last.split(b"\t")[0].decode()
+        assert str(err.value) == (
+            f"{path}:48621: bitstring {bits} does not follow {bits} (need sorted, unique)"
+        )
+        assert [lineno for lineno, _ in calls] == [48620]
 
 
 class TestStageMemory:
@@ -735,12 +835,19 @@ class TestStageMemory:
             tracemalloc.reset_peak()
             loaded = read_gm_matrix(path, M, 1)
             read_peak = tracemalloc.get_traced_memory()[1]
+            del loaded
+            # Line 1's IM spelled 0.0: the same table, from every line parsed.
+            path.write_bytes(path.read_bytes().replace(b"\t0\tC0\n", b"\t0.0\tC0\n", 1))
+            tracemalloc.reset_peak()
+            parsed = read_gm_matrix(path, M, 1)
+            parse_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(loaded) == math.comb(2 * M - 1, M)
-        table = loaded.indices.nbytes + loaded.coefficients.nbytes
+        assert len(parsed) == math.comb(2 * M - 1, M)
+        table = parsed.indices.nbytes + parsed.coefficients.nbytes
         assert write_peak <= 8 * 2**20
         assert read_peak <= 2 * table
+        assert parse_peak <= 2 * table
 
 
 # ---------------------------------------------------------------------------

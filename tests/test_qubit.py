@@ -167,6 +167,17 @@ class TestBitIndex:
             bits = bits_of(np.arange(2**length), length)
             assert [int(b, 2) for b in bits] == list(range(2**length))
 
+    @pytest.mark.parametrize("width", [1, 23])
+    def test_narrowest_and_widest_register(self, width):
+        # Width 23 is the register of M = 12, the widest the guard admits.
+        top = 2**width - 1
+        values = np.unique(np.r_[0, 1, top // 2, top // 2 + 1, top - 1, top,
+                                 np.random.default_rng(width).integers(0, top, 1000)])
+        rows = _bit_rows(values, width)
+        assert rows.shape == (values.size, width + 1)
+        assert (rows[:, width] == ord("\n")).all()
+        assert bits_of(values, width) == [format(v, f"0{width}b") for v in values.tolist()]
+
     @given(st.integers(min_value=1, max_value=15), st.data())
     def test_roundtrip_property(self, length, data):
         value = data.draw(st.integers(min_value=0, max_value=2**length - 1))
