@@ -25,7 +25,6 @@ from .mps import (
 )
 from .pipeline import (
     GMMatrix,
-    assign_coefficients,
     run_pipeline,
 )
 from .analysis import (
@@ -54,7 +53,6 @@ __all__ = [
     "ScalingRow",
     "analyze_cloner",
     "anticlone",
-    "assign_coefficients",
     "bond_dimension",
     "dicke_outputs",
     "equatorial_qubit",

@@ -106,9 +106,9 @@ def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     (:func:`~gmclone.builder.dicke_outputs`) by ``mps_from_dicke``, with no
     2^M-wide array and no dense register; ``M_max`` keeps the register guard
     of the other commands (:class:`ResourceLimitError` above
-    ``FULL_ENUMERATION_LIMIT``).  Every row must satisfy
-    bond_dim <= 2M; the sweep itself is reported as data rather than
-    asserted beyond that bound.
+    ``FULL_ENUMERATION_LIMIT``).  The rows are data and nothing here checks
+    them: ``sweep`` prints each bond_dim next to its bound 2M, and the tests
+    check bond_dim <= 2M (acceptance criterion 9).
     """
     if M_min < 1 or M_min > M_max:
         raise DomainError("need 1 <= M_min <= M_max")

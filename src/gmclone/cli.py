@@ -89,13 +89,12 @@ def parse_input_spec(spec: str) -> Qubit:
 
 
 def cmd_prepare(args) -> int:
-    matrix = pipeline.run_pipeline(args.clones, args.out)
-    count1 = int(np.count_nonzero(np.bitwise_count(matrix.indices) == args.clones))
-    count0 = len(matrix) - count1
+    count0, count1 = pipeline.run_pipeline(args.clones, args.out)
+    records = count0 + count1
     print(f"FullBitString: {2 ** (2 * args.clones - 1)} lines -> "
           f"{args.out / pipeline.FULL_STAGE_NAME}")
-    print(f"GMBitString:   {len(matrix)} lines -> {args.out / pipeline.GM_STAGE_NAME}")
-    print(f"GMMatrix:      {len(matrix)} records -> {args.out / pipeline.MATRIX_STAGE_NAME}")
+    print(f"GMBitString:   {records} lines -> {args.out / pipeline.GM_STAGE_NAME}")
+    print(f"GMMatrix:      {records} records -> {args.out / pipeline.MATRIX_STAGE_NAME}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
 

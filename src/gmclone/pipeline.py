@@ -17,38 +17,39 @@ the arrangement multiplicity), signs included, so the file alone suffices
 to rebuild the dense states.
 
 In memory a bitstring is its basis index (qubit 1 is the most significant
-bit, so fixed-width lexicographic order is numeric order), and the GMMatrix
-stage is one columnar :class:`GMMatrix`: sorted int64 indices and complex128
-coefficients.  A record's class b is not stored: it is the popcount of its
-index minus M-1.  Nothing is built per line: the bitstring stages are
-``(rows, n+1)`` uint8 ASCII matrices, unpacked from the big-endian bytes of
-the indices and written with ``tobytes()`` (FullBitString refills only the
-high columns of one block per chunk), and the GMMatrix lines come from one
-formatter, :func:`_lines`, which appends a tail formatted once per distinct
-``RE<TAB>IM<TAB>CLASS`` to the bit rows viewed as strings.
+bit, so fixed-width lexicographic order is numeric order).  The support is
+kept from a scan of the 2^(2M-1) register in runs of ``CHUNK_ROWS``
+indices (:func:`_support_runs`), and the GMMatrix bytes of each run come
+from one generator, :func:`_stage_runs`: a record's class b is the
+popcount of its index minus M-1, its sector j a popcount of one half, and
+its line the bit field followed by one of the 2M ``RE<TAB>IM<TAB>CLASS``
+tails of (b, j), each formatted once.  Nothing is built per line: the bit
+fields are ``(rows, n+1)`` uint8 ASCII matrices, unpacked from the
+big-endian bytes of the indices and viewed as strings, and :func:`_lines`
+appends the tails to them.  ``prepare`` (:func:`run_pipeline`) writes
+GMBitString and GMMatrix from that generator in one pass through two open
+files, and FullBitString through a third, refilling only the high columns
+of one block per ``CHUNK_ROWS`` lines.
 :func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
-parity class.  It first compares the file with the bytes ``prepare`` writes
-for M, regenerated by that formatter one run of the support at a time, and
-keeps the records of a run that matches from the regenerated columns: a
-``prepare``-written stage is checked without parsing a line.  From the
-first run that differs it parses the rest of the file, a block of lines at
-once with array masks over its raw bytes: each bit field, which a good line
-has exactly ``width`` bytes long, is read column by column off the line
-starts, and its ``RE<TAB>IM<TAB>CLASS`` tail is looked up in a dict, so
-each distinct tail is parsed once.  Each parsed block is held to the
-closed form of :func:`assign_coefficients` in the same pass as the line
-checks, and only the records of the class asked for are kept.
-Every writer goes through one open file, ``CHUNK_ROWS`` lines at a time; the
-reader goes through one open file, a run of lines or ``READ_BLOCK`` bytes of
-whole lines at a time; and the support is kept from a scan of the
-2^(2M-1) register in runs of ``CHUNK_ROWS`` indices (:func:`_support_runs`),
-the runs the reader compares.  So no temporary grows with the register, and
-none of stage I/O grows with the file beyond the columns it reads or
-writes.  The per-line grammar in :func:`_line_problem` only words the error
-for the first bad line.  A class is its bit b everywhere, as the
-``basis:b`` input of ``compile`` names it.  The package writes the
-bitstring stages and reads only GMMatrix; the string generators and the
-per-line bitstring reader that the tests use live in ``tests/oracles.py``.
+parity class.  It first compares the file with the same generator's bytes,
+one run at a time, and keeps the records of a run that matches from the
+regenerated columns: a ``prepare``-written stage is checked without
+parsing a line.  From the first run that differs it parses the rest of the
+file, a block of lines at once with array masks over its raw bytes: each
+bit field, which a good line has exactly ``width`` bytes long, is read
+column by column off the line starts, and its ``RE<TAB>IM<TAB>CLASS`` tail
+is looked up in a dict, so each distinct tail is parsed once.  Each parsed
+block is held to the closed form of :func:`_sector_amplitudes` in the same
+pass as the line checks, and only the records of the class asked for are
+kept.  The reader goes through one open file, a run of lines or
+``READ_BLOCK`` bytes of whole lines at a time.  So no temporary grows with
+the register, and none of stage I/O grows with the file beyond the
+columns it reads.  The per-line grammar in :func:`_line_problem` only
+words the error for the first bad line.  A class is its bit b everywhere,
+as the ``basis:b`` input of ``compile`` names it.  The package writes the
+stages and reads only GMMatrix; the string generators, the per-line
+readers and writers, and the table of both classes that the tests use
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ from .errors import (
 )
 from ._format import float17
 
-# Stage lines written at a time: bounds the temporaries of the stage
-# writers.  A power of two.
+# Register indices scanned, and stage lines written, at a time: bounds the
+# temporaries of ``prepare``.  A power of two.
 CHUNK_ROWS = 1 << 14
 # Bytes read from a GMMatrix stage at a time, completed to a whole line.
 READ_BLOCK = 1 << 18
@@ -107,71 +108,36 @@ def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _row_chunks(rows: int):
-    """(lo, hi) bounds of consecutive runs of ``CHUNK_ROWS`` of ``rows`` rows."""
-    return ((lo, min(lo + CHUNK_ROWS, rows)) for lo in range(0, rows, CHUNK_ROWS))
-
-
-def _write_rows(path, rows: int, lines) -> None:
-    """Write ``lines(lo, hi)``, the bytes of rows lo..hi-1, for each chunk of
-    ``rows`` rows in order, through one open file."""
-    with Path(path).open("wb") as handle:
-        for lo, hi in _row_chunks(rows):
-            handle.write(lines(lo, hi))
-
-
 def _support_runs(M: int):
     """The support indices in each run of ``CHUNK_ROWS`` register indices,
-    run by run: those of popcount M-1 or M, sorted."""
-    for lo, hi in _row_chunks(2 ** (2 * M - 1)):
-        run = np.arange(lo, hi, dtype=np.int64)
-        ones = np.bitwise_count(run)
-        yield run[(ones == M - 1) | (ones == M)]
-
-
-def _support(M: int) -> tuple[int, np.ndarray]:
-    """Width and sorted support indices of both classes.
+    run by run: those of popcount M-1 or M, sorted.
 
     The supports are the full popcount classes M-1 and M: a support string
     of the clone of |0> has j ones in the clone sector and M-1-j in the
     anticlone sector for some j, and conversely any split of M-1 ones is
-    realized.  They are kept from a scan of the register, one run of
-    ``CHUNK_ROWS`` indices at a time (:func:`_support_runs`), so each comes
-    out sorted.
+    realized.
     """
-    check_register(M)
-    n = 2 * M - 1
-    support = np.concatenate(list(_support_runs(M)))
-    # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
-    per_class = math.comb(n, M)
-    if support.size != 2 * per_class:
-        raise InternalConsistencyError(
-            f"popcount classes of M={M} hold {support.size} support indices, "
-            f"expected {2 * per_class}, half with popcount M-1 and half with M"
-        )
-    return n, support
+    rows = 2 ** (2 * M - 1)
+    for lo in range(0, rows, CHUNK_ROWS):
+        run = np.arange(lo, min(lo + CHUNK_ROWS, rows), dtype=np.int64)
+        ones = np.bitwise_count(run)
+        yield run[(ones == M - 1) | (ones == M)]
 
 
-def assign_coefficients(M: int) -> GMMatrix:
-    """Attach the basis-clone amplitudes to the support, class by class.
+def _sector_amplitudes(M: int) -> np.ndarray:
+    """The amplitude of a support ket of sector j, for j = 0..M-1.
 
     Each support ket x|y (clone half x, anticlone half y) lies in exactly
     one sector j of its class's cloner output, so its amplitude is the one
     term ``gamma_j * S^M_j(q)[x] * S^(M-1)_j(anticlone(q))[y]`` of the sum
-    over sectors, with no ket and no dense state built.  For the clone of |0> the clone
-    sector's perp factors are the ones, so j = popcount(x); for the clone
-    of |1> they are the zeros, so j = M - popcount(x).  Either way the
-    sector kets of a basis input are equal-weight sums over placements,
-    with the sign (-1)^j of perp(|0>) = -|1> on one side: the term is
-    ``gamma_j * ((-1)^j / sqrt(C(M, j)) * (1 / sqrt(C(M-1, j))))``.
+    over sectors, with no ket and no dense state built.  For the clone of
+    |0> the clone sector's perp factors are the ones, so j = popcount(x);
+    for the clone of |1> they are the zeros, so j = M - popcount(x)
+    (:func:`_sectors`).  Either way the sector kets of a basis input are
+    equal-weight sums over placements, with the sign (-1)^j of perp(|0>) =
+    -|1> on one side: the term is ``gamma_j * ((-1)^j / sqrt(C(M, j)) *
+    (1 / sqrt(C(M-1, j))))``.
     """
-    n, support = _support(M)
-    return GMMatrix(n, support, _sector_amplitudes(M)[_sectors(M, support)].astype(np.complex128))
-
-
-def _sector_amplitudes(M: int) -> np.ndarray:
-    """The closed form of :func:`assign_coefficients`: the amplitude of a
-    support ket of sector j, for j = 0..M-1."""
     sectors = range(M)
     weights = np.array([gamma(M, k) for k in sectors])
     clone = np.array([(-1.0) ** k / math.sqrt(math.comb(M, k)) for k in sectors])
@@ -190,12 +156,6 @@ def _sectors(M: int, indices: np.ndarray) -> np.ndarray:
 # stage file I/O
 # ---------------------------------------------------------------------------
 
-def _tails(keys) -> np.ndarray:
-    """The ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` line tails of (RE text, IM text,
-    class bit) ``keys``, as an ``S`` array."""
-    return np.array([f"\t{re}\t{im}\tC{b}\n".encode("ascii") for re, im, b in keys])
-
-
 def _lines(indices: np.ndarray, width: int, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
     """The GMMatrix lines of ``indices``: each bit field, its ``(rows,
     width)`` uint8 row viewed as an ``S{width}`` string, followed by its
@@ -205,31 +165,23 @@ def _lines(indices: np.ndarray, width: int, tails: np.ndarray, tail_of: np.ndarr
     return np.strings.add(bits[:, 0], tails[tail_of]).tobytes().replace(b"\0", b"")
 
 
-def write_gm_matrix(path, matrix: GMMatrix) -> None:
-    """Write ``matrix`` as a GMMatrix stage, ``CHUNK_ROWS`` lines at a time.
+def _stage_runs(M: int):
+    """The GMMatrix stage of M clones, one run of :func:`_support_runs` at a
+    time: the run's indices, class bits, sectors j and lines.
 
-    Nothing is built per line.  A chunk's distinct doubles, and then its
-    distinct (RE, IM, CLASS) codes, come from two 1-D ``np.unique`` calls,
-    CLASS being C1 for popcount M and C0 otherwise; each distinct tail is
-    formatted once, and :func:`_lines` appends them to the bit fields.
+    The lines come from :func:`_lines`, with the 2M
+    ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j) formatted
+    once: the amplitude of sector j, IM 0 and C{b}.
     """
-    width = matrix.width
-    M = (width + 1) // 2
-
-    def lines(lo, hi):
-        part = matrix.coefficients[lo:hi]
-        values, inverse = np.unique(np.concatenate([part.real, part.imag]), return_inverse=True)
-        texts = [float17(v) for v in values.tolist()]
-        codes = (inverse[: hi - lo] * values.size + inverse[hi - lo :]) * 2
-        one = np.bitwise_count(matrix.indices[lo:hi]) == M
-        keys, tail_of = np.unique(codes + one, return_inverse=True)
-        tails = _tails(
-            (texts[key // 2 // values.size], texts[key // 2 % values.size], key % 2)
-            for key in keys.tolist()
-        )
-        return _lines(matrix.indices[lo:hi], width, tails, tail_of)
-
-    _write_rows(path, len(matrix), lines)
+    width = 2 * M - 1
+    tails = np.array([
+        f"\t{float17(a)}\t{float17(0.0)}\tC{b}\n".encode("ascii")
+        for b in (0, 1) for a in _sector_amplitudes(M).tolist()
+    ])
+    for run in _support_runs(M):
+        one = np.bitwise_count(run) == M
+        j = _sectors(M, run)
+        yield run, one, j, _lines(run, width, tails, j + M * one)
 
 
 def _line_problem(line: bytes, width: int, prev_bits: str | None):
@@ -367,23 +319,18 @@ def _read_prepared_runs(handle, M: int, parity_class: int, columns) -> tuple[int
     :func:`_support_runs` at a time, and append to ``columns`` the records
     of class C{parity_class} of each run whose bytes match.
 
-    A run's lines are formatted by the writer's :func:`_lines`, with the 2M
-    tails of (class b, sector j) formatted once.  Its records are kept from
-    the regenerated columns: parsing its lines would give the same indices
-    and the same doubles, as ``float17`` round-trips and IM is 0.  Stops at
+    A run's lines come from :func:`_stage_runs`, the generator ``prepare``
+    writes the stage from.  Its records are kept from the regenerated
+    columns: parsing its lines would give the same indices and the same
+    doubles, as ``float17`` round-trips and IM is 0.  Stops at
     the first run that differs, with ``handle`` back at its first byte.
     Returns the number of lines matched and the index of the last one, or
     None.  A function of its own, so that the temporaries of the last run
     are freed before the parse starts.
     """
-    width = 2 * M - 1
     amplitudes = _sector_amplitudes(M)
-    tails = _tails((float17(a), float17(0.0), b) for b in (0, 1) for a in amplitudes.tolist())
     lineno, prev = 0, None
-    for run in _support_runs(M):
-        one = np.bitwise_count(run) == M
-        j = _sectors(M, run)
-        lines = _lines(run, width, tails, j + M * one)
+    for run, one, j, lines in _stage_runs(M):
         data = handle.read(len(lines))
         if data != lines:
             handle.seek(-len(data), os.SEEK_CUR)
@@ -407,7 +354,7 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
     M-1 and ``C1`` for popcount M.  Only LF ends a line, and a last line
     without one still counts.  The records of both classes are held to the
-    closed form of :func:`assign_coefficients` as their block is read, their
+    closed form of :func:`_sector_amplitudes` as their block is read, their
     count is checked at the end, and only the records of the class asked
     for are kept.  A line error anywhere comes first, naming the earliest
     bad line with the first check it fails in :func:`_line_problem`; then a
@@ -465,25 +412,41 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     return GMMatrix(width, *joined)
 
 
-def run_pipeline(M: int, out_dir) -> GMMatrix:
+def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     """Run all three stages, persist them under ``out_dir`` as
     ``FULL_STAGE_NAME``, ``GM_STAGE_NAME`` and ``MATRIX_STAGE_NAME``, and
-    return the GMMatrix stage."""
+    return the record counts of classes C0 and C1.
+
+    GMBitString and GMMatrix are written in one pass over
+    :func:`_stage_runs`, and the counts are checked to make up the whole
+    support, 2 C(2M-1, M) kets.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    matrix = assign_coefficients(M)
-    n = matrix.width
+    check_register(M)
+    n = 2 * M - 1
     # The low bits of a chunk of FullBitString lines are those of every
     # chunk (CHUNK_ROWS is a power of two), and its high bits are constant.
     low = min(n, CHUNK_ROWS.bit_length() - 1)
     block = _bit_rows(np.arange(1 << low, dtype=np.int64), n)
-
-    def full_lines(lo, hi):
-        block[:, : n - low] = _bit_rows(np.array([lo >> low]), n - low)[:, :-1]
-        return block.tobytes()
-
-    _write_rows(out_dir / FULL_STAGE_NAME, 2**n, full_lines)
-    _write_rows(out_dir / GM_STAGE_NAME, len(matrix), lambda lo, hi: _bit_rows(
-        matrix.indices[lo:hi], n).tobytes())
-    write_gm_matrix(out_dir / MATRIX_STAGE_NAME, matrix)
-    return matrix
+    with (out_dir / FULL_STAGE_NAME).open("wb") as full:
+        for high in range(1 << (n - low)):
+            block[:, : n - low] = _bit_rows(np.array([high]), n - low)[:, :-1]
+            full.write(block.tobytes())
+    counts = [0, 0]
+    with (out_dir / GM_STAGE_NAME).open("wb") as gm, \
+            (out_dir / MATRIX_STAGE_NAME).open("wb") as matrix:
+        for run, one, _, lines in _stage_runs(M):
+            gm.write(_bit_rows(run, n).tobytes())
+            matrix.write(lines)
+            ones = int(np.count_nonzero(one))
+            counts[0] += run.size - ones
+            counts[1] += ones
+    # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
+    total, expected = sum(counts), 2 * math.comb(n, M)
+    if total != expected:
+        raise InternalConsistencyError(
+            f"popcount classes of M={M} hold {total} support indices, "
+            f"expected {expected}, half with popcount M-1 and half with M"
+        )
+    return counts[0], counts[1]

@@ -25,9 +25,11 @@ cross-check the package:
 * the bitstring stages as Python strings, generated by a plain scan of the
   register, and their per-line reader and writer, and a per-line GMMatrix
   writer;
-* ``check_gm_matrix``, the stage cross-check over a table already in
-  memory, ``read_stage``, a whole stage from its two class reads, and
-  ``reconstruct_state``, one class of a table as a dense register.
+* ``assign_coefficients``, the table of both classes that ``prepare``
+  writes, from a plain scan of the register, ``check_gm_matrix``, the
+  stage cross-check over a table already in memory, ``read_stage``, a
+  whole stage from its two class reads, and ``reconstruct_state``, one
+  class of a table as a dense register.
 
 Every function that moved here from the package keeps the signature it had
 there.
@@ -441,6 +443,32 @@ def write_gm_matrix_lines(path, matrix: GMMatrix) -> None:
     Path(path).write_text("".join(lines), encoding="ascii")
 
 
+def _closed_form(M: int, indices: np.ndarray) -> np.ndarray:
+    """The cloner's amplitude of each support ket of ``indices``:
+    ``gamma_j (-1)^j / sqrt(C(M, j)) / sqrt(C(M-1, j))``, j the popcount of
+    the clone half for C0 and M minus it for C1."""
+    amplitude = np.array([
+        gamma(M, j) * ((-1.0) ** j / math.sqrt(math.comb(M, j))
+                       * (1.0 / math.sqrt(math.comb(M - 1, j))))
+        for j in range(M)
+    ])
+    ones = np.bitwise_count(indices >> (M - 1)).astype(np.int64)
+    one = np.bitwise_count(indices) == M
+    return amplitude[np.where(one, M - ones, ones)]
+
+
+def assign_coefficients(M: int) -> GMMatrix:
+    """The GMMatrix table of M clones: every support ket of both classes,
+    the indices of popcount M-1 or M in one scan of the register, sorted,
+    each with its closed-form amplitude."""
+    check_register(M)
+    n = 2 * M - 1
+    indices = np.arange(2**n, dtype=np.int64)
+    ones = np.bitwise_count(indices)
+    support = indices[(ones == M - 1) | (ones == M)]
+    return GMMatrix(n, support, _closed_form(M, support).astype(np.complex128))
+
+
 def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
     """Require ``matrix`` to be the GMMatrix stage of M clones: all
     2 C(2M-1, M) support kets, each within ``STAGE_ATOL`` of its closed-form
@@ -460,14 +488,7 @@ def check_gm_matrix(matrix: GMMatrix, M: int, source) -> None:
             f"{source}: {len(matrix)} records, but the cloner of "
             f"M={M} has {expected} support kets"
         )
-    amplitude = np.array([
-        gamma(M, j) * ((-1.0) ** j / math.sqrt(math.comb(M, j))
-                       * (1.0 / math.sqrt(math.comb(M - 1, j))))
-        for j in range(M)
-    ])
-    ones = np.bitwise_count(matrix.indices >> (M - 1)).astype(np.int64)
-    one = np.bitwise_count(matrix.indices) == M
-    closed = amplitude[np.where(one, M - ones, ones)]
+    closed = _closed_form(M, matrix.indices)
     off = np.abs(matrix.coefficients - closed)
     bad = np.flatnonzero(~(off <= STAGE_ATOL))
     if bad.size:

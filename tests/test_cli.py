@@ -27,12 +27,15 @@ from gmclone.mps import load_mps
 from gmclone.qubit import BASIS
 
 from oracles import (
+    assign_coefficients,
     blockwise_roundtrip,
     dicke_state,
     gm_factors,
     gm_from_factors,
     mps_to_state,
+    read_stage,
     reconstruct_state,
+    write_gm_matrix_lines,
 )
 
 
@@ -82,6 +85,42 @@ class TestPrepare:
     def test_single_clone_has_two_records(self, tmp_path):
         main(["prepare", "--clones", "1", "--out", str(tmp_path)])
         assert len((tmp_path / "GMMatrix").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("M", range(1, 12))
+    def test_stdout_counts_the_streamed_records(self, tmp_path, capsys, M):
+        code = main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        per_class = math.comb(2 * M - 1, M)
+        assert code == EXIT_OK
+        assert captured.out.replace(str(tmp_path), "OUT") == (
+            f"FullBitString: {2 ** (2 * M - 1)} lines -> OUT/FullBitString\n"
+            f"GMBitString:   {2 * per_class} lines -> OUT/GMBitString\n"
+            f"GMMatrix:      {2 * per_class} records -> OUT/GMMatrix\n"
+            f"parity classes: C0={per_class} C1={per_class}\n"
+        )
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("M", [2, 9])
+    def test_short_support_exits_4(self, tmp_path, capsys, monkeypatch, M):
+        # The support scan loses the first index of its first run: the
+        # streamed counts no longer make up 2 C(2M-1, M) kets.
+        support_runs = pipeline._support_runs
+
+        def short_runs(M):
+            runs = support_runs(M)
+            yield next(runs)[1:]
+            yield from runs
+
+        monkeypatch.setattr(pipeline, "_support_runs", short_runs)
+        code = main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        expected = 2 * math.comb(2 * M - 1, M)
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: popcount classes of M={M} hold {expected - 1} support indices, "
+            f"expected {expected}, half with popcount M-1 and half with M\n"
+        )
 
     def test_resource_guard_exit_code(self, tmp_path, capsys):
         code = main(["prepare", "--clones", "99", "--out", str(tmp_path)])
@@ -196,7 +235,8 @@ class TestCompile:
         q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
         cases = [("amps:0.3,-0.2,0.5,0.4", lambda: gm_from_factors(*gm_factors(M, q)))]
         cases.append(("amps:0.3,-0.2,0.5,0.4", lambda: dicke_state(dicke_outputs(M, [q])[0])))
-        matrix = pipeline.run_pipeline(M, tmp_path)
+        pipeline.run_pipeline(M, tmp_path)
+        matrix = read_stage(tmp_path / "GMMatrix", M)
         for bit in (0, 1):
             cases.append((f"basis:{bit}", functools.partial(
                 reconstruct_state, matrix, M, bit)))
@@ -288,8 +328,8 @@ class TestCompile:
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
         capsys.readouterr()
         path = tmp_path / "GMMatrix"
-        matrix = pipeline.assign_coefficients(M)
-        pipeline.write_gm_matrix(path, pipeline.GMMatrix(
+        matrix = assign_coefficients(M)
+        write_gm_matrix_lines(path, pipeline.GMMatrix(
             matrix.width, matrix.indices, 2 * matrix.coefficients,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
@@ -308,11 +348,11 @@ class TestCompile:
         main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
         capsys.readouterr()
         path = tmp_path / "GMMatrix"
-        matrix = pipeline.assign_coefficients(M)
+        matrix = assign_coefficients(M)
         coefficients = matrix.coefficients.copy()
         edited = int(np.flatnonzero(matrix.indices == 0b100_01)[0])
         coefficients[edited] += delta
-        pipeline.write_gm_matrix(path, pipeline.GMMatrix(
+        write_gm_matrix_lines(path, pipeline.GMMatrix(
             matrix.width, matrix.indices, coefficients,
         ))
         argv = ["compile", "--clones", str(M), "--input", "basis:0", "--out", str(tmp_path)]
@@ -440,7 +480,7 @@ class TestDickeSweep:
         # The pairwise per-cell sums of the stage records land within
         # rounding of the builder's c; a sequential sum (np.bincount with
         # weights) lands 1.8e-12 off at M = 12.
-        table = pipeline.assign_coefficients(M)
+        table = assign_coefficients(M)
         for bit in (0, 1):
             keep = np.bitwise_count(table.indices) == M - 1 + bit
             records = (table.indices[keep], table.coefficients[keep])

@@ -30,12 +30,12 @@ from gmclone.mps import (
     mps_from_dicke,
     save_mps,
 )
-from gmclone.pipeline import assign_coefficients
 from gmclone.qubit import BASIS, equatorial_qubit, make_qubit
 
 from oracles import (
     GMParameters,
     StateVector,
+    assign_coefficients,
     build_gm,
     build_gm_basis,
     combine_basis_mps,

@@ -19,7 +19,6 @@ PUBLIC = [
     "ScalingRow",
     "analyze_cloner",
     "anticlone",
-    "assign_coefficients",
     "bond_dimension",
     "dicke_outputs",
     "equatorial_qubit",
@@ -57,6 +56,7 @@ ORACLES = [
     "gen_gm_bitstrings",
     "write_bitstring_stage",
     "read_bitstring_stage",
+    "assign_coefficients",
     "check_gm_matrix",
     "reconstruct_state",
 ]

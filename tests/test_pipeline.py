@@ -19,14 +19,12 @@ from gmclone.cli import main
 from gmclone.pipeline import (
     GMMatrix,
     _line_problem,
-    _support,
-    assign_coefficients,
     read_gm_matrix,
     run_pipeline,
-    write_gm_matrix,
 )
 
 from oracles import (
+    assign_coefficients,
     build_gm_basis,
     check_gm_matrix,
     gen_full_bitstrings,
@@ -94,7 +92,8 @@ class TestGMBitstrings:
     def test_support_is_the_popcount_scan(self, monkeypatch, M, chunk):
         # Small chunks split a popcount class at the edges of the runs.
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
-        n, support = _support(M)
+        n = 2 * M - 1
+        support = np.concatenate(list(pipeline._support_runs(M)))
         counts = np.bitwise_count(np.arange(2**n, dtype=np.int64))
         expected = np.flatnonzero((counts == M - 1) | (counts == M))
         assert support.dtype == np.int64
@@ -239,7 +238,7 @@ class TestStageFiles:
     def test_matrix_roundtrip_exact(self, tmp_path):
         path = tmp_path / "GMMatrix"
         records = assign_coefficients(2)
-        write_gm_matrix(path, records)
+        run_pipeline(2, tmp_path)
         loaded = read_stage(path, 2)
         assert len(loaded) == 6
         assert loaded.width == records.width
@@ -250,30 +249,9 @@ class TestStageFiles:
     def test_matrix_rewrite_byte_identical(self, tmp_path):
         path1 = tmp_path / "GMMatrix"
         path2 = tmp_path / "GMMatrix2"
-        write_gm_matrix(path1, assign_coefficients(3))
-        write_gm_matrix(path2, read_stage(path1, 3))
+        run_pipeline(3, tmp_path)
+        write_gm_matrix_lines(path2, read_stage(path1, 3))
         assert path1.read_bytes() == path2.read_bytes()
-
-    @pytest.mark.parametrize(
-        "M, chunk", [(1, 1), (4, 1), (4, 7), (9, 1000), (9, pipeline.CHUNK_ROWS)]
-    )
-    def test_matrix_writer_matches_the_per_line_writer(self, tmp_path, monkeypatch, M, chunk):
-        # Any coefficients, not only the cloner's: repeated, signed-zero,
-        # NaN, infinite and random ones, in chunks of several sizes.
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
-        rng = np.random.default_rng(M)
-        table = assign_coefficients(M)
-        n = len(table)
-        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e17])
-        re = np.where(rng.random(n) < 0.5, rng.choice(special, n), rng.normal(size=n))
-        im = np.where(rng.random(n) < 0.5, rng.choice(special, n), table.coefficients.real)
-        values = re.astype(np.complex128)
-        values.imag = im
-        edited = GMMatrix(table.width, table.indices, values)
-        for matrix in (table, edited):
-            write_gm_matrix(tmp_path / "GMMatrix", matrix)
-            write_gm_matrix_lines(tmp_path / "lines", matrix)
-            assert (tmp_path / "GMMatrix").read_bytes() == (tmp_path / "lines").read_bytes()
 
     @pytest.mark.parametrize(
         "line",
@@ -311,19 +289,21 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("M", range(1, 12))
     def test_prepared_stage_passes_the_cross_check(self, tmp_path, monkeypatch, M):
-        matrix = run_pipeline(M, tmp_path)
+        per_class = math.comb(2 * M - 1, M)
+        assert run_pipeline(M, tmp_path) == (per_class, per_class)
         path = tmp_path / "GMMatrix"
-        check_gm_matrix(matrix, M, path)
         # Its bytes are the ones the reader regenerates: no line is parsed.
         calls = _spy_on_check_block(monkeypatch)
-        _assert_same(read_stage(path, M), matrix)
+        matrix = read_stage(path, M)
         assert calls == []
+        check_gm_matrix(matrix, M, path)
+        _assert_same(matrix, assign_coefficients(M))
 
     def test_produces_three_parsable_stages(self, tmp_path):
-        records = run_pipeline(2, tmp_path)
+        assert run_pipeline(2, tmp_path) == (3, 3)
         assert read_bitstring_stage(tmp_path / "FullBitString") == gen_full_bitstrings(2)
         assert read_bitstring_stage(tmp_path / "GMBitString") == gen_gm_bitstrings(2)
-        assert len(read_stage(tmp_path / "GMMatrix", 2)) == len(records) == 6
+        assert len(read_stage(tmp_path / "GMMatrix", 2)) == 6
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
@@ -356,7 +336,7 @@ class TestGMMatrixReaderSemantics:
     def test_final_line_without_lf_parses(self, tmp_path):
         path = tmp_path / "GMMatrix"
         matrix = assign_coefficients(2)
-        write_gm_matrix(path, matrix)
+        run_pipeline(2, tmp_path)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         _assert_same(read_stage(path, 2), matrix)
 
@@ -394,7 +374,7 @@ class TestGMMatrixReaderSemantics:
         of lines; a bad one is still reported on its own line."""
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, matrix)
+        run_pipeline(9, tmp_path)
         if line_number is not None:
             lines = path.read_bytes().split(b"\n")
             fields = lines[line_number - 1].split(b"\t")
@@ -413,7 +393,7 @@ def _edited_m8_stage(tmp_path, row, field, text):
     that block set to ``text``; the path, the edited line and the matrix."""
     matrix = assign_coefficients(8)
     path = tmp_path / "GMMatrix"
-    write_gm_matrix(path, matrix)
+    run_pipeline(8, tmp_path)
     lines = path.read_bytes().split(b"\n")[:-1]
     starts = np.cumsum([0] + [len(line) + 1 for line in lines])
     # A block is READ_BLOCK bytes completed to a whole line, so the second
@@ -602,7 +582,7 @@ class TestClassRead:
     def test_equals_the_filtered_table(self, tmp_path, M):
         path = tmp_path / "GMMatrix"
         whole = assign_coefficients(M)
-        write_gm_matrix(path, whole)
+        run_pipeline(M, tmp_path)
         for parity_class in CLASSES:
             one = read_gm_matrix(path, M, parity_class)
             _assert_same(one, _class_of(whole, parity_class))
@@ -610,11 +590,11 @@ class TestClassRead:
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_equals_the_filtered_table_in_small_blocks(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+        path = tmp_path / "GMMatrix"
         for M in range(1, 6):
-            path = tmp_path / f"GMMatrix{M}"
             whole = assign_coefficients(M)
             for respelled in (False, True):
-                write_gm_matrix(path, whole)
+                run_pipeline(M, tmp_path)
                 if respelled:
                     _respell(path, [0, len(whole) - 1])
                 for parity_class in CLASSES:
@@ -628,7 +608,7 @@ class TestClassRead:
         # checks both classes.
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, matrix)
+        run_pipeline(9, tmp_path)
         with path.open("rb") as handle:
             last_block = list(pipeline._line_blocks(handle))[-1]
         row = {"line 1": 0, "last line": len(matrix) - 1}.get(
@@ -636,7 +616,7 @@ class TestClassRead:
         coefficients = matrix.coefficients.copy()
         coefficients[row] += 1e-3
         table = GMMatrix(17, matrix.indices, coefficients)
-        write_gm_matrix(path, table)
+        write_gm_matrix_lines(path, table)
         with pytest.raises(InternalConsistencyError) as err:
             read_gm_matrix(path, 9, parity_class)
         assert str(err.value).startswith(f"{path}:{row + 1}: coefficient is 0.001 from ")
@@ -654,7 +634,7 @@ class TestClassRead:
         coefficients = matrix.coefficients + 1e-3 * np.maximum(np.arange(len(matrix)) - 2, 0)
         path = tmp_path / "GMMatrix"
         table = GMMatrix(7, matrix.indices, coefficients)
-        write_gm_matrix(path, table)
+        write_gm_matrix_lines(path, table)
         monkeypatch.setattr(pipeline, "READ_BLOCK", 100)
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         with path.open("rb") as handle:
@@ -669,7 +649,7 @@ class TestClassRead:
     @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
     def test_missing_record_fails_on_the_count(self, tmp_path, parity_class):
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, assign_coefficients(6))
+        run_pipeline(6, tmp_path)
         lines = path.read_bytes().split(b"\n")
         del lines[300]
         path.write_bytes(b"\n".join(lines))
@@ -683,7 +663,7 @@ class TestClassRead:
         coefficients = matrix.coefficients.copy()
         coefficients[1] += 1.0
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, GMMatrix(5, matrix.indices, coefficients))
+        write_gm_matrix_lines(path, GMMatrix(5, matrix.indices, coefficients))
         good = path.read_bytes()
         path.write_bytes(good + b"11111\t0\t0\tC1\n")
         with pytest.raises(StageParseError, match="neither parity class"):
@@ -737,7 +717,7 @@ class TestGMMatrixReaderBlocks:
         monkeypatch.setattr(pipeline, "READ_BLOCK", block)
         path = tmp_path / "GMMatrix"
         matrix = assign_coefficients(2)
-        write_gm_matrix(path, matrix)
+        run_pipeline(2, tmp_path)
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         assert path.read_bytes().rindex(b"\n") + 1 == 149
         _assert_same(read_stage(path, 2), matrix)
@@ -745,8 +725,8 @@ class TestGMMatrixReaderBlocks:
     @pytest.mark.parametrize("block", [5, 64, 1000])
     def test_blocks_give_the_same_arrays(self, tmp_path, monkeypatch, block):
         for M in range(1, 7):
-            path = tmp_path / f"GMMatrix{M}"
-            write_gm_matrix(path, assign_coefficients(M))
+            run_pipeline(M, tmp_path / f"m{M}")
+            path = tmp_path / f"m{M}" / "GMMatrix"
             whole = read_stage(path, M)
             respelled = tmp_path / f"GMMatrix{M}-respelled"
             respelled.write_bytes(path.read_bytes())
@@ -774,7 +754,7 @@ class TestPreparedRuns:
     def test_parses_from_the_run_of_the_edit(self, tmp_path, monkeypatch, where):
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, matrix)
+        run_pipeline(9, tmp_path)
         starts = _run_starts(9)
         assert len(starts) == 8
         row = {"first run": 0, "middle run": starts[4], "last run": starts[-1]}.get(
@@ -796,7 +776,7 @@ class TestPreparedRuns:
     def test_no_final_lf_is_parsed_from_the_last_run(self, tmp_path, monkeypatch):
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, matrix)
+        run_pipeline(9, tmp_path)
         path.write_bytes(path.read_bytes()[:-1])
         calls = _spy_on_check_block(monkeypatch)
         _assert_same(read_stage(path, 9), matrix)
@@ -804,7 +784,7 @@ class TestPreparedRuns:
 
     def test_extra_line_is_parsed_after_the_last_run(self, tmp_path, monkeypatch):
         path = tmp_path / "GMMatrix"
-        write_gm_matrix(path, assign_coefficients(9))
+        run_pipeline(9, tmp_path)
         data = path.read_bytes()
         last = data[data.rindex(b"\n", 0, -1) + 1 :]
         path.write_bytes(data + last)
@@ -819,19 +799,18 @@ class TestPreparedRuns:
 
 
 class TestStageMemory:
-    """tracemalloc peaks of the GMMatrix writer and reader: the writer holds
-    one chunk of lines, the reader the columns of the class it returns and
-    one block, not the table of both classes and then a copy of one."""
+    """tracemalloc peaks of ``prepare`` and the GMMatrix reader: ``prepare``
+    holds one run of lines, flat in M, and the reader the columns of the
+    class it returns and one block, not the table of both classes and then
+    a copy of one."""
 
     @pytest.mark.parametrize("M", [10, 11])
     def test_stage_io_peaks(self, tmp_path, M):
-        matrix = assign_coefficients(M)
         path = tmp_path / "GMMatrix"
         tracemalloc.start()
         try:
-            write_gm_matrix(path, matrix)
-            write_peak = tracemalloc.get_traced_memory()[1]
-            del matrix
+            run_pipeline(M, tmp_path)
+            prepare_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             loaded = read_gm_matrix(path, M, 1)
             read_peak = tracemalloc.get_traced_memory()[1]
@@ -845,13 +824,13 @@ class TestStageMemory:
             tracemalloc.stop()
         assert len(parsed) == math.comb(2 * M - 1, M)
         table = parsed.indices.nbytes + parsed.coefficients.nbytes
-        assert write_peak <= 8 * 2**20
+        assert prepare_peak <= 4 * 2**20
         assert read_peak <= 2 * table
         assert parse_peak <= 2 * table
 
 
 # ---------------------------------------------------------------------------
-# property tests: the array writer and reader against per-line references
+# property tests: the array reader against per-line references
 # ---------------------------------------------------------------------------
 
 EDGE_DOUBLES = [
@@ -909,7 +888,7 @@ class TestGMMatrixProperties:
     def test_write_read_roundtrip(self, tmp_path, matrix):
         first = tmp_path / "GMMatrix"
         second = tmp_path / "GMMatrix2"
-        write_gm_matrix(first, matrix)
+        write_gm_matrix_lines(first, matrix)
         assert first.read_text() == _reference_text(matrix)
         if not len(matrix):
             return  # an empty file: no block of lines to parse
@@ -919,7 +898,7 @@ class TestGMMatrixProperties:
         indices, coefficients = pipeline._check_block(first, data, 0, matrix.width, None)
         np.testing.assert_array_equal(indices, matrix.indices)
         np.testing.assert_array_equal(coefficients, matrix.coefficients)
-        write_gm_matrix(second, GMMatrix(matrix.width, indices, coefficients))
+        write_gm_matrix_lines(second, GMMatrix(matrix.width, indices, coefficients))
         assert second.read_bytes() == data
 
     @settings(max_examples=150, deadline=None,
