@@ -103,8 +103,8 @@ def _stage_records(args, matrix_path):
     """Sorted indices and coefficients of the basis input's parity class in
     the GMMatrix stage at ``matrix_path``, or None when the input is not a
     basis state or the stage is absent.  The stage must be the cloner's: one
-    class read (``pipeline.read_gm_matrix``) checks both classes block by
-    block and keeps only this one."""
+    class read (``pipeline.read_gm_matrix``) checks both classes run by run
+    and keeps only this one."""
     bit = _basis_bit(args.input)
     if bit is None or not matrix_path.is_file():
         return None

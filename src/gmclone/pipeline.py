@@ -24,38 +24,33 @@ from one generator, :func:`_stage_runs`: a record's class b is the
 popcount of its index minus M-1, its sector j a popcount of one half, and
 its line the bit field followed by one of the 2M ``RE<TAB>IM<TAB>CLASS``
 tails of (b, j), each formatted once.  Nothing is built per line: the bit
-fields are ``(rows, n+1)`` uint8 ASCII matrices, unpacked from the
-big-endian bytes of the indices and viewed as strings, and :func:`_lines`
-appends the tails to them.  ``prepare`` (:func:`run_pipeline`) writes
-GMBitString and GMMatrix from that generator in one pass through two open
-files, and FullBitString through a third, refilling only the high columns
-of one block per ``CHUNK_ROWS`` lines.
+fields are ``(rows, n+1)`` uint8 ASCII matrices, unpacked once per run
+from the big-endian bytes of the indices: they are the run's GMBitString
+lines, and :func:`_lines` views them as strings and appends the tails.
+``prepare`` (:func:`run_pipeline`) writes GMBitString and GMMatrix from
+that generator in one pass through two open files, and FullBitString
+through a third, refilling only the high columns of one block per
+``CHUNK_ROWS`` lines.
 :func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
-parity class.  It first compares the file with the same generator's bytes,
-one run at a time, and keeps the records of a run that matches from the
-regenerated columns: a ``prepare``-written stage is checked without
-parsing a line.  From the first run that differs it parses the rest of the
-file, a block of lines at once with array masks over its raw bytes: each
-bit field, which a good line has exactly ``width`` bytes long, is read
-column by column off the line starts, and its ``RE<TAB>IM<TAB>CLASS`` tail
-is looked up in a dict, so each distinct tail is parsed once.  Each parsed
-block is held to the closed form of :func:`_sector_amplitudes` in the same
-pass as the line checks, and only the records of the class asked for are
-kept.  The reader goes through one open file, a run of lines or
-``READ_BLOCK`` bytes of whole lines at a time.  So no temporary grows with
-the register, and none of stage I/O grows with the file beyond the
-columns it reads.  The per-line grammar in :func:`_line_problem` only
-words the error for the first bad line.  A class is its bit b everywhere,
-as the ``basis:b`` input of ``compile`` names it.  The package writes the
-stages and reads only GMMatrix; the string generators, the per-line
-readers and writers, and the table of both classes that the tests use
-live in ``tests/oracles.py``.
+parity class.  It compares the file with the same generator's bytes, one
+run at a time, and keeps the records of a run that matches, and follows
+the run before it, from the regenerated columns: a ``prepare``-written
+stage is checked without parsing a line.  A run that differs, and any line
+past the last run, is parsed line by line by :func:`_parse_line`, the one
+GMMatrix line grammar, and held to the closed form of
+:func:`_sector_amplitudes`.  Only the records of the class asked for are
+kept.  So no temporary grows with the register, and none of stage I/O
+grows with the file beyond one run and the columns it reads.  A class is
+its bit b everywhere, as the ``basis:b`` input of ``compile`` names it.
+The package writes the stages and reads only GMMatrix; the string
+generators, the per-line readers and writers, and the table of both
+classes that the tests use live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,8 +68,6 @@ from ._format import float17
 # Register indices scanned, and stage lines written, at a time: bounds the
 # temporaries of ``prepare``.  A power of two.
 CHUNK_ROWS = 1 << 14
-# Bytes read from a GMMatrix stage at a time, completed to a whole line.
-READ_BLOCK = 1 << 18
 # Largest distance of a stage coefficient from its closed form that compile
 # accepts.
 STAGE_ATOL = 1e-12
@@ -83,7 +76,7 @@ FULL_STAGE_NAME = "FullBitString"
 GM_STAGE_NAME = "GMBitString"
 MATRIX_STAGE_NAME = "GMMatrix"
 
-_TAB, _LF, _ZERO = b"\t\n0"
+_LF, _ZERO = b"\n0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,20 +149,22 @@ def _sectors(M: int, indices: np.ndarray) -> np.ndarray:
 # stage file I/O
 # ---------------------------------------------------------------------------
 
-def _lines(indices: np.ndarray, width: int, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
-    """The GMMatrix lines of ``indices``: each bit field, its ``(rows,
-    width)`` uint8 row viewed as an ``S{width}`` string, followed by its
-    tail ``tails[tail_of]``.  ``np.strings.add`` appends the tails, and the
-    NUL padding of the shorter lines is dropped from the joined bytes."""
-    bits = _bit_rows(indices, width)[:, :width].copy().view(f"S{width}")
+def _lines(rows: np.ndarray, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
+    """The GMMatrix lines of the bit rows ``rows`` of :func:`_bit_rows`: each
+    bit field, viewed as an ``S{width}`` string, followed by its tail
+    ``tails[tail_of]``.  ``np.strings.add`` appends the tails, and the NUL
+    padding of the shorter lines is dropped from the joined bytes."""
+    width = rows.shape[1] - 1
+    bits = rows[:, :width].copy().view(f"S{width}")
     return np.strings.add(bits[:, 0], tails[tail_of]).tobytes().replace(b"\0", b"")
 
 
 def _stage_runs(M: int):
     """The GMMatrix stage of M clones, one run of :func:`_support_runs` at a
-    time: the run's indices, class bits, sectors j and lines.
+    time: the run's indices, class bits, sectors j, bit rows and lines.
 
-    The lines come from :func:`_lines`, with the 2M
+    The bit rows are the run's GMBitString lines (:func:`_bit_rows`), and
+    the GMMatrix lines come from them through :func:`_lines`, with the 2M
     ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j) formatted
     once: the amplitude of sector j, IM 0 and C{b}.
     """
@@ -181,11 +176,14 @@ def _stage_runs(M: int):
     for run in _support_runs(M):
         one = np.bitwise_count(run) == M
         j = _sectors(M, run)
-        yield run, one, j, _lines(run, width, tails, j + M * one)
+        rows = _bit_rows(run, width)
+        yield run, one, j, rows, _lines(rows, tails, j + M * one)
 
 
-def _line_problem(line: bytes, width: int, prev_bits: str | None):
-    """What is wrong with one GMMatrix line, or None; checks in grammar order."""
+def _parse_line(line: bytes, width: int, prev_bits: str | None):
+    """The bit field and coefficient of one GMMatrix line of ``width`` bits
+    that follows the bit field ``prev_bits`` (None for the first line), or
+    the text of the first check it fails, in grammar order."""
     try:
         text = line.decode("ascii")
     except UnicodeDecodeError:
@@ -194,7 +192,7 @@ def _line_problem(line: bytes, width: int, prev_bits: str | None):
     if len(fields) != 4:
         return "expected 4 tab-separated fields"
     bits, re_text, im_text, cls_text = fields
-    if not bits or any(ch not in "01" for ch in bits):
+    if not bits or bits.strip("01"):
         return f"bad bitstring {bits!r}"
     if len(bits) != width:
         return f"expected {width} bits, got {len(bits)}"
@@ -213,135 +211,67 @@ def _line_problem(line: bytes, width: int, prev_bits: str | None):
         return f"popcount {ones} is in neither parity class of M={M}"
     if cls_text != f"C{ones - M + 1}":
         return f"class {cls_text} contradicts popcount {ones} of M={M}"
-    return None
+    return bits, complex(re, im)
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in ``mask``, or its length if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
+def _parse_lines(path, lines, lineno: int, M: int, prev: int | None):
+    """The indices and coefficients of the GMMatrix ``lines`` of M clones,
+    each checked by :func:`_parse_line`, and the error naming the first of
+    them more than ``STAGE_ATOL`` from its closed form, or None.
 
-
-def _tail(text: bytes) -> tuple[complex, int]:
-    """RE + IM j and class of the ``RE<TAB>IM<TAB>CLASS`` tail of a line:
-    0 for C0, 1 for C1 and 2 for a tail that :func:`_line_problem` rejects
-    (a non-ASCII byte, a field count, a number that is unparseable or not
-    finite, an unknown class)."""
-    try:
-        re_text, im_text, cls_text = text.decode("ascii").split("\t")
-        re, im = float(re_text), float(im_text)
-    except ValueError:  # UnicodeDecodeError and an unpacking error included
-        return 0j, 2
-    if not (math.isfinite(re) and math.isfinite(im)):
-        return 0j, 2
-    return complex(re, im), {"C0": 0, "C1": 1}.get(cls_text, 2)
-
-
-class _Codes(dict):
-    """Code of each distinct key: its rank in order of first lookup."""
-
-    def __missing__(self, key) -> int:
-        code = self[key] = len(self)
-        return code
-
-
-def _line_blocks(handle):
-    """The bytes of ``handle`` in blocks of whole lines, each about
-    ``READ_BLOCK`` bytes and ending in LF; a last line without one gets it."""
-    while block := handle.read(READ_BLOCK):
-        if not block.endswith(b"\n"):
-            block += handle.readline()
-            if not block.endswith(b"\n"):
-                block += b"\n"
-        yield block
-
-
-def _check_block(path, data: bytes, lineno: int, width: int, prev):
-    """Indices and coefficients of one block of whole GMMatrix lines of
-    ``width`` bits.
-
-    ``lineno`` lines come before the block, the last with basis index
-    ``prev`` (None for the first block).  The array checks flag the earliest
-    bad line, which :func:`_line_problem` then words.
+    ``lineno`` lines come before them, the last with basis index ``prev``
+    (None if there is none).  A line that fails the grammar raises
+    :class:`StageParseError` on its own line number.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == _LF)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # A good line has its first TAB exactly ``width`` bytes in.  A line too
-    # short for that is clipped to its own LF, so a TAB of a later line
-    # cannot stand in for it.
-    at = np.minimum(starts + width, ends)
-    bad = _first(buf[at] != _TAB)
-    if bad:
-        # The lines before ``bad`` have their BITS field ``width`` bytes
-        # long, so bit k of each is the byte k past its start.
-        indices = np.zeros(bad, dtype=np.int64)
-        line_bad = np.zeros(bad, dtype=bool)
-        for k in range(width):
-            digits = buf[starts[:bad] + k] - _ZERO
-            line_bad |= digits > 1
-            indices <<= 1
-            indices |= digits
-        line_bad[1:] |= indices[1:] <= indices[:-1]
-        if prev is not None:
-            line_bad[0] |= indices[0] <= prev
-        # A stage written from a few distinct doubles repeats a few tails on
-        # every line: each distinct one is parsed once, in code order.
-        tails = _Codes()
-        tail = operator.itemgetter(slice(width + 1, None))
-        lines = data.split(b"\n", bad)
-        codes = np.fromiter(map(tails.__getitem__, map(tail, lines)), np.intp, bad)
-        values, classes = zip(*map(_tail, tails))
-        coefficients = np.array(values, dtype=np.complex128)[codes]
-        classes = np.array(classes, dtype=np.int64)[codes]
-        M = (width + 1) // 2
-        line_bad |= (classes > 1) | (np.bitwise_count(indices) != M - 1 + classes)
-        bad = _first(line_bad)
-
-    if bad < ends.size:
-        if bad:
-            prev = int(indices[bad - 1])
-        problem = _line_problem(
-            data[starts[bad] : ends[bad]],
-            width,
-            None if prev is None else format(prev, f"0{width}b"),
-        )
-        if problem is None:
-            raise InternalConsistencyError(
-                f"{path}:{lineno + bad + 1}: array checks reject a line the grammar accepts"
-            )
-        raise StageParseError(path, lineno + bad + 1, problem)
-    return indices, coefficients
+    width = 2 * M - 1
+    prev_bits = None if prev is None else format(prev, f"0{width}b")
+    indices, values = [], []
+    for line in lines:
+        parsed = _parse_line(line.removesuffix(b"\n"), width, prev_bits)
+        if isinstance(parsed, str):
+            raise StageParseError(path, lineno + len(indices) + 1, parsed)
+        prev_bits, value = parsed
+        indices.append(int(prev_bits, 2))
+        values.append(value)
+    indices = np.array(indices, dtype=np.int64)
+    coefficients = np.array(values, dtype=np.complex128)
+    closed = _sector_amplitudes(M)[_sectors(M, indices)]
+    off = np.abs(coefficients - closed)
+    at = np.flatnonzero(off > STAGE_ATOL)
+    if not at.size:
+        return indices, coefficients, None
+    at = at[0]
+    return indices, coefficients, (
+        f"{path}:{lineno + at + 1}: coefficient is {off[at]:.3g} "
+        f"from the cloner's amplitude {float17(closed[at])} "
+        f"(tolerance {STAGE_ATOL:g})"
+    )
 
 
-def _read_prepared_runs(handle, M: int, parity_class: int, columns) -> tuple[int, int | None]:
-    """Compare ``handle`` with the stage ``prepare`` writes for M, one run of
-    :func:`_support_runs` at a time, and append to ``columns`` the records
-    of class C{parity_class} of each run whose bytes match.
+def _stage_parts(path, handle, M: int):
+    """The records of the GMMatrix stage of M clones at ``handle``, one run
+    of :func:`_stage_runs` at a time and then the lines past the last run:
+    indices, coefficients and the coefficient error of :func:`_parse_lines`.
 
-    A run's lines come from :func:`_stage_runs`, the generator ``prepare``
-    writes the stage from.  Its records are kept from the regenerated
-    columns: parsing its lines would give the same indices and the same
-    doubles, as ``float17`` round-trips and IM is 0.  Stops at
-    the first run that differs, with ``handle`` back at its first byte.
-    Returns the number of lines matched and the index of the last one, or
-    None.  A function of its own, so that the temporaries of the last run
-    are freed before the parse starts.
+    A run whose bytes are the ones ``prepare`` writes, and whose first index
+    follows the last one read, keeps the regenerated columns: a parse would
+    give the same indices and the same doubles, as ``float17`` round-trips
+    and IM is 0.  Any other run is parsed, ``run.size`` lines of it.
     """
-    amplitudes = _sector_amplitudes(M)
+    amplitudes = _sector_amplitudes(M).astype(np.complex128)
     lineno, prev = 0, None
-    for run, one, j, lines in _stage_runs(M):
+    for run, _, j, _, lines in _stage_runs(M):
         data = handle.read(len(lines))
-        if data != lines:
+        if data == lines and (prev is None or not run.size or run[0] > prev):
+            part = run, amplitudes[j], None
+        else:
             handle.seek(-len(data), os.SEEK_CUR)
-            break
-        keep = one == parity_class
-        columns[0].append(run[keep])
-        columns[1].append(amplitudes[j[keep]].astype(np.complex128))
-        lineno += run.size
-        if run.size:
-            prev = int(run[-1])
-    return lineno, prev
+            part = _parse_lines(path, itertools.islice(handle, run.size), lineno, M, prev)
+        yield part
+        lineno += part[0].size
+        if part[0].size:
+            prev = int(part[0][-1])
+    yield _parse_lines(path, handle, lineno, M, prev)
 
 
 def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
@@ -354,62 +284,47 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     increasing down the file; RE and IM finite; CLASS ``C0`` for popcount
     M-1 and ``C1`` for popcount M.  Only LF ends a line, and a last line
     without one still counts.  The records of both classes are held to the
-    closed form of :func:`_sector_amplitudes` as their block is read, their
-    count is checked at the end, and only the records of the class asked
-    for are kept.  A line error anywhere comes first, naming the earliest
-    bad line with the first check it fails in :func:`_line_problem`; then a
-    count error; then a coefficient error, which names the earliest record
-    more than ``STAGE_ATOL`` from its amplitude.
+    closed form of :func:`_sector_amplitudes`, their count is checked at
+    the end, and only the records of the class asked for are kept.  A line
+    error anywhere comes first, naming the earliest bad line with the first
+    check it fails in :func:`_parse_line`; then a count error; then a
+    coefficient error, which names the earliest record more than
+    ``STAGE_ATOL`` from its amplitude.
 
-    The file is read through one open handle.  It is first compared with
-    the bytes ``prepare`` writes, one support run at a time
-    (:func:`_read_prepared_runs`): the lines of a run that matches are the
-    cloner's, so none is parsed.  From the first run that differs to the
-    end of the file, ``READ_BLOCK`` bytes of whole lines at a time are
-    parsed and checked (:func:`_check_block`), with the line number and the
-    last index carried over.  So the errors, their order and their line
-    numbers do not depend on where the comparison stopped.  Only the
-    columns kept of the lines read so far grow with the file.
+    The file is read through one open handle, one support run at a time
+    (:func:`_stage_parts`).  Each run is compared with the bytes
+    ``prepare`` writes: the lines of a run that matches are the cloner's,
+    so none is parsed.  A run that differs is parsed line by line, and so
+    are any lines past the last run, with the line number and the last
+    index carried over.  So the errors, their order and their line numbers
+    do not depend on which runs matched.  Only the columns kept of the runs
+    read so far grow with the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
         raise DomainError(f"a class read needs class 0 or 1, not {parity_class!r}")
     path = Path(path)
-    width = 2 * M - 1
-    off_error = None  # the error naming the earliest record off, if any
+    count, off_error = 0, None  # records read; the error naming the earliest off
     columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
     with path.open("rb") as handle:
-        lineno, prev = _read_prepared_runs(handle, M, parity_class, columns)
-        for data in _line_blocks(handle):
-            block = _check_block(path, data, lineno, width, prev)
-            indices, coefficients = block
-            if off_error is None:
-                closed = _sector_amplitudes(M)[_sectors(M, indices)]
-                off = np.abs(coefficients - closed)
-                at = _first(~(off <= STAGE_ATOL))  # NaN counts as off
-                if at < off.size:
-                    off_error = (
-                        f"{path}:{lineno + at + 1}: coefficient is {off[at]:.3g} "
-                        f"from the cloner's amplitude {float17(closed[at])} "
-                        f"(tolerance {STAGE_ATOL:g})"
-                    )
+        for indices, coefficients, off in _stage_parts(path, handle, M):
+            off_error = off_error or off
+            count += indices.size
             keep = np.bitwise_count(indices) == M - 1 + parity_class
-            lineno += indices.size
-            prev = int(indices[-1])
-            for column, part in zip(columns, block):
+            for column, part in zip(columns, (indices, coefficients)):
                 column.append(part[keep])
-    expected = 2 * math.comb(width, M)
-    if lineno != expected:
+    expected = 2 * math.comb(2 * M - 1, M)
+    if count != expected:
         raise InternalConsistencyError(
-            f"{path}: {lineno} records, but the cloner of M={M} has {expected} support kets"
+            f"{path}: {count} records, but the cloner of M={M} has {expected} support kets"
         )
     if off_error is not None:
         raise InternalConsistencyError(off_error)
     joined = []
-    for column in columns:  # one column's blocks and copy alive at a time
+    for column in columns:  # one column's runs and copy alive at a time
         joined.append(np.concatenate(column))
         column.clear()
-    return GMMatrix(width, *joined)
+    return GMMatrix(2 * M - 1, *joined)
 
 
 def run_pipeline(M: int, out_dir) -> tuple[int, int]:
@@ -436,8 +351,8 @@ def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     counts = [0, 0]
     with (out_dir / GM_STAGE_NAME).open("wb") as gm, \
             (out_dir / MATRIX_STAGE_NAME).open("wb") as matrix:
-        for run, one, _, lines in _stage_runs(M):
-            gm.write(_bit_rows(run, n).tobytes())
+        for run, one, _, rows, lines in _stage_runs(M):
+            gm.write(rows.tobytes())
             matrix.write(lines)
             ones = int(np.count_nonzero(one))
             counts[0] += run.size - ones

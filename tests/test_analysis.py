@@ -9,6 +9,7 @@ from gmclone import builder
 from gmclone.analysis import (
     SCALING_CSV_HEADER,
     _analyze,
+    _split_fidelity,
     analyze_cloner,
     scaling_csv,
     scaling_sweep,
@@ -16,7 +17,7 @@ from gmclone.analysis import (
 )
 from gmclone.builder import _dicke_maps, dicke_outputs
 from gmclone.errors import DomainError, ResourceLimitError
-from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit
+from gmclone.qubit import BASIS, Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 from oracles import (
     GMParameters,
@@ -266,6 +267,41 @@ class TestDickeAnalysis:
             analyzed_gap(13, 1 / math.sqrt(2), 1 / math.sqrt(2))
         with pytest.raises(DomainError):
             analyzed_gap(0, 1, 0)
+
+
+def _random_qubit(seed):
+    parts = np.random.default_rng(seed).normal(size=4)
+    return make_qubit(complex(*parts[:2]), complex(*parts[2:]))
+
+
+class TestLinearity:
+    """The cloner is a unitary, so its output is linear in the input.  The
+    builder gives the anticlones anticlone(psi), which is neither linear nor
+    antilinear in psi; with perp(psi) in its place the output is
+    alpha c(|0>) + (-1)^(M-1) beta c(|1>), from the two basis outputs (the
+    stage's two classes) alone, and its clones are still optimal."""
+
+    INPUTS = {
+        "amps": make_qubit(0.3 - 0.2j, 0.5 + 0.4j),
+        "equatorial": equatorial_qubit(0.7),
+        **{f"random{seed}": _random_qubit(seed) for seed in (1, 2, 3)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_basis_outputs_sum_to_the_perp_anticlone_output(self, name):
+        q = self.INPUTS[name]
+        for M in range(1, 41):
+            zero, one = dicke_outputs(M, BASIS)
+            linear = q.alpha * zero + (-1) ** (M - 1) * q.beta * one
+            # c = R_C^T diag(gamma) R_A with R_A the maps of perp(q)
+            short, full = _dicke_maps(M, [q, perp(q)])
+            weights = np.array([builder.gamma(M, j) for j in range(M)])
+            expected = (full[0, :M] * weights[:, None]).T @ short[1]
+            overlap = np.vdot(linear, expected)
+            assert abs(abs(overlap) - 1) <= 1e-13
+            assert np.linalg.norm(expected - overlap / abs(overlap) * linear) <= 1e-13
+            fidelity = _split_fidelity(linear, q, M)[0]
+            assert abs(fidelity - (2 * M + 1) / (3 * M)) <= 1e-13
 
 
 class TestScalingSweep:

@@ -18,7 +18,7 @@ from gmclone.errors import (
 from gmclone.cli import main
 from gmclone.pipeline import (
     GMMatrix,
-    _line_problem,
+    _parse_line,
     read_gm_matrix,
     run_pipeline,
 )
@@ -110,8 +110,10 @@ class TestGMBitstrings:
 
 
 def _classify(bits: str, cls: str = "C0"):
-    """What the GMMatrix grammar says of ``bits`` read with class ``cls``."""
-    return _line_problem(f"{bits}\t0.5\t0\t{cls}".encode(), 3, None)
+    """What the GMMatrix grammar says is wrong with ``bits`` read with class
+    ``cls``, or None."""
+    parsed = _parse_line(f"{bits}\t0.5\t0\t{cls}".encode(), 3, None)
+    return parsed if isinstance(parsed, str) else None
 
 
 class TestParityClassify:
@@ -293,7 +295,7 @@ class TestRunPipeline:
         assert run_pipeline(M, tmp_path) == (per_class, per_class)
         path = tmp_path / "GMMatrix"
         # Its bytes are the ones the reader regenerates: no line is parsed.
-        calls = _spy_on_check_block(monkeypatch)
+        calls = _spy_on_parse_lines(monkeypatch)
         matrix = read_stage(path, M)
         assert calls == []
         check_gm_matrix(matrix, M, path)
@@ -326,7 +328,7 @@ def _raises_on_line(path, line_number, M=2):
 
 
 class TestGMMatrixReaderSemantics:
-    """Behaviour of the per-line reader the array reader must keep."""
+    """Behaviour of the reader on stages written by hand or edited."""
 
     def test_earlier_bad_width_beats_later_field_count(self, tmp_path):
         path = tmp_path / "GMMatrix"
@@ -388,25 +390,19 @@ class TestGMMatrixReaderSemantics:
 
 
 def _edited_m8_stage(tmp_path, row, field, text):
-    """The M = 8 stage up to two lines past the start of its second read
-    block, with ``field`` of line 1 (``row`` "first") or of the first line of
-    that block set to ``text``; the path, the edited line and the matrix."""
-    matrix = assign_coefficients(8)
+    """The M = 8 stage with ``field`` of line 1 (``row`` "first") or of the
+    first line of its second support run set to ``text``; the path, the
+    edited line and the edited line's bytes."""
     path = tmp_path / "GMMatrix"
     run_pipeline(8, tmp_path)
-    lines = path.read_bytes().split(b"\n")[:-1]
-    starts = np.cumsum([0] + [len(line) + 1 for line in lines])
-    # A block is READ_BLOCK bytes completed to a whole line, so the second
-    # starts with the first line that starts at or past READ_BLOCK.
-    second = int(np.searchsorted(starts, pipeline.READ_BLOCK))
-    assert 0 < second < len(lines) - 2
-    lines = lines[: second + 2]
-    edited = 0 if row == "first" else second
+    lines = path.read_bytes().split(b"\n")
+    edited = 0 if row == "first" else int(_run_starts(8)[1])
+    assert edited < len(lines) - 2
     fields = lines[edited].split(b"\t")
     fields[field] = text
     lines[edited] = b"\t".join(fields)
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    return path, edited + 1, matrix
+    path.write_bytes(b"\n".join(lines))
+    return path, edited + 1, lines[edited]
 
 
 class TestGMMatrixInvariants:
@@ -449,22 +445,24 @@ class TestGMMatrixInvariants:
         width = len(stage.split("\t", 1)[0])
         assert message in _raises_on_line(path, bad, M=(width + 1) // 2)
 
-    @pytest.mark.parametrize("row", ["first", "past a block"])
+    @pytest.mark.parametrize("row", ["first", "past a run"])
     @pytest.mark.parametrize("field", [1, 2])
     @pytest.mark.parametrize("text, value", [(b" 1.0", 1.0), (b"1_0", 10.0), (b"+0.5", 0.5)])
     def test_coefficient_texts_float_accepts(self, tmp_path, row, field, text, value):
-        # The edited stage is cut short and off the closed form, so its lines
-        # are parsed as one block, with no count or coefficient check.
-        path, line_number, matrix = _edited_m8_stage(tmp_path, row, field, text)
-        _, coefficients = pipeline._check_block(path, path.read_bytes(), 0, 15, None)
-        expected = matrix.coefficients[: coefficients.size].copy()
-        if field == 1:
-            expected[line_number - 1] = complex(value, expected[line_number - 1].imag)
-        else:
-            expected[line_number - 1] = complex(expected[line_number - 1].real, value)
-        assert coefficients.tobytes() == expected.tobytes()
+        # The grammar takes the text as float() does, and the reader keeps
+        # that value: it is off the closed form, by the distance it names.
+        path, line_number, line = _edited_m8_stage(tmp_path, row, field, text)
+        stored = assign_coefficients(8).coefficients[line_number - 1]
+        expected = complex(value, stored.imag) if field == 1 else complex(stored.real, value)
+        bits, coefficient = _parse_line(line, 15, None)
+        assert bits == line.split(b"\t")[0].decode()
+        assert coefficient == expected
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, 8, 0)
+        off = abs(expected - stored)
+        assert str(err.value).startswith(f"{path}:{line_number}: coefficient is {off:.3g} from ")
 
-    @pytest.mark.parametrize("row", ["first", "past a block"])
+    @pytest.mark.parametrize("row", ["first", "past a run"])
     @pytest.mark.parametrize("field", [1, 2])
     @pytest.mark.parametrize("text", [b"0x1p3", b"1\x00", b"1.0.0", b""])
     def test_coefficient_texts_float_rejects(self, tmp_path, row, field, text):
@@ -561,16 +559,18 @@ def _respell(path, rows):
     path.write_bytes(b"\n".join(lines))
 
 
-def _spy_on_check_block(monkeypatch):
-    """Record the line count before and the bytes of each block that
-    ``pipeline._check_block`` parses, in a list."""
-    calls, check_block = [], pipeline._check_block
+def _spy_on_parse_lines(monkeypatch):
+    """Record the line count before and the lines of each call of
+    ``pipeline._parse_lines`` that parses a line, in a list."""
+    calls, parse_lines = [], pipeline._parse_lines
 
-    def spy(path, data, lineno, width, prev):
-        calls.append((lineno, data))
-        return check_block(path, data, lineno, width, prev)
+    def spy(path, lines, lineno, M, prev):
+        lines = list(lines)
+        if lines:
+            calls.append((lineno, lines))
+        return parse_lines(path, lines, lineno, M, prev)
 
-    monkeypatch.setattr(pipeline, "_check_block", spy)
+    monkeypatch.setattr(pipeline, "_parse_lines", spy)
     return calls
 
 
@@ -587,9 +587,9 @@ class TestClassRead:
             one = read_gm_matrix(path, M, parity_class)
             _assert_same(one, _class_of(whole, parity_class))
 
-    @pytest.mark.parametrize("block", [1, 7, 40])
-    def test_equals_the_filtered_table_in_small_blocks(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+    @pytest.mark.parametrize("chunk", [5, 13, 64])
+    def test_equals_the_filtered_table_in_small_runs(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         path = tmp_path / "GMMatrix"
         for M in range(1, 6):
             whole = assign_coefficients(M)
@@ -602,17 +602,13 @@ class TestClassRead:
                     _assert_same(one, _class_of(whole, parity_class))
 
     @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
-    @pytest.mark.parametrize("where", ["line 1", "last block", "last line"])
+    @pytest.mark.parametrize("where", ["line 1", "last run", "last line"])
     def test_coefficient_off_the_closed_form_names_its_line(self, tmp_path, parity_class, where):
-        # M = 9 has 48,620 lines in about 10 blocks, and either class's read
+        # M = 9 has 48,620 lines in 8 support runs, and either class's read
         # checks both classes.
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
-        run_pipeline(9, tmp_path)
-        with path.open("rb") as handle:
-            last_block = list(pipeline._line_blocks(handle))[-1]
-        row = {"line 1": 0, "last line": len(matrix) - 1}.get(
-            where, len(matrix) - last_block.count(b"\n"))
+        row = {"line 1": 0, "last line": len(matrix) - 1}.get(where, _run_starts(9)[-1])
         coefficients = matrix.coefficients.copy()
         coefficients[row] += 1e-3
         table = GMMatrix(17, matrix.indices, coefficients)
@@ -629,16 +625,13 @@ class TestClassRead:
     def test_earliest_record_off_is_named(self, tmp_path, monkeypatch, parity_class, chunk):
         # With offsets growing down the file from record 3 on, the record
         # named is record 3, the earliest one off, as for a line error: not
-        # a worse one later in its block, and whatever the writers' chunk.
+        # a worse one later in its run, and whatever the reader's runs.
         matrix = assign_coefficients(4)
         coefficients = matrix.coefficients + 1e-3 * np.maximum(np.arange(len(matrix)) - 2, 0)
         path = tmp_path / "GMMatrix"
         table = GMMatrix(7, matrix.indices, coefficients)
         write_gm_matrix_lines(path, table)
-        monkeypatch.setattr(pipeline, "READ_BLOCK", 100)
         monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
-        with path.open("rb") as handle:
-            assert len(list(pipeline._line_blocks(handle))) > 10
         with pytest.raises(InternalConsistencyError) as err:
             read_gm_matrix(path, 4, parity_class)
         assert str(err.value).startswith(f"{path}:4: coefficient is 0.001 from ")
@@ -688,33 +681,43 @@ class TestClassRead:
 
 
 # ---------------------------------------------------------------------------
-# the reader in small blocks, and the memory of stage I/O
+# the reader in small runs, and the memory of stage I/O
 # ---------------------------------------------------------------------------
 
-class SmallBlocks:
-    """Read stages a few bytes at a time: a block is then a line or two, so
-    every check meets the line before it in another block.  The 48,620-line
-    M = 9 file takes 4 KiB blocks, about 90 lines each, to stay fast."""
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, request, monkeypatch):
-        big = request.node.originalname == "test_coefficients_past_one_chunk"
-        monkeypatch.setattr(pipeline, "READ_BLOCK", 4099 if big else 5)
+# Tests whose stages have M = 8 or 9, with 12,870 or 48,620 lines.
+BIG_STAGE_TESTS = {
+    "test_coefficients_past_one_chunk",
+    "test_coefficient_texts_float_accepts",
+    "test_coefficient_texts_float_rejects",
+}
 
 
-class TestGMMatrixReaderSemanticsInSmallBlocks(SmallBlocks, TestGMMatrixReaderSemantics):
+class SmallRuns:
+    """Read stages in support runs of a few register indices: a run is then
+    a line or two, or none, so every check meets the line before it in
+    another run; with 1 index, every line is a run of its own.  The M = 8
+    and 9 stages take runs 256 times longer, to stay fast."""
+
+    @pytest.fixture(autouse=True, params=[1, 5, 13])
+    def small_runs(self, request, monkeypatch):
+        big = request.node.originalname in BIG_STAGE_TESTS
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", request.param << 8 if big else request.param)
+
+
+class TestGMMatrixReaderSemanticsInSmallRuns(SmallRuns, TestGMMatrixReaderSemantics):
     pass
 
 
-class TestGMMatrixInvariantsInSmallBlocks(SmallBlocks, TestGMMatrixInvariants):
+class TestGMMatrixInvariantsInSmallRuns(SmallRuns, TestGMMatrixInvariants):
     pass
 
 
-class TestGMMatrixReaderBlocks:
-    @pytest.mark.parametrize("block", [1, 5, 149, 151, 176, 177, 1 << 18])
-    def test_last_line_without_lf_across_blocks(self, tmp_path, monkeypatch, block):
-        # The last line without LF starts at byte 149 of the 177.
-        monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+class TestGMMatrixReaderRuns:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 8, 1 << 14])
+    def test_last_line_without_lf_across_runs(self, tmp_path, monkeypatch, chunk):
+        # The last line without LF is index 6 of the 8 of the register: the
+        # last of its run, alone in it, or before an empty last run.
+        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
         path = tmp_path / "GMMatrix"
         matrix = assign_coefficients(2)
         run_pipeline(2, tmp_path)
@@ -722,8 +725,8 @@ class TestGMMatrixReaderBlocks:
         assert path.read_bytes().rindex(b"\n") + 1 == 149
         _assert_same(read_stage(path, 2), matrix)
 
-    @pytest.mark.parametrize("block", [5, 64, 1000])
-    def test_blocks_give_the_same_arrays(self, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize("chunk", [5, 13, 64])
+    def test_runs_give_the_same_arrays(self, tmp_path, monkeypatch, chunk):
         for M in range(1, 7):
             run_pipeline(M, tmp_path / f"m{M}")
             path = tmp_path / f"m{M}" / "GMMatrix"
@@ -731,7 +734,7 @@ class TestGMMatrixReaderBlocks:
             respelled = tmp_path / f"GMMatrix{M}-respelled"
             respelled.write_bytes(path.read_bytes())
             _respell(respelled, range(len(whole)))
-            monkeypatch.setattr(pipeline, "READ_BLOCK", block)
+            monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
             parts = read_stage(path, M)
             parsed = read_stage(respelled, M)
             monkeypatch.undo()
@@ -747,8 +750,8 @@ def _run_starts(M):
 
 class TestPreparedRuns:
     """The reader compares the stage with the bytes ``prepare`` writes, one
-    support run at a time, and parses it only from the first line of the
-    first run that differs.  M = 9 has 8 runs."""
+    support run at a time, and parses only the runs that differ and the
+    lines past the last run.  M = 9 has 8 runs."""
 
     @pytest.mark.parametrize("where", ["first run", "middle run", "last run", "last line"])
     def test_parses_from_the_run_of_the_edit(self, tmp_path, monkeypatch, where):
@@ -764,23 +767,56 @@ class TestPreparedRuns:
         fields[1] = b"x1"
         lines[row] = b"\t".join(fields)
         path.write_bytes(b"\n".join(lines))
-        calls = _spy_on_check_block(monkeypatch)
+        calls = _spy_on_parse_lines(monkeypatch)
         with pytest.raises(StageParseError) as err:
             read_gm_matrix(path, 9, 0)
         assert str(err.value) == f"{path}:{row + 1}: unparseable coefficient 'x1'/'0'"
         start = starts[starts <= row][-1]
-        lineno, data = calls[0]
+        [(lineno, parsed)] = calls
         assert lineno == start
-        assert data.startswith(lines[start] + b"\n")
+        assert parsed[0] == lines[start] + b"\n"
+
+    @pytest.mark.parametrize("run", [0, 4, 7])
+    def test_respelled_line_parses_only_its_run(self, tmp_path, monkeypatch, run):
+        # The same doubles in other bytes: run ``run`` is parsed, all of it
+        # and nothing else, and the runs after it are compared.
+        path = tmp_path / "GMMatrix"
+        run_pipeline(9, tmp_path)
+        starts = list(_run_starts(9)) + [len(assign_coefficients(9))]
+        _respell(path, [(starts[run] + starts[run + 1]) // 2])
+        lines = path.read_bytes().splitlines(keepends=True)
+        calls = _spy_on_parse_lines(monkeypatch)
+        one = read_gm_matrix(path, 9, 1)
+        _assert_same(one, _class_of(assign_coefficients(9), 1))
+        assert calls == [(starts[run], lines[starts[run] : starts[run + 1]])]
+
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_matched_run_must_follow_the_parsed_run(self, tmp_path, step):
+        # The last line of run 3 is replaced by line ``step`` of run 4: run 3
+        # is parsed and passes the grammar, and run 4's bytes match, but its
+        # first index does not follow the last one read.
+        path = tmp_path / "GMMatrix"
+        run_pipeline(9, tmp_path)
+        start = int(_run_starts(9)[4])
+        lines = path.read_bytes().split(b"\n")
+        lines[start - 1] = lines[start + step]
+        path.write_bytes(b"\n".join(lines))
+        first, last = (lines[k].split(b"\t")[0].decode() for k in (start, start + step))
+        with pytest.raises(StageParseError) as err:
+            read_gm_matrix(path, 9, 0)
+        assert str(err.value) == (
+            f"{path}:{start + 1}: bitstring {first} does not follow {last} (need sorted, unique)"
+        )
 
     def test_no_final_lf_is_parsed_from_the_last_run(self, tmp_path, monkeypatch):
         matrix = assign_coefficients(9)
         path = tmp_path / "GMMatrix"
         run_pipeline(9, tmp_path)
         path.write_bytes(path.read_bytes()[:-1])
-        calls = _spy_on_check_block(monkeypatch)
+        calls = _spy_on_parse_lines(monkeypatch)
         _assert_same(read_stage(path, 9), matrix)
-        assert calls and min(lineno for lineno, _ in calls) == _run_starts(9)[-1]
+        # Each of the two class reads parses the last run.
+        assert [lineno for lineno, _ in calls] == [_run_starts(9)[-1]] * 2
 
     def test_extra_line_is_parsed_after_the_last_run(self, tmp_path, monkeypatch):
         path = tmp_path / "GMMatrix"
@@ -788,7 +824,7 @@ class TestPreparedRuns:
         data = path.read_bytes()
         last = data[data.rindex(b"\n", 0, -1) + 1 :]
         path.write_bytes(data + last)
-        calls = _spy_on_check_block(monkeypatch)
+        calls = _spy_on_parse_lines(monkeypatch)
         with pytest.raises(StageParseError) as err:
             read_gm_matrix(path, 9, 1)
         bits = last.split(b"\t")[0].decode()
@@ -801,7 +837,7 @@ class TestPreparedRuns:
 class TestStageMemory:
     """tracemalloc peaks of ``prepare`` and the GMMatrix reader: ``prepare``
     holds one run of lines, flat in M, and the reader the columns of the
-    class it returns and one block, not the table of both classes and then
+    class it returns and one run, not the table of both classes and then
     a copy of one."""
 
     @pytest.mark.parametrize("M", [10, 11])
@@ -815,7 +851,7 @@ class TestStageMemory:
             loaded = read_gm_matrix(path, M, 1)
             read_peak = tracemalloc.get_traced_memory()[1]
             del loaded
-            # Line 1's IM spelled 0.0: the same table, from every line parsed.
+            # Line 1's IM spelled 0.0: the same table, with the first run parsed.
             path.write_bytes(path.read_bytes().replace(b"\t0\tC0\n", b"\t0.0\tC0\n", 1))
             tracemalloc.reset_peak()
             parsed = read_gm_matrix(path, M, 1)
@@ -830,7 +866,7 @@ class TestStageMemory:
 
 
 # ---------------------------------------------------------------------------
-# property tests: the array reader against per-line references
+# property tests: the reader against per-line references
 # ---------------------------------------------------------------------------
 
 EDGE_DOUBLES = [
@@ -890,12 +926,12 @@ class TestGMMatrixProperties:
         second = tmp_path / "GMMatrix2"
         write_gm_matrix_lines(first, matrix)
         assert first.read_text() == _reference_text(matrix)
-        if not len(matrix):
-            return  # an empty file: no block of lines to parse
-        # Any coefficients, not only the cloner's: the file is parsed as one
-        # block, with no count or coefficient check.
+        # Any coefficients, not only the cloner's: the lines are parsed as
+        # they come, with no count check and the coefficient error unraised.
         data = first.read_bytes()
-        indices, coefficients = pipeline._check_block(first, data, 0, matrix.width, None)
+        M = (matrix.width + 1) // 2
+        with first.open("rb") as handle:
+            indices, coefficients, _ = pipeline._parse_lines(first, handle, 0, M, None)
         np.testing.assert_array_equal(indices, matrix.indices)
         np.testing.assert_array_equal(coefficients, matrix.coefficients)
         write_gm_matrix_lines(second, GMMatrix(matrix.width, indices, coefficients))
@@ -904,7 +940,7 @@ class TestGMMatrixProperties:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(edits=EDITS, cut=CUTS, expected=EXPECTED)
-    def test_array_checks_agree_with_line_grammar(self, tmp_path, edits, cut, expected):
+    def test_reader_agrees_with_line_grammar(self, tmp_path, edits, cut, expected):
         """Corrupted files fail on the line, and with the message, of a
         sequential reader that applies the line grammar one line at a time."""
         _agrees_with_line_grammar(tmp_path, edits, cut, expected)
@@ -927,10 +963,11 @@ def _agrees_with_line_grammar(tmp_path, edits, cut, expected):
         lines.pop()
     prev, problem = None, None
     for lineno, line in enumerate(lines, start=1):
-        problem = _line_problem(line, expected, prev)
-        if problem is not None:
+        parsed = _parse_line(line, expected, prev)
+        if isinstance(parsed, str):
+            problem = parsed
             break
-        prev = line.split(b"\t")[0].decode()
+        prev = parsed[0]
     M = (expected + 1) // 2
     if problem is None:
         # Lines the grammar accepts, but not the cloner's stage.
@@ -942,14 +979,14 @@ def _agrees_with_line_grammar(tmp_path, edits, cut, expected):
         assert str(err.value) == f"{path}:{lineno}: {problem}"
 
 
-class TestGMMatrixGrammarInSmallBlocks:
+class TestGMMatrixGrammarInSmallRuns:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edits=EDITS, cut=CUTS, expected=EXPECTED, block=st.integers(1, 40))
-    def test_array_checks_agree_with_line_grammar(self, tmp_path, edits, cut, expected, block):
-        """The same, read ``block`` bytes at a time."""
+    @given(edits=EDITS, cut=CUTS, expected=EXPECTED, chunk=st.integers(1, 40))
+    def test_reader_agrees_with_line_grammar(self, tmp_path, edits, cut, expected, chunk):
+        """The same, in support runs of ``chunk`` register indices."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "READ_BLOCK", block)
+            patch.setattr(pipeline, "CHUNK_ROWS", chunk)
             _agrees_with_line_grammar(tmp_path, edits, cut, expected)
 
 
