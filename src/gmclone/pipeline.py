@@ -17,39 +17,43 @@ the arrangement multiplicity), signs included, so the file alone suffices
 to rebuild the dense states.
 
 In memory a bitstring is its basis index (qubit 1 is the most significant
-bit, so fixed-width lexicographic order is numeric order).  The support is
-kept from a scan of the 2^(2M-1) register in runs of ``CHUNK_ROWS``
-indices (:func:`_support_runs`), and the GMMatrix bytes of each run come
-from one generator, :func:`_stage_runs`: a record's class b is the
-popcount of its index minus M-1, its sector j a popcount of one half, and
-its line the bit field followed by one of the 2M ``RE<TAB>IM<TAB>CLASS``
-tails of (b, j), each formatted once.  Nothing is built per line: the bit
-fields are ``(rows, n+1)`` uint8 ASCII matrices, unpacked once per run
-from the big-endian bytes of the indices: they are the run's GMBitString
-lines, and :func:`_lines` views them as strings and appends the tails.
-``prepare`` (:func:`run_pipeline`) writes GMBitString and GMMatrix from
-that generator in one pass through two open files, and FullBitString
-through a third, refilling only the high columns of one block per
-``CHUNK_ROWS`` lines.
+bit, so fixed-width lexicographic order is numeric order).  The register is
+taken in runs of ``2**CHUNK_BITS`` indices that share their high bits, and
+the GMMatrix bytes of each run come from one generator,
+:func:`_stage_runs`.  The support is the two popcount classes M-1 and M: a
+support string of the clone of |0> has j ones in the clone sector and
+M-1-j in the anticlone sector for some j, and conversely any split of M-1
+ones is realized.  A record's class b is the popcount of its index minus
+M-1, its sector j a popcount of one half, and its line the bit field
+followed by one of the 2M ``RE<TAB>IM<TAB>CLASS`` tails of (b, j), each
+formatted once.  The support, classes and sectors of a run depend on its
+high bits only through two popcounts, so the lines of the first run of
+each such key are built from the ``(rows, n+1)`` uint8 ASCII bit rows of
+its indices (:func:`_bit_rows`, :func:`_lines`), and every later run of
+the key copies them and writes its own high bits.  Nothing is built per
+line.  ``prepare`` (:func:`run_pipeline`) writes GMBitString, the bit rows
+of each run, and GMMatrix from that generator in one pass through two open
+files, and FullBitString through a third, refilling only the high columns
+of one block per run.
 :func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
 parity class.  It compares the file with the same generator's bytes, one
-run at a time, and keeps the records of a run that matches, and follows
-the run before it, from the regenerated columns: a ``prepare``-written
-stage is checked without parsing a line.  A run that differs, and any line
-past the last run, is parsed line by line by :func:`_parse_line`, the one
-GMMatrix line grammar, and held to the closed form of
-:func:`_sector_amplitudes`.  Only the records of the class asked for are
-kept.  So no temporary grows with the register, and none of stage I/O
-grows with the file beyond one run and the columns it reads.  A class is
-its bit b everywhere, as the ``basis:b`` input of ``compile`` names it.
-The package writes the stages and reads only GMMatrix; the string
-generators, the per-line readers and writers, and the table of both
-classes that the tests use live in ``tests/oracles.py``.
+run at a time, and keeps the records of a run that matches from the
+regenerated columns: a ``prepare``-written stage is checked without
+parsing a line.  A run that differs is parsed over the lines that start
+with its high bits, and so is any line past the last run: line by line,
+by :func:`_parse_line`, the one GMMatrix line grammar, and held to the
+closed form of :func:`_sector_amplitudes`.  Only the records of the class
+asked for are kept.  So no temporary grows with the register, and none of
+stage I/O grows with the file beyond one run, the templates in use and
+the columns it reads.  A class is its bit b everywhere, as the
+``basis:b`` input of ``compile`` names it.  The package writes the
+stages and reads only GMMatrix; the string generators, the per-line
+readers and writers, and the table of both classes that the tests use live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -65,9 +69,11 @@ from .errors import (
 )
 from ._format import float17
 
-# Register indices scanned, and stage lines written, at a time: bounds the
-# temporaries of ``prepare``.  A power of two.
-CHUNK_ROWS = 1 << 14
+# A run is the 2**CHUNK_BITS register indices that share all but their
+# CHUNK_BITS low bits: the stage lines ``prepare`` writes, and the reader
+# compares, at a time.  At most 16, as a template keeps its low bits in
+# uint16.
+CHUNK_BITS = 14
 # Largest distance of a stage coefficient from its closed form that compile
 # accepts.
 STAGE_ATOL = 1e-12
@@ -99,22 +105,6 @@ def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     np.add(np.unpackbits(big, axis=1)[:, 8 * used - width :], _ZERO, out=rows[:, :width])
     rows[:, width] = _LF
     return rows
-
-
-def _support_runs(M: int):
-    """The support indices in each run of ``CHUNK_ROWS`` register indices,
-    run by run: those of popcount M-1 or M, sorted.
-
-    The supports are the full popcount classes M-1 and M: a support string
-    of the clone of |0> has j ones in the clone sector and M-1-j in the
-    anticlone sector for some j, and conversely any split of M-1 ones is
-    realized.
-    """
-    rows = 2 ** (2 * M - 1)
-    for lo in range(0, rows, CHUNK_ROWS):
-        run = np.arange(lo, min(lo + CHUNK_ROWS, rows), dtype=np.int64)
-        ones = np.bitwise_count(run)
-        yield run[(ones == M - 1) | (ones == M)]
 
 
 def _sector_amplitudes(M: int) -> np.ndarray:
@@ -160,24 +150,61 @@ def _lines(rows: np.ndarray, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
 
 
 def _stage_runs(M: int):
-    """The GMMatrix stage of M clones, one run of :func:`_support_runs` at a
-    time: the run's indices, class bits, sectors j, bit rows and lines.
+    """The GMMatrix stage of M clones, one run of ``2**CHUNK_BITS`` register
+    indices at a time: the support indices in the run (those of popcount
+    M-1 or M), their class bits, sectors j and lines.
 
-    The bit rows are the run's GMBitString lines (:func:`_bit_rows`), and
-    the GMMatrix lines come from them through :func:`_lines`, with the 2M
-    ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j) formatted
-    once: the amplitude of sector j, IM 0 and C{b}.
+    The register index of a run's line is its high bits h, the same on
+    every line of the run, followed by low bits l.  Whether l is in the
+    support, its class and its sector depend on h only through the key
+    ``(popcount(h), popcount of h's bits in the clone half)``, so the lines
+    of two runs with one key differ only in the first characters, the
+    bits of h.  The first run of each key is built from its indices: its
+    bit rows (:func:`_bit_rows`) through :func:`_lines`, with the 2M
+    ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j)
+    formatted once: the amplitude of sector j, IM 0 and C{b}.  It is kept
+    as a template: its low bits, class bits, sectors, bytes and line
+    starts.  Every later run of the key copies those bytes and writes its
+    own high bits at the line starts.  A template is dropped after the last
+    run of its key.
     """
     width = 2 * M - 1
+    low = min(width, CHUNK_BITS)
+    high = width - low
     tails = np.array([
         f"\t{float17(a)}\t{float17(0.0)}\tC{b}\n".encode("ascii")
         for b in (0, 1) for a in _sector_amplitudes(M).tolist()
     ])
-    for run in _support_runs(M):
-        one = np.bitwise_count(run) == M
-        j = _sectors(M, run)
-        rows = _bit_rows(run, width)
-        yield run, one, j, rows, _lines(rows, tails, j + M * one)
+    lengths = width + np.strings.str_len(tails)  # of a line, by its tail
+    low_ones = np.bitwise_count(np.arange(1 << low))
+
+    def key(h):
+        return h.bit_count(), ((h << low) >> (M - 1)).bit_count()
+
+    last = {key(h): h for h in range(1 << high)}
+    templates = {}
+    for h in range(1 << high):
+        k = key(h)
+        if k in templates:
+            offsets, one, j, template, starts = templates[k]
+            run = offsets + np.int64(h << low)
+            lines = bytearray(template)
+            view = np.frombuffer(lines, dtype=np.uint8)
+            for column, bit in enumerate(format(h, f"0{high}b").encode("ascii")):
+                view[starts + column] = bit
+        else:
+            ones = low_ones + k[0]
+            offsets = np.flatnonzero((ones == M - 1) | (ones == M)).astype(np.uint16)
+            run = offsets + np.int64(h << low)
+            one = np.bitwise_count(run) == M
+            j = _sectors(M, run).astype(np.uint8)
+            tail_of = j + M * one
+            lines = _lines(_bit_rows(run, width), tails, tail_of)
+            starts = np.cumsum(lengths[tail_of]) - lengths[tail_of]
+            templates[k] = offsets, one, j, lines, starts
+        if last[k] == h:
+            del templates[k]
+        yield run, one, j, lines
 
 
 def _parse_line(line: bytes, width: int, prev_bits: str | None):
@@ -248,25 +275,40 @@ def _parse_lines(path, lines, lineno: int, M: int, prev: int | None):
     )
 
 
+def _prefixed(handle, prefix: bytes):
+    """The lines at ``handle`` up to the first that does not start with
+    ``prefix``, which is left unread."""
+    for line in handle:
+        if not line.startswith(prefix):
+            handle.seek(-len(line), os.SEEK_CUR)
+            return
+        yield line
+
+
 def _stage_parts(path, handle, M: int):
     """The records of the GMMatrix stage of M clones at ``handle``, one run
     of :func:`_stage_runs` at a time and then the lines past the last run:
     indices, coefficients and the coefficient error of :func:`_parse_lines`.
 
-    A run whose bytes are the ones ``prepare`` writes, and whose first index
-    follows the last one read, keeps the regenerated columns: a parse would
-    give the same indices and the same doubles, as ``float17`` round-trips
-    and IM is 0.  Any other run is parsed, ``run.size`` lines of it.
+    A run whose bytes are the ones ``prepare`` writes keeps the regenerated
+    columns: a parse would give the same indices and the same doubles, as
+    ``float17`` round-trips and IM is 0.  Any other run is parsed over the
+    lines that start with the run's high bits, which begin each of its
+    lines, so the next run is compared at its own first line even when a
+    line was deleted or inserted.  The records parsed for a run lie
+    in it, below the first index of every later run.
     """
+    width = 2 * M - 1
+    high = width - min(width, CHUNK_BITS)
     amplitudes = _sector_amplitudes(M).astype(np.complex128)
     lineno, prev = 0, None
-    for run, _, j, _, lines in _stage_runs(M):
+    for run, _, j, lines in _stage_runs(M):
         data = handle.read(len(lines))
-        if data == lines and (prev is None or not run.size or run[0] > prev):
+        if data == lines:
             part = run, amplitudes[j], None
         else:
             handle.seek(-len(data), os.SEEK_CUR)
-            part = _parse_lines(path, itertools.islice(handle, run.size), lineno, M, prev)
+            part = _parse_lines(path, _prefixed(handle, lines[:high]), lineno, M, prev)
         yield part
         lineno += part[0].size
         if part[0].size:
@@ -291,14 +333,15 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     coefficient error, which names the earliest record more than
     ``STAGE_ATOL`` from its amplitude.
 
-    The file is read through one open handle, one support run at a time
+    The file is read through one open handle, one run at a time
     (:func:`_stage_parts`).  Each run is compared with the bytes
     ``prepare`` writes: the lines of a run that matches are the cloner's,
-    so none is parsed.  A run that differs is parsed line by line, and so
-    are any lines past the last run, with the line number and the last
-    index carried over.  So the errors, their order and their line numbers
-    do not depend on which runs matched.  Only the columns kept of the runs
-    read so far grow with the file.
+    so none is parsed.  A run that differs is parsed line by line, as far
+    as its lines start with the run's high bits, and so are any lines past
+    the last run, with the line number and the last index carried over.
+    So the errors, their order and their line numbers do not depend on
+    which runs matched.  Only the columns kept of the runs read so far grow
+    with the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
@@ -340,9 +383,9 @@ def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     out_dir.mkdir(parents=True, exist_ok=True)
     check_register(M)
     n = 2 * M - 1
-    # The low bits of a chunk of FullBitString lines are those of every
-    # chunk (CHUNK_ROWS is a power of two), and its high bits are constant.
-    low = min(n, CHUNK_ROWS.bit_length() - 1)
+    # A run of FullBitString lines has the low bits of every run, and its
+    # high bits are constant.
+    low = min(n, CHUNK_BITS)
     block = _bit_rows(np.arange(1 << low, dtype=np.int64), n)
     with (out_dir / FULL_STAGE_NAME).open("wb") as full:
         for high in range(1 << (n - low)):
@@ -351,8 +394,8 @@ def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     counts = [0, 0]
     with (out_dir / GM_STAGE_NAME).open("wb") as gm, \
             (out_dir / MATRIX_STAGE_NAME).open("wb") as matrix:
-        for run, one, _, rows, lines in _stage_runs(M):
-            gm.write(rows.tobytes())
+        for run, one, _, lines in _stage_runs(M):
+            gm.write(_bit_rows(run, n).tobytes())
             matrix.write(lines)
             ones = int(np.count_nonzero(one))
             counts[0] += run.size - ones

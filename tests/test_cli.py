@@ -102,16 +102,17 @@ class TestPrepare:
 
     @pytest.mark.parametrize("M", [2, 9])
     def test_short_support_exits_4(self, tmp_path, capsys, monkeypatch, M):
-        # The support scan loses the first index of its first run: the
+        # The stage generator loses the first index of its first run: the
         # streamed counts no longer make up 2 C(2M-1, M) kets.
-        support_runs = pipeline._support_runs
+        stage_runs = pipeline._stage_runs
 
         def short_runs(M):
-            runs = support_runs(M)
-            yield next(runs)[1:]
+            runs = stage_runs(M)
+            run, one, j, lines = next(runs)
+            yield run[1:], one[1:], j[1:], lines[lines.index(b"\n") + 1 :]
             yield from runs
 
-        monkeypatch.setattr(pipeline, "_support_runs", short_runs)
+        monkeypatch.setattr(pipeline, "_stage_runs", short_runs)
         code = main(["prepare", "--clones", str(M), "--out", str(tmp_path)])
         captured = capsys.readouterr()
         expected = 2 * math.comb(2 * M - 1, M)

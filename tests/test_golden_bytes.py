@@ -8,7 +8,9 @@ per-line implementation it replaced, by running in one fresh directory per M:
 
 so both compiles take the `gm_matrix` source.  For M = 8 and 9 only the
 `prepare` stages are pinned (computed before the GMMatrix coefficients were
-evaluated on the support alone).
+evaluated on the support alone).  The `prepare` stages of M = 10 and 11 were
+pinned later, from the `prepare` that built every run of GMMatrix lines from
+its own indices, before the runs were copied from one template per key.
 
 When every sector ket moved onto the Dicke construction, the GMMatrix
 coefficients became the closed form gamma_j (-1)^j / sqrt(C(M,j) C(M-1,j)).
@@ -254,6 +256,22 @@ GOLDEN_STAGES = {
             "749b40f30e40cbf2235d3e6596b268e3960d82a86eedae00e902820f4c1c0bc3",
         "GMMatrix":
             "786ba5c4f20d30dde1144411a6c2dd809df8d444d2bca86c1e8204596f2ebc1d",
+    },
+    10: {
+        "FullBitString":
+            "c66f929224a26aa5b59c660956abe6e0e197bdc258167647ce6078a64ac9aacc",
+        "GMBitString":
+            "26bf0c653dac67d23878ed0af3e0aecfa839aa869835aee6ccde0cdc91c8e2e1",
+        "GMMatrix":
+            "dccda7626e429a1fead8c0e4c7607e768b4cbd535a6e9ab0b3b2e8b8c03002f4",
+    },
+    11: {
+        "FullBitString":
+            "74cee534385bef532c83e1a17de7357bdc5824f8a32eec58aa343b755a9b074c",
+        "GMBitString":
+            "e335fc9e66f3cc35e5b5cc9da790069cbf5818f400d98bf5a91fac2f0083df28",
+        "GMMatrix":
+            "bf2d243e26a41aacadd92dab10a159fc9a5e9fb9109591ac5f744629603c519f",
     },
 }
 

@@ -85,15 +85,15 @@ class TestGMBitstrings:
         assert gen_gm_bitstrings(M) == sorted(expected)
 
     @pytest.mark.parametrize(
-        "M, chunk",
-        [(M, pipeline.CHUNK_ROWS) for M in range(1, 12)]
-        + [(M, chunk) for chunk in (1, 7, 64) for M in range(1, 9)],
+        "M, bits",
+        [(M, pipeline.CHUNK_BITS) for M in range(1, 12)]
+        + [(M, bits) for bits in (0, 3, 6) for M in range(1, 9)],
     )
-    def test_support_is_the_popcount_scan(self, monkeypatch, M, chunk):
-        # Small chunks split a popcount class at the edges of the runs.
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+    def test_support_is_the_popcount_scan(self, monkeypatch, M, bits):
+        # Short runs split a popcount class at the edges of the runs.
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         n = 2 * M - 1
-        support = np.concatenate(list(pipeline._support_runs(M)))
+        support = np.concatenate([run for run, *_ in pipeline._stage_runs(M)])
         counts = np.bitwise_count(np.arange(2**n, dtype=np.int64))
         expected = np.flatnonzero((counts == M - 1) | (counts == M))
         assert support.dtype == np.int64
@@ -279,11 +279,11 @@ class TestStageFiles:
 
 
 class TestRunPipeline:
-    @pytest.mark.parametrize("M, chunk", [(1, 4), (2, 4), (3, 4), (5, 8), (8, 1 << 14)])
-    def test_full_stage_in_chunks_of_high_bits(self, tmp_path, monkeypatch, M, chunk):
-        # Each chunk of FullBitString lines reuses one block of low bits and
-        # fills its constant high bits; M = 8 has two default chunks.
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+    @pytest.mark.parametrize("M, bits", [(1, 2), (2, 2), (3, 2), (5, 3), (8, 14)])
+    def test_full_stage_in_chunks_of_high_bits(self, tmp_path, monkeypatch, M, bits):
+        # Each run of FullBitString lines reuses one block of low bits and
+        # fills its constant high bits; M = 8 has two default runs.
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         run_pipeline(M, tmp_path)
         n = 2 * M - 1
         expected = "".join(format(i, f"0{n}b") + "\n" for i in range(2**n))
@@ -587,9 +587,9 @@ class TestClassRead:
             one = read_gm_matrix(path, M, parity_class)
             _assert_same(one, _class_of(whole, parity_class))
 
-    @pytest.mark.parametrize("chunk", [5, 13, 64])
-    def test_equals_the_filtered_table_in_small_runs(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+    @pytest.mark.parametrize("bits", [2, 3, 6])
+    def test_equals_the_filtered_table_in_small_runs(self, tmp_path, monkeypatch, bits):
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         path = tmp_path / "GMMatrix"
         for M in range(1, 6):
             whole = assign_coefficients(M)
@@ -621,8 +621,8 @@ class TestClassRead:
         assert str(whole.value) == str(err.value)
 
     @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
-    @pytest.mark.parametrize("chunk", [5, 13, 64, 1 << 14])
-    def test_earliest_record_off_is_named(self, tmp_path, monkeypatch, parity_class, chunk):
+    @pytest.mark.parametrize("bits", [2, 3, 6, 14])
+    def test_earliest_record_off_is_named(self, tmp_path, monkeypatch, parity_class, bits):
         # With offsets growing down the file from record 3 on, the record
         # named is record 3, the earliest one off, as for a line error: not
         # a worse one later in its run, and whatever the reader's runs.
@@ -631,7 +631,7 @@ class TestClassRead:
         path = tmp_path / "GMMatrix"
         table = GMMatrix(7, matrix.indices, coefficients)
         write_gm_matrix_lines(path, table)
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         with pytest.raises(InternalConsistencyError) as err:
             read_gm_matrix(path, 4, parity_class)
         assert str(err.value).startswith(f"{path}:4: coefficient is 0.001 from ")
@@ -693,15 +693,15 @@ BIG_STAGE_TESTS = {
 
 
 class SmallRuns:
-    """Read stages in support runs of a few register indices: a run is then
-    a line or two, or none, so every check meets the line before it in
-    another run; with 1 index, every line is a run of its own.  The M = 8
-    and 9 stages take runs 256 times longer, to stay fast."""
+    """Read stages in runs of a few register indices: a run is then a line
+    or two, or none, so every check meets the line before it in another
+    run; with 0 bits, every line is a run of its own.  The M = 8 and 9
+    stages take runs 256 times longer, to stay fast."""
 
-    @pytest.fixture(autouse=True, params=[1, 5, 13])
+    @pytest.fixture(autouse=True, params=[0, 2, 3])
     def small_runs(self, request, monkeypatch):
         big = request.node.originalname in BIG_STAGE_TESTS
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", request.param << 8 if big else request.param)
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", request.param + 8 if big else request.param)
 
 
 class TestGMMatrixReaderSemanticsInSmallRuns(SmallRuns, TestGMMatrixReaderSemantics):
@@ -713,11 +713,11 @@ class TestGMMatrixInvariantsInSmallRuns(SmallRuns, TestGMMatrixInvariants):
 
 
 class TestGMMatrixReaderRuns:
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 8, 1 << 14])
-    def test_last_line_without_lf_across_runs(self, tmp_path, monkeypatch, chunk):
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 6, 14])
+    def test_last_line_without_lf_across_runs(self, tmp_path, monkeypatch, bits):
         # The last line without LF is index 6 of the 8 of the register: the
         # last of its run, alone in it, or before an empty last run.
-        monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         path = tmp_path / "GMMatrix"
         matrix = assign_coefficients(2)
         run_pipeline(2, tmp_path)
@@ -725,8 +725,8 @@ class TestGMMatrixReaderRuns:
         assert path.read_bytes().rindex(b"\n") + 1 == 149
         _assert_same(read_stage(path, 2), matrix)
 
-    @pytest.mark.parametrize("chunk", [5, 13, 64])
-    def test_runs_give_the_same_arrays(self, tmp_path, monkeypatch, chunk):
+    @pytest.mark.parametrize("bits", [2, 3, 6])
+    def test_runs_give_the_same_arrays(self, tmp_path, monkeypatch, bits):
         for M in range(1, 7):
             run_pipeline(M, tmp_path / f"m{M}")
             path = tmp_path / f"m{M}" / "GMMatrix"
@@ -734,7 +734,7 @@ class TestGMMatrixReaderRuns:
             respelled = tmp_path / f"GMMatrix{M}-respelled"
             respelled.write_bytes(path.read_bytes())
             _respell(respelled, range(len(whole)))
-            monkeypatch.setattr(pipeline, "CHUNK_ROWS", chunk)
+            monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
             parts = read_stage(path, M)
             parsed = read_stage(respelled, M)
             monkeypatch.undo()
@@ -743,8 +743,8 @@ class TestGMMatrixReaderRuns:
 
 
 def _run_starts(M):
-    """The number of support kets before each run of ``_support_runs(M)``."""
-    sizes = [run.size for run in pipeline._support_runs(M)]
+    """The number of support kets before each run of ``_stage_runs(M)``."""
+    sizes = [run.size for run, *_ in pipeline._stage_runs(M)]
     return np.cumsum([0] + sizes[:-1])
 
 
@@ -792,9 +792,10 @@ class TestPreparedRuns:
 
     @pytest.mark.parametrize("step", [0, 1])
     def test_matched_run_must_follow_the_parsed_run(self, tmp_path, step):
-        # The last line of run 3 is replaced by line ``step`` of run 4: run 3
-        # is parsed and passes the grammar, and run 4's bytes match, but its
-        # first index does not follow the last one read.
+        # The last line of run 3 is replaced by line ``step`` of run 4: the
+        # parse of run 3 stops before it, as it starts with run 4's high
+        # bits, and run 4 is parsed from it on, so run 4's first line does
+        # not follow the last one read.
         path = tmp_path / "GMMatrix"
         run_pipeline(9, tmp_path)
         start = int(_run_starts(9)[4])
@@ -807,6 +808,22 @@ class TestPreparedRuns:
         assert str(err.value) == (
             f"{path}:{start + 1}: bitstring {first} does not follow {last} (need sorted, unique)"
         )
+
+    @pytest.mark.parametrize("run", [0, 4])
+    def test_deleted_line_parses_only_its_run(self, tmp_path, monkeypatch, run):
+        # The parse of the run that lost its first line stops at the next
+        # run's high bits, and the runs after it are compared again.
+        path = tmp_path / "GMMatrix"
+        run_pipeline(9, tmp_path)
+        starts = list(_run_starts(9)) + [len(assign_coefficients(9))]
+        lines = path.read_bytes().splitlines(keepends=True)
+        del lines[starts[run]]
+        path.write_bytes(b"".join(lines))
+        calls = _spy_on_parse_lines(monkeypatch)
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, 9, 0)
+        assert str(err.value) == f"{path}: 48619 records, but the cloner of M=9 has 48620 support kets"
+        assert calls == [(starts[run], lines[starts[run] : starts[run + 1] - 1])]
 
     def test_no_final_lf_is_parsed_from_the_last_run(self, tmp_path, monkeypatch):
         matrix = assign_coefficients(9)
@@ -982,11 +999,11 @@ def _agrees_with_line_grammar(tmp_path, edits, cut, expected):
 class TestGMMatrixGrammarInSmallRuns:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edits=EDITS, cut=CUTS, expected=EXPECTED, chunk=st.integers(1, 40))
-    def test_reader_agrees_with_line_grammar(self, tmp_path, edits, cut, expected, chunk):
-        """The same, in support runs of ``chunk`` register indices."""
+    @given(edits=EDITS, cut=CUTS, expected=EXPECTED, bits=st.integers(0, 6))
+    def test_reader_agrees_with_line_grammar(self, tmp_path, edits, cut, expected, bits):
+        """The same, in runs of ``2**bits`` register indices."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "CHUNK_ROWS", chunk)
+            patch.setattr(pipeline, "CHUNK_BITS", bits)
             _agrees_with_line_grammar(tmp_path, edits, cut, expected)
 
 
