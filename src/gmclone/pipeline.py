@@ -27,25 +27,28 @@ ones is realized.  A record's class b is the popcount of its index minus
 M-1, its sector j a popcount of one half, and its line the bit field
 followed by one of the 2M ``RE<TAB>IM<TAB>CLASS`` tails of (b, j), each
 formatted once.  The support, classes and sectors of a run depend on its
-high bits only through two popcounts, so the lines of the first run of
-each such key are built from the ``(rows, n+1)`` uint8 ASCII bit rows of
-its indices (:func:`_bit_rows`, :func:`_lines`), and every later run of
-the key copies them and writes its own high bits.  Nothing is built per
-line.  ``prepare`` (:func:`run_pipeline`) writes GMBitString, the bit rows
-of each run, and GMMatrix from that generator in one pass through two open
-files, and FullBitString through a third, refilling only the high columns
-of one block per run.
+high bits only through two popcounts, so the ``(rows, n+1)`` uint8 ASCII
+bit rows and the lines of the first run of each such key are built from
+its indices (:func:`_bit_rows`, :func:`_lines`) and kept as the key's
+template.  Every later run of the key stamps its own high bits into the
+template in place, writing only the columns that differ from the run the
+template held before, so no run-sized buffer is made per run and nothing
+is built per line.  ``prepare`` (:func:`run_pipeline`) writes GMBitString,
+the stamped bit rows of each run, and GMMatrix, its stamped lines, from
+that generator in one pass through two open files, and FullBitString
+through a third, refilling only the high columns of one block per run.
+Each is written straight from its buffer, with no copy.
 :func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
 parity class.  It compares the file with the same generator's bytes, one
-run at a time, and keeps the records of a run that matches from the
-regenerated columns: a ``prepare``-written stage is checked without
-parsing a line.  A run that differs is parsed over the lines that start
-with its high bits, and so is any line past the last run: line by line,
-by :func:`_parse_line`, the one GMMatrix line grammar, and held to the
-closed form of :func:`_sector_amplitudes`.  Only the records of the class
-asked for are kept.  So no temporary grows with the register, and none of
-stage I/O grows with the file beyond one run, the templates in use and
-the columns it reads.  A class is its bit b everywhere, as the
+run at a time.  A run that matches yields the records of the class read
+from its template's columns, taken once per key: a ``prepare``-written
+stage is checked without parsing a line.  A run that differs is parsed
+over the lines that start with its high bits, and so is any line past the
+last run: line by line, by :func:`_parse_line`, the one GMMatrix line
+grammar, and held to the closed form of :func:`_sector_amplitudes`.  Only
+the records of the class asked for are kept.  So no temporary grows with
+the register, and none of stage I/O grows with the file beyond one run,
+the templates in use and the columns it reads.  A class is its bit b everywhere, as the
 ``basis:b`` input of ``compile`` names it.  The package writes the
 stages and reads only GMMatrix; the string generators, the per-line
 readers and writers, and the table of both classes that the tests use live
@@ -151,22 +154,28 @@ def _lines(rows: np.ndarray, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
 
 def _stage_runs(M: int):
     """The GMMatrix stage of M clones, one run of ``2**CHUNK_BITS`` register
-    indices at a time: the support indices in the run (those of popcount
-    M-1 or M), their class bits, sectors j and lines.
+    indices at a time: ``(key, base, offsets, one, j, lines, rows)``, the
+    key of the run's template, the run's first register index, and the
+    template's uint16 offsets from it of the support indices in the run
+    (those of popcount M-1 or M), their class bits, sectors j, GMMatrix
+    lines (a bytearray) and ``(rows, width+1)`` bit rows.
 
     The register index of a run's line is its high bits h, the same on
     every line of the run, followed by low bits l.  Whether l is in the
     support, its class and its sector depend on h only through the key
     ``(popcount(h), popcount of h's bits in the clone half)``, so the lines
-    of two runs with one key differ only in the first characters, the
-    bits of h.  The first run of each key is built from its indices: its
-    bit rows (:func:`_bit_rows`) through :func:`_lines`, with the 2M
-    ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j)
-    formatted once: the amplitude of sector j, IM 0 and C{b}.  It is kept
-    as a template: its low bits, class bits, sectors, bytes and line
-    starts.  Every later run of the key copies those bytes and writes its
-    own high bits at the line starts.  A template is dropped after the last
-    run of its key.
+    and bit rows of two runs with one key differ only in their first
+    columns, the bits of h.  The first run of each key is built from its
+    indices: its bit rows (:func:`_bit_rows`), and from them its lines
+    (:func:`_lines`), with the 2M ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of
+    (class b, sector j) formatted once: the amplitude of sector j, IM 0 and
+    C{b}.  It is kept as the key's template, with its line starts and the
+    high bits it holds.  For every later run of the key, the template's
+    lines and bit rows are stamped in place: only the high columns where h
+    differs from the bits they hold are written, at the line starts and
+    down the rows.  So ``lines`` and ``rows`` are valid until the next step
+    of the generator, which may overwrite them.  A template is dropped after
+    the last run of its key.
     """
     width = 2 * M - 1
     low = min(width, CHUNK_BITS)
@@ -185,13 +194,14 @@ def _stage_runs(M: int):
     templates = {}
     for h in range(1 << high):
         k = key(h)
+        bits = format(h, f"0{high}b").encode("ascii")
         if k in templates:
-            offsets, one, j, template, starts = templates[k]
-            run = offsets + np.int64(h << low)
-            lines = bytearray(template)
+            offsets, one, j, lines, rows, starts, held = templates[k]
             view = np.frombuffer(lines, dtype=np.uint8)
-            for column, bit in enumerate(format(h, f"0{high}b").encode("ascii")):
-                view[starts + column] = bit
+            for column, (bit, was) in enumerate(zip(bits, held)):
+                if bit != was:
+                    view[starts + column] = bit
+                    rows[:, column] = bit
         else:
             ones = low_ones + k[0]
             offsets = np.flatnonzero((ones == M - 1) | (ones == M)).astype(np.uint16)
@@ -199,12 +209,13 @@ def _stage_runs(M: int):
             one = np.bitwise_count(run) == M
             j = _sectors(M, run).astype(np.uint8)
             tail_of = j + M * one
-            lines = _lines(_bit_rows(run, width), tails, tail_of)
+            rows = _bit_rows(run, width)
+            lines = bytearray(_lines(rows, tails, tail_of))
             starts = np.cumsum(lengths[tail_of]) - lengths[tail_of]
-            templates[k] = offsets, one, j, lines, starts
+        templates[k] = offsets, one, j, lines, rows, starts, bits
         if last[k] == h:
             del templates[k]
-        yield run, one, j, lines
+        yield k, h << low, offsets, one, j, lines, rows
 
 
 def _parse_line(line: bytes, width: int, prev_bits: str | None):
@@ -285,35 +296,54 @@ def _prefixed(handle, prefix: bytes):
         yield line
 
 
-def _stage_parts(path, handle, M: int):
+def _stage_parts(path, handle, M: int, parity_class: int):
     """The records of the GMMatrix stage of M clones at ``handle``, one run
     of :func:`_stage_runs` at a time and then the lines past the last run:
-    indices, coefficients and the coefficient error of :func:`_parse_lines`.
+    the number of records of both classes, the indices and coefficients of
+    class ``parity_class``, and the coefficient error of
+    :func:`_parse_lines`.
 
-    A run whose bytes are the ones ``prepare`` writes keeps the regenerated
-    columns: a parse would give the same indices and the same doubles, as
-    ``float17`` round-trips and IM is 0.  Any other run is parsed over the
-    lines that start with the run's high bits, which begin each of its
+    Each run's bytes are compared with its lines from :func:`_stage_runs`
+    before the next step of that generator, which may overwrite them.  A
+    run whose bytes are the ones ``prepare`` writes yields its template's
+    int64 low offsets and coefficients of the class, taken once per key,
+    with the run's first index added to the offsets: a parse would give the
+    same indices and the same doubles, as ``float17`` round-trips and IM is
+    0.  The coefficients are one array per key, yielded for each of its
+    runs, so they are read and never written.  Any other run is parsed over
+    the lines that start with the run's high bits, which begin each of its
     lines, so the next run is compared at its own first line even when a
-    line was deleted or inserted.  The records parsed for a run lie
-    in it, below the first index of every later run.
+    line was deleted or inserted.  The records parsed for a run lie in it,
+    below the first index of every later run.
     """
     width = 2 * M - 1
     high = width - min(width, CHUNK_BITS)
     amplitudes = _sector_amplitudes(M).astype(np.complex128)
+    kept = {}  # by template key: the low offsets and coefficients of the class
     lineno, prev = 0, None
-    for run, _, j, lines in _stage_runs(M):
+
+    def parsed(lines):
+        nonlocal lineno, prev
+        indices, coefficients, off = _parse_lines(path, lines, lineno, M, prev)
+        lineno += indices.size
+        prev = int(indices[-1]) if indices.size else prev
+        keep = np.bitwise_count(indices) == M - 1 + parity_class
+        return indices.size, indices[keep], coefficients[keep], off
+
+    for key, base, offsets, one, j, lines, _ in _stage_runs(M):
         data = handle.read(len(lines))
         if data == lines:
-            part = run, amplitudes[j], None
+            if key not in kept:
+                keep = one == parity_class
+                kept[key] = offsets[keep].astype(np.int64), amplitudes[j[keep]]
+            low, coefficients = kept[key]
+            yield offsets.size, low + base, coefficients, None
+            lineno += offsets.size
+            prev = base + int(offsets[-1]) if offsets.size else prev
         else:
             handle.seek(-len(data), os.SEEK_CUR)
-            part = _parse_lines(path, _prefixed(handle, lines[:high]), lineno, M, prev)
-        yield part
-        lineno += part[0].size
-        if part[0].size:
-            prev = int(part[0][-1])
-    yield _parse_lines(path, handle, lineno, M, prev)
+            yield parsed(_prefixed(handle, lines[:high]))
+    yield parsed(handle)
 
 
 def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
@@ -335,13 +365,15 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
 
     The file is read through one open handle, one run at a time
     (:func:`_stage_parts`).  Each run is compared with the bytes
-    ``prepare`` writes: the lines of a run that matches are the cloner's,
-    so none is parsed.  A run that differs is parsed line by line, as far
-    as its lines start with the run's high bits, and so are any lines past
-    the last run, with the line number and the last index carried over.
-    So the errors, their order and their line numbers do not depend on
-    which runs matched.  Only the columns kept of the runs read so far grow
-    with the file.
+    ``prepare`` writes, the lines of :func:`_stage_runs`, which are valid
+    only until its next step: the lines of a run that matches are the
+    cloner's, so none is parsed, and its records of the class are its
+    template's, shifted by the run's first index.  A run that differs is
+    parsed line by line, as far as its lines start with the run's high
+    bits, and so are any lines past the last run, with the line number and
+    the last index carried over.  So the errors, their order and their line
+    numbers do not depend on which runs matched.  Only the columns kept of
+    the runs read so far grow with the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
@@ -350,12 +382,11 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     count, off_error = 0, None  # records read; the error naming the earliest off
     columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
     with path.open("rb") as handle:
-        for indices, coefficients, off in _stage_parts(path, handle, M):
+        for size, *part, off in _stage_parts(path, handle, M, parity_class):
             off_error = off_error or off
-            count += indices.size
-            keep = np.bitwise_count(indices) == M - 1 + parity_class
-            for column, part in zip(columns, (indices, coefficients)):
-                column.append(part[keep])
+            count += size
+            for column, kept in zip(columns, part):
+                column.append(kept)
     expected = 2 * math.comb(2 * M - 1, M)
     if count != expected:
         raise InternalConsistencyError(
@@ -390,15 +421,15 @@ def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     with (out_dir / FULL_STAGE_NAME).open("wb") as full:
         for high in range(1 << (n - low)):
             block[:, : n - low] = _bit_rows(np.array([high]), n - low)[:, :-1]
-            full.write(block.tobytes())
+            full.write(block)
     counts = [0, 0]
     with (out_dir / GM_STAGE_NAME).open("wb") as gm, \
             (out_dir / MATRIX_STAGE_NAME).open("wb") as matrix:
-        for run, one, _, lines in _stage_runs(M):
-            gm.write(_bit_rows(run, n).tobytes())
+        for _, _, offsets, one, _, lines, rows in _stage_runs(M):
+            gm.write(rows)
             matrix.write(lines)
             ones = int(np.count_nonzero(one))
-            counts[0] += run.size - ones
+            counts[0] += offsets.size - ones
             counts[1] += ones
     # Both classes hold C(2M-1, M) = C(2M-1, M-1) kets.
     total, expected = sum(counts), 2 * math.comb(n, M)

@@ -107,7 +107,9 @@ def test_criterion_05_parity_partition():
         for M in range(1, 11):
             strings = gen_gm_bitstrings(M)
             # prepare's support is the string generator's
-            support = np.concatenate([run for run, *_ in pipeline._stage_runs(M)])
+            support = np.concatenate(
+                [base + offsets.astype(np.int64) for _, base, offsets, *_ in pipeline._stage_runs(M)]
+            )
             n = 2 * M - 1
             assert [format(i, f"0{n}b") for i in support.tolist()] == strings
             count0 = count1 = 0

@@ -93,7 +93,9 @@ class TestGMBitstrings:
         # Short runs split a popcount class at the edges of the runs.
         monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
         n = 2 * M - 1
-        support = np.concatenate([run for run, *_ in pipeline._stage_runs(M)])
+        support = np.concatenate(
+            [base + offsets.astype(np.int64) for _, base, offsets, *_ in pipeline._stage_runs(M)]
+        )
         counts = np.bitwise_count(np.arange(2**n, dtype=np.int64))
         expected = np.flatnonzero((counts == M - 1) | (counts == M))
         assert support.dtype == np.int64
@@ -300,6 +302,21 @@ class TestRunPipeline:
         assert calls == []
         check_gm_matrix(matrix, M, path)
         _assert_same(matrix, assign_coefficients(M))
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3])
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_stamped_runs_write_the_oracles_bytes(self, tmp_path, monkeypatch, M, bits):
+        # In runs this short most keys have several runs, so the templates'
+        # lines and bit rows are stamped in place run after run; each stage
+        # is written from them before the next stamp.
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", bits)
+        run_pipeline(M, tmp_path)
+        write_gm_matrix_lines(tmp_path / "oracle", assign_coefficients(M))
+        for name, strings in (("FullBitString", gen_full_bitstrings(M)),
+                              ("GMBitString", gen_gm_bitstrings(M))):
+            expected = "".join(s + "\n" for s in strings).encode("ascii")
+            assert (tmp_path / name).read_bytes() == expected
+        assert (tmp_path / "GMMatrix").read_bytes() == (tmp_path / "oracle").read_bytes()
 
     def test_produces_three_parsable_stages(self, tmp_path):
         assert run_pipeline(2, tmp_path) == (3, 3)
@@ -744,7 +761,7 @@ class TestGMMatrixReaderRuns:
 
 def _run_starts(M):
     """The number of support kets before each run of ``_stage_runs(M)``."""
-    sizes = [run.size for run, *_ in pipeline._stage_runs(M)]
+    sizes = [offsets.size for _, _, offsets, *_ in pipeline._stage_runs(M)]
     return np.cumsum([0] + sizes[:-1])
 
 
@@ -849,6 +866,62 @@ class TestPreparedRuns:
             f"{path}:48621: bitstring {bits} does not follow {bits} (need sorted, unique)"
         )
         assert [lineno for lineno, _ in calls] == [48620]
+
+
+def _stamped_run(M):
+    """The first run of ``_stage_runs(M)`` past the middle of the support
+    that is not the first of its key and holds both classes: the number of
+    support kets before it, its class bits, and the first index of the
+    key's run before it."""
+    start, held = 0, {}
+    for key, base, offsets, one, *_ in pipeline._stage_runs(M):
+        if start >= math.comb(2 * M - 1, M) and key in held and 0 < one.sum() < one.size:
+            return start, one.copy(), held[key]
+        held[key] = base
+        start += offsets.size
+
+
+class TestStampedRuns:
+    """M = 9 read in runs of 2**6 register indices: every key has many runs,
+    so the reader compares a run with its key's template, stamped in place
+    with the run's high bits, and keeps the class it reads from the
+    template's columns."""
+
+    @pytest.fixture(autouse=True)
+    def short_runs(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "CHUNK_BITS", 6)
+
+    @pytest.mark.parametrize("parity_class", CLASSES, ids=CLASS_IDS.get)
+    def test_other_class_off_the_closed_form_names_its_line(self, tmp_path, parity_class):
+        start, one, _ = _stamped_run(9)
+        row = start + int(np.flatnonzero(one != parity_class)[0])
+        matrix = assign_coefficients(9)
+        coefficients = matrix.coefficients.copy()
+        coefficients[row] += 1e-3
+        path = tmp_path / "GMMatrix"
+        write_gm_matrix_lines(path, GMMatrix(17, matrix.indices, coefficients))
+        with pytest.raises(InternalConsistencyError) as err:
+            read_gm_matrix(path, 9, parity_class)
+        assert str(err.value).startswith(f"{path}:{row + 1}: coefficient is 0.001 from ")
+
+    @pytest.mark.parametrize("line", [0, 1])
+    def test_high_bits_of_the_keys_previous_run_fail_on_their_line(self, tmp_path, line):
+        # The line's low bits are its own and its high bits those of the
+        # run the template held before this one.
+        start, _, previous = _stamped_run(9)
+        run_pipeline(9, tmp_path)
+        path = tmp_path / "GMMatrix"
+        lines = path.read_bytes().split(b"\n")
+        row = start + line
+        high = 17 - 6
+        lines[row] = format(previous >> 6, f"0{high}b").encode() + lines[row][high:]
+        path.write_bytes(b"\n".join(lines))
+        bits, before = (lines[k].split(b"\t")[0].decode() for k in (row, row - 1))
+        with pytest.raises(StageParseError) as err:
+            read_gm_matrix(path, 9, 0)
+        assert str(err.value) == (
+            f"{path}:{row + 1}: bitstring {bits} does not follow {before} (need sorted, unique)"
+        )
 
 
 class TestStageMemory:
