@@ -99,19 +99,6 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _stage_records(args, matrix_path):
-    """Sorted indices and coefficients of the basis input's parity class in
-    the GMMatrix stage at ``matrix_path``, or None when the input is not a
-    basis state or the stage is absent.  The stage must be the cloner's: one
-    class read (``pipeline.read_gm_matrix``) checks both classes run by run
-    and keeps only this one."""
-    bit = _basis_bit(args.input)
-    if bit is None or not matrix_path.is_file():
-        return None
-    matrix = pipeline.read_gm_matrix(matrix_path, args.clones, bit)
-    return matrix.indices, matrix.coefficients
-
-
 def _stage_dicke(records, M: int, bit: int) -> np.ndarray:
     """The (M+1) x M matrix c of the stage register of class ``bit``
     projected onto |D^M_a>|D^(M-1)_b>.
@@ -174,13 +161,18 @@ def cmd_compile(args) -> int:
     M, q = args.clones, parse_input_spec(args.input)
     check_register(M)
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
-    records = _stage_records(args, matrix_path)
-    if records is None:
+    bit = _basis_bit(args.input)
+    if bit is not None and matrix_path.is_file():
+        # One class read checks both classes of the stage, run by run, and
+        # keeps only this one.
+        matrix = pipeline.read_gm_matrix(matrix_path, M, bit)
+        records = matrix.indices, matrix.coefficients
+        source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
+        c = _stage_dicke(records, M, bit)
+    else:
+        records = None
         source = origin = "builder"
         (c,) = dicke_outputs(M, [q])
-    else:
-        source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
-        c = _stage_dicke(records, M, _basis_bit(args.input))
     compiled, spectrum = mps.mps_from_dicke(c, args.tol)
     left, right = mps.mps_halves(compiled, M)
     if records is None:

@@ -27,20 +27,20 @@ ones is realized.  A record's class b is the popcount of its index minus
 M-1, its sector j a popcount of one half, and its line the bit field
 followed by one of the 2M ``RE<TAB>IM<TAB>CLASS`` tails of (b, j), each
 formatted once.  The support, classes and sectors of a run depend on its
-high bits only through two popcounts, so the ``(rows, n+1)`` uint8 ASCII
-bit rows and the lines of the first run of each such key are built from
-its indices (:func:`_bit_rows`, :func:`_lines`) and kept as the key's
-template.  Every later run of the key stamps its own high bits into the
-template in place, writing only the columns that differ from the run the
-template held before, so no run-sized buffer is made per run and nothing
-is built per line.  ``prepare`` (:func:`run_pipeline`) writes GMBitString,
-the stamped bit rows of each run, and GMMatrix, its stamped lines, from
-that generator in one pass through two open files, and FullBitString
-through a third, refilling only the high columns of one block per run.
-Each is written straight from its buffer, with no copy.
+high bits only through two popcounts, so the lines of the first run of
+each such key are built from its indices (:func:`_bit_rows`,
+:func:`_lines`) and kept as the key's template.  Every later run of the
+key stamps its own high bits into the template in place, writing only the
+columns that differ from the run the template held before, so no
+run-sized buffer is made per run for GMMatrix and nothing is built per
+line.  ``prepare`` (:func:`run_pipeline`) writes the three stages from
+that generator in one pass through three open files: FullBitString from
+one block of the bit rows of the low bits, whose high columns it stamps by
+the same rule; GMBitString, the support rows of that block; and GMMatrix,
+the run's stamped lines.
 :func:`read_gm_matrix` reads the stage of M clones, width 2M-1, for one
 parity class.  It compares the file with the same generator's bytes, one
-run at a time.  A run that matches yields the records of the class read
+run at a time.  A run that matches gives the records of the class read
 from its template's columns, taken once per key: a ``prepare``-written
 stage is checked without parsing a line.  A run that differs is parsed
 over the lines that start with its high bits, and so is any line past the
@@ -48,11 +48,11 @@ last run: line by line, by :func:`_parse_line`, the one GMMatrix line
 grammar, and held to the closed form of :func:`_sector_amplitudes`.  Only
 the records of the class asked for are kept.  So no temporary grows with
 the register, and none of stage I/O grows with the file beyond one run,
-the templates in use and the columns it reads.  A class is its bit b everywhere, as the
-``basis:b`` input of ``compile`` names it.  The package writes the
-stages and reads only GMMatrix; the string generators, the per-line
-readers and writers, and the table of both classes that the tests use live
-in ``tests/oracles.py``.
+the templates in use and the columns it reads.  A class is its bit b
+everywhere, as the ``basis:b`` input of ``compile`` names it.  The
+package writes the stages and reads only GMMatrix; the string generators,
+the per-line readers and writers, and the table of both classes that the
+tests use live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,6 +110,12 @@ def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
+def _high_bits(h: int, high: int) -> bytes:
+    """The ASCII bits of a run's high bits ``h``: exactly ``high`` bytes,
+    none when ``high`` is 0."""
+    return format((1 << high) | h, "b")[1:].encode("ascii")
+
+
 def _sector_amplitudes(M: int) -> np.ndarray:
     """The amplitude of a support ket of sector j, for j = 0..M-1.
 
@@ -154,28 +160,27 @@ def _lines(rows: np.ndarray, tails: np.ndarray, tail_of: np.ndarray) -> bytes:
 
 def _stage_runs(M: int):
     """The GMMatrix stage of M clones, one run of ``2**CHUNK_BITS`` register
-    indices at a time: ``(key, base, offsets, one, j, lines, rows)``, the
-    key of the run's template, the run's first register index, and the
-    template's uint16 offsets from it of the support indices in the run
-    (those of popcount M-1 or M), their class bits, sectors j, GMMatrix
-    lines (a bytearray) and ``(rows, width+1)`` bit rows.
+    indices at a time: ``(key, base, offsets, one, j, lines)``, the key of
+    the run's template, the run's first register index, and the template's
+    uint16 offsets from it of the support indices in the run (those of
+    popcount M-1 or M), their class bits, sectors j and GMMatrix lines (a
+    bytearray).
 
     The register index of a run's line is its high bits h, the same on
     every line of the run, followed by low bits l.  Whether l is in the
     support, its class and its sector depend on h only through the key
     ``(popcount(h), popcount of h's bits in the clone half)``, so the lines
-    and bit rows of two runs with one key differ only in their first
-    columns, the bits of h.  The first run of each key is built from its
-    indices: its bit rows (:func:`_bit_rows`), and from them its lines
-    (:func:`_lines`), with the 2M ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of
-    (class b, sector j) formatted once: the amplitude of sector j, IM 0 and
-    C{b}.  It is kept as the key's template, with its line starts and the
-    high bits it holds.  For every later run of the key, the template's
-    lines and bit rows are stamped in place: only the high columns where h
-    differs from the bits they hold are written, at the line starts and
-    down the rows.  So ``lines`` and ``rows`` are valid until the next step
-    of the generator, which may overwrite them.  A template is dropped after
-    the last run of its key.
+    of two runs with one key differ only in their first columns, the bits
+    of h.  The first run of each key is built from its indices: its bit rows
+    (:func:`_bit_rows`), and from them its lines (:func:`_lines`), with the
+    2M ``<TAB>RE<TAB>IM<TAB>CLASS<LF>`` tails of (class b, sector j)
+    formatted once: the amplitude of sector j, IM 0 and C{b}.  Its lines are
+    kept as the key's template, with their starts and the high bits they
+    hold.  For every later run of the key, the template's lines are stamped
+    in place: only the high columns where h differs from the bits they hold
+    are written, at the line starts.  So ``lines`` is valid until the next
+    step of the generator, which may overwrite it.  A template is dropped
+    after the last run of its key.
     """
     width = 2 * M - 1
     low = min(width, CHUNK_BITS)
@@ -194,14 +199,13 @@ def _stage_runs(M: int):
     templates = {}
     for h in range(1 << high):
         k = key(h)
-        bits = format(h, f"0{high}b").encode("ascii")
+        bits = _high_bits(h, high)
         if k in templates:
-            offsets, one, j, lines, rows, starts, held = templates[k]
+            offsets, one, j, lines, starts, held = templates[k]
             view = np.frombuffer(lines, dtype=np.uint8)
             for column, (bit, was) in enumerate(zip(bits, held)):
                 if bit != was:
                     view[starts + column] = bit
-                    rows[:, column] = bit
         else:
             ones = low_ones + k[0]
             offsets = np.flatnonzero((ones == M - 1) | (ones == M)).astype(np.uint16)
@@ -209,13 +213,12 @@ def _stage_runs(M: int):
             one = np.bitwise_count(run) == M
             j = _sectors(M, run).astype(np.uint8)
             tail_of = j + M * one
-            rows = _bit_rows(run, width)
-            lines = bytearray(_lines(rows, tails, tail_of))
+            lines = bytearray(_lines(_bit_rows(run, width), tails, tail_of))
             starts = np.cumsum(lengths[tail_of]) - lengths[tail_of]
-        templates[k] = offsets, one, j, lines, rows, starts, bits
+        templates[k] = offsets, one, j, lines, starts, bits
         if last[k] == h:
             del templates[k]
-        yield k, h << low, offsets, one, j, lines, rows
+        yield k, h << low, offsets, one, j, lines
 
 
 def _parse_line(line: bytes, width: int, prev_bits: str | None):
@@ -296,56 +299,6 @@ def _prefixed(handle, prefix: bytes):
         yield line
 
 
-def _stage_parts(path, handle, M: int, parity_class: int):
-    """The records of the GMMatrix stage of M clones at ``handle``, one run
-    of :func:`_stage_runs` at a time and then the lines past the last run:
-    the number of records of both classes, the indices and coefficients of
-    class ``parity_class``, and the coefficient error of
-    :func:`_parse_lines`.
-
-    Each run's bytes are compared with its lines from :func:`_stage_runs`
-    before the next step of that generator, which may overwrite them.  A
-    run whose bytes are the ones ``prepare`` writes yields its template's
-    int64 low offsets and coefficients of the class, taken once per key,
-    with the run's first index added to the offsets: a parse would give the
-    same indices and the same doubles, as ``float17`` round-trips and IM is
-    0.  The coefficients are one array per key, yielded for each of its
-    runs, so they are read and never written.  Any other run is parsed over
-    the lines that start with the run's high bits, which begin each of its
-    lines, so the next run is compared at its own first line even when a
-    line was deleted or inserted.  The records parsed for a run lie in it,
-    below the first index of every later run.
-    """
-    width = 2 * M - 1
-    high = width - min(width, CHUNK_BITS)
-    amplitudes = _sector_amplitudes(M).astype(np.complex128)
-    kept = {}  # by template key: the low offsets and coefficients of the class
-    lineno, prev = 0, None
-
-    def parsed(lines):
-        nonlocal lineno, prev
-        indices, coefficients, off = _parse_lines(path, lines, lineno, M, prev)
-        lineno += indices.size
-        prev = int(indices[-1]) if indices.size else prev
-        keep = np.bitwise_count(indices) == M - 1 + parity_class
-        return indices.size, indices[keep], coefficients[keep], off
-
-    for key, base, offsets, one, j, lines, _ in _stage_runs(M):
-        data = handle.read(len(lines))
-        if data == lines:
-            if key not in kept:
-                keep = one == parity_class
-                kept[key] = offsets[keep].astype(np.int64), amplitudes[j[keep]]
-            low, coefficients = kept[key]
-            yield offsets.size, low + base, coefficients, None
-            lineno += offsets.size
-            prev = base + int(offsets[-1]) if offsets.size else prev
-        else:
-            handle.seek(-len(data), os.SEEK_CUR)
-            yield parsed(_prefixed(handle, lines[:high]))
-    yield parsed(handle)
-
-
 def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     """The records of class C{parity_class} of the GMMatrix stage of M
     clones, checked to be the cloner's.
@@ -363,31 +316,66 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     coefficient error, which names the earliest record more than
     ``STAGE_ATOL`` from its amplitude.
 
-    The file is read through one open handle, one run at a time
-    (:func:`_stage_parts`).  Each run is compared with the bytes
-    ``prepare`` writes, the lines of :func:`_stage_runs`, which are valid
-    only until its next step: the lines of a run that matches are the
-    cloner's, so none is parsed, and its records of the class are its
-    template's, shifted by the run's first index.  A run that differs is
-    parsed line by line, as far as its lines start with the run's high
-    bits, and so are any lines past the last run, with the line number and
-    the last index carried over.  So the errors, their order and their line
-    numbers do not depend on which runs matched.  Only the columns kept of
-    the runs read so far grow with the file.
+    The file is read through one open handle, one run of
+    :func:`_stage_runs` at a time and then the lines past the last run.
+    Each run's bytes are compared with its lines from the generator, the
+    bytes ``prepare`` writes, before its next step, which may overwrite
+    them.  A run that matches is the cloner's, so none of its lines is
+    parsed: its records of the class are its template's int64 low offsets
+    and coefficients of the class, taken once per key, with the run's first
+    index added to the offsets.  A parse would give the same indices and
+    the same doubles, as ``float17`` round-trips and IM is 0.  The
+    coefficients are one array per key, kept for each of its runs, so they
+    are read and never written.  Any other run is parsed line by line, as
+    far as its lines start with the run's high bits, which begin each of
+    its lines, so the next run is compared at its own first line even when
+    a line was deleted or inserted; the lines past the last run are parsed
+    too.  The records parsed for a run lie in it, below the first index of
+    every later run.  One count of the lines read so far is both the line
+    number a parse starts after and, at the end, the record count, and the
+    last index read is carried into the next parse.  So the errors, their
+    order and their line numbers do not depend on which runs matched.  Only
+    the columns kept of the runs read so far grow with the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
         raise DomainError(f"a class read needs class 0 or 1, not {parity_class!r}")
     path = Path(path)
-    count, off_error = 0, None  # records read; the error naming the earliest off
+    width = 2 * M - 1
+    high = width - min(width, CHUNK_BITS)
+    amplitudes = _sector_amplitudes(M).astype(np.complex128)
+    kept = {}  # by template key: the low offsets and coefficients of the class
+    count, prev, off_error = 0, None, None  # lines read; the last index; the earliest off
     columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
+
+    def parse(lines):
+        nonlocal count, prev, off_error
+        indices, coefficients, off = _parse_lines(path, lines, count, M, prev)
+        count += indices.size
+        prev = int(indices[-1]) if indices.size else prev
+        off_error = off_error or off
+        keep = np.bitwise_count(indices) == M - 1 + parity_class
+        columns[0].append(indices[keep])
+        columns[1].append(coefficients[keep])
+
     with path.open("rb") as handle:
-        for size, *part, off in _stage_parts(path, handle, M, parity_class):
-            off_error = off_error or off
-            count += size
-            for column, kept in zip(columns, part):
-                column.append(kept)
-    expected = 2 * math.comb(2 * M - 1, M)
+        for key, base, offsets, one, j, lines in _stage_runs(M):
+            data = handle.read(len(lines))
+            if data != lines:
+                handle.seek(-len(data), os.SEEK_CUR)
+                parse(_prefixed(handle, lines[:high]))
+                continue
+            if key not in kept:
+                keep = one == parity_class
+                kept[key] = offsets[keep].astype(np.int64), amplitudes[j[keep]]
+            low, coefficients = kept[key]
+            columns[0].append(low + base)
+            columns[1].append(coefficients)
+            count += offsets.size
+            prev = base + int(offsets[-1]) if offsets.size else prev
+        parse(handle)
+    del kept, data, lines  # the last run and the per-key columns: not held at the join
+    expected = 2 * math.comb(width, M)
     if count != expected:
         raise InternalConsistencyError(
             f"{path}: {count} records, but the cloner of M={M} has {expected} support kets"
@@ -398,7 +386,7 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     for column in columns:  # one column's runs and copy alive at a time
         joined.append(np.concatenate(column))
         column.clear()
-    return GMMatrix(2 * M - 1, *joined)
+    return GMMatrix(width, *joined)
 
 
 def run_pipeline(M: int, out_dir) -> tuple[int, int]:
@@ -406,27 +394,33 @@ def run_pipeline(M: int, out_dir) -> tuple[int, int]:
     ``FULL_STAGE_NAME``, ``GM_STAGE_NAME`` and ``MATRIX_STAGE_NAME``, and
     return the record counts of classes C0 and C1.
 
-    GMBitString and GMMatrix are written in one pass over
-    :func:`_stage_runs`, and the counts are checked to make up the whole
-    support, 2 C(2M-1, M) kets.
+    The three stages are written in one pass over :func:`_stage_runs`,
+    through three open files.  FullBitString's run is one block of the
+    ``(2**CHUNK_BITS, n+1)`` bit rows of the low bits, whose high columns
+    are stamped only where the run's high bits differ from the ones they
+    hold, as the templates are.  GMBitString's run is the block's support
+    rows, ``np.take`` of the run's offsets, and GMMatrix's the run's lines.
+    The counts are checked to make up the whole support, 2 C(2M-1, M) kets.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     check_register(M)
     n = 2 * M - 1
-    # A run of FullBitString lines has the low bits of every run, and its
-    # high bits are constant.
     low = min(n, CHUNK_BITS)
     block = _bit_rows(np.arange(1 << low, dtype=np.int64), n)
-    with (out_dir / FULL_STAGE_NAME).open("wb") as full:
-        for high in range(1 << (n - low)):
-            block[:, : n - low] = _bit_rows(np.array([high]), n - low)[:, :-1]
-            full.write(block)
+    held = _high_bits(0, n - low)  # the high bits the block holds
     counts = [0, 0]
-    with (out_dir / GM_STAGE_NAME).open("wb") as gm, \
+    with (out_dir / FULL_STAGE_NAME).open("wb") as full, \
+            (out_dir / GM_STAGE_NAME).open("wb") as gm, \
             (out_dir / MATRIX_STAGE_NAME).open("wb") as matrix:
-        for _, _, offsets, one, _, lines, rows in _stage_runs(M):
-            gm.write(rows)
+        for _, base, offsets, one, _, lines in _stage_runs(M):
+            bits = _high_bits(base >> low, n - low)
+            for column, (bit, was) in enumerate(zip(bits, held)):
+                if bit != was:
+                    block[:, column] = bit
+            held = bits
+            full.write(block)
+            gm.write(np.take(block, offsets, axis=0))
             matrix.write(lines)
             ones = int(np.count_nonzero(one))
             counts[0] += offsets.size - ones

@@ -103,14 +103,14 @@ class TestPrepare:
     @pytest.mark.parametrize("M", [2, 9])
     def test_short_support_exits_4(self, tmp_path, capsys, monkeypatch, M):
         # The stage generator loses the first index of its first run, with
-        # its class, sector, line and bit row: the streamed counts no longer
-        # make up 2 C(2M-1, M) kets.
+        # its class, sector and line, and GMBitString the row of that
+        # offset: the streamed counts no longer make up 2 C(2M-1, M) kets.
         stage_runs = pipeline._stage_runs
 
         def short_runs(M):
             runs = stage_runs(M)
-            key, base, offsets, one, j, lines, rows = next(runs)
-            yield key, base, offsets[1:], one[1:], j[1:], lines[lines.index(b"\n") + 1 :], rows[1:]
+            key, base, offsets, one, j, lines = next(runs)
+            yield key, base, offsets[1:], one[1:], j[1:], lines[lines.index(b"\n") + 1 :]
             yield from runs
 
         monkeypatch.setattr(pipeline, "_stage_runs", short_runs)

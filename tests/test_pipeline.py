@@ -289,7 +289,8 @@ class TestRunPipeline:
         run_pipeline(M, tmp_path)
         n = 2 * M - 1
         expected = "".join(format(i, f"0{n}b") + "\n" for i in range(2**n))
-        assert (tmp_path / "FullBitString").read_text() == expected
+        # As bytes: a failing str comparison of 524 KB runs pytest's text diff.
+        assert (tmp_path / "FullBitString").read_bytes() == expected.encode("ascii")
 
     @pytest.mark.parametrize("M", range(1, 12))
     def test_prepared_stage_passes_the_cross_check(self, tmp_path, monkeypatch, M):
