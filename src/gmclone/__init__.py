@@ -2,9 +2,10 @@
 
 Builds the exact (2M-1)-qubit cloner output as its (M+1) x M matrix on the
 Dicke bases (``dicke_outputs``), prepares its basis outputs through a
-parity-classified bitstring pipeline, compiles it into a matrix-product
-state by one successive-SVD sweep over that matrix, and checks cloning
-optimality and bond-dimension scaling on the Dicke bases.
+parity-classified bitstring pipeline, writes it as a matrix-product state
+in closed form (``gm_mps``) or compiles a prepared stage by one
+successive-SVD sweep over that matrix, and checks cloning optimality and
+bond-dimension scaling on the Dicke bases.
 The dense reference constructions that the tests check all of this against
 live in ``tests/oracles.py``.
 """
@@ -12,6 +13,7 @@ live in ``tests/oracles.py``.
 from .builder import (
     dicke_outputs,
     gamma,
+    gm_mps,
 )
 from .mps import (
     BondCut,
@@ -57,6 +59,7 @@ __all__ = [
     "dicke_outputs",
     "equatorial_qubit",
     "gamma",
+    "gm_mps",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",

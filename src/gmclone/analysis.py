@@ -1,7 +1,6 @@
 """Physics validation: clone and anticlone fidelities and the nonlinearity
-gap on the Dicke bases, and the bond-dimension scaling study, which compiles
-the same (M+1) x M Dicke-basis matrix of the output
-(``builder.dicke_outputs``) into an MPS.
+gap on the Dicke bases, and the bond-dimension scaling study, which writes
+the output as an MPS in closed form (``builder.gm_mps``).
 
 Clones sit on qubits 1..M (qubit 1 = leftmost), anticlones on M+1..2M-1.
 The dense-register fidelities that the tests check these figures against
@@ -15,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .builder import check_register, dicke_outputs
+from .builder import check_register, dicke_outputs, gm_mps
 from .errors import DomainError
-from .mps import bond_dimension, mps_from_dicke
+from .mps import bond_dimension
 from .qubit import BASIS, Qubit, anticlone, equatorial_qubit
 from ._format import float17
 
@@ -36,8 +35,7 @@ class ScalingRow:
 # On the Dicke bases |D^M_a> of the clones and |D^(M-1)_b> of the anticlones
 # the cloner output is the (M+1) x M matrix c of ``builder.dicke_outputs``.
 # Every figure below is read from c in O(M^3) work, with no 2^M-amplitude ket
-# and no dense register, and the scaling sweep compiles c itself
-# (``mps.mps_from_dicke``).
+# and no dense register.
 
 
 def _split_fidelity(c: np.ndarray, target: Qubit, copies: int) -> list[float]:
@@ -102,9 +100,9 @@ def analyze_cloner(M: int, input: Qubit) -> ClonerAnalysis:
 def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     """Compile the cloner output of the fixed equatorial input for each M.
 
-    Each output is compiled from its (M+1) x M Dicke matrix
-    (:func:`~gmclone.builder.dicke_outputs`) by ``mps_from_dicke``, with no
-    2^M-wide array and no dense register; ``M_max`` keeps the register guard
+    Each output is written as an MPS in closed form
+    (:func:`~gmclone.builder.gm_mps`), with no SVD, no 2^M-wide array and
+    no dense register; ``M_max`` keeps the register guard
     of the other commands (:class:`ResourceLimitError` above
     ``FULL_ENUMERATION_LIMIT``).  The rows are data and nothing here checks
     them: ``sweep`` prints each bond_dim next to its bound 2M, and the tests
@@ -116,7 +114,7 @@ def scaling_sweep(M_min: int, M_max: int, tol: float) -> list[ScalingRow]:
     input_qubit = equatorial_qubit(0.0)
     rows = []
     for M in range(M_min, M_max + 1):
-        mps, spectrum = mps_from_dicke(dicke_outputs(M, [input_qubit])[0], tol)
+        mps, spectrum = gm_mps(M, input_qubit, tol)
         rows.append(
             ScalingRow(
                 M=M,

@@ -3,20 +3,22 @@
 The parser is built once, at import; ``main`` only parses and dispatches the
 namespace to one handler per command; ``--format`` is an option of
 ``analyze`` alone, and ``analyze``, which writes no file, has no ``--out``.
-``compile`` passes the register guard before it reads anything, then makes
-one sweep (``mps.mps_from_dicke``) over the (M+1) x M matrix c of the
-output on |D^M_a>|D^(M-1)_b>.  It names its source on stdout: the GMMatrix
-stage in ``--out`` for a ``basis:`` input, whose register projected onto
-the clone-symmetric (x) anticlone-symmetric states gives c, or the builder
-(``builder.dicke_outputs``).  The stage is read once, keeping only the
-records of class C{b} for input ``basis:b``; a stage that is not the
+``compile`` passes the register guard before it reads anything.  It names
+its source on stdout: the GMMatrix stage in ``--out`` for a ``basis:``
+input, or the builder.  A stage's register projected onto the
+clone-symmetric (x) anticlone-symmetric states gives the (M+1) x M matrix c
+of the output on |D^M_a>|D^(M-1)_b>, which one sweep
+(``mps.mps_from_dicke``) compiles.  The stage is read once, keeping only
+the records of class C{b} for input ``basis:b``; a stage that is not the
 cloner's, by its record count or by a coefficient of either class off its
-closed form, exits 4 before the sweep.
+closed form, exits 4 before the sweep.  The builder writes the MPS in
+closed form (``builder.gm_mps``), with no SVD, and its c
+(``builder.dicke_outputs``) is the reference of the check below.
 ``roundtrip_error`` measures the export, as the product of its contracted
 halves at the clone|anticlone bond (``mps.mps_halves``), against the
 reference.  For the builder that is the register of c, and the check runs
 in the symmetric subspaces (``_symmetric_roundtrip``): no array of it is
-wider than the (M+1) x 2^M Dicke basis of the clones.  For a stage it is
+larger than the 2^M x D clone half.  For a stage it is
 the stage register, compared entry by entry as 2^M x 2^(M-1) matrices,
 ``ROW_BLOCK`` clone rows at a time, so whatever a stage holds outside the
 symmetric states shows there.  ``compile`` forms no array of 2^(2M-1)
@@ -41,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, mps, pipeline
-from .builder import _dicke_kets, check_register, dicke_outputs
+from .builder import check_register, dicke_outputs, gm_mps
 from .errors import (
     GMCloneError,
     InternalConsistencyError,
@@ -131,6 +133,36 @@ def _minus_stage_rows(block, records, lo: int) -> np.ndarray:
     return block
 
 
+def _dicke_split(half):
+    """The (2^n, D) matrix ``half`` as its coefficients on the Dicke states
+    and the rest: returns (a, da, rest).
+
+    a + da = K_n half, K_n the (n+1) x 2^n matrix of the Dicke states
+    |D^n_p>, and rest = half - K_n^T (a + da), with its rows sorted by
+    popcount.  rest is formed as half - K_n^T a, a difference of nearly
+    equal doubles whose rounding leaves a part inside the Dicke states, so
+    it is projected once more: da is that part, which a caller adds to a in
+    extended precision.  Row p of K_n^T y is y[p] / sqrt(C(n, p)) on each
+    string of popcount p, so both steps work on one copy of ``half`` sorted
+    by popcount: K_n sums each group (``np.add.reduceat``), and K_n^T
+    repeats each row over its group, subtracted in place.
+    """
+    n = half.shape[0].bit_length() - 1
+    order = np.argsort(np.bitwise_count(np.arange(2**n)), kind="stable")
+    rest = half[order]
+    sizes = [math.comb(n, p) for p in range(n + 1)]
+    starts = np.cumsum([0] + sizes[:-1])
+    norms = np.sqrt(np.array(sizes, dtype=np.float64))[:, None]
+
+    def project():
+        coefficients = np.add.reduceat(rest, starts, axis=0) / norms
+        rest[...] -= np.repeat(coefficients / norms, sizes, axis=0)
+        return coefficients
+
+    a = project()
+    return a, project(), rest
+
+
 def _symmetric_roundtrip(left, right, c) -> float:
     """The distance ||L @ R - K_M^T c K_(M-1)|| from the export's halves at
     the clone|anticlone bond to the register of ``c``, with no 2^M x 2^(M-1)
@@ -143,18 +175,21 @@ def _symmetric_roundtrip(left, right, c) -> float:
     L (R - B K_(M-1)) outside the anticlone one.  Their norms are those of
     A B - c, (L - K_M^T A) B and T (R - B K_(M-1)), T the triangular factor
     of L (T^H T = L^H L): each is the norm of an explicit matrix, so no
-    squared part can round negative.  The cost is O(2^M D M).
+    squared part can round negative.  ``_dicke_split`` gives A and B with a
+    correction each, and A B - c is formed in ``np.clongdouble``, so the
+    report resolves distances at the rounding level of the export.  The
+    cost is O(2^M D M); no array is larger than L.
     """
-    M = c.shape[0] - 1
-    clone, anti = _dicke_kets(np.eye(M + 1)), _dicke_kets(np.eye(M))
-    a = clone @ left
-    b = right @ anti.T
-    parts = (
-        a @ b - c,
-        (left - clone.T @ a) @ b,
-        np.linalg.qr(left, mode="r") @ (right - b @ anti),
-    )
-    return math.sqrt(sum(np.vdot(part, part).real for part in parts))
+    def square(part):
+        return np.vdot(part, part).real
+
+    triangle = np.linalg.qr(left, mode="r")
+    b, db, rest = _dicke_split(right.T)
+    outside = square(rest @ triangle.T)
+    a, da, rest = _dicke_split(left)
+    outside += square(rest @ b.T)
+    inside = (a.astype(np.clongdouble) + da) @ (b.astype(np.clongdouble) + db).T - c
+    return math.sqrt(outside + square(inside))
 
 
 def cmd_compile(args) -> int:
@@ -169,11 +204,12 @@ def cmd_compile(args) -> int:
         records = matrix.indices, matrix.coefficients
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
         c = _stage_dicke(records, M, bit)
+        compiled, spectrum = mps.mps_from_dicke(c, args.tol)
     else:
         records = None
         source = origin = "builder"
         (c,) = dicke_outputs(M, [q])
-    compiled, spectrum = mps.mps_from_dicke(c, args.tol)
+        compiled, spectrum = gm_mps(M, q, args.tol)
     left, right = mps.mps_halves(compiled, M)
     if records is None:
         error = _symmetric_roundtrip(left, right, c)

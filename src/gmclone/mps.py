@@ -2,25 +2,27 @@
 coordinates.
 
 The remainder of the state is repartitioned left to right: at each cut it is
-reshaped to (D_k * 2, rest), SVD'd into V S W+, the site tensor absorbs V S
-(singular values stay on the left factor) and W+ is carried forward as the
-next remainder.  Singular values below ``tol * sigma_max`` are discarded per
-cut together with their factor columns/rows; the roundtrip error is then
-bounded by the root-sum-square of everything discarded (Oseledets, SISC 33,
-2295 (2011)).
+reshaped to (D_k * 2, rest) and SVD'd into V S W+; V is the site tensor and
+S W+ is carried forward as the next remainder (Oseledets, SISC 33, 2295
+(2011), Alg. 1).  So every site but the last is an isometry, the last
+carries the norm, and the singular values of each cut are the Schmidt
+values of the state truncated so far.  Singular values below
+``tol * sigma_max`` are discarded per cut together with their factor
+columns/rows; the roundtrip error is then bounded by the root-sum-square of
+everything discarded.
 
 There is one sweep, ``mps_from_dicke``.  The cloner output is symmetric over
 its clones and over its anticlones, so it is the (M+1) x M matrix c of its
 amplitudes on the Dicke states |D^M_a>|D^(M-1)_b>, and the sweep runs on
 that matrix: the rest of a cut is the Dicke states of the qubits still to
 peel, never a 2^n-wide array: no SVD sees more than 2 M^3 entries (the
-largest at M = 12 is 12 x 84).  ``compile`` passes the builder's c
-(``builder.dicke_outputs``), or for a GMMatrix stage the projection of its
-register onto the clone-symmetric (x) anticlone-symmetric states; whatever a
-stage holds outside them is left out of the export and shows in
-``roundtrip_error``.  ``sweep`` passes the builder's c.  The dense sweep
-over a whole register and the full contraction of an MPS into one, which
-the tests check this module against, live in ``tests/oracles.py``.
+largest at M = 12 is 12 x 84).  ``compile`` passes it the projection of a
+GMMatrix stage's register onto the clone-symmetric (x) anticlone-symmetric
+states; whatever a stage holds outside them is left out of the export and
+shows in ``roundtrip_error``.  A builder input needs no sweep: its MPS in
+the same gauge is written in closed form (``builder.gm_mps``).  The dense
+sweep over a whole register and the full contraction of an MPS into one,
+which the tests check this module against, live in ``tests/oracles.py``.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
 stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
@@ -92,7 +94,9 @@ class MatrixProductState:
 @dataclass(frozen=True)
 class BondCut:
     # Every singular value of the cut, descending and before truncation:
-    # min(2 D_k, m T) of them for a (2 D_k, m T) cut of mps_from_dicke.
+    # min(2 D_k, m T) of them for a (2 D_k, m T) cut of mps_from_dicke,
+    # rounding tail included; the D_k Schmidt values of the bond's labels
+    # for a cut of builder.gm_mps, with no rounding tail.
     singular_values: np.ndarray
     retained: int
 
@@ -157,9 +161,9 @@ def mps_from_dicke(c, tol: float = DEFAULT_TOL):
         U, S, Wh = np.linalg.svd(matrix.reshape(2 * rows, m * back), full_matrices=False)
         keep = int(np.count_nonzero(S > tol * S[0]))
         cuts.append(BondCut(S, keep))
-        site = (U[:, :keep] * S[:keep]).reshape(-1, 2, keep).transpose(1, 0, 2)
+        site = U[:, :keep].reshape(-1, 2, keep).transpose(1, 0, 2)
         sites.append(np.ascontiguousarray(site))
-        remainder = Wh[:keep].reshape(keep, m, back)
+        remainder = (S[:keep, None] * Wh[:keep]).reshape(keep, m, back)
     last = remainder.reshape(-1, 2, 1).transpose(1, 0, 2)
     sites.append(np.ascontiguousarray(last))
     mps = MatrixProductState(

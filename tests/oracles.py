@@ -2,18 +2,22 @@
 against.
 
 No command needs them: ``compile``, ``analyze`` and ``sweep`` work from the
-(M+1) x M Dicke-basis matrix of the output (``builder.dicke_outputs``), and
-``prepare`` writes its stages from index arrays.  Each one here takes an
+(M+1) x M Dicke-basis matrix of the output (``builder.dicke_outputs``) and
+its closed-form MPS (``builder.gm_mps``), and ``prepare`` writes its stages
+from index arrays.  Each one here takes an
 independent or a plainer route to the same figure, so the suites can
 cross-check the package:
 
-* a dense register (``StateVector``);
+* a dense register (``StateVector``), and the kets of Dicke coefficients
+  spread over it by one gather (``dicke_kets``);
 * the sector kets of the cloner output spread over the register
   (``gm_factors``) and the dense output assembled from them in one matrix
   product (``gm_from_factors``, ``build_gm``, ``build_gm_basis``), and the
   decomposed expansion (``expand_gm_decomposed``), which enumerates the
   placements of the orthogonal factors one kron chain at a time;
 * dense reduced densities and single-qubit fidelities;
+* the Schmidt values of the cloner output at every bond, by their
+  recursion one value at a time (``schmidt_spectra``);
 * the dense successive-SVD sweep over a whole register (``mps_from_state``),
   the register of a Dicke-basis matrix (``dicke_state``), against which
   the package's sweep in Dicke coordinates and its c are checked, the
@@ -45,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gmclone.builder import _dicke_kets, _dicke_maps, check_register, gamma
+from gmclone.builder import _dicke_maps, check_register, gamma
 from gmclone._format import float17
 from gmclone.errors import (
     DegenerateStateError, DomainError, InternalConsistencyError, StageParseError,
@@ -88,6 +92,18 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def dicke_kets(maps: np.ndarray) -> np.ndarray:
+    """Amplitudes of the symmetric kets whose Dicke coefficients are ``maps``.
+
+    Row j of the (rows, n+1) array ``maps`` becomes a 2^n-amplitude ket,
+    ``ket_j[x] = maps[j, popcount(x)] / sqrt(C(n, popcount(x)))``: one
+    gather, as |D^n_a> spreads evenly over the C(n, a) strings with a ones.
+    """
+    n = maps.shape[-1] - 1
+    norms = np.sqrt([float(math.comb(n, a)) for a in range(n + 1)])
+    return (maps / norms)[:, np.bitwise_count(np.arange(2**n))]
+
+
 def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights and stacked sector kets of the cloner output for input ``q``.
 
@@ -102,7 +118,7 @@ def gm_factors(M: int, q: Qubit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check_register(M)
     short, full = _dicke_maps(M, [q, anticlone(q)])
     weights = np.array([gamma(M, j) for j in range(M)])
-    return weights, _dicke_kets(full[0, :M]), _dicke_kets(short[1])
+    return weights, dicke_kets(full[0, :M]), dicke_kets(short[1])
 
 
 def gm_from_factors(weights, clone, anti) -> StateVector:
@@ -139,7 +155,7 @@ def symmetric_ket(n: int, j: int, phi: Qubit) -> StateVector:
     if not 0 <= j <= n:
         raise DomainError(f"j={j} outside 0..{n}")
     _, maps = _dicke_maps(n, [phi])
-    return StateVector(n, _dicke_kets(maps[0, j : j + 1])[0])
+    return StateVector(n, dicke_kets(maps[0, j : j + 1])[0])
 
 
 def build_gm(params: GMParameters) -> StateVector:
@@ -269,11 +285,13 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
 def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
     """Compile a dense state into MPS form; returns (mps, spectrum).
 
-    The successive-SVD sweep over the whole register: at cut k the
-    remainder is reshaped to (2 D_k, 2^(n-k-1)), SVD'd into V S W+, the site
-    absorbs V S and W+ is carried forward.  ``tol`` is relative: at every
-    cut, singular values > tol * sigma_max are retained.  tol = 0 keeps
-    everything nonzero and makes the roundtrip exact to machine precision.
+    The successive-SVD sweep over the whole register, in Oseledets' order:
+    at cut k the remainder is reshaped to (2 D_k, 2^(n-k-1)), SVD'd into
+    V S W+, V is the site and S W+ is carried forward, so every site but the
+    last is an isometry and each cut lists the Schmidt values of the state
+    truncated so far.  ``tol`` is relative: at every cut, singular values
+    > tol * sigma_max are retained.  tol = 0 keeps everything nonzero and
+    makes the roundtrip exact to machine precision.
     """
     _check_tol(tol)
     if state.num_qubits < 1:
@@ -288,12 +306,35 @@ def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
             raise DegenerateStateError("zero state: nothing to retain at this cut")
         keep = int(np.sum(S > tol * S[0]))
         cuts.append(BondCut(S, keep))
-        site = (U[:, :keep] * S[:keep]).reshape(-1, 2, keep).transpose(1, 0, 2)
+        site = U[:, :keep].reshape(-1, 2, keep).transpose(1, 0, 2)
         sites.append(np.ascontiguousarray(site))
-        remainder = Wh[:keep, :]
+        remainder = S[:keep, None] * Wh[:keep]
     sites.append(np.ascontiguousarray(remainder.reshape(-1, 2, 1).transpose(1, 0, 2)))
     ones = np.ones(1, dtype=np.complex128)
     return MatrixProductState(sites, ones, ones.copy()), BondSpectrum(cuts, tol)
+
+
+def schmidt_spectra(M: int) -> list[list[float]]:
+    """The Schmidt values of the cloner output at each inner bond 1..2M-2,
+    sorted descending, by the recursion out of bond M, one value at a time.
+
+    Bond M holds gamma_j^2 = 2(M-j)/(M(M+1)).  Crossing a site outwards with
+    r of its side's qubits beyond it, L^2_next[i] = ((r-i)/r) L^2[i] +
+    ((i+1)/r) L^2[i+1], L^2 zero past its end.  The values depend on M
+    alone, not on the input.
+    """
+    middle = [2 * (M - j) / (M * (M + 1)) for j in range(M)]
+
+    def outwards(rs):
+        squares, bonds = middle, []
+        for r in rs:
+            padded = squares + [0.0]
+            squares = [((r - i) * padded[i] + (i + 1) * padded[i + 1]) / r for i in range(r)]
+            bonds.append(squares)
+        return bonds
+
+    bonds = outwards(range(M, 1, -1))[::-1] + [middle] + outwards(range(M - 1, 1, -1))
+    return [sorted((math.sqrt(x) for x in bond), reverse=True) for bond in bonds][: 2 * M - 2]
 
 
 def mps_to_state(mps: MatrixProductState) -> StateVector:
@@ -330,8 +371,8 @@ def blockwise_roundtrip(left, right, c) -> float:
     column b of H is sum_a c[a, b] |D^M_a> and row b of K is |D^(M-1)_b>.
     """
     M = c.shape[0] - 1
-    head = _dicke_kets(c.T).T
-    stacked = np.vstack([right, -_dicke_kets(np.eye(M))])
+    head = dicke_kets(c.T).T
+    stacked = np.vstack([right, -dicke_kets(np.eye(M))])
     blocks = [(lo, min(lo + 32, 2**M)) for lo in range(0, 2**M, 32)]
     differences = (np.hstack([left[lo:hi], head[lo:hi]]) @ stacked for lo, hi in blocks)
     return math.sqrt(sum(np.vdot(block, block).real for block in differences))

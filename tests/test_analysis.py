@@ -240,10 +240,12 @@ class TestDickeAnalysis:
                 np.testing.assert_allclose(rows @ rows.conj().T, np.eye(m + 1), atol=1e-14)
 
     def test_builds_no_sector_ket_and_no_register(self, monkeypatch):
+        # A ket or register is indexed by basis strings, whose popcounts
+        # place its Dicke coefficients; the Dicke-basis figures need none.
         def refuse(*args, **kwargs):
             raise AssertionError("analysis must stay on the Dicke basis")
 
-        monkeypatch.setattr(builder, "_dicke_kets", refuse)
+        monkeypatch.setattr(np, "bitwise_count", refuse)
         q = equatorial_qubit(0.4)
         result = analyze_cloner(7, q)
         assert abs(result.clone_fidelities[0] - 15 / 21) < 1e-12

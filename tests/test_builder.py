@@ -14,9 +14,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gmclone.builder import FULL_ENUMERATION_LIMIT, dicke_outputs, gamma
+from gmclone.builder import FULL_ENUMERATION_LIMIT, dicke_outputs, gamma, gm_mps
 from gmclone.cli import parse_input_spec
 from gmclone.errors import DomainError, ResourceLimitError
+from gmclone.mps import mps_from_dicke
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 from oracles import (
@@ -28,6 +29,9 @@ from oracles import (
     expand_gm_decomposed,
     gm_factors,
     gm_from_factors,
+    mps_from_state,
+    mps_to_state,
+    schmidt_spectra,
     symmetric_ket,
 )
 
@@ -278,6 +282,99 @@ class TestDickeOutputs:
         difference = dicke_state(c).amplitudes
         difference -= gm_from_factors(*gm_factors(M, q)).amplitudes
         assert np.linalg.norm(difference) <= 1e-15
+
+
+def analytic_bond_dims(M):
+    return [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
+
+
+class TestGmMps:
+    """``gm_mps`` against the Schmidt-value recursion, the dense SVD sweep
+    and the SVD sweep over the Dicke matrix c, all in Oseledets' gauge."""
+
+    INPUTS = {
+        "amps": make_qubit(0.3 - 0.2j, 0.5 + 0.4j),
+        "equatorial": equatorial_qubit(0.7),
+        "basis:1": Qubit(0j, 1.0 + 0j),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_sites_are_left_canonical(self, M, name):
+        mps, spectrum = gm_mps(M, self.INPUTS[name])
+        assert mps.bond_dims() == analytic_bond_dims(M)
+        for site in mps.sites[:-1]:
+            matrix = site.transpose(1, 0, 2).reshape(-1, site.shape[2])
+            gram = matrix.conj().T @ matrix
+            assert np.max(np.abs(gram - np.eye(site.shape[2]))) <= 1e-14
+        assert abs(np.linalg.norm(mps.sites[-1]) - 1) <= 1e-14
+        assert spectrum.discarded_weight() == 0.0
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_cut_values_are_the_schmidt_spectrum(self, M, name):
+        # Each cut lists the D_k values of its labels, with no rounding
+        # tail; the dense sweep of the register keeps the same D_k values.
+        q = self.INPUTS[name]
+        mps, spectrum = gm_mps(M, q)
+        _, dense = mps_from_state(dicke_state(dicke_outputs(M, [q])[0]))
+        expected = schmidt_spectra(M)
+        assert len(spectrum.cuts) == len(dense.cuts) == len(expected) == 2 * M - 2
+        for cut, dense_cut, values, dim in zip(
+            spectrum.cuts, dense.cuts, expected, analytic_bond_dims(M)[1:-1]
+        ):
+            assert cut.retained == dense_cut.retained == len(values) == dim
+            assert np.all(np.diff(cut.singular_values) <= 0)
+            assert np.max(np.abs(cut.singular_values - values)) <= 1e-13
+            assert np.max(np.abs(dense_cut.singular_values[:dim] - values)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("M", range(2, 11))
+    def test_truncation_is_the_svd_sweeps(self, M, name):
+        # One rightward pass of label norms truncates as the SVD sweep does:
+        # the same bond dimensions and ranks, and the same state.  tol 0.5
+        # is left out: Lambda / Lambda_max = 1/2 exactly at some cuts, and
+        # rounding puts that value on either side of the cut-off.
+        q = self.INPUTS[name]
+        (c,) = dicke_outputs(M, [q])
+        for tol in (1e-12, 0.05, 0.1, 0.2, 0.3, 0.71, 0.999):
+            mps, spectrum = gm_mps(M, q, tol)
+            swept, swept_spectrum = mps_from_dicke(c, tol)
+            assert mps.bond_dims() == swept.bond_dims()
+            assert spectrum.retained_ranks() == swept_spectrum.retained_ranks()
+            difference = mps_to_state(mps).amplitudes - mps_to_state(swept).amplitudes
+            assert np.linalg.norm(difference) <= 1e-13
+            assert abs(spectrum.discarded_weight() - swept_spectrum.discarded_weight()) <= 1e-13
+
+    def test_tol_zero_keeps_the_analytic_dims(self):
+        # Every label has a positive Schmidt value and nothing else is
+        # listed, so tol 0 keeps exactly the labels.
+        for M in range(1, 13):
+            mps, spectrum = gm_mps(M, self.INPUTS["amps"], 0.0)
+            assert mps.bond_dims() == analytic_bond_dims(M)
+            assert all(cut.singular_values.min() > 0 for cut in spectrum.cuts)
+
+    def test_single_clone_is_the_input(self):
+        q = self.INPUTS["amps"]
+        mps, spectrum = gm_mps(1, q)
+        assert [site.shape for site in mps.sites] == [(2, 1, 1)]
+        assert mps.sites[0].reshape(-1).tolist() == [q.alpha, q.beta]
+        assert spectrum.cuts == []
+
+    @pytest.mark.parametrize("M", [30, 50, 100])
+    def test_past_the_guard(self, M):
+        mps, spectrum = gm_mps(M, self.INPUTS["amps"])
+        assert mps.bond_dims() == analytic_bond_dims(M)
+        for cut in spectrum.cuts:
+            assert abs(np.sum(cut.singular_values**2) - 1) <= 1e-13
+        assert abs(np.linalg.norm(mps.sites[-1]) - 1) <= 1e-13
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            gm_mps(0, self.INPUTS["amps"])
+        for tol in (1.0, -0.1):
+            with pytest.raises(DomainError):
+                gm_mps(3, self.INPUTS["amps"], tol)
 
 
 class TestBuildGMBasis:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmclone import analysis, builder, cli, mps, pipeline
+from gmclone import analysis, cli, mps, pipeline
 from gmclone.builder import dicke_outputs
 from gmclone.cli import (
     EXIT_FAILURE,
@@ -132,9 +132,10 @@ class TestPrepare:
 
 class TestCompile:
     def test_no_register_formed_on_either_route(self, tmp_path, monkeypatch):
-        # Both routes compile the Dicke matrix c, so no matrix of 2^(2M-1)
-        # entries reaches the SVD, and check the export at the clone|anticlone
-        # bond a row block at a time: no contraction of the export yields all
+        # The builder route writes its MPS in closed form and runs no SVD;
+        # the stage route sweeps the Dicke matrix c, so no matrix of
+        # 2^(2M-1) entries reaches the SVD.  Both check the export at the
+        # clone|anticlone bond: no contraction of the export yields all
         # 2^(2M-1) amplitudes, only its two halves.
         M = 4
         sizes = []
@@ -158,7 +159,7 @@ class TestCompile:
                 assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
             sizes.clear()
             assert main(argv) == EXIT_OK
-            assert len(sizes) == 2 * M - 2
+            assert len(sizes) == (0 if source == "builder" else 2 * M - 2)
             assert all(size < 2 ** (2 * M - 1) for size in sizes)
             report = json.loads((tmp_path / "compile_report.json").read_text())
             assert report["source"] == source
@@ -181,8 +182,9 @@ class TestCompile:
 
     def test_builder_compile_memory_at_the_guard(self, tmp_path, capsys):
         # At M = 12 the register is 128 MiB.  The builder check forms no
-        # block of its rows, and the traced peak (3.34 MiB) stays below 1/32
-        # of it; products of 32-row blocks peaked at 4.33 MiB.
+        # block of its rows, and the traced peak (3.11 MiB; 3.34 MiB before
+        # the check sorted its halves by popcount) stays below 1/32 of it;
+        # products of 32-row blocks peaked at 4.33 MiB.
         M = 12
         argv = ["compile", "--clones", str(M), "--input", "equatorial:0.7",
                 "--out", str(tmp_path)]
@@ -272,6 +274,18 @@ class TestCompile:
         report = json.loads((tmp_path / "compile_report.json").read_text())
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
+
+    def test_tol_zero_keeps_the_analytic_dims_on_the_builder(self, tmp_path, capsys):
+        # The builder's cuts list only the Schmidt values of their labels,
+        # all positive, so tol 0 keeps exactly the labels; the SVD sweep of
+        # the same c keeps its rounding tail too: [1, 2, 4, 8, 4, 3, 2, 1].
+        argv = ["compile", "--clones", "4", "--input", "amps:0.3,-0.2,0.5,0.4",
+                "--tol", "0", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["bond_dims"] == [1, 2, 3, 4, 4, 3, 2, 1]
+        assert report["retained_ranks"] == [2, 3, 4, 4, 3, 2]
+        assert report["roundtrip_error"] <= 1e-14
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_stage_bond_dims_analytic_at_m11(self, bit, stage_m11, capsys):
@@ -448,14 +462,17 @@ class TestCompile:
 
 
 class TestDickeSweep:
-    """Both ``compile`` routes and ``sweep`` compile the (M+1) x M Dicke
-    matrix c of the output by one ``mps_from_dicke`` sweep."""
+    """The stage route compiles the (M+1) x M Dicke matrix c of its register
+    by one ``mps_from_dicke`` sweep; a builder ``compile`` and ``sweep``
+    write the MPS in closed form (``builder.gm_mps``) and check a builder
+    export against the builder's c."""
 
     @pytest.mark.parametrize("route", ["builder", "stage", "sweep"])
     def test_svd_calls_and_sizes(self, route, stage_m11, tmp_path, monkeypatch, capsys):
-        # 2M - 2 SVDs, none of more than 2 M^3 entries.  M = 12 on the
-        # builder and the sweep; the stage route at M = 11, whose stage the
-        # module writes once (a GMMatrix stage of M = 12 is 142 MB).
+        # No SVD on the builder and the sweep, at M = 12.  2M - 2 SVDs on
+        # the stage route, none of more than 2 M^3 entries, at M = 11,
+        # whose stage the module writes once (a GMMatrix stage of M = 12 is
+        # 142 MB).
         M = 11 if route == "stage" else 12
         sizes = []
         real_svd = np.linalg.svd
@@ -474,8 +491,8 @@ class TestDickeSweep:
             assert main(argv) == EXIT_OK
             report = json.loads((out / "compile_report.json").read_text())
             assert report["source"] == ("gm_matrix" if route == "stage" else "builder")
-        assert len(sizes) == 2 * M - 2
-        assert max(sizes) <= 2 * M**3
+        assert len(sizes) == (2 * M - 2 if route == "stage" else 0)
+        assert max(sizes, default=0) <= 2 * M**3
 
     @pytest.mark.parametrize("M", range(1, 13))
     def test_stage_c_is_the_builders(self, M):
@@ -492,14 +509,21 @@ class TestDickeSweep:
 
     @pytest.mark.parametrize("M", [1, 2, 5, 9])
     def test_each_route_compiles_the_dicke_outputs(self, M, tmp_path, monkeypatch, capsys):
+        # The stage route sweeps its c; the builder route checks its export
+        # against the builder's c.  Each sees exactly one c.
         seen = []
-        real_sweep = mps.mps_from_dicke
+        real_sweep, real_check = mps.mps_from_dicke, cli._symmetric_roundtrip
 
-        def spy(c, tol):
+        def sweep(c, tol):
             seen.append(c)
             return real_sweep(c, tol)
 
-        monkeypatch.setattr(mps, "mps_from_dicke", spy)
+        def check(left, right, c):
+            seen.append(c)
+            return real_check(left, right, c)
+
+        monkeypatch.setattr(mps, "mps_from_dicke", sweep)
+        monkeypatch.setattr(cli, "_symmetric_roundtrip", check)
         q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
         cases = [("amps:0.3,-0.2,0.5,0.4", q), ("basis:0", BASIS[0])]
         main(["prepare", "--clones", str(M), "--out", str(tmp_path / "stage")])
@@ -514,11 +538,12 @@ class TestDickeSweep:
             assert np.max(np.abs(c - dicke_outputs(M, [qubit])[0])) <= 1e-14
 
     def test_sweep_gathers_no_ket(self, tmp_path, monkeypatch, capsys):
+        # A ket is indexed by basis strings, whose popcounts place its Dicke
+        # coefficients; the closed-form MPS needs none.
         def refuse(*args, **kwargs):
-            raise AssertionError("sweep must compile c alone")
+            raise AssertionError("sweep must index no basis string")
 
-        monkeypatch.setattr(builder, "_dicke_kets", refuse)
-        monkeypatch.setattr(cli, "_dicke_kets", refuse)
+        monkeypatch.setattr(np, "bitwise_count", refuse)
         assert main(["sweep", "--clones", "8", "--out", str(tmp_path)]) == EXIT_OK
 
 
@@ -649,16 +674,22 @@ class TestFailureExitCodes:
 
 class TestLinAlgError:
     def test_unconverged_svd_exits_internal(self, tmp_path, monkeypatch, capsys):
+        # The stage route is the one that runs SVDs.
+        assert main(["prepare", "--clones", "3", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+
         def unconverged(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", unconverged)
-        argv = ["compile", "--clones", "3", "--input", "equatorial:0.2", "--out", str(tmp_path)]
+        argv = ["compile", "--clones", "3", "--input", "basis:0", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: SVD did not converge\n"
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "FullBitString", "GMBitString", "GMMatrix",
+        ]
 
 
 class TestUnwritableOut:

@@ -113,8 +113,27 @@ every `mps.json` of those compiles, every `prepare` stage and both `basis:`
 stage compiles of M = 1..10, `sweep --clones 12` and `analyze` (JSON and
 CSV) of the five inputs at M = 1..12 are unchanged.
 
+When both SVD sweeps moved to Oseledets' order (the site keeps U and S W+
+is carried forward, so each cut lists the Schmidt values of the state
+truncated so far) and the builder compile moved off the SVD onto the
+closed-form MPS of `builder.gm_mps` (bidiagonal counting sites, left
+canonical, bonds in the Dicke label order), while the builder's roundtrip
+check gained one refinement step and an extended-precision inside part,
+the 24 `basis:` compile digests of M = 2..7 and the 8 builder digests
+moved.  They were re-pinned once by running the commands above on the new
+code.  Old and new agree in bond dimensions and retained ranks and in every
+field of `compile_report.json` but the singular values and
+`roundtrip_error` (which moved by at most 5.4e-15); the contracted states
+agree to 1.3e-15, and every retained value equals the Schmidt values of
+`oracles.schmidt_spectra` to 8.9e-16.  A builder cut now lists the D_k
+values of its labels, with no rounding tail, and the exact zeros of its
+sites print as `0`: the builder `mps.json` of M = 8 went from 72,082 to
+51,077 bytes (amps input).  No `prepare` digest, no M = 1 digest and not
+the `scaling.csv` of `sweep --clones 12` moved.
+
 `prepare` digests are pure text and must hold on any platform.  `mps.json`
-and `compile_report.json` carry SVD output; they were produced with numpy
+and `compile_report.json` carry SVD output (on the stage route) and
+floating-point sums; they were produced with numpy
 2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
 digit differently.
 """
@@ -150,13 +169,13 @@ GOLDEN = {
         "GMMatrix":
             "140ec135117d33364e8e01990178c7870eb2748b611f78e640f09f5eb999ff50",
         "basis:0 mps.json":
-            "c02f7e3e3614b256bbd931b6e0e7f844a6950b9e33725e8f006ceabc389f8528",
+            "a9462435eae0876e3f032613721430d759d7b2ea49a5291d276ac87dd0fdc174",
         "basis:0 compile_report.json":
-            "230c2b6ff6b5e00af1e60448e19c33cc237bca217a928d67809acf4ce86a9414",
+            "a6791a72e827585dd3e7d05b0101126cc73c7dc1f70b83533cc956d93f37349e",
         "basis:1 mps.json":
-            "0ea6242bef23228e87f348d26a7ea9e41f09828b3c5db6cf6722b5775bd933c4",
+            "8b31eeb3a6f3aa3e4b90838a4c7ea388e3997a35a6955c04d362b9072988c077",
         "basis:1 compile_report.json":
-            "8f47502935a2d3942f2ced1ddea2545d26a050cd1d97fa282ddae8e480178397",
+            "9c34c3b2f41d70bda4aba36dc84e4b264882df0f75b9d4145cd84eb617a41608",
     },
     3: {
         "FullBitString":
@@ -166,13 +185,13 @@ GOLDEN = {
         "GMMatrix":
             "9564e49c4d2bd2b120da6541904cfdb23706b495d5a8c9c88aa30fbe396bb3dd",
         "basis:0 mps.json":
-            "050c4043b591fb3a025c020b70d96055a777dd67a391031493208ecd28a92939",
+            "1652396da39214cde1879dba19d8c4aea0e36ac7fde5004790b6382bfe292889",
         "basis:0 compile_report.json":
-            "db79134314b5fbbf88a3b685f79a7d007049c2de4823588bba307443e02dba1e",
+            "7cb36cfb5398d2353ab63a1824ff4fef68143ddbc89ea98f255786d92bd4c584",
         "basis:1 mps.json":
-            "929023e8e6c8c9337e3a6103c071d4da63831f0e143e75856613daad9d39c9a5",
+            "c81bfe23fc3771644e29f53f73501279f959a6c94a5ee3a2b0ba5b8bea29ce61",
         "basis:1 compile_report.json":
-            "f5995c4fcac9c184c5400ed3406bc7abe46e1139de7b3ff2bc44c7f75c76fbbb",
+            "3d8c9a7628c317cbad2993ddb5a8122eeac83295d5c2e736848e247e85ca6a21",
     },
     4: {
         "FullBitString":
@@ -182,13 +201,13 @@ GOLDEN = {
         "GMMatrix":
             "b7996712e3f26a520cfdc873e83ed130b880adf301a23458dd0c184811605858",
         "basis:0 mps.json":
-            "7c153f7d8c48526698d493298a4e660115a555d554f00c785a5d74c6b8b667db",
+            "d9c6420f07e297c1976e2a819ff6c243b4957faa8f83acaa3ed5c4ed23a74170",
         "basis:0 compile_report.json":
-            "a5951d42df1efe9faed014511d5b5d07117d698dbcf6e282d4d69638d8a776da",
+            "eca9688307299167adfa4b5d52e17744c1350b43e269c6903257b4792347deec",
         "basis:1 mps.json":
-            "5fef666287c8174b7f67a70ff8233dfdc962aca1a0e1c42b58289e1bbc0bae5e",
+            "f0612c3996f2011e6cafecdecbeba43f8027147fae06100af20eeec57565805e",
         "basis:1 compile_report.json":
-            "fa650776c5f5b7afa5de4d6d090b8d9ad1390b6e299c63a084023367c5c18e98",
+            "a16c9d51c5b47197b54bf1799475e514a43b840eac6157011784fbf0d26fb7d6",
     },
     5: {
         "FullBitString":
@@ -198,13 +217,13 @@ GOLDEN = {
         "GMMatrix":
             "1bc4431a631ac4fb68a099ae97bf148a8e23f91803b1b6b1b26a516ff8ed7f6e",
         "basis:0 mps.json":
-            "d32572646df014a23a758d49bd83a15e492e31a6c81f6456365fbcb76b24597d",
+            "8e88faac7c2b6e413a26176afd6aff8b023b49d04f8b9f44a31d40478b8db0f2",
         "basis:0 compile_report.json":
-            "80125ace80af57884eedd7e8aecddcc48ead2c6e547356cea1de423fcb79e9ec",
+            "18afad22094ab91b6f1276f54b760c8c9408b38878cdbecda790e9e56e0af09d",
         "basis:1 mps.json":
-            "2d454236c4d7ffe4b821a668dd947a4c1317f8e004b00ba6873dbd4ab80da2ce",
+            "5734d6398752d0545132dd08eb30df2d2eb216c6922c597250f07b0f7841321b",
         "basis:1 compile_report.json":
-            "96621b9a251308a7894ba0f097200ef424e24580e9625a0908f4f904717143ac",
+            "3201e3b608ba7b24a728455dbd4e9d8ab3e5c613c5d331ad878b00e1615c37c2",
     },
     6: {
         "FullBitString":
@@ -214,13 +233,13 @@ GOLDEN = {
         "GMMatrix":
             "035b0d9a8a52134ca2ce17a00ba34b61a36dcda303a1cf6a31b599260679068d",
         "basis:0 mps.json":
-            "7f8ae8529701a6d44e120e9b8960f4d1b321e8f8790e50b53880a3906aa2b1dd",
+            "721bd26b0d78e79c9d0f723af6e9113798c32ce2b7d2c6a9d56e0faea42599a0",
         "basis:0 compile_report.json":
-            "7ae8a5bc0bb7cb8fec0ec8857d5007ba8121247569ea6f37f70d60b1c9bce3d0",
+            "d9ca17639767983e8b1cf0a53e6d9431eead1f45e7001d4fac3c84b7657d1747",
         "basis:1 mps.json":
-            "0af499e0dac8acb73c0cb968208500683f5a68d88bbfaf13b9016f75d04230a3",
+            "3e12cf11aec2da4c416c3597e561438f31196a1a68ded3d8daef99d110de7356",
         "basis:1 compile_report.json":
-            "5e29d104f0965321b3428d156d986acd19217480bf640d630c19efa03792ae41",
+            "ea7d7af0e0ac9a1b4cab8f2938595fd06a771da6ad45feaf53e6171aa40f8020",
     },
     7: {
         "FullBitString":
@@ -230,13 +249,13 @@ GOLDEN = {
         "GMMatrix":
             "6eb5d391b6cc99c8c836cf790e91e941128ba0c9677cbdfd412728352c8d9ce2",
         "basis:0 mps.json":
-            "8f863eacb1628a13917bb19acf703ba52c3edd8ae1e4079381a38d36cd664ca3",
+            "6fbe89af198a2b2666e81a350558aa23f9e92f8bbd7a2626cd6b1783bfed84e5",
         "basis:0 compile_report.json":
-            "b9c61bb71849686da941a0fe34face1cfbb1d4b4ffa58f9dece723f17a271d11",
+            "8943e40daa7c38f949206ba8c4812e46dd5a1ae66d2a92f57547bd3afa9eead3",
         "basis:1 mps.json":
-            "406680e886545a7a890ced4fbc23f90b472ff9d9fecf517c6877a8ab1a690b24",
+            "eb321669c50b93986620128b50f5ba18b54476ea7110cee70170642fad6021ce",
         "basis:1 compile_report.json":
-            "0793f584049e84d78cd14195e6f7db403b8b474e85c74a195d983ec16f52c066",
+            "51e52a1554fc3ab7ebf55f16228669f370a25d5d4580b0351df5fd1b61e7f08e",
     },
 }
 
@@ -287,31 +306,32 @@ GOLDEN_STAGES = {
 # (see the header).  Both files were re-pinned once more when the sweep moved
 # to Dicke coordinates, and the report twice more, when the roundtrip
 # reference became the register of c and when its check moved into the
-# symmetric subspaces (see the header).
+# symmetric subspaces, and both once more when the compile moved onto the
+# closed-form MPS (see the header).
 GOLDEN_BUILDER_COMPILE = {
     (5, "equatorial:0.7"): {
         "mps.json":
-            "980077a14ab001d913759520491a14e67ca81c9a0be022df218bc62ebf44f6d6",
+            "2c4c537f3654032af57c56375d8f619527525632f49d08ea85f856c14dbb190d",
         "compile_report.json":
-            "9075618e6486e8011273b281dacc1812f6caeac7b27ba67851f6ca9a9626b5a6",
+            "bd440379f4d340f2aba925efaaa7136342f9e133dc3a942ed8dd14bb6392eb79",
     },
     (5, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "b76d0bf7c336daabc49fd2b4ce1e5b6772dd01a67f873b7e0b954b0f2b265e3b",
+            "81b3590a680e8e6bdc83aa89fb1699bffcddd226c4ee5508da9083f26e91d049",
         "compile_report.json":
-            "c2c1c6fc8fac5601ee9dcba0ad34f0906483f2a0adb098cb21b8db798f871071",
+            "dabc218cd6a60985b2f1056db0f510c5f50394e17965d7c51ebb74fa67c82506",
     },
     (8, "equatorial:0.7"): {
         "mps.json":
-            "26d93f6db4a2a41d01def7dff5efff3798033daa48bd4bea959c8c9f739f0cb7",
+            "a57c64c3f603369a9334043d574ef099f35bed2163ac2d350b996d474021bfb8",
         "compile_report.json":
-            "bf0aaea82af0669160c82c9d30c1d5ea4730606688ba4399bd026a18bf68d058",
+            "5b87efdb4624b87f5af9bcc22178cc88fee98863fa59dde9d7916ce0d24cd934",
     },
     (8, "amps:0.3,-0.2,0.5,0.4"): {
         "mps.json":
-            "294610dd7a4598e6b7ca3ce7d6ffbcdce0a4beea60065f97e7e88ec8cb7ec0f7",
+            "bc3291682fd7b40bb7211a59cca428e040ce05b468e85b8eb9e49c61bf79485c",
         "compile_report.json":
-            "ec62fab5571a32e0bf69b6edd6f76913a2efb1d7ac851685da2c3359ae6344fa",
+            "3d2eb1c4cdf721bd885544d82920530c3d81f12a8d39be548ecf86473e6451a5",
     },
 }
 

@@ -23,6 +23,7 @@ PUBLIC = [
     "dicke_outputs",
     "equatorial_qubit",
     "gamma",
+    "gm_mps",
     "load_mps",
     "make_qubit",
     "mps_from_dicke",
@@ -36,6 +37,7 @@ PUBLIC = [
 # Reference implementations that no command calls; they live in tests/oracles.py.
 ORACLES = [
     "StateVector",
+    "dicke_kets",
     "gm_factors",
     "gm_from_factors",
     "mps_to_state",
@@ -51,6 +53,7 @@ ORACLES = [
     "anticlone_fidelity",
     "combine_basis_mps",
     "mps_from_state",
+    "schmidt_spectra",
     "dicke_state",
     "gen_full_bitstrings",
     "gen_gm_bitstrings",
