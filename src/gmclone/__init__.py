@@ -3,9 +3,9 @@
 Builds the exact (2M-1)-qubit cloner output as its (M+1) x M matrix on the
 Dicke bases (``dicke_outputs``), prepares its basis outputs through a
 parity-classified bitstring pipeline, writes it as a matrix-product state
-in closed form (``gm_mps``) or compiles a prepared stage by one
-successive-SVD sweep over that matrix, and checks cloning optimality and
-bond-dimension scaling on the Dicke bases.
+in closed form (``gm_mps``), with no SVD, and checks that state against
+the matrix or a prepared stage, cloning optimality and bond-dimension
+scaling on the Dicke bases.
 The dense reference constructions that the tests check all of this against
 live in ``tests/oracles.py``.
 """
@@ -21,7 +21,6 @@ from .mps import (
     MatrixProductState,
     bond_dimension,
     load_mps,
-    mps_from_dicke,
     mps_halves,
     save_mps,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "gm_mps",
     "load_mps",
     "make_qubit",
-    "mps_from_dicke",
     "mps_halves",
     "perp",
     "run_pipeline",

@@ -16,7 +16,7 @@ qubits); one recursion over qubits (``_dicke_maps``) gives them.
 ``gm_mps`` writes the same output as a matrix-product state in closed form:
 the same recursion, read one qubit at a time, makes every site a
 bidiagonal counting step, and ``_schmidt_values`` gives the Schmidt values
-of every bond, so ``compile`` and ``sweep`` run no SVD on a builder input.
+of every bond, so no command runs an SVD.
 The dense builders, the sector kets, their Dicke-coefficient gather and the
 decomposed-expansion oracle that the tests check c against live in
 ``tests/oracles.py``.
@@ -92,7 +92,8 @@ def _counting_site(phi: np.ndarray, phi_perp: np.ndarray, k: int) -> np.ndarray:
 
 def gm_mps(M: int, q: Qubit, tol: float = DEFAULT_TOL):
     """The cloner output of ``q`` as a left-canonical MPS, in closed form;
-    returns (mps, spectrum) as :func:`~gmclone.mps.mps_from_dicke` does.
+    returns (mps, spectrum), each cut of the spectrum listing the Schmidt
+    values of its bond.
 
     Clone site k is the ``_counting_site`` of q (site M without its column
     j = M) and maps the perp-count label j' of k-1 qubits to j.  gamma sits

@@ -5,28 +5,27 @@ namespace to one handler per command; ``--format`` is an option of
 ``analyze`` alone, and ``analyze``, which writes no file, has no ``--out``.
 ``compile`` passes the register guard before it reads anything.  It names
 its source on stdout: the GMMatrix stage in ``--out`` for a ``basis:``
-input, or the builder.  A stage's register projected onto the
-clone-symmetric (x) anticlone-symmetric states gives the (M+1) x M matrix c
-of the output on |D^M_a>|D^(M-1)_b>, which one sweep
-(``mps.mps_from_dicke``) compiles.  The stage is read once, keeping only
-the records of class C{b} for input ``basis:b``; a stage that is not the
-cloner's, by its record count or by a coefficient of either class off its
-closed form, exits 4 before the sweep.  The builder writes the MPS in
-closed form (``builder.gm_mps``), with no SVD, and its c
-(``builder.dicke_outputs``) is the reference of the check below.
-``roundtrip_error`` measures the export, as the product of its contracted
-halves at the clone|anticlone bond (``mps.mps_halves``), against the
-reference.  For the builder that is the register of c, and the check runs
-in the symmetric subspaces (``_symmetric_roundtrip``): no array of it is
-larger than the 2^M x D clone half.  For a stage it is
-the stage register, compared entry by entry as 2^M x 2^(M-1) matrices,
-``ROW_BLOCK`` clone rows at a time, so whatever a stage holds outside the
-symmetric states shows there.  ``compile`` forms no array of 2^(2M-1)
-amplitudes on either route.
+input, or the builder.  Either way the export is the cloner output of the
+input qubit written in closed form (``builder.gm_mps``), with no SVD; the
+source only chooses the reference that ``roundtrip_error`` measures it
+against.  The stage is read once, keeping only the records of class C{b}
+for input ``basis:b``; a stage that is not the cloner's, by its record
+count or by a coefficient of either class off its closed form, exits 4
+before anything is exported.  ``roundtrip_error`` measures the export, as
+the product of its contracted halves at the clone|anticlone bond
+(``mps.mps_halves``), against the reference.  For the builder that is the
+register of the (M+1) x M matrix c of the output on |D^M_a>|D^(M-1)_b>
+(``builder.dicke_outputs``), and the check runs in the symmetric subspaces
+(``_symmetric_roundtrip``): no array of it is larger than the 2^M x D clone
+half.  For a stage it is the stage register, compared entry by entry as
+2^M x 2^(M-1) matrices, ``ROW_BLOCK`` clone rows at a time, so whatever a
+stage holds outside the closed form shows there.  ``compile`` forms no
+array of 2^(2M-1) amplitudes on either route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure or a ``ValueError`` that is not a gmclone
-error, such as numpy's ``LinAlgError`` (an SVD that does not converge),
+error, such as numpy's ``LinAlgError`` (from the QR factorization of the
+builder's roundtrip check),
 1 any other gmclone error or an ``OSError`` (an unwritable ``--out``
 included).  Past argument parsing, each of these
 failures prints one ``error: ...`` line.  All outputs are deterministic —
@@ -99,27 +98,6 @@ def cmd_prepare(args) -> int:
     print(f"GMMatrix:      {records} records -> {args.out / pipeline.MATRIX_STAGE_NAME}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
-
-
-def _stage_dicke(records, M: int, bit: int) -> np.ndarray:
-    """The (M+1) x M matrix c of the stage register of class ``bit``
-    projected onto |D^M_a>|D^(M-1)_b>.
-
-    A record's cell is a, the popcount of its clone half, and its class
-    fixes b = M - 1 + bit - a; c[a, b] is the cell's sum over
-    sqrt(C(M, a) C(M-1, b)).  Each cell is summed pairwise, by ``np.sum``
-    of its records, one cell at a time: a sequential sum (``np.bincount``,
-    ``np.add.at``) lands 1.5e-13 off the builder's c at M = 10, and a sort
-    by cell would copy every column.
-    """
-    indices, coefficients = records
-    cells = np.bitwise_count(indices >> (M - 1))  # uint8: no int64 copy of the column
-    c = np.zeros((M + 1, M), dtype=np.complex128)
-    for a in range(bit, M + bit):
-        b = M - 1 + bit - a
-        norm = math.sqrt(math.comb(M, a) * math.comb(M - 1, b))
-        c[a, b] = coefficients[cells == a].sum() / norm
-    return c
 
 
 def _minus_stage_rows(block, records, lo: int) -> np.ndarray:
@@ -197,21 +175,18 @@ def cmd_compile(args) -> int:
     check_register(M)
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
     bit = _basis_bit(args.input)
+    records = None
+    source = origin = "builder"
     if bit is not None and matrix_path.is_file():
         # One class read checks both classes of the stage, run by run, and
         # keeps only this one.
         matrix = pipeline.read_gm_matrix(matrix_path, M, bit)
         records = matrix.indices, matrix.coefficients
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
-        c = _stage_dicke(records, M, bit)
-        compiled, spectrum = mps.mps_from_dicke(c, args.tol)
-    else:
-        records = None
-        source = origin = "builder"
-        (c,) = dicke_outputs(M, [q])
-        compiled, spectrum = gm_mps(M, q, args.tol)
+    compiled, spectrum = gm_mps(M, q, args.tol)
     left, right = mps.mps_halves(compiled, M)
     if records is None:
+        (c,) = dicke_outputs(M, [q])
         error = _symmetric_roundtrip(left, right, c)
     else:
         # Export minus stage register as 2^M x 2^(M-1) matrices, ROW_BLOCK
@@ -355,7 +330,7 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     except ValueError as exc:
         # After GMCloneError, since DomainError is a ValueError too; numpy's
-        # LinAlgError is one, so an unconverged SVD lands here.
+        # LinAlgError is one, so a failed factorization lands here.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

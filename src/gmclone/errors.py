@@ -13,10 +13,6 @@ class DomainError(GMCloneError, ValueError):
     """An argument is outside the documented domain of an operation."""
 
 
-class DegenerateStateError(GMCloneError):
-    """Every singular value at some cut was truncated away."""
-
-
 class ResourceLimitError(GMCloneError):
     """A size guard tripped (register or enumeration too large)."""
 

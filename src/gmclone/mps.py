@@ -1,38 +1,25 @@
-"""Matrix-product-state compilation by a successive-SVD sweep in Dicke
-coordinates.
-
-The remainder of the state is repartitioned left to right: at each cut it is
-reshaped to (D_k * 2, rest) and SVD'd into V S W+; V is the site tensor and
-S W+ is carried forward as the next remainder (Oseledets, SISC 33, 2295
-(2011), Alg. 1).  So every site but the last is an isometry, the last
-carries the norm, and the singular values of each cut are the Schmidt
-values of the state truncated so far.  Singular values below
-``tol * sigma_max`` are discarded per cut together with their factor
-columns/rows; the roundtrip error is then bounded by the root-sum-square of
-everything discarded.
-
-There is one sweep, ``mps_from_dicke``.  The cloner output is symmetric over
-its clones and over its anticlones, so it is the (M+1) x M matrix c of its
-amplitudes on the Dicke states |D^M_a>|D^(M-1)_b>, and the sweep runs on
-that matrix: the rest of a cut is the Dicke states of the qubits still to
-peel, never a 2^n-wide array: no SVD sees more than 2 M^3 entries (the
-largest at M = 12 is 12 x 84).  ``compile`` passes it the projection of a
-GMMatrix stage's register onto the clone-symmetric (x) anticlone-symmetric
-states; whatever a stage holds outside them is left out of the export and
-shows in ``roundtrip_error``.  A builder input needs no sweep: its MPS in
-the same gauge is written in closed form (``builder.gm_mps``).  The dense
-sweep over a whole register and the full contraction of an MPS into one,
-which the tests check this module against, live in ``tests/oracles.py``.
+"""Matrix-product states: the container, its bond spectrum, contraction
+and the ``mps.json`` export.
 
 Site k holds two D_k x D_{k+1} matrices (one per basis value of qubit k),
-stored as one (2, D_k, D_{k+1}) array.  Reconstruction contracts
+stored as one (2, D_k, D_{k+1}) array.  ``builder.gm_mps`` writes the
+cloner output in this form, in closed form and with no SVD: every site but
+the last is an isometry, the last carries the norm, and each cut lists the
+Schmidt values of the state truncated so far (Oseledets, SISC 33, 2295
+(2011), Alg. 1, gives the same gauge by a sweep of SVDs).  ``tol`` is
+relative: a cut keeps the values above ``tol`` times its largest.  The
+dense and Dicke-coordinate SVD sweeps and the full contraction of an MPS
+into one register, which the tests check the closed form against, live in
+``tests/oracles.py``.
+
+Reconstruction contracts
 left boundary . A_1 ... A_n . right boundary in ascending site order, one
 matrix product per site (``contract_sweep``);
 ``mps_halves`` contracts the two sides of one bond apart, so the state is a
 product of a (2^k, D) and a (D, 2^(n-k)) matrix that a caller can compare
 with a reference without forming it.  ``compile`` checks its export that
-way at the clone|anticlone bond, with no 2^n-amplitude array: a builder
-export by projecting the halves onto the Dicke states, a stage export a
+way at the clone|anticlone bond, with no 2^n-amplitude array: against the
+builder by projecting the halves onto the Dicke states, against a stage a
 block of rows at a time.
 """
 
@@ -45,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateStateError, DomainError, MalformedMPSError, StageParseError
+from .errors import DomainError, MalformedMPSError, StageParseError
 from ._format import _pieces
 
 DEFAULT_TOL = 1e-12
@@ -93,10 +80,8 @@ class MatrixProductState:
 
 @dataclass(frozen=True)
 class BondCut:
-    # Every singular value of the cut, descending and before truncation:
-    # min(2 D_k, m T) of them for a (2 D_k, m T) cut of mps_from_dicke,
-    # rounding tail included; the D_k Schmidt values of the bond's labels
-    # for a cut of builder.gm_mps, with no rounding tail.
+    # The D_k Schmidt values of the bond's labels, descending and before
+    # truncation, with no rounding tail.
     singular_values: np.ndarray
     retained: int
 
@@ -119,59 +104,6 @@ class BondSpectrum:
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < 1.0:
         raise DomainError("tol must lie in [0, 1)")
-
-
-def mps_from_dicke(c, tol: float = DEFAULT_TOL):
-    """Compile sum_ab c[a, b] |D^p_a>|D^q_b> into MPS form; returns (mps, spectrum).
-
-    ``c`` is the (p+1) x (q+1) matrix, p >= 1, of a state on p + q qubits
-    that is symmetric within its first p and within its last q qubits.  Each
-    cut peels qubit k off the front block with
-    |D^m_a> = sqrt((m-a)/m) |0>|D^(m-1)_a> + sqrt(a/m) |1>|D^(m-1)_(a-1)>,
-    so the cut is a (2 D_k, m T) matrix over the m Dicke states of the m - 1
-    qubits left in the block times the T of the block after it.  Those are
-    orthonormal, so the cut has the singular values and left vectors of the
-    dense (2 D_k, 2^(n-k-1)) cut, up to a phase per vector, and ``tol``
-    truncates as it would there: singular values > tol * sigma_max are
-    retained.  Raises :class:`DomainError` for a ``tol`` outside [0, 1) or a
-    ``c`` that is not a finite matrix of at least two rows, and
-    :class:`DegenerateStateError` for a zero ``c``.
-    """
-    _check_tol(tol)
-    c = np.asarray(c, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[0] < 2 or c.shape[1] < 1:
-        raise DomainError(f"c of shape {c.shape} is not a (p+1) x (q+1) matrix with p >= 1")
-    if not np.isfinite(c).all():
-        raise DomainError("c must be finite (no NaN or infinity)")
-    if not c.any():
-        raise DegenerateStateError("zero state: nothing to retain")
-    remainder = c.reshape(1, *c.shape)
-    sites = []
-    cuts = []
-    for _ in range(sum(c.shape) - 3):
-        rows, front, back = remainder.shape
-        if front == 1:  # the front block is peeled: go on with the back one
-            front, back = back, 1
-        m = front - 1
-        root = np.sqrt(np.arange(front) / m)[:, None]  # sqrt(a/m), a = 0..m
-        remainder = remainder.reshape(rows, front, back)
-        matrix = np.empty((rows, 2, m, back), dtype=np.complex128)
-        np.multiply(root[:0:-1], remainder[:, :-1], out=matrix[:, 0])
-        np.multiply(root[1:], remainder[:, 1:], out=matrix[:, 1])
-        U, S, Wh = np.linalg.svd(matrix.reshape(2 * rows, m * back), full_matrices=False)
-        keep = int(np.count_nonzero(S > tol * S[0]))
-        cuts.append(BondCut(S, keep))
-        site = U[:, :keep].reshape(-1, 2, keep).transpose(1, 0, 2)
-        sites.append(np.ascontiguousarray(site))
-        remainder = (S[:keep, None] * Wh[:keep]).reshape(keep, m, back)
-    last = remainder.reshape(-1, 2, 1).transpose(1, 0, 2)
-    sites.append(np.ascontiguousarray(last))
-    mps = MatrixProductState(
-        sites=sites,
-        left_boundary=np.ones(1, dtype=np.complex128),
-        right_boundary=np.ones(1, dtype=np.complex128),
-    )
-    return mps, BondSpectrum(cuts=cuts, tolerance=tol)
 
 
 def contract_sweep(sites, left, right) -> np.ndarray:

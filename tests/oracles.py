@@ -19,11 +19,12 @@ cross-check the package:
 * the Schmidt values of the cloner output at every bond, by their
   recursion one value at a time (``schmidt_spectra``);
 * the dense successive-SVD sweep over a whole register (``mps_from_state``),
-  the register of a Dicke-basis matrix (``dicke_state``), against which
-  the package's sweep in Dicke coordinates and its c are checked, the
-  full contraction of an MPS into a register (``mps_to_state``), and the
-  builder roundtrip taken entry by entry over blocks of that register
-  (``blockwise_roundtrip``);
+  the same sweep in Dicke coordinates over a Dicke-basis matrix
+  (``mps_from_dicke``), against which the closed-form MPS and its
+  truncation are checked, the register of a Dicke-basis matrix
+  (``dicke_state``), the full contraction of an MPS into a register
+  (``mps_to_state``), and the builder roundtrip taken entry by entry over
+  blocks of that register (``blockwise_roundtrip``);
 * the block-sum of two basis MPSs, which shows that superposing the clones
   is not cloning the superposition;
 * the bitstring stages as Python strings, generated by a plain scan of the
@@ -52,7 +53,7 @@ import numpy as np
 from gmclone.builder import _dicke_maps, check_register, gamma
 from gmclone._format import float17
 from gmclone.errors import (
-    DegenerateStateError, DomainError, InternalConsistencyError, StageParseError,
+    DomainError, GMCloneError, InternalConsistencyError, StageParseError,
 )
 from gmclone.mps import (
     DEFAULT_TOL, BondCut, BondSpectrum, MatrixProductState, _check_tol, contract_sweep,
@@ -279,8 +280,12 @@ def anticlone_fidelity(state: StateVector, M: int, input: Qubit) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# dense MPS sweep
+# SVD sweeps
 # ---------------------------------------------------------------------------
+
+class DegenerateStateError(GMCloneError):
+    """Every singular value at some cut was truncated away."""
+
 
 def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
     """Compile a dense state into MPS form; returns (mps, spectrum).
@@ -312,6 +317,59 @@ def mps_from_state(state: StateVector, tol: float = DEFAULT_TOL):
     sites.append(np.ascontiguousarray(remainder.reshape(-1, 2, 1).transpose(1, 0, 2)))
     ones = np.ones(1, dtype=np.complex128)
     return MatrixProductState(sites, ones, ones.copy()), BondSpectrum(cuts, tol)
+
+
+def mps_from_dicke(c, tol: float = DEFAULT_TOL):
+    """Compile sum_ab c[a, b] |D^p_a>|D^q_b> into MPS form; returns (mps, spectrum).
+
+    ``c`` is the (p+1) x (q+1) matrix, p >= 1, of a state on p + q qubits
+    that is symmetric within its first p and within its last q qubits.  Each
+    cut peels qubit k off the front block with
+    |D^m_a> = sqrt((m-a)/m) |0>|D^(m-1)_a> + sqrt(a/m) |1>|D^(m-1)_(a-1)>,
+    so the cut is a (2 D_k, m T) matrix over the m Dicke states of the m - 1
+    qubits left in the block times the T of the block after it.  Those are
+    orthonormal, so the cut has the singular values and left vectors of the
+    dense (2 D_k, 2^(n-k-1)) cut, up to a phase per vector, and ``tol``
+    truncates as it would there: singular values > tol * sigma_max are
+    retained.  Raises :class:`DomainError` for a ``tol`` outside [0, 1) or a
+    ``c`` that is not a finite matrix of at least two rows, and
+    :class:`DegenerateStateError` for a zero ``c``.
+    """
+    _check_tol(tol)
+    c = np.asarray(c, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[0] < 2 or c.shape[1] < 1:
+        raise DomainError(f"c of shape {c.shape} is not a (p+1) x (q+1) matrix with p >= 1")
+    if not np.isfinite(c).all():
+        raise DomainError("c must be finite (no NaN or infinity)")
+    if not c.any():
+        raise DegenerateStateError("zero state: nothing to retain")
+    remainder = c.reshape(1, *c.shape)
+    sites = []
+    cuts = []
+    for _ in range(sum(c.shape) - 3):
+        rows, front, back = remainder.shape
+        if front == 1:  # the front block is peeled: go on with the back one
+            front, back = back, 1
+        m = front - 1
+        root = np.sqrt(np.arange(front) / m)[:, None]  # sqrt(a/m), a = 0..m
+        remainder = remainder.reshape(rows, front, back)
+        matrix = np.empty((rows, 2, m, back), dtype=np.complex128)
+        np.multiply(root[:0:-1], remainder[:, :-1], out=matrix[:, 0])
+        np.multiply(root[1:], remainder[:, 1:], out=matrix[:, 1])
+        U, S, Wh = np.linalg.svd(matrix.reshape(2 * rows, m * back), full_matrices=False)
+        keep = int(np.count_nonzero(S > tol * S[0]))
+        cuts.append(BondCut(S, keep))
+        site = U[:, :keep].reshape(-1, 2, keep).transpose(1, 0, 2)
+        sites.append(np.ascontiguousarray(site))
+        remainder = (S[:keep, None] * Wh[:keep]).reshape(keep, m, back)
+    last = remainder.reshape(-1, 2, 1).transpose(1, 0, 2)
+    sites.append(np.ascontiguousarray(last))
+    mps = MatrixProductState(
+        sites=sites,
+        left_boundary=np.ones(1, dtype=np.complex128),
+        right_boundary=np.ones(1, dtype=np.complex128),
+    )
+    return mps, BondSpectrum(cuts=cuts, tolerance=tol)
 
 
 def schmidt_spectra(M: int) -> list[list[float]]:

@@ -17,7 +17,6 @@ import pytest
 from gmclone.builder import FULL_ENUMERATION_LIMIT, dicke_outputs, gamma, gm_mps
 from gmclone.cli import parse_input_spec
 from gmclone.errors import DomainError, ResourceLimitError
-from gmclone.mps import mps_from_dicke
 from gmclone.qubit import Qubit, anticlone, equatorial_qubit, make_qubit, perp
 
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     expand_gm_decomposed,
     gm_factors,
     gm_from_factors,
+    mps_from_dicke,
     mps_from_state,
     mps_to_state,
     schmidt_spectra,

@@ -132,11 +132,9 @@ class TestPrepare:
 
 class TestCompile:
     def test_no_register_formed_on_either_route(self, tmp_path, monkeypatch):
-        # The builder route writes its MPS in closed form and runs no SVD;
-        # the stage route sweeps the Dicke matrix c, so no matrix of
-        # 2^(2M-1) entries reaches the SVD.  Both check the export at the
-        # clone|anticlone bond: no contraction of the export yields all
-        # 2^(2M-1) amplitudes, only its two halves.
+        # Both routes write their MPS in closed form and run no SVD.  Both
+        # check the export at the clone|anticlone bond: no contraction of
+        # the export yields all 2^(2M-1) amplitudes, only its two halves.
         M = 4
         sizes = []
         real_svd = np.linalg.svd
@@ -159,8 +157,7 @@ class TestCompile:
                 assert main(["prepare", "--clones", str(M), "--out", str(tmp_path)]) == EXIT_OK
             sizes.clear()
             assert main(argv) == EXIT_OK
-            assert len(sizes) == (0 if source == "builder" else 2 * M - 2)
-            assert all(size < 2 ** (2 * M - 1) for size in sizes)
+            assert sizes == []
             report = json.loads((tmp_path / "compile_report.json").read_text())
             assert report["source"] == source
             assert report["roundtrip_error"] < 1e-14
@@ -275,22 +272,28 @@ class TestCompile:
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
 
-    def test_tol_zero_keeps_the_analytic_dims_on_the_builder(self, tmp_path, capsys):
-        # The builder's cuts list only the Schmidt values of their labels,
-        # all positive, so tol 0 keeps exactly the labels; the SVD sweep of
-        # the same c keeps its rounding tail too: [1, 2, 4, 8, 4, 3, 2, 1].
-        argv = ["compile", "--clones", "4", "--input", "amps:0.3,-0.2,0.5,0.4",
-                "--tol", "0", "--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK
-        report = json.loads((tmp_path / "compile_report.json").read_text())
-        assert report["bond_dims"] == [1, 2, 3, 4, 4, 3, 2, 1]
-        assert report["retained_ranks"] == [2, 3, 4, 4, 3, 2]
-        assert report["roundtrip_error"] <= 1e-14
+    def test_tol_zero_keeps_the_analytic_dims(self, tmp_path, capsys):
+        # Every cut lists only the Schmidt values of its labels, all
+        # positive, so tol 0 keeps exactly the labels on both routes; the
+        # SVD sweep of c kept its rounding tail too: [1, 2, 4, 8, 4, 3, 2, 1]
+        # for the builder's amps input, [1, 2, 4, 7, 4, 3, 2, 1] for the
+        # stage's basis:0.
+        main(["prepare", "--clones", "4", "--out", str(tmp_path / "stage")])
+        for spec, out in [("amps:0.3,-0.2,0.5,0.4", tmp_path / "builder"),
+                          ("basis:0", tmp_path / "stage")]:
+            argv = ["compile", "--clones", "4", "--input", spec, "--tol", "0",
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            report = json.loads((out / "compile_report.json").read_text())
+            assert report["source"] == ("gm_matrix" if spec == "basis:0" else "builder")
+            assert report["bond_dims"] == [1, 2, 3, 4, 4, 3, 2, 1]
+            assert report["retained_ranks"] == [2, 3, 4, 4, 3, 2]
+            assert report["roundtrip_error"] <= 1e-14
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_stage_bond_dims_analytic_at_m11(self, bit, stage_m11, capsys):
-        # The stage route sweeps its register's Dicke matrix too, so no cut
-        # has more than 2 M^3 entries, where a dense cut had 2 x 2^20.
+        # The stage route writes the closed-form MPS too, and the stage
+        # register, checked a block of rows at a time, matches it.
         M = 11
         argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
                 "--out", str(stage_m11)]
@@ -299,6 +302,26 @@ class TestCompile:
         assert report["source"] == "gm_matrix"
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_both_routes_write_the_same_export(self, M, tmp_path, capsys):
+        # One construction: a stage compile of basis:b writes the builder's
+        # mps.json byte for byte, and its report differs from the builder's
+        # only in the source and the distance to it.
+        stage, builder = tmp_path / "stage", tmp_path / "builder"
+        assert main(["prepare", "--clones", str(M), "--out", str(stage)]) == EXIT_OK
+        for bit in (0, 1):
+            reports = []
+            for out in (stage, builder):
+                argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
+                        "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                reports.append(json.loads((out / "compile_report.json").read_text()))
+            assert (stage / "mps.json").read_bytes() == (builder / "mps.json").read_bytes()
+            for report, source in zip(reports, ("gm_matrix", "builder")):
+                assert report.pop("source") == source
+                del report["roundtrip_error"]
+            assert reports[0] == reports[1]
 
     def test_guard_precedes_the_stage(self, tmp_path, monkeypatch, capsys):
         # A GMMatrix stage in --out gives no way past the register guard:
@@ -462,17 +485,15 @@ class TestCompile:
 
 
 class TestDickeSweep:
-    """The stage route compiles the (M+1) x M Dicke matrix c of its register
-    by one ``mps_from_dicke`` sweep; a builder ``compile`` and ``sweep``
-    write the MPS in closed form (``builder.gm_mps``) and check a builder
-    export against the builder's c."""
+    """Every ``compile`` route and ``sweep`` write the MPS in closed form
+    (``builder.gm_mps``); a builder export is checked against the builder's
+    (M+1) x M Dicke matrix c, a stage export against the stage's records."""
 
-    @pytest.mark.parametrize("route", ["builder", "stage", "sweep"])
+    @pytest.mark.parametrize("route", ["builder", "stage", "sweep", "analyze"])
     def test_svd_calls_and_sizes(self, route, stage_m11, tmp_path, monkeypatch, capsys):
-        # No SVD on the builder and the sweep, at M = 12.  2M - 2 SVDs on
-        # the stage route, none of more than 2 M^3 entries, at M = 11,
-        # whose stage the module writes once (a GMMatrix stage of M = 12 is
-        # 142 MB).
+        # No SVD on any route: the builder, the sweep and analyze at M = 12,
+        # the stage at M = 11, whose stage the module writes once (a
+        # GMMatrix stage of M = 12 is 142 MB).
         M = 11 if route == "stage" else 12
         sizes = []
         real_svd = np.linalg.svd
@@ -485,44 +506,33 @@ class TestDickeSweep:
         if route == "sweep":
             rows = analysis.scaling_sweep(M, M, mps.DEFAULT_TOL)
             assert rows[0].bond_dim == M
+        elif route == "analyze":
+            assert main(["analyze", "--clones", str(M)]) == EXIT_OK
         else:
             out = stage_m11 if route == "stage" else tmp_path
             argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(out)]
             assert main(argv) == EXIT_OK
             report = json.loads((out / "compile_report.json").read_text())
             assert report["source"] == ("gm_matrix" if route == "stage" else "builder")
-        assert len(sizes) == (2 * M - 2 if route == "stage" else 0)
-        assert max(sizes, default=0) <= 2 * M**3
-
-    @pytest.mark.parametrize("M", range(1, 13))
-    def test_stage_c_is_the_builders(self, M):
-        # The pairwise per-cell sums of the stage records land within
-        # rounding of the builder's c; a sequential sum (np.bincount with
-        # weights) lands 1.8e-12 off at M = 12.
-        table = assign_coefficients(M)
-        for bit in (0, 1):
-            keep = np.bitwise_count(table.indices) == M - 1 + bit
-            records = (table.indices[keep], table.coefficients[keep])
-            c = cli._stage_dicke(records, M, bit)
-            (expected,) = dicke_outputs(M, [BASIS[bit]])
-            assert np.max(np.abs(c - expected)) <= 1e-14
+        assert sizes == []
 
     @pytest.mark.parametrize("M", [1, 2, 5, 9])
     def test_each_route_compiles_the_dicke_outputs(self, M, tmp_path, monkeypatch, capsys):
-        # The stage route sweeps its c; the builder route checks its export
-        # against the builder's c.  Each sees exactly one c.
-        seen = []
-        real_sweep, real_check = mps.mps_from_dicke, cli._symmetric_roundtrip
+        # Every route compiles the input's qubit through gm_mps, once; the
+        # builder routes check their export against the builder's c, and
+        # the stage routes against the stage, with no c.
+        compiled, seen = [], []
+        real_compile, real_check = cli.gm_mps, cli._symmetric_roundtrip
 
-        def sweep(c, tol):
-            seen.append(c)
-            return real_sweep(c, tol)
+        def compile_(M, q, tol):
+            compiled.append(q)
+            return real_compile(M, q, tol)
 
         def check(left, right, c):
             seen.append(c)
             return real_check(left, right, c)
 
-        monkeypatch.setattr(mps, "mps_from_dicke", sweep)
+        monkeypatch.setattr(cli, "gm_mps", compile_)
         monkeypatch.setattr(cli, "_symmetric_roundtrip", check)
         q = parse_input_spec("amps:0.3,-0.2,0.5,0.4")
         cases = [("amps:0.3,-0.2,0.5,0.4", q), ("basis:0", BASIS[0])]
@@ -531,11 +541,16 @@ class TestDickeSweep:
         for spec, qubit in cases:
             out = tmp_path / ("stage" if spec.startswith("stage") else "builder")
             argv = ["compile", "--clones", str(M), "--input", spec.split()[-1], "--out", str(out)]
+            compiled.clear()
             seen.clear()
             assert main(argv) == EXIT_OK
+            assert compiled == [qubit]
+            if spec.startswith("stage"):
+                assert seen == []
+                continue
             (c,) = seen
             assert c.shape == (M + 1, M)
-            assert np.max(np.abs(c - dicke_outputs(M, [qubit])[0])) <= 1e-14
+            assert np.array_equal(c, dicke_outputs(M, [qubit])[0])
 
     def test_sweep_gathers_no_ket(self, tmp_path, monkeypatch, capsys):
         # A ket is indexed by basis strings, whose popcounts place its Dicke
@@ -673,23 +688,18 @@ class TestFailureExitCodes:
 
 
 class TestLinAlgError:
-    def test_unconverged_svd_exits_internal(self, tmp_path, monkeypatch, capsys):
-        # The stage route is the one that runs SVDs.
-        assert main(["prepare", "--clones", "3", "--out", str(tmp_path)]) == EXIT_OK
-        capsys.readouterr()
+    def test_failed_factorization_exits_internal(self, tmp_path, monkeypatch, capsys):
+        # The builder's roundtrip check factors its clone half by QR.
+        def failed(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR factorization failed")
 
-        def unconverged(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        monkeypatch.setattr(np.linalg, "qr", failed)
         argv = ["compile", "--clones", "3", "--input", "basis:0", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: SVD did not converge\n"
-        assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "FullBitString", "GMBitString", "GMMatrix",
-        ]
+        assert captured.err == "error: QR factorization failed\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnwritableOut:

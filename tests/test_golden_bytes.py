@@ -131,11 +131,25 @@ sites print as `0`: the builder `mps.json` of M = 8 went from 72,082 to
 51,077 bytes (amps input).  No `prepare` digest, no M = 1 digest and not
 the `scaling.csv` of `sweep --clones 12` moved.
 
+When the `basis:` compile of a GMMatrix stage moved off the SVD sweep of
+the stage's c onto the builder's closed-form MPS (`builder.gm_mps` of |b>,
+with the stage kept as the reference of `roundtrip_error`), the 24
+`basis:` compile digests of M = 2..7 moved.  They were re-pinned once by
+running the commands above on the new code.  Each new `basis:b mps.json`
+digest equals the digest of the `mps.json` that `gmclone compile --clones M
+--input basis:b` writes with no stage in `--out` (checked for M = 1..11).
+Old and new agree in bond dimensions and retained ranks at M = 1..11 (and
+at `--tol 0.3` for M = 1..8), and in every field of `compile_report.json`
+but the singular values and `roundtrip_error`; the contracted states agree
+to 2.3e-15.  `roundtrip_error` fell from at most 7.9e-15 to at most
+4.9e-16 over M = 1..11.  No `prepare` digest, neither M = 1 compile, no
+builder digest and not the `scaling.csv` of `sweep --clones 12` moved.
+
 `prepare` digests are pure text and must hold on any platform.  `mps.json`
-and `compile_report.json` carry SVD output (on the stage route) and
-floating-point sums; they were produced with numpy
-2.4.6 (OpenBLAS) on x86-64 Linux, and another LAPACK build may round the last
-digit differently.
+and `compile_report.json` carry floating-point arithmetic (the closed-form
+sites and Schmidt values, and the sums of the roundtrip check); they were
+produced with numpy 2.4.6 (OpenBLAS) on x86-64 Linux, and another BLAS or
+LAPACK build may round the last digit differently.
 """
 
 import hashlib
@@ -169,13 +183,13 @@ GOLDEN = {
         "GMMatrix":
             "140ec135117d33364e8e01990178c7870eb2748b611f78e640f09f5eb999ff50",
         "basis:0 mps.json":
-            "a9462435eae0876e3f032613721430d759d7b2ea49a5291d276ac87dd0fdc174",
+            "16194e2ea8bf904eaeba383bd9faebf4526a954125ecf3688816ce38ab082f83",
         "basis:0 compile_report.json":
-            "a6791a72e827585dd3e7d05b0101126cc73c7dc1f70b83533cc956d93f37349e",
+            "26e6333f58dba3bf29190ea9bc86be90264bc815158417b98368ccc7b138787c",
         "basis:1 mps.json":
-            "8b31eeb3a6f3aa3e4b90838a4c7ea388e3997a35a6955c04d362b9072988c077",
+            "646d8da2109140178756cf75ccfff640904712360b4f2c29a2aec5ff877e1a1b",
         "basis:1 compile_report.json":
-            "9c34c3b2f41d70bda4aba36dc84e4b264882df0f75b9d4145cd84eb617a41608",
+            "b6cd0275b47bfb87596ffce75ec8ec80284fd2d1f0e1e40e28e4e39a1d99b4b9",
     },
     3: {
         "FullBitString":
@@ -185,13 +199,13 @@ GOLDEN = {
         "GMMatrix":
             "9564e49c4d2bd2b120da6541904cfdb23706b495d5a8c9c88aa30fbe396bb3dd",
         "basis:0 mps.json":
-            "1652396da39214cde1879dba19d8c4aea0e36ac7fde5004790b6382bfe292889",
+            "94e10513d5034ed036765e58dcd703f2630d3e639afc0fa1541e37cf1d77757e",
         "basis:0 compile_report.json":
-            "7cb36cfb5398d2353ab63a1824ff4fef68143ddbc89ea98f255786d92bd4c584",
+            "7685d95333c679ed754ba15d332a9cfea1444229410e8c5edb035a3d6e9fc2b2",
         "basis:1 mps.json":
-            "c81bfe23fc3771644e29f53f73501279f959a6c94a5ee3a2b0ba5b8bea29ce61",
+            "6259351ee3f55e17a4521658c3ab36c8a2fc2404758da188304dba30f9606000",
         "basis:1 compile_report.json":
-            "3d8c9a7628c317cbad2993ddb5a8122eeac83295d5c2e736848e247e85ca6a21",
+            "233db4fbeea969773890523cbd33d194b445693790ef74d394a9623be273c9ab",
     },
     4: {
         "FullBitString":
@@ -201,13 +215,13 @@ GOLDEN = {
         "GMMatrix":
             "b7996712e3f26a520cfdc873e83ed130b880adf301a23458dd0c184811605858",
         "basis:0 mps.json":
-            "d9c6420f07e297c1976e2a819ff6c243b4957faa8f83acaa3ed5c4ed23a74170",
+            "2238b67c4e2748217096ad078f9e4f046c1fb820ced87d35bcf607dbc0601a79",
         "basis:0 compile_report.json":
-            "eca9688307299167adfa4b5d52e17744c1350b43e269c6903257b4792347deec",
+            "2e623b188f3b976c387bf216501aba2906d62db837d5719bb3d357fa09c057dc",
         "basis:1 mps.json":
-            "f0612c3996f2011e6cafecdecbeba43f8027147fae06100af20eeec57565805e",
+            "ffe43c60b52c167a09b4164bb7fe446367356ea4132a9ab12ad3c2cf55996a39",
         "basis:1 compile_report.json":
-            "a16c9d51c5b47197b54bf1799475e514a43b840eac6157011784fbf0d26fb7d6",
+            "c2ba5fdc24b5d5b81ba7f1c83f50a966dbee11d3ca53d25f9a424b1ecef0869a",
     },
     5: {
         "FullBitString":
@@ -217,13 +231,13 @@ GOLDEN = {
         "GMMatrix":
             "1bc4431a631ac4fb68a099ae97bf148a8e23f91803b1b6b1b26a516ff8ed7f6e",
         "basis:0 mps.json":
-            "8e88faac7c2b6e413a26176afd6aff8b023b49d04f8b9f44a31d40478b8db0f2",
+            "b853acd5df664aeb16ea84a49c61925d6e2a409b3903bbea2dcc321717a8818f",
         "basis:0 compile_report.json":
-            "18afad22094ab91b6f1276f54b760c8c9408b38878cdbecda790e9e56e0af09d",
+            "2a7be242a0ff180553e278840f4d1d9a4e7812f6c6e814a9db81632b3d2da9e3",
         "basis:1 mps.json":
-            "5734d6398752d0545132dd08eb30df2d2eb216c6922c597250f07b0f7841321b",
+            "dcff77242bf0ee678d1e090feb02683e584cc2122ef94b945dbf9386b46998da",
         "basis:1 compile_report.json":
-            "3201e3b608ba7b24a728455dbd4e9d8ab3e5c613c5d331ad878b00e1615c37c2",
+            "7b60552b685414e1ec00e2df86198f252207237eecf4c7b3355947bb9b841456",
     },
     6: {
         "FullBitString":
@@ -233,13 +247,13 @@ GOLDEN = {
         "GMMatrix":
             "035b0d9a8a52134ca2ce17a00ba34b61a36dcda303a1cf6a31b599260679068d",
         "basis:0 mps.json":
-            "721bd26b0d78e79c9d0f723af6e9113798c32ce2b7d2c6a9d56e0faea42599a0",
+            "6568424e93affe795ffb70be83016adfa9433b43aa1feb5867dc4139bc0ed2db",
         "basis:0 compile_report.json":
-            "d9ca17639767983e8b1cf0a53e6d9431eead1f45e7001d4fac3c84b7657d1747",
+            "006c2b59b996a594215ef9c7627ef9ffe9e41fcf614c700e75a9903b75e4bd04",
         "basis:1 mps.json":
-            "3e12cf11aec2da4c416c3597e561438f31196a1a68ded3d8daef99d110de7356",
+            "11b45e2cf0f3a2d4de5b3863e03e88001c4ca5ba40a90a0d71186b1e28273d0f",
         "basis:1 compile_report.json":
-            "ea7d7af0e0ac9a1b4cab8f2938595fd06a771da6ad45feaf53e6171aa40f8020",
+            "5855803ad1c5965dd5ebca170d69b522d3b6c8595dc5eae930fc43b6e4194fb6",
     },
     7: {
         "FullBitString":
@@ -249,13 +263,13 @@ GOLDEN = {
         "GMMatrix":
             "6eb5d391b6cc99c8c836cf790e91e941128ba0c9677cbdfd412728352c8d9ce2",
         "basis:0 mps.json":
-            "6fbe89af198a2b2666e81a350558aa23f9e92f8bbd7a2626cd6b1783bfed84e5",
+            "fb22b764a0ae6c4bac589b1c98139efcc7fe2903f1b4ad83480e87c322da3420",
         "basis:0 compile_report.json":
-            "8943e40daa7c38f949206ba8c4812e46dd5a1ae66d2a92f57547bd3afa9eead3",
+            "74b69d4b63ecee33144b5e8e4871afdc0aa7648afa10a0fa1f126c44cfad8bf0",
         "basis:1 mps.json":
-            "eb321669c50b93986620128b50f5ba18b54476ea7110cee70170642fad6021ce",
+            "0b72ed23a500029d12f9247ba85e78e8a75bf2864b709126246b3562c570489c",
         "basis:1 compile_report.json":
-            "51e52a1554fc3ab7ebf55f16228669f370a25d5d4580b0351df5fd1b61e7f08e",
+            "09a7b97bdd87762b28caa282ede29efc065ea398f4a501da8bb5db604bbdb10d",
     },
 }
 

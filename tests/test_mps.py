@@ -1,4 +1,5 @@
-"""Tests for the successive-SVD MPS compiler and its export."""
+"""Tests for the MPS container, its contraction and export, and the SVD
+sweeps of ``tests/oracles.py`` that the closed-form MPS is checked against."""
 
 import copy
 import json
@@ -10,15 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gmclone import cli
 from gmclone.builder import dicke_outputs
 from gmclone.cli import EXIT_OK, main
-from gmclone.errors import (
-    DegenerateStateError,
-    DomainError,
-    MalformedMPSError,
-    StageParseError,
-)
+from gmclone.errors import DomainError, MalformedMPSError, StageParseError
 from gmclone._format import dumps_17g
 from gmclone.mps import (
     BondCut,
@@ -27,19 +22,19 @@ from gmclone.mps import (
     bond_dimension,
     export_document,
     load_mps,
-    mps_from_dicke,
     save_mps,
 )
 from gmclone.qubit import BASIS, equatorial_qubit, make_qubit
 
 from oracles import (
+    DegenerateStateError,
     GMParameters,
     StateVector,
-    assign_coefficients,
     build_gm,
     build_gm_basis,
     combine_basis_mps,
     dicke_state,
+    mps_from_dicke,
     mps_from_state,
     mps_to_state,
 )
@@ -119,14 +114,6 @@ class TestCompile:
             mps_from_state(state, 0.0)
 
 
-def _stage_c(M, bit):
-    """c of the class-``bit`` records of the stage table ``prepare`` writes,
-    as ``compile`` reads it."""
-    table = assign_coefficients(M)
-    keep = np.bitwise_count(table.indices) == M - 1 + bit
-    return cli._stage_dicke((table.indices[keep], table.coefficients[keep]), M, bit)
-
-
 def _assert_same_cuts(spectrum, dense_spectrum):
     assert spectrum.retained_ranks() == dense_spectrum.retained_ranks()
     assert spectrum.tolerance == dense_spectrum.tolerance
@@ -137,8 +124,9 @@ def _assert_same_cuts(spectrum, dense_spectrum):
 
 
 class TestFromDicke:
-    """``mps_from_dicke`` against the dense sweep of the same register
-    (``mps_from_state`` in ``tests/oracles.py``)."""
+    """The SVD sweep in Dicke coordinates (``mps_from_dicke``) against the
+    dense sweep of the same register (``mps_from_state``), both in
+    ``tests/oracles.py``."""
 
     INPUTS = {
         "equatorial": equatorial_qubit(0.7),
@@ -146,11 +134,9 @@ class TestFromDicke:
         "basis:0": BASIS[0],
         "basis:1": BASIS[1],
     }
-    SOURCES = sorted(INPUTS) + ["stage:C0", "stage:C1"]
+    SOURCES = sorted(INPUTS)
 
     def _c(self, M, name):
-        if name.startswith("stage:"):
-            return _stage_c(M, int(name[-1]))
         return dicke_outputs(M, [self.INPUTS[name]])[0]
 
     def _both_sweeps(self, M, name, tol=1e-12):

@@ -26,7 +26,6 @@ PUBLIC = [
     "gm_mps",
     "load_mps",
     "make_qubit",
-    "mps_from_dicke",
     "mps_halves",
     "perp",
     "run_pipeline",
@@ -53,6 +52,8 @@ ORACLES = [
     "anticlone_fidelity",
     "combine_basis_mps",
     "mps_from_state",
+    "mps_from_dicke",
+    "DegenerateStateError",
     "schmidt_spectra",
     "dicke_state",
     "gen_full_bitstrings",
