@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from gmclone import analysis, cli, mps, pipeline
-from gmclone.builder import dicke_outputs
+from gmclone.builder import dicke_outputs, gm_mps
 from gmclone.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -37,6 +38,18 @@ from oracles import (
     reconstruct_state,
     write_gm_matrix_lines,
 )
+
+
+@pytest.fixture(scope="module")
+def prepared(tmp_path_factory):
+    """The stages of ``prepare --clones M``, written once per M."""
+    @functools.cache
+    def stage(M):
+        out = tmp_path_factory.mktemp(f"stage-m{M}")
+        assert main(["prepare", "--clones", str(M), "--out", str(out)]) == EXIT_OK
+        return out
+
+    return stage
 
 
 @pytest.fixture(scope="module")
@@ -272,23 +285,24 @@ class TestCompile:
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
 
-    def test_tol_zero_keeps_the_analytic_dims(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spec", ["amps:0.3,-0.2,0.5,0.4", "stage basis:0"])
+    def test_tol_zero_keeps_the_analytic_dims(self, spec, tmp_path, capsys):
         # Every cut lists only the Schmidt values of its labels, all
         # positive, so tol 0 keeps exactly the labels on both routes; the
         # SVD sweep of c kept its rounding tail too: [1, 2, 4, 8, 4, 3, 2, 1]
         # for the builder's amps input, [1, 2, 4, 7, 4, 3, 2, 1] for the
         # stage's basis:0.
-        main(["prepare", "--clones", "4", "--out", str(tmp_path / "stage")])
-        for spec, out in [("amps:0.3,-0.2,0.5,0.4", tmp_path / "builder"),
-                          ("basis:0", tmp_path / "stage")]:
-            argv = ["compile", "--clones", "4", "--input", spec, "--tol", "0",
-                    "--out", str(out)]
-            assert main(argv) == EXIT_OK
-            report = json.loads((out / "compile_report.json").read_text())
-            assert report["source"] == ("gm_matrix" if spec == "basis:0" else "builder")
-            assert report["bond_dims"] == [1, 2, 3, 4, 4, 3, 2, 1]
-            assert report["retained_ranks"] == [2, 3, 4, 4, 3, 2]
-            assert report["roundtrip_error"] <= 1e-14
+        stage = spec.startswith("stage")
+        if stage:
+            assert main(["prepare", "--clones", "4", "--out", str(tmp_path)]) == EXIT_OK
+        argv = ["compile", "--clones", "4", "--input", spec.split()[-1], "--tol", "0",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "compile_report.json").read_text())
+        assert report["source"] == ("gm_matrix" if stage else "builder")
+        assert report["bond_dims"] == [1, 2, 3, 4, 4, 3, 2, 1]
+        assert report["retained_ranks"] == [2, 3, 4, 4, 3, 2]
+        assert report["roundtrip_error"] <= 1e-14
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_stage_bond_dims_analytic_at_m11(self, bit, stage_m11, capsys):
@@ -303,25 +317,81 @@ class TestCompile:
         assert report["bond_dims"] == [min(k + 1, 2 * M - k, M) for k in range(2 * M)]
         assert report["roundtrip_error"] <= 1e-13
 
+    @pytest.mark.parametrize("tol", [1e-12, 0.3])
+    @pytest.mark.parametrize("bit", [0, 1])
     @pytest.mark.parametrize("M", range(1, 9))
-    def test_both_routes_write_the_same_export(self, M, tmp_path, capsys):
+    def test_both_routes_write_the_same_export(self, M, bit, tol, prepared, tmp_path, capsys):
         # One construction: a stage compile of basis:b writes the builder's
         # mps.json byte for byte, and its report differs from the builder's
-        # only in the source and the distance to it.
+        # only in the source and the distance to it.  Both distances are
+        # from the same export to the same register, so they agree: both
+        # rounding untruncated, within 1e-14 relative where tol 0.3 cuts.
         stage, builder = tmp_path / "stage", tmp_path / "builder"
-        assert main(["prepare", "--clones", str(M), "--out", str(stage)]) == EXIT_OK
+        shutil.copytree(prepared(M), stage)
+        reports = []
+        for out in (stage, builder):
+            argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
+                    "--tol", str(tol), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            reports.append(json.loads((out / "compile_report.json").read_text()))
+        assert (stage / "mps.json").read_bytes() == (builder / "mps.json").read_bytes()
+        errors = []
+        for report, source in zip(reports, ("gm_matrix", "builder")):
+            assert report.pop("source") == source
+            errors.append(report.pop("roundtrip_error"))
+        assert reports[0] == reports[1]
+        if tol == 0.3 and M >= 4:  # the cut drops Schmidt values: 0.15 to 0.33
+            assert abs(errors[0] - errors[1]) <= 1e-14 * errors[1]
+        else:
+            assert max(errors) <= 1e-15
+
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_stage_records_are_the_export_amplitudes(self, M):
+        # The stage route's reference and its export agree: each class-b
+        # record of the stage table is, to rounding, the amplitude of
+        # gm_mps(M, basis:b) on its string, and those strings carry all of
+        # the export's norm, so it is zero off them.  The export is read
+        # at the records only, 2^16 at a time (a register of M = 12 is
+        # 128 MiB); the norm is summed exactly (np.vdot of the 1.35e6
+        # amplitudes of M = 12 rounds 7.2e-13 off).
+        table = assign_coefficients(M)
         for bit in (0, 1):
-            reports = []
-            for out in (stage, builder):
-                argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}",
-                        "--out", str(out)]
-                assert main(argv) == EXIT_OK
-                reports.append(json.loads((out / "compile_report.json").read_text()))
-            assert (stage / "mps.json").read_bytes() == (builder / "mps.json").read_bytes()
-            for report, source in zip(reports, ("gm_matrix", "builder")):
-                assert report.pop("source") == source
-                del report["roundtrip_error"]
-            assert reports[0] == reports[1]
+            keep = np.bitwise_count(table.indices) == M - 1 + bit
+            indices, coefficients = table.indices[keep], table.coefficients[keep]
+            left, right = mps.mps_halves(gm_mps(M, BASIS[bit])[0], M)
+            amplitudes = np.concatenate([
+                np.einsum("nd,dn->n", left[chunk >> (M - 1)],
+                          right[:, chunk & (2 ** (M - 1) - 1)])
+                for chunk in np.split(indices, range(2**16, indices.size, 2**16))
+            ])
+            assert np.max(np.abs(amplitudes - coefficients)) <= 1e-14
+            assert abs(math.fsum(np.abs(amplitudes) ** 2) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_stage_edit_below_the_check_shows_in_the_roundtrip(self, M, bit, tmp_path, capsys):
+        # One class-b record moved by delta, under the read's 1e-12 check:
+        # compile accepts the stage and writes the builder's export, and
+        # roundtrip_error, the distance from that export to the stage's
+        # own records, reads delta.
+        delta = 4e-13
+        main(["prepare", "--clones", str(M), "--out", str(tmp_path / "stage")])
+        path = tmp_path / "stage" / "GMMatrix"
+        matrix = assign_coefficients(M)
+        coefficients = matrix.coefficients.copy()
+        edited = int(np.flatnonzero(np.bitwise_count(matrix.indices) == M - 1 + bit)[0])
+        coefficients[edited] += delta
+        write_gm_matrix_lines(path, pipeline.GMMatrix(
+            matrix.width, matrix.indices, coefficients,
+        ))
+        for out in (tmp_path / "stage", tmp_path / "builder"):
+            argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+        stage, builder = tmp_path / "stage", tmp_path / "builder"
+        assert (stage / "mps.json").read_bytes() == (builder / "mps.json").read_bytes()
+        report = json.loads((stage / "compile_report.json").read_text())
+        assert report["source"] == "gm_matrix"
+        assert abs(report["roundtrip_error"] - delta) <= 1e-15
 
     def test_guard_precedes_the_stage(self, tmp_path, monkeypatch, capsys):
         # A GMMatrix stage in --out gives no way past the register guard:
