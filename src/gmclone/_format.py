@@ -5,8 +5,8 @@ involved: 17 digits round-trip IEEE-754 doubles exactly, so every stage
 file, export document and report is lossless and byte-stable on rewrite.
 
 The JSON renderer takes a float64 array as one leaf: its text, the nested
-lists of ``arr.tolist()``, comes from a single ``str.format`` call on a
-template of ``{:.17g}`` fields built from the array's shape and depth.  The
+lists of ``arr.tolist()``, comes from a single ``%`` call on a template
+of ``%.17g`` fields built from the array's shape and depth.  The
 renderer yields the document as text pieces, one per array or scalar and
 the punctuation between them, so a writer that streams the pieces holds at
 most one array's text at a time.
@@ -70,7 +70,7 @@ def _render(value, depth):
 def _template(shape, depth):
     """Format template of an array of ``shape`` rendered at ``depth``."""
     if not shape:
-        return "{:.17g}"
+        return "%.17g"
     if not shape[0]:
         return "[]"
     row = " " * (_INDENT * (depth + 1)) + _template(shape[1:], depth + 1)
@@ -83,7 +83,7 @@ def _leaf(value, depth) -> str:
             raise TypeError(f"cannot serialize a {value.dtype} array")
         # + 0.0 turns -0.0 into 0.0, which prints "0" as in float17.
         values = (value.reshape(-1) + 0.0).tolist()
-        return _template(value.shape, depth).format(*values)
+        return _template(value.shape, depth) % tuple(values)
     if isinstance(value, str):
         return f'"{_escape(value)}"'
     if value is None:

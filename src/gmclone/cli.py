@@ -18,9 +18,12 @@ register of the (M+1) x M matrix c of the output on |D^M_a>|D^(M-1)_b>
 (``builder.dicke_outputs``), and the check runs in the symmetric subspaces
 (``_symmetric_roundtrip``): no array of it is larger than the 2^M x D clone
 half.  For a stage it is the stage register, compared entry by entry as
-2^M x 2^(M-1) matrices, ``ROW_BLOCK`` clone rows at a time, so whatever a
-stage holds outside the closed form shows there.  ``compile`` forms no
-array of 2^(2M-1) amplitudes on either route.
+2^M x 2^(M-1) matrices, one run of the stage read at a time: a run's
+2^min(2M-1, ``pipeline.CHUNK_BITS``) indices are whole clone rows, so its
+block of the export is a slice of rows of one half times the other, at
+most 256 KiB.  Whatever a stage holds outside the closed form shows there.
+``compile`` forms no array of 2^(2M-1) amplitudes on either route, and
+none that grows with the register on the stage route.
 
 Exit codes: 0 success, 2 usage error, 3 resource guard or out of memory,
 4 internal consistency failure or a ``ValueError`` that is not a gmclone
@@ -58,10 +61,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# Clone-index rows per block of the stage compile's roundtrip check: one
-# block of the register is ROW_BLOCK x 2^(M-1) amplitudes, 1 MiB at M = 12.
-ROW_BLOCK = 32
-
 
 def _basis_bit(spec: str):
     """0 or 1 for exactly ``basis:0`` or ``basis:1``, else None."""
@@ -98,17 +97,6 @@ def cmd_prepare(args) -> int:
     print(f"GMMatrix:      {records} records -> {args.out / pipeline.MATRIX_STAGE_NAME}")
     print(f"parity classes: C0={count0} C1={count1}")
     return EXIT_OK
-
-
-def _minus_stage_rows(block, records, lo: int) -> np.ndarray:
-    """``block``, rows lo.. of a (2^M, cols) matrix, minus the same rows of
-    the stage register: the records whose indices fall in them, subtracted
-    in place."""
-    indices, coefficients = records
-    rows, cols = block.shape
-    start, stop = np.searchsorted(indices, (lo * cols, (lo + rows) * cols))
-    block.reshape(-1)[indices[start:stop] - lo * cols] -= coefficients[start:stop]
-    return block
 
 
 def _dicke_split(half):
@@ -175,25 +163,31 @@ def cmd_compile(args) -> int:
     check_register(M)
     matrix_path = args.out / pipeline.MATRIX_STAGE_NAME
     bit = _basis_bit(args.input)
-    records = None
+    matrix = None
     source = origin = "builder"
     if bit is not None and matrix_path.is_file():
         # One class read checks both classes of the stage, run by run, and
-        # keeps only this one.
+        # keeps only this one, in its runs.
         matrix = pipeline.read_gm_matrix(matrix_path, M, bit)
-        records = matrix.indices, matrix.coefficients
         source, origin = "gm_matrix", f"gm_matrix {matrix_path}"
     compiled, spectrum = gm_mps(M, q, args.tol)
     left, right = mps.mps_halves(compiled, M)
-    if records is None:
+    if matrix is None:
         (c,) = dicke_outputs(M, [q])
         error = _symmetric_roundtrip(left, right, c)
     else:
-        # Export minus stage register as 2^M x 2^(M-1) matrices, ROW_BLOCK
-        # clone rows at a time: L @ R minus the stage rows, entry by entry.
-        blocks = [(lo, min(lo + ROW_BLOCK, 2**M)) for lo in range(0, 2**M, ROW_BLOCK)]
-        differences = (_minus_stage_rows(left[lo:hi] @ right, records, lo) for lo, hi in blocks)
-        error = math.sqrt(sum(np.vdot(block, block).real for block in differences))
+        # Export minus stage register as 2^M x 2^(M-1) matrices, one stage
+        # run at a time: a run's 2^low indices are whole clone rows, so its
+        # block is L[rows] @ R, minus the run's records, entry by entry.
+        low = min(2 * M - 1, pipeline.CHUNK_BITS)
+        assert low >= M - 1, "a stage run must be whole clone rows"
+        rows, squares = 1 << (low - M + 1), 0.0
+        for first, offsets, coefficients in matrix.runs:
+            lo = first >> (M - 1)
+            block = left[lo : lo + rows] @ right
+            block.reshape(-1)[offsets] -= coefficients
+            squares += np.vdot(block, block).real
+        error = math.sqrt(squares)
     args.out.mkdir(parents=True, exist_ok=True)
     export_path = args.out / "mps.json"
     report_path = args.out / "compile_report.json"

@@ -46,9 +46,11 @@ stage is checked without parsing a line.  A run that differs is parsed
 over the lines that start with its high bits, and so is any line past the
 last run: line by line, by :func:`_parse_line`, the one GMMatrix line
 grammar, and held to the closed form of :func:`_sector_amplitudes`.  Only
-the records of the class asked for are kept.  So no temporary grows with
-the register, and none of stage I/O grows with the file beyond one run,
-the templates in use and the columns it reads.  A class is its bit b
+the records of the class asked for are kept, in the runs they were read
+in, as a :class:`GMMatrix`: a run that matched refers to its key's arrays,
+and nothing is concatenated.  So no temporary grows with the register, and
+none of stage I/O grows with the file beyond one run, the templates in use,
+the arrays of the keys and the parsed runs.  A class is its bit b
 everywhere, as the ``basis:b`` input of ``compile`` names it.  The
 package writes the stages and reads only GMMatrix; the string generators,
 the per-line readers and writers, and the table of both classes that the
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +89,40 @@ MATRIX_STAGE_NAME = "GMMatrix"
 _LF, _ZERO = b"\n0"
 
 
-@dataclass(frozen=True, eq=False)
 class GMMatrix:
-    """The GMMatrix stage as columns, one entry per support ket."""
+    """Records of a GMMatrix stage, in runs of consecutive register indices.
 
-    width: int                # register length 2M-1
-    indices: np.ndarray       # int64 basis indices, strictly increasing
-    coefficients: np.ndarray  # complex128 per-ket amplitudes
+    ``runs`` holds one ``(first, offsets, coefficients)`` per run, in index
+    order: the run's first basis index, the int64 offsets from it of its
+    records, strictly increasing, and their complex128 per-ket amplitudes.
+    ``GMMatrix(width, indices, coefficients)`` holds a table in columns as
+    one run from index 0; :func:`read_gm_matrix` gives one run per run of
+    the register (:meth:`of_runs`).  ``indices`` and ``coefficients`` join
+    the runs when asked, as a new array each time.
+    """
+
+    __slots__ = ("width", "runs")
+
+    def __init__(self, width: int, indices: np.ndarray, coefficients: np.ndarray):
+        self.width = width  # register length 2M-1
+        self.runs = ((0, indices, coefficients),)
+
+    @classmethod
+    def of_runs(cls, width: int, runs) -> "GMMatrix":
+        matrix = cls.__new__(cls)
+        matrix.width, matrix.runs = width, tuple(runs)
+        return matrix
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.concatenate([first + offsets for first, offsets, _ in self.runs])
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.concatenate([coefficients for _, _, coefficients in self.runs])
 
     def __len__(self) -> int:
-        return self.indices.size
+        return sum(offsets.size for _, offsets, _ in self.runs)
 
 
 def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
@@ -321,21 +346,26 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     Each run's bytes are compared with its lines from the generator, the
     bytes ``prepare`` writes, before its next step, which may overwrite
     them.  A run that matches is the cloner's, so none of its lines is
-    parsed: its records of the class are its template's int64 low offsets
-    and coefficients of the class, taken once per key, with the run's first
-    index added to the offsets.  A parse would give the same indices and
-    the same doubles, as ``float17`` round-trips and IM is 0.  The
-    coefficients are one array per key, kept for each of its runs, so they
-    are read and never written.  Any other run is parsed line by line, as
-    far as its lines start with the run's high bits, which begin each of
-    its lines, so the next run is compared at its own first line even when
-    a line was deleted or inserted; the lines past the last run are parsed
+    parsed: its records of the class are its template's low offsets, as
+    int64, and coefficients of the class, from the run's first index.  A
+    parse would give the same indices and the same doubles, as ``float17``
+    round-trips and IM is 0.  The offsets and coefficients are one pair of
+    arrays per key, taken once and shared by each of its runs, so they are
+    read and never written.  Any other run is parsed line by line, as far
+    as its lines start with the run's high bits, which begin each of its
+    lines, so the next run is compared at its own first line even when a
+    line was deleted or inserted; the lines past the last run are parsed
     too.  The records parsed for a run lie in it, below the first index of
-    every later run.  One count of the lines read so far is both the line
-    number a parse starts after and, at the end, the record count, and the
-    last index read is carried into the next parse.  So the errors, their
-    order and their line numbers do not depend on which runs matched.  Only
-    the columns kept of the runs read so far grow with the file.
+    every later run, and are kept as their offsets from its first index.
+    One count of the lines read so far is both the line number a parse
+    starts after and, at the end, the record count, and the last index
+    read is carried into the next parse.  So the errors, their order and
+    their line numbers do not depend on which runs matched.
+
+    The result holds one run per run of the register, in order, each with
+    its records of the class, none for a run without any: the runs tile
+    the register.  Past one entry per run, only the parsed runs grow with
+    the file.
     """
     check_register(M)
     if parity_class not in (0, 1):
@@ -346,35 +376,31 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
     amplitudes = _sector_amplitudes(M).astype(np.complex128)
     kept = {}  # by template key: the low offsets and coefficients of the class
     count, prev, off_error = 0, None, None  # lines read; the last index; the earliest off
-    columns = ([np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)])
+    runs = []  # (first index, offsets, coefficients) of the class, one per run
 
-    def parse(lines):
+    def parse(lines, first):
         nonlocal count, prev, off_error
         indices, coefficients, off = _parse_lines(path, lines, count, M, prev)
         count += indices.size
         prev = int(indices[-1]) if indices.size else prev
         off_error = off_error or off
         keep = np.bitwise_count(indices) == M - 1 + parity_class
-        columns[0].append(indices[keep])
-        columns[1].append(coefficients[keep])
+        return first, indices[keep] - first, coefficients[keep]
 
     with path.open("rb") as handle:
         for key, base, offsets, one, j, lines in _stage_runs(M):
             data = handle.read(len(lines))
             if data != lines:
                 handle.seek(-len(data), os.SEEK_CUR)
-                parse(_prefixed(handle, lines[:high]))
+                runs.append(parse(_prefixed(handle, lines[:high]), base))
                 continue
             if key not in kept:
                 keep = one == parity_class
                 kept[key] = offsets[keep].astype(np.int64), amplitudes[j[keep]]
-            low, coefficients = kept[key]
-            columns[0].append(low + base)
-            columns[1].append(coefficients)
+            runs.append((base, *kept[key]))
             count += offsets.size
             prev = base + int(offsets[-1]) if offsets.size else prev
-        parse(handle)
-    del kept, data, lines  # the last run and the per-key columns: not held at the join
+        _, past, _ = parse(handle, base)
     expected = 2 * math.comb(width, M)
     if count != expected:
         raise InternalConsistencyError(
@@ -382,11 +408,10 @@ def read_gm_matrix(path, M: int, parity_class: int) -> GMMatrix:
         )
     if off_error is not None:
         raise InternalConsistencyError(off_error)
-    joined = []
-    for column in columns:  # one column's runs and copy alive at a time
-        joined.append(np.concatenate(column))
-        column.clear()
-    return GMMatrix(width, *joined)
+    # The records are now the whole support, strictly increasing, and each
+    # run took those in its range, so none is past the last run.
+    assert not past.size
+    return GMMatrix.of_runs(width, runs)
 
 
 def run_pipeline(M: int, out_dir) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from gmclone.cli import (
     parse_input_spec,
 )
 from gmclone.errors import DomainError, InternalConsistencyError, UsageError
+from gmclone._format import float17
 from gmclone.mps import load_mps
 from gmclone.qubit import BASIS
 
@@ -207,6 +208,24 @@ class TestCompile:
             tracemalloc.stop()
         assert peak < 2 ** (2 * M - 1) * 16 / 32
 
+    def test_stage_compile_memory_is_flat(self, tmp_path, capsys):
+        # At M = 11 the class read alone is 8.1 MiB as two columns.  The
+        # compile keeps it in the runs it was read in and checks the export
+        # one run at a time: the traced peak, 2.6 MiB, stays below 4 MiB,
+        # as at M = 10 (2.3 MiB).
+        M = 11
+        pipeline.run_pipeline(M, tmp_path)
+        argv = ["compile", "--clones", str(M), "--input", "basis:1", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "source: gm_matrix" in capsys.readouterr().out
+        assert peak <= 4 * 2**20
+
     @pytest.mark.parametrize("tol", [1e-12, 0.999])
     @pytest.mark.parametrize("spec", ["amps:0.3,-0.2,0.5,0.4", "equatorial:0.7"])
     @pytest.mark.parametrize("M", range(1, 13))
@@ -368,22 +387,31 @@ class TestCompile:
             assert abs(math.fsum(np.abs(amplitudes) ** 2) - 1) <= 1e-14
 
     @pytest.mark.parametrize("bit", [0, 1])
-    @pytest.mark.parametrize("M", [2, 3, 4, 5])
-    def test_stage_edit_below_the_check_shows_in_the_roundtrip(self, M, bit, tmp_path, capsys):
-        # One class-b record moved by delta, under the read's 1e-12 check:
-        # compile accepts the stage and writes the builder's export, and
-        # roundtrip_error, the distance from that export to the stage's
-        # own records, reads delta.
+    @pytest.mark.parametrize("M, run", [
+        pytest.param(M, run, id=f"{M}" if M < 8 else f"{M}-run{run}")
+        for M, run in [(2, 0), (3, 0), (4, 0), (5, 0), (8, 0), (8, 1), (10, 0), (10, 16), (10, 31)]
+    ])
+    def test_stage_edit_below_the_check_shows_in_the_roundtrip(
+        self, M, run, bit, tmp_path, capsys,
+    ):
+        # The first class-b record of stage run ``run`` moved by delta,
+        # under the read's 1e-12 check: compile accepts the stage and
+        # writes the builder's export, and roundtrip_error, the distance
+        # from that export to the stage's own records, reads delta.  A run
+        # is 2^14 indices, so M = 8 has 2 runs and M = 10 has 32: the
+        # edited run is parsed, and the others are matched by bytes.
         delta = 4e-13
         main(["prepare", "--clones", str(M), "--out", str(tmp_path / "stage")])
         path = tmp_path / "stage" / "GMMatrix"
         matrix = assign_coefficients(M)
-        coefficients = matrix.coefficients.copy()
-        edited = int(np.flatnonzero(np.bitwise_count(matrix.indices) == M - 1 + bit)[0])
-        coefficients[edited] += delta
-        write_gm_matrix_lines(path, pipeline.GMMatrix(
-            matrix.width, matrix.indices, coefficients,
-        ))
+        indices = matrix.indices
+        in_class = np.bitwise_count(indices) == M - 1 + bit
+        edited = int(np.flatnonzero(in_class & (indices >> pipeline.CHUNK_BITS == run))[0])
+        lines = path.read_bytes().split(b"\n")
+        bits, _, im_text, cls_text = lines[edited].split(b"\t")
+        re_text = float17(matrix.coefficients[edited].real + delta).encode()
+        lines[edited] = b"\t".join([bits, re_text, im_text, cls_text])
+        path.write_bytes(b"\n".join(lines))
         for out in (tmp_path / "stage", tmp_path / "builder"):
             argv = ["compile", "--clones", str(M), "--input", f"basis:{bit}", "--out", str(out)]
             assert main(argv) == EXIT_OK
